@@ -17,6 +17,7 @@ a corrupted file fails loudly instead of producing a silently wrong model.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +60,7 @@ def save_checkpoint(path, config: dict[str, str], tensors: dict[str, np.ndarray]
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a malformed header line fails with its byte offset."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
@@ -70,41 +72,44 @@ def load_checkpoint(path) -> Checkpoint:
     marker = blob.find(b"\n[data]\n")
     if marker < 0:
         raise CheckpointError(f"{path}: truncated header, no [data] section")
-    header_lines = blob[len(MAGIC) + 1 : marker].decode("ascii").split("\n")
     payload = blob[marker + len(b"\n[data]\n") :]
 
     config: dict[str, str] = {}
     tensors: dict[str, np.ndarray] = {}
     section = None
-    for line in header_lines:
-        if line == "[config]":
-            section = "config"
-            continue
-        if line == "[tensors]":
-            section = "tensors"
-            continue
-        if section == "config":
-            key, _, value = line.partition("=")
-            try:
+    line_start = len(MAGIC) + 1
+    for raw_line in blob[line_start:marker].split(b"\n"):
+        try:
+            line = raw_line.decode("ascii")
+            if line in ("[config]", "[tensors]"):
+                section = line
+            elif section == "[config]":
+                key, _, value = line.partition("=")
                 config[key] = json.loads(value)
-            except json.JSONDecodeError as exc:
-                raise CheckpointError(f"{path}: bad config line {line!r}") from exc
-        elif section == "tensors":
-            parts = line.split(" ")
-            if len(parts) != 4:
-                raise CheckpointError(f"{path}: bad tensor directory line {line!r}")
-            name, shape_text, offset_text, crc_text = parts
-            shape = () if shape_text == "scalar" else tuple(int(d) for d in shape_text.split("x"))
-            count = int(np.prod(shape)) if shape else 1
-            offset = int(offset_text)
-            raw = payload[offset : offset + 8 * count]
-            if len(raw) != 8 * count:
-                raise CheckpointError(f"{path}: payload truncated for tensor {name!r}")
-            if (zlib.crc32(raw) & 0xFFFFFFFF) != int(crc_text):
-                raise CheckpointError(f"{path}: checksum failure for tensor {name!r}")
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        else:
-            raise CheckpointError(f"{path}: stray header line {line!r}")
+            elif section == "[tensors]":
+                parts = line.split(" ")
+                if len(parts) != 4:
+                    raise CheckpointError("a tensor line needs name, shape, offset and crc")
+                name, shape_text, offset_text, crc_text = parts
+                dims = [] if shape_text == "scalar" else shape_text.split("x")
+                shape = tuple(int(d) for d in dims)
+                offset = int(offset_text)
+                if offset < 0 or any(d < 0 for d in shape):
+                    raise CheckpointError("negative offset or dimension")
+                count = math.prod(shape)
+                raw = payload[offset : offset + 8 * count]
+                if len(raw) != 8 * count:
+                    raise CheckpointError(f"payload truncated for tensor {name!r}")
+                if (zlib.crc32(raw) & 0xFFFFFFFF) != int(crc_text):
+                    raise CheckpointError(f"checksum failure for tensor {name!r}")
+                tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            else:
+                raise CheckpointError("stray line before [config]")
+        except (CheckpointError, ValueError) as exc:  # ValueError covers bad ascii and JSON
+            raise CheckpointError(
+                f"{path}: bad header line {raw_line!r} at byte offset {line_start}: {exc}"
+            ) from exc
+        line_start += len(raw_line) + 1
     return Checkpoint(config=config, tensors=tensors)
 
 

@@ -201,12 +201,18 @@ def read_f64(path) -> Waveform:
         count, rate = int(header[1]), int(header[2])
     except ValueError as exc:
         raise IngestError(f"{path}: non-integer header fields (byte offset 0)") from exc
+    if rate <= 0:
+        raise IngestError(f"{path}: sample rate must be positive, got {rate} (byte offset 0)")
     payload = blob[newline + 1 :]
     if len(payload) != 8 * count:
         raise IngestError(
             f"{path}: expected {count} samples ({8 * count} bytes), got {len(payload)} bytes"
         )
     samples = np.frombuffer(payload, dtype="<f8")
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        offset = newline + 1 + 8 * int(bad[0])
+        raise IngestError(f"{path}: non-finite sample at byte offset {offset}")
     return Waveform(samples=samples.copy(), sample_rate=rate)
 
 

@@ -1,5 +1,10 @@
 """Training objectives: attention cross-entropy, CTC, and their weighted total.
 
+CTC is one graph node. A numpy alpha-beta pass (recursion in ``ctc_loss``)
+gives the loss and its gradient d loss / d log_probs[t, v] = -occupancy[t, v],
+the posterior weight of label v at frame t; through the log-softmax this is
+softmax - occupancy on the logits.
+
 Reductions: the attention and CTC terms are sums over target positions /
 alignments for one utterance; the training harness divides batch sums by the
 batch size only. Balancing losses from multiple MoE layers are averaged so
@@ -14,19 +19,12 @@ import numpy as np
 
 from .errors import CtcInfeasibleError, DataError
 from .moe import LoadStats, load_balance_loss
-from .tensor import (
-    LOG_ZERO,
-    Tensor,
-    concat,
-    gather_rows,
-    log_softmax_rows,
-    logaddexp,
-    narrow,
-    reshape,
-    take_along_cols,
-    transpose,
-    tsum,
-)
+from .tensor import Tensor, _record, log_softmax_rows, take_along_cols, tsum
+
+# Finite stand-in for log(0) in the CTC lattice. Adding ordinary
+# log-probabilities to it keeps values far below any reachable score while
+# exp() underflows to exactly 0.0, so no -inf is ever materialized.
+LOG_ZERO = -1.0e30
 
 
 @dataclass
@@ -80,8 +78,27 @@ def extended_labels(target: list[int], blank_id: int) -> list[int]:
 def ctc_loss(frame_logits: Tensor, target: list[int], blank_id: int = 0) -> Tensor:
     """Negative log-probability of the target under the CTC alignment lattice.
 
-    Log-space forward recursion over the blank-extended label sequence. An
-    infeasible target (more symbols plus required separating blanks than
+    Alpha-beta forward-backward (Graves et al., 2006, section 4). With
+    ``y[t, s]`` the log-probability at frame t of the label of state s of the
+    blank-extended target, T frames and S states:
+
+        alpha[0, s] = y[0, s] for s < 2, else log 0
+        alpha[t, s] = y[t, s] + logsumexp(alpha[t-1, s], alpha[t-1, s-1],
+                                          alpha[t-1, s-2] if skip[s])
+        loss        = -logsumexp(alpha[T-1, S-2], alpha[T-1, S-1])
+
+    where ``skip[s]`` holds for a label that differs from the label two states
+    earlier. ``beta[t, s]``, the log-probability of the suffixes that leave
+    state s at frame t (``y[t, s]`` included), is alpha of the lattice
+    reversed in time and in state; the skip rule reads the same backwards
+    because blanks and labels alternate. The loss is one graph node on top
+    of the log-softmax, with gradient ``-occupancy``: ``occupancy[t, v]``
+    sums ``exp(alpha + beta - y + loss)`` over the states that carry label
+    v. Its rows sum to one, so the log-softmax backward turns this into
+    ``softmax - occupancy`` on the logits. ``LOG_ZERO`` stands in for log 0,
+    so no -inf is ever formed.
+
+    An infeasible target (more symbols plus required separating blanks than
     frames) raises instead of returning infinity: it means the data is bad.
     """
     num_frames, vocab = frame_logits.shape
@@ -98,37 +115,36 @@ def ctc_loss(frame_logits: Tensor, target: list[int], blank_id: int = 0) -> Tens
             f"target of length {len(target)} needs at least {needed} frames, got {num_frames}"
         )
 
-    ext = extended_labels(target, blank_id)
-    states = len(ext)
+    ext = np.asarray(extended_labels(target, blank_id), dtype=np.int64)
     log_probs = log_softmax_rows(frame_logits)
-    # (num_frames, states): per-frame log-prob of each lattice state's label.
-    lattice = transpose(gather_rows(transpose(log_probs), ext))
+    lattice = log_probs.data[:, ext]
+    alpha = _ctc_alpha(lattice, ext, blank_id)
+    log_like = np.logaddexp(alpha[-1, -2], alpha[-1, -1])
 
-    # A state may come from two back only if it is a label differing from the
-    # label two states earlier (never a blank, never a repeated label).
-    skip_ok = np.zeros(states, dtype=np.float64)
-    for s in range(2, states):
-        if ext[s] != blank_id and ext[s] != ext[s - 2]:
-            skip_ok[s] = 1.0
-    skip_mask = Tensor(skip_ok)
-    skip_off = Tensor((1.0 - skip_ok) * LOG_ZERO)
+    def backward(g):
+        beta = _ctc_alpha(lattice[::-1, ::-1], ext[::-1], blank_id)[::-1, ::-1]
+        posterior = np.exp(alpha + beta - lattice - log_like)
+        occupancy = np.zeros(log_probs.shape)
+        np.add.at(occupancy.T, ext, posterior.T)
+        return (-g * occupancy,)
 
-    log_zero_1 = Tensor(np.full(1, LOG_ZERO))
-    log_zero_2 = Tensor(np.full(2, LOG_ZERO))
-    rest = Tensor(np.full(states - 2, LOG_ZERO))
+    return _record(np.asarray(-log_like), (log_probs,), backward)
 
-    first = reshape(narrow(lattice, 0, 0, 1), (states,))
-    alpha = concat([narrow(first, 0, 0, 2), rest], axis=0)
-    for t in range(1, num_frames):
-        stay = alpha
-        step1 = concat([log_zero_1, narrow(alpha, 0, 0, states - 1)], axis=0)
-        step2 = concat([log_zero_2, narrow(alpha, 0, 0, states - 2)], axis=0)
-        step2 = step2 * skip_mask + skip_off
-        frame = reshape(narrow(lattice, 0, t, 1), (states,))
-        alpha = logaddexp(logaddexp(stay, step1), step2) + frame
 
-    tail = logaddexp(narrow(alpha, 0, states - 2, 1), narrow(alpha, 0, states - 1, 1))
-    return -reshape(tail, ())
+def _ctc_alpha(lattice: np.ndarray, ext: np.ndarray, blank_id: int) -> np.ndarray:
+    """Forward log-variables ``alpha[t, s]`` of a (frames, states) lattice.
+
+    Two LOG_ZERO columns ahead of the first state make s-1 and s-2 slices.
+    """
+    skip = np.zeros(ext.size, dtype=bool)
+    skip[2:] = (ext[2:] != blank_id) & (ext[2:] != ext[:-2])
+    alpha = np.full((lattice.shape[0], ext.size + 2), LOG_ZERO)
+    alpha[0, 2:4] = lattice[0, :2]
+    for t in range(1, lattice.shape[0]):
+        prev = alpha[t - 1]
+        step2 = np.where(skip, prev[:-2], LOG_ZERO)
+        alpha[t, 2:] = np.logaddexp(np.logaddexp(prev[2:], prev[1:-1]), step2) + lattice[t]
+    return alpha[:, 2:]
 
 
 def total_loss(

@@ -25,7 +25,6 @@ from .tensor import (
     scatter_rows,
     softmax_rows,
     take_along_cols,
-    topk_indices,
     tsum,
 )
 
@@ -118,10 +117,8 @@ class MoELayer(Module):
                 f"router expects (tokens, {self.cfg.hidden}), got {x.shape}"
             )
         probs = softmax_rows(matmul(x, self.router))
-        k = self.cfg.top_k
-        indices = np.empty((x.shape[0], k), dtype=np.int64)
-        for t in range(x.shape[0]):
-            indices[t] = topk_indices(probs.data[t], k)
+        # A stable sort of the negated rows keeps equal entries in index order.
+        indices = np.argsort(-probs.data, axis=1, kind="stable")[:, : self.cfg.top_k]
         weights = take_along_cols(probs, indices)
         if self.cfg.renormalize_topk:
             weights = weights / tsum(weights, axis=1, keepdims=True)

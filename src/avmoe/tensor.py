@@ -23,12 +23,7 @@ from .errors import (
     NumericError,
 )
 
-# Finite stand-in for log(0). Adding ordinary log-probabilities to it keeps
-# values far below any reachable score while exp() underflows to exactly 0.0,
-# so no op ever materializes an actual -inf.
-LOG_ZERO = -1.0e30
-
-# Additive attention-mask value; exp(LOG_ZERO - rowmax) is exactly 0.0.
+# Additive attention-mask value; exp(MASK_VALUE - rowmax) is exactly 0.0.
 MASK_VALUE = -1.0e30
 
 _grad_enabled = True
@@ -401,18 +396,6 @@ def log_softmax_rows(a: Tensor) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def logaddexp(a: Tensor, b: Tensor) -> Tensor:
-    """Stable elementwise log(exp(a) + exp(b)); shapes must match."""
-    if a.shape != b.shape:
-        raise DimensionError(f"logaddexp operands differ in shape: {a.shape} vs {b.shape}")
-    out = np.logaddexp(a.data, b.data)
-
-    def backward(g):
-        return g * np.exp(a.data - out), g * np.exp(b.data - out)
-
-    return _record(out, (a, b), backward)
-
-
 # -- normalization --------------------------------------------------------------
 
 
@@ -528,18 +511,3 @@ def scatter_rows(src: Tensor, indices, num_rows: int) -> Tensor:
         return (g[idx],)
 
     return _record(data, (src,), backward)
-
-
-# -- selection -------------------------------------------------------------------
-
-
-def topk_indices(row, k: int) -> list[int]:
-    """Indices of the k largest entries; ties resolved toward lower indices."""
-    values = row.data if isinstance(row, Tensor) else np.asarray(row, dtype=np.float64)
-    if values.ndim != 1:
-        raise DimensionError(f"topk_indices expects a 1-d row, got shape {values.shape}")
-    if not 1 <= k <= values.shape[0]:
-        raise ConfigError(f"top-k size {k} out of range for row of length {values.shape[0]}")
-    # Stable sort of the negated row keeps equal entries in index order.
-    order = np.argsort(-values, kind="stable")
-    return [int(i) for i in order[:k]]

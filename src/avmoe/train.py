@@ -272,8 +272,11 @@ def save_train_state(path, state: TrainState, vocab: Vocab, train_cfg: TrainConf
 
 
 def restore_model(ckpt: Checkpoint) -> tuple[Model, Vocab]:
-    cfg = model_config_from_json(ckpt.config["model"])
-    vocab = Vocab(json.loads(ckpt.config["vocab"]))
+    try:
+        cfg = model_config_from_json(ckpt.config["model"])
+        vocab = Vocab(json.loads(ckpt.config["vocab"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"unreadable model config or vocabulary: {exc!r}") from exc
     model = Model(cfg, np.random.default_rng(0))
     load_params_into(model.named_parameters(), ckpt.tensors, prefix="model.")
     return model, vocab
@@ -281,7 +284,12 @@ def restore_model(ckpt: Checkpoint) -> tuple[Model, Vocab]:
 
 def restore_train_state(ckpt: Checkpoint) -> tuple[TrainState, Vocab, TrainConfig]:
     model, vocab = restore_model(ckpt)
-    train_cfg = TrainConfig(**json.loads(ckpt.config["train"]))
+    try:
+        train_cfg = TrainConfig(**json.loads(ckpt.config["train"]))
+        step, epochs_done = int(ckpt.config["step"]), int(ckpt.config["epochs_done"])
+        rng = _rng_from_json(ckpt.config["rng"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"unreadable training state: {exc!r}") from exc
     optimizer = Adam(
         model.named_parameters(),
         lr=train_cfg.lr,
@@ -289,7 +297,7 @@ def restore_train_state(ckpt: Checkpoint) -> tuple[TrainState, Vocab, TrainConfi
         beta2=train_cfg.adam_beta2,
         eps=train_cfg.adam_eps,
     )
-    optimizer.step_count = int(ckpt.config["step"])
+    optimizer.step_count = step
     for name in optimizer.m:
         m_key, v_key = "opt.m." + name, "opt.v." + name
         if m_key not in ckpt.tensors or v_key not in ckpt.tensors:
@@ -297,11 +305,7 @@ def restore_train_state(ckpt: Checkpoint) -> tuple[TrainState, Vocab, TrainConfi
         optimizer.m[name] = ckpt.tensors[m_key].copy()
         optimizer.v[name] = ckpt.tensors[v_key].copy()
     state = TrainState(
-        model=model,
-        optimizer=optimizer,
-        rng=_rng_from_json(ckpt.config["rng"]),
-        step=int(ckpt.config["step"]),
-        epochs_done=int(ckpt.config["epochs_done"]),
+        model=model, optimizer=optimizer, rng=rng, step=step, epochs_done=epochs_done
     )
     return state, vocab, train_cfg
 

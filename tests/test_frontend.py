@@ -204,3 +204,19 @@ class TestAudioIO:
         path.write_bytes(b"F64LE 10 16000\n" + b"\x00" * 24)
         with pytest.raises(IngestError, match="expected 10"):
             read_f64(path)
+
+    def test_f64_rate_not_positive_is_ingest_error(self, tmp_path):
+        path = tmp_path / "zero.f64"
+        for rate in (0, -16000):
+            path.write_bytes(f"F64LE 2 {rate}\n".encode() + b"\x00" * 16)
+            with pytest.raises(IngestError, match="sample rate"):
+                read_f64(path)
+
+    def test_f64_non_finite_sample_names_byte_offset(self, tmp_path):
+        path = tmp_path / "nan.f64"
+        samples = np.zeros(4)
+        samples[2] = np.nan
+        header = b"F64LE 4 16000\n"
+        path.write_bytes(header + samples.astype("<f8").tobytes())
+        with pytest.raises(IngestError, match=f"byte offset {len(header) + 16}"):
+            read_f64(path)

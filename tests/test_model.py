@@ -1,0 +1,59 @@
+"""Whole-model checks: upcycling a dense model, and the size of the loss graph."""
+
+import numpy as np
+
+from avmoe.frontend import LogMelSpectrogram
+from avmoe.losses import batch_balance_losses, total_loss
+from avmoe.model import Model, ModelConfig, moe_model_from_dense
+from avmoe.moe import MoEConfig
+from avmoe.train import Utterance, utterance_losses
+
+
+def tiny_config(moe: MoEConfig | None = None) -> ModelConfig:
+    return ModelConfig(
+        vocab_size=8, hidden=8, heads=2, d_ff=16, encoder_blocks=1, decoder_blocks=1,
+        visual_dim=4, n_mels=6, stack_factor=2, moe=moe,
+    )
+
+
+def fixed_utterance() -> Utterance:
+    rng = np.random.default_rng(30)
+    mel = LogMelSpectrogram(frames=rng.normal(size=(14, 6)), n_mels=6, sample_rate=16000)
+    return Utterance("u0", mel, rng.normal(size=(2, 4)), ["a", "b", "b"], [4, 5, 5])
+
+
+def graph_nodes(loss) -> set[int]:
+    """Ids of the recorded (non-leaf) nodes that ``loss`` depends on."""
+    seen: set[int] = set()
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if node._backward is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+    return seen
+
+
+def test_upcycled_model_starts_with_the_dense_losses():
+    dense = Model(tiny_config(), np.random.default_rng(31))
+    moe = moe_model_from_dense(dense, MoEConfig(num_experts=4, top_k=2, hidden=8, ffn_hidden=16))
+    utt = fixed_utterance()
+    dense_att, dense_ctc, _ = utterance_losses(dense, utt)
+    moe_att, moe_ctc, stats = utterance_losses(moe, utt)
+    assert len(stats) == 1
+    np.testing.assert_allclose(moe_att.item(), dense_att.item(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(moe_ctc.item(), dense_ctc.item(), rtol=0, atol=1e-12)
+
+
+def test_loss_graph_size_is_pinned():
+    # A change to the number of graph nodes must update these counts.
+    cfg = MoEConfig(num_experts=2, top_k=1, hidden=8, ffn_hidden=16)
+    model = Model(tiny_config(cfg), np.random.default_rng(32))
+    l_att, l_ctc, stats = utterance_losses(model, fixed_utterance())
+    aux = batch_balance_losses([[s] for s in stats], cfg.num_experts)
+    bundle = total_loss(l_att, l_ctc, aux)
+    ctc_only = graph_nodes(l_ctc) - graph_nodes(l_att)
+    # The CTC head's narrow and affine, the log-softmax, and the lattice node.
+    assert len(ctc_only) == 4
+    assert len(graph_nodes(bundle.l_total)) == 155

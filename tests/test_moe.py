@@ -74,6 +74,16 @@ class TestRouting:
         np.testing.assert_allclose(decision.probs.data.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(decision.weights.data.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_matches_sort_oracle(self):
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            k = seed % 8 + 1
+            layer = make_layer(top_k=k, hidden=4, ffn_hidden=8)
+            layer.router.data = rng.normal(size=(4, 8))
+            decision = layer.route(Tensor(rng.normal(size=(5, 4))))
+            for row, picked in zip(decision.probs.data, decision.indices):
+                assert picked.tolist() == sorted(range(8), key=lambda i: (-row[i], i))[:k]
+
 
 class TestForward:
     def test_full_ensemble_of_identical_experts_is_dense(self):

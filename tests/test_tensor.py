@@ -5,21 +5,18 @@ import pytest
 
 from avmoe.errors import ConfigError, DataError, DimensionError, GraphError, NumericError
 from avmoe.tensor import (
-    LOG_ZERO,
     Tensor,
     affine,
     concat,
     gather_rows,
     layer_norm,
     log_softmax_rows,
-    logaddexp,
     matmul,
     narrow,
     no_grad,
     scatter_rows,
     softmax_rows,
     take_along_cols,
-    topk_indices,
 )
 
 from helpers import check_grad, numeric_grad, rel_error
@@ -95,27 +92,6 @@ class TestLayerNorm:
         b = Tensor(rng.uniform(-0.5, 0.5, 5), requires_grad=True)
         weights = Tensor(rng.normal(size=(3, 5)))
         check_grad(lambda: (layer_norm(x, g, b) * weights).sum(), [x, g, b], tol=1e-5)
-
-
-class TestTopK:
-    def test_inspection_case(self):
-        assert topk_indices(Tensor([0.1, 0.9, 0.5, 0.3]), 2) == [1, 2]
-
-    def test_tie_break_lowest_index(self):
-        assert topk_indices(np.zeros(8), 4) == [0, 1, 2, 3]
-
-    def test_matches_sort_oracle(self):
-        for seed in range(30):
-            row = np.random.default_rng(seed).normal(size=11)
-            k = seed % 11 + 1
-            oracle = sorted(range(11), key=lambda i: (-row[i], i))[:k]
-            assert topk_indices(row, k) == oracle
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ConfigError):
-            topk_indices(np.zeros(4), 5)
-        with pytest.raises(ConfigError):
-            topk_indices(np.zeros(4), 0)
 
 
 class TestBackwardRules:
@@ -296,22 +272,6 @@ class TestNumericGuards:
     def test_log_domain_guarded(self):
         with pytest.raises(NumericError):
             Tensor(np.array([0.0])).log()
-
-    def test_logaddexp_stable_at_log_zero(self):
-        a = Tensor(np.full(3, LOG_ZERO), requires_grad=True)
-        b = Tensor(np.array([-1.0, 0.0, 2.5]), requires_grad=True)
-        out = logaddexp(a, b)
-        np.testing.assert_allclose(out.data, b.data, atol=1e-12)
-        out.sum().backward()
-        assert np.isfinite(a.grad).all() and np.isfinite(b.grad).all()
-        np.testing.assert_allclose(b.grad, 1.0, atol=1e-12)
-
-    def test_logaddexp_gradient(self):
-        rng = np.random.default_rng(9)
-        a = Tensor(rng.uniform(-1, 1, 6), requires_grad=True)
-        b = Tensor(rng.uniform(-1, 1, 6), requires_grad=True)
-        weights = Tensor(rng.normal(size=6))
-        check_grad(lambda: (logaddexp(a, b) * weights).sum(), [a, b], tol=1e-5)
 
     def test_sigmoid_finite_at_extremes(self):
         out = Tensor(np.array([-1000.0, 1000.0])).sigmoid()
