@@ -2,16 +2,18 @@
 
 Layout:
 
-    EVACKPT1\\n
+    EVACKPT2\\n
     [config]\\n
     <key>=<value>\\n ...          (values are JSON-escaped strings)
+    crc32 <crc32>\\n             (of the <key>=<value> lines, newline-joined)
     [tensors]\\n
     <name> <d0xd1x...> <byte offset> <crc32>\\n ...
     [data]\\n
     <raw little-endian float64 payload>
 
-Offsets index into the payload. Every tensor's CRC32 is verified on load, so
-a corrupted file fails loudly instead of producing a silently wrong model.
+Offsets index into the payload. The CRC32 of the config lines and of every
+tensor is verified on load, so a corrupted file fails loudly instead of
+producing a silently wrong model.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 from .errors import CheckpointError
 from .tensor import Tensor
 
-MAGIC = b"EVACKPT1"
+MAGIC = b"EVACKPT2"
+CONFIG_CRC = "crc32 "
 
 
 @dataclass
@@ -37,12 +40,13 @@ class Checkpoint:
 
 
 def save_checkpoint(path, config: dict[str, str], tensors: dict[str, np.ndarray]) -> None:
-    header = [MAGIC.decode("ascii"), "[config]"]
+    entries = []
     for key in config:
         if any(c in key for c in "=\n "):
             raise CheckpointError(f"config key {key!r} may not contain '=', spaces, or newlines")
-        header.append(f"{key}={json.dumps(config[key])}")
-    header.append("[tensors]")
+        entries.append(f"{key}={json.dumps(config[key])}")
+    config_crc = zlib.crc32("\n".join(entries).encode("ascii")) & 0xFFFFFFFF
+    header = [MAGIC.decode("ascii"), "[config]", *entries, f"{CONFIG_CRC}{config_crc}", "[tensors]"]
     blobs: list[bytes] = []
     offset = 0
     for name, array in tensors.items():
@@ -75,17 +79,23 @@ def load_checkpoint(path) -> Checkpoint:
     payload = blob[marker + len(b"\n[data]\n") :]
 
     config: dict[str, str] = {}
+    config_lines: list[str] = []
     tensors: dict[str, np.ndarray] = {}
     section = None
     line_start = len(MAGIC) + 1
     for raw_line in blob[line_start:marker].split(b"\n"):
         try:
             line = raw_line.decode("ascii")
-            if line in ("[config]", "[tensors]"):
+            if line == "[config]" and section is None:
+                section = line
+            elif line == "[tensors]" and section == "[config]":
+                _verify_config(config_lines)
                 section = line
             elif section == "[config]":
-                key, _, value = line.partition("=")
-                config[key] = json.loads(value)
+                config_lines.append(line)
+                if not line.startswith(CONFIG_CRC):
+                    key, _, value = line.partition("=")
+                    config[key] = json.loads(value)
             elif section == "[tensors]":
                 parts = line.split(" ")
                 if len(parts) != 4:
@@ -110,7 +120,18 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{path}: bad header line {raw_line!r} at byte offset {line_start}: {exc}"
             ) from exc
         line_start += len(raw_line) + 1
+    if section != "[tensors]":
+        raise CheckpointError(f"{path}: header has no [tensors] section")
     return Checkpoint(config=config, tensors=tensors)
+
+
+def _verify_config(lines: list[str]) -> None:
+    """The last config line holds the CRC32 of the lines before it."""
+    if not lines or not lines[-1].startswith(CONFIG_CRC):
+        raise CheckpointError("the [config] section does not end with its crc32 line")
+    expected = zlib.crc32("\n".join(lines[:-1]).encode("ascii")) & 0xFFFFFFFF
+    if expected != int(lines[-1][len(CONFIG_CRC) :]):
+        raise CheckpointError("checksum failure for the [config] section")
 
 
 def load_params_into(

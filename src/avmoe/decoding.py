@@ -16,9 +16,10 @@ class Hypothesis:
     score: float  # summed log-probability of the chosen steps
 
 
-def _log_softmax_np(row: np.ndarray) -> np.ndarray:
-    shifted = row - row.max()
-    return shifted - np.log(np.exp(shifted).sum())
+def _log_softmax_np(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax along the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def collapse_ctc_path(path: list[int], blank_id: int) -> list[int]:
@@ -35,14 +36,10 @@ def collapse_ctc_path(path: list[int], blank_id: int) -> list[int]:
 def ctc_greedy_decode(frame_logits: Tensor | np.ndarray, blank_id: int = 0) -> Hypothesis:
     """Best per-frame path, collapsed. Score is that single path's log-prob."""
     logits = frame_logits.data if isinstance(frame_logits, Tensor) else np.asarray(frame_logits)
-    score = 0.0
-    path: list[int] = []
-    for row in logits:
-        log_probs = _log_softmax_np(row)
-        best = int(np.argmax(log_probs))
-        path.append(best)
-        score += float(log_probs[best])
-    return Hypothesis(token_ids=collapse_ctc_path(path, blank_id), score=score)
+    log_probs = _log_softmax_np(logits)
+    path = log_probs.argmax(axis=1)
+    score = float(log_probs[np.arange(path.size), path].sum())
+    return Hypothesis(token_ids=collapse_ctc_path(path.tolist(), blank_id), score=score)
 
 
 def attention_greedy_decode(model: Model, states: Tensor, max_len: int) -> Hypothesis:

@@ -175,6 +175,8 @@ def read_wav(path) -> Waveform:
             raw = wf.readframes(wf.getnframes())
     except wave.Error as exc:
         raise IngestError(f"{path}: not a readable WAV file ({exc})") from exc
+    if rate <= 0:
+        raise IngestError(f"{path}: sample rate must be positive, got {rate} (byte offset 24)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples=samples, sample_rate=rate)
 

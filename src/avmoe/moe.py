@@ -7,6 +7,24 @@ default, raw otherwise). Per-batch load statistics feed the balancing loss
 ``num_experts * sum_i assign_fraction_i * mean_prob_i``: the hard assignment
 fractions are treated as constants, so its gradient reaches the router only
 through the mean probabilities.
+
+Dispatch is one graph node, ``expert_mixture``, in the grouped (sort by
+expert) form of MegaBlocks (Gale et al., arXiv 2211.15841). The (token, slot)
+pairs are stable-sorted by expert into contiguous segments; expert e runs
+once on the rows R_e of its segment, with weights w_e:
+
+    h_e = act(x[R_e] W1_e + b1_e),   out[R_e] += (h_e W2_e + b2_e) * w_e
+
+in ascending expert order. Backward, with G the output gradient and
+``dy_e = G[R_e] * w_e``:
+
+    dw_e  = rowsum(G[R_e] * (h_e W2_e + b2_e))
+    dW2_e = h_e^T dy_e,   db2_e = colsum(dy_e)
+    da_e  = (dy_e W2_e^T) * act'(x[R_e] W1_e + b1_e)
+    dW1_e = x[R_e]^T da_e,   db1_e = colsum(da_e),   dx[R_e] += da_e W1_e^T
+
+An expert with an empty segment gets ``None`` for all four parameter
+gradients, exactly as if it were not in the graph, so the optimizer skips it.
 """
 
 from __future__ import annotations
@@ -19,10 +37,9 @@ from .errors import ConfigError, DimensionError
 from .nn import FeedForward, Module
 from .tensor import (
     Tensor,
-    gather_rows,
+    _record,
+    _sigmoid_stable,
     matmul,
-    reshape,
-    scatter_rows,
     softmax_rows,
     take_along_cols,
     tsum,
@@ -127,28 +144,97 @@ class MoELayer(Module):
     def __call__(self, x: Tensor) -> tuple[Tensor, LoadStats]:
         """Dispatch tokens to their selected experts and combine the outputs."""
         decision = self.route(x)
-        tokens, k = decision.indices.shape
-        flat_weights = reshape(decision.weights, (tokens * k,))
-        out = None
-        dispatched = 0
-        for e in range(self.cfg.num_experts):
-            rows, slots = np.nonzero(decision.indices == e)
-            if rows.size == 0:
-                continue  # silent expert: never evaluated for this batch
-            dispatched += int(rows.size)
-            expert_out = self.experts[e](gather_rows(x, rows))
-            w = gather_rows(flat_weights, rows * k + slots).reshape(rows.size, 1)
-            part = scatter_rows(expert_out * w, rows, tokens)
-            out = part if out is None else out + part
+        out, dispatched = expert_mixture(x, decision.weights, decision.indices, self.experts)
         stats = LoadStats(
             hard_counts=np.bincount(
                 np.argmax(decision.probs.data, axis=1), minlength=self.cfg.num_experts
             ).astype(np.float64),
             prob_sum=tsum(decision.probs, axis=0),
-            tokens=tokens,
+            tokens=x.shape[0],
             dispatched=dispatched,
         )
         return out, stats
+
+
+def _activation(name: str, pre: np.ndarray) -> np.ndarray:
+    """``act(pre)``, equal to the forward of ``tensor.silu`` / ``tensor.relu``."""
+    if name == "silu":
+        return pre * _sigmoid_stable(pre)
+    if name == "relu":
+        return np.maximum(pre, 0.0)
+    raise ConfigError(f"expert_mixture has no kernel for activation {name!r}")
+
+
+def _activation_grad(name: str, pre: np.ndarray) -> np.ndarray:
+    """``act'(pre)``, equal to the backward of ``tensor.silu`` / ``tensor.relu``."""
+    if name == "silu":
+        s = _sigmoid_stable(pre)
+        return s + pre * s * (1.0 - s)
+    return pre > 0.0
+
+
+def expert_mixture(
+    x: Tensor, weights: Tensor, indices: np.ndarray, experts: list[FeedForward]
+) -> tuple[Tensor, int]:
+    """Weighted sum of each token's selected experts, as one graph node.
+
+    ``x`` is (tokens, D); ``weights`` and ``indices`` are (tokens, k): token
+    i adds ``weights[i, j] * experts[indices[i, j]](x[i])``. The (token,
+    slot) pairs are stable-sorted by expert, so each expert runs once on a
+    contiguous segment, and each token's terms are summed in ascending
+    expert order. The formulas are in the module docstring. Returns the
+    (tokens, D) output and the number of (token, expert) evaluations, the
+    summed segment lengths. Experts with an empty segment are not run and
+    get ``None`` gradients.
+    """
+    tokens, k = indices.shape
+    if x.ndim != 2 or x.shape[0] != tokens or weights.shape != indices.shape:
+        raise DimensionError(
+            f"expert_mixture got x={x.shape}, weights={weights.shape}, indices={indices.shape}"
+        )
+    order = np.argsort(indices.reshape(-1), kind="stable")  # flat (token, slot) ids
+    bounds = np.searchsorted(indices.reshape(-1)[order], np.arange(len(experts) + 1))
+    flat_w = weights.data.reshape(-1)
+    out = np.zeros(x.shape)
+    saved = []  # per expert: (pair ids, rows, inputs, pre-activation, act, unweighted output)
+    dispatched = 0
+    for e, expert in enumerate(experts):
+        pairs = order[bounds[e] : bounds[e + 1]]
+        if pairs.size == 0:
+            saved.append(None)  # silent expert: never evaluated for this batch
+            continue
+        dispatched += pairs.size
+        rows = pairs // k
+        xr = x.data[rows]
+        pre = xr @ expert.lin1.weight.data + expert.lin1.bias.data
+        act = _activation(expert.act, pre)
+        y = act @ expert.lin2.weight.data + expert.lin2.bias.data
+        out[rows] += y * flat_w[pairs][:, None]
+        saved.append((pairs, rows, xr, pre, act, y))
+
+    def backward(g):
+        dx = np.zeros(x.shape)
+        dw = np.zeros(flat_w.shape)
+        grads = []
+        for expert, rec in zip(experts, saved):
+            if rec is None:
+                grads.extend([None] * 4)
+                continue
+            pairs, rows, xr, pre, act, y = rec
+            gr = g[rows]
+            dw[pairs] = (gr * y).sum(axis=1)
+            dy = gr * flat_w[pairs][:, None]
+            da = (dy @ expert.lin2.weight.data.T) * _activation_grad(expert.act, pre)
+            dx[rows] += da @ expert.lin1.weight.data.T
+            grads.extend([xr.T @ da, da.sum(axis=0), act.T @ dy, dy.sum(axis=0)])
+        return (dx, dw.reshape(weights.shape), *grads)
+
+    params = tuple(
+        p
+        for expert in experts
+        for p in (expert.lin1.weight, expert.lin1.bias, expert.lin2.weight, expert.lin2.bias)
+    )
+    return _record(out, (x, weights) + params, backward), dispatched
 
 
 def init_from_dense(donor: FeedForward, cfg: MoEConfig, activation: str = "silu") -> MoELayer:

@@ -1,4 +1,16 @@
-"""Small neural-net building blocks on top of the tensor engine."""
+"""Small neural-net building blocks on top of the tensor engine.
+
+Two computations are single graph nodes with hand-written backward passes:
+
+- ``attend``: all heads of scaled dot-product attention at once. Per head,
+  ``S = (Q K^T) * scale (+ mask)``, ``P = softmax_rows(S)``, ``O = P V``;
+  backward ``dV = P^T G``, ``dP = G V^T``,
+  ``dS = P * (dP - rowsum(dP * P)) * scale``, ``dQ = dS K``, ``dK = dS^T Q``.
+- ``depthwise3``: the zero-padded 3-tap depthwise conv along time,
+  ``y[t] = x[t-1] k0 + x[t] k1 + x[t+1] k2 + b``; backward
+  ``dx[t] = g[t+1] k0 + g[t] k1 + g[t-1] k2``, ``dk_j = sum_t g[t] x[t+j-1]``,
+  ``db = sum_t g[t]``.
+"""
 
 from __future__ import annotations
 
@@ -6,18 +18,17 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .tensor import (
     MASK_VALUE,
     Tensor,
+    _record,
     affine,
-    concat,
     layer_norm,
     matmul,
     narrow,
     relu,
     silu,
-    softmax_rows,
 )
 
 _ACTIVATIONS = {"silu": silu, "relu": relu}
@@ -113,17 +124,92 @@ class MultiHeadAttention(Module):
         q = self.q_proj(query)
         k = self.k_proj(memory)
         v = self.v_proj(memory)
-        outs = []
-        for h in range(self.heads):
-            lo = h * self.head_dim
-            qh = narrow(q, 1, lo, self.head_dim)
-            kh = narrow(k, 1, lo, self.head_dim)
-            vh = narrow(v, 1, lo, self.head_dim)
-            scores = matmul(qh, kh.T) * self.scale
-            if mask is not None:
-                scores = scores + Tensor(mask)
-            outs.append(matmul(softmax_rows(scores), vh))
-        return self.out_proj(concat(outs, axis=1))
+        return self.out_proj(attend(q, k, v, self.heads, self.scale, mask))
+
+
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(T, H * d_h) -> (H, T, d_h) view; head h owns columns h*d_h .. (h+1)*d_h."""
+    return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(H, T, d_h) -> (T, H * d_h), the inverse of ``_split_heads``."""
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def attend(
+    q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float, mask: np.ndarray | None = None
+) -> Tensor:
+    """Multi-head scaled dot-product attention as one graph node.
+
+    ``q`` is (T_q, D), ``k`` and ``v`` are (T_k, D), with D = heads * d_h and
+    head h reading columns h*d_h .. (h+1)*d_h of each. Per head, on an
+    (H, T, d_h) view:
+
+        S = (Q K^T) * scale (+ mask),  P = softmax_rows(S),  O = P V
+
+    and the heads' outputs sit side by side in a (T_q, D) result. ``mask``
+    is an additive (T_q, T_k) array shared by all heads. Backward, with G
+    the output gradient in the same view:
+
+        dV = P^T G,  dP = G V^T,  dS = P * (dP - rowsum(dP * P)) * scale,
+        dQ = dS K,   dK = dS^T Q
+    """
+    if q.ndim != 2 or k.ndim != 2 or v.shape != k.shape or q.shape[1] != k.shape[1]:
+        raise DimensionError(f"attend got q={q.shape}, k={k.shape}, v={v.shape}")
+    if q.shape[1] % heads != 0:
+        raise DimensionError(f"width {q.shape[1]} not divisible by {heads} heads")
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gh = _split_heads(g, heads)
+        dprobs = np.matmul(gh, vh.transpose(0, 2, 1))
+        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * scale
+        dq = np.matmul(dscores, kh)
+        dk = np.matmul(dscores.transpose(0, 2, 1), qh)
+        dv = np.matmul(probs.transpose(0, 2, 1), gh)
+        return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+
+    return _record(_merge_heads(np.matmul(probs, vh)), (q, k, v), backward)
+
+
+def depthwise3(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Zero-padded 3-tap depthwise convolution along time, as one graph node.
+
+    ``x`` is (T, D), ``kernel`` (3, D), ``bias`` (D,). With ``p`` the input
+    padded by one zero row at each end (so ``p[t] = x[t-1]``):
+
+        y[t] = p[t] k0 + p[t+1] k1 + p[t+2] k2 + b      (summed in that order)
+
+    Backward, with ``gp`` the output gradient padded the same way:
+
+        dx[t] = gp[t+2] k0 + gp[t+1] k1 + gp[t] k2
+        dk_j  = sum_t g[t] p[t+j],   db = sum_t g[t]
+    """
+    length, dim = x.shape
+    if kernel.shape != (3, dim) or bias.shape != (dim,):
+        raise DimensionError(
+            f"depthwise3 got x={x.shape}, kernel={kernel.shape}, bias={bias.shape}"
+        )
+    zero = np.zeros((1, dim))
+    padded = np.concatenate([zero, x.data, zero])
+    taps = kernel.data
+    y = padded[:length] * taps[0]
+    y = y + padded[1 : length + 1] * taps[1]
+    y = y + padded[2:] * taps[2]
+
+    def backward(g):
+        gp = np.concatenate([zero, g, zero])
+        dx = gp[2:] * taps[0] + g * taps[1] + gp[:length] * taps[2]
+        dk = np.stack([(g * padded[j : j + length]).sum(axis=0) for j in range(3)])
+        return dx, dk, g.sum(axis=0)
+
+    return _record(y + bias.data, (x, kernel, bias), backward)
 
 
 class ConvGatedMLP(Module):
@@ -138,14 +224,7 @@ class ConvGatedMLP(Module):
         self.dim = dim
 
     def _depthwise3(self, x: Tensor) -> Tensor:
-        length = x.shape[0]
-        pad = Tensor(np.zeros((1, self.dim)))
-        padded = concat([pad, x, pad], axis=0)
-        taps = [narrow(self.kernel, 0, t, 1).reshape(self.dim) for t in range(3)]
-        y = narrow(padded, 0, 0, length) * taps[0]
-        y = y + narrow(padded, 0, 1, length) * taps[1]
-        y = y + narrow(padded, 0, 2, length) * taps[2]
-        return y + self.kernel_bias
+        return depthwise3(x, self.kernel, self.kernel_bias)
 
     def __call__(self, x: Tensor) -> Tensor:
         u = silu(self.up(x))

@@ -496,18 +496,3 @@ def take_along_cols(a: Tensor, indices) -> Tensor:
 
     return _record(data, (a,), backward)
 
-
-def scatter_rows(src: Tensor, indices, num_rows: int) -> Tensor:
-    """Place src rows at distinct positions of a zero (num_rows x D) tensor."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if np.unique(idx).size != idx.size:
-        raise ConfigError("scatter_rows indices must be distinct")
-    if idx.size != src.shape[0]:
-        raise DimensionError(f"scatter_rows got {src.shape[0]} rows for {idx.size} indices")
-    data = np.zeros((num_rows,) + src.shape[1:], dtype=np.float64)
-    data[idx] = src.data
-
-    def backward(g):
-        return (g[idx],)
-
-    return _record(data, (src,), backward)

@@ -62,26 +62,44 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="byte offset 18:"):
             load_checkpoint(path)
 
+    def test_edited_config_value_is_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        blob = path.read_bytes()
+        edited = blob.replace(b'macaron_scale\\": 0.5', b'macaron_scale\\": 0.9', 1)
+        assert edited != blob
+        path.write_bytes(edited)
+        with pytest.raises(CheckpointError, match=r"checksum failure for the \[config\] section"):
+            load_checkpoint(path)
 
-def corrupt_headers(blob: bytes, header_len: int, count: int, seed: int):
-    """``count`` copies of blob, each with one random header byte replaced."""
+
+def corrupt_headers(blob: bytes, start: int, stop: int, count: int, seed: int):
+    """``count`` copies of blob, each with one random byte in [start, stop) replaced.
+
+    Yields (position, new byte, copy); the new byte may equal the old one.
+    """
     rng = np.random.default_rng(seed)
     for _ in range(count):
         out = bytearray(blob)
-        out[int(rng.integers(header_len))] = int(rng.integers(256))
-        yield bytes(out)
+        pos, value = int(rng.integers(start, stop)), int(rng.integers(256))
+        out[pos] = value
+        yield pos, value, bytes(out)
 
 
-def fuzz(path, blob, header_len, read, count=400, seed=41):
-    """Read every corruption; only package errors may escape. Returns how many failed."""
-    rejected = 0
-    for corrupted in corrupt_headers(blob, header_len, count, seed):
+def fuzz(path, blob, header_len, read, count=400, seed=41, start=0):
+    """Read every corruption; only package errors may escape.
+
+    Returns (position, new byte) of each corruption that loaded without error.
+    """
+    accepted = []
+    for pos, value, corrupted in corrupt_headers(blob, start, header_len, count, seed):
         path.write_bytes(corrupted)
         try:
             read(path)
         except AvmoeError:
-            rejected += 1
-    return rejected
+            continue
+        accepted.append((pos, value))
+    return accepted
 
 
 class TestHeaderFuzz:
@@ -90,19 +108,22 @@ class TestHeaderFuzz:
         write_tiny_checkpoint(path)
         blob = path.read_bytes()
         header_len = blob.index(b"\n[data]\n") + len(b"\n[data]\n")
-        rejected = fuzz(path, blob, header_len, read_train_state)
-        assert rejected > 200
+        assert len(fuzz(path, blob, header_len, read_train_state)) < 200
+        # Every change inside [config], its crc32 line included, is rejected:
+        # only a byte replaced by itself may load.
+        config_start = blob.index(b"[config]\n")
+        config_end = blob.index(b"\n[tensors]\n") + 1
+        accepted = fuzz(path, blob, config_end, read_train_state, start=config_start)
+        assert all(blob[pos] == value for pos, value in accepted)
 
     def test_vemb(self, tmp_path):
         path = tmp_path / "v.vemb"
         save_visual_embeddings(path, np.random.default_rng(42).normal(size=(3, 4)))
         blob = path.read_bytes()
-        rejected = fuzz(path, blob, blob.index(b"\n") + 1, load_visual_embeddings)
-        assert rejected > 200
+        assert len(fuzz(path, blob, blob.index(b"\n") + 1, load_visual_embeddings)) < 200
 
     def test_f64le(self, tmp_path):
         path = tmp_path / "a.f64"
         write_f64(path, Waveform(np.random.default_rng(43).normal(size=50), 16000))
         blob = path.read_bytes()
-        rejected = fuzz(path, blob, blob.index(b"\n") + 1, read_waveform)
-        assert rejected > 200
+        assert len(fuzz(path, blob, blob.index(b"\n") + 1, read_waveform)) < 200

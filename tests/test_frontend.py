@@ -212,6 +212,15 @@ class TestAudioIO:
             with pytest.raises(IngestError, match="sample rate"):
                 read_f64(path)
 
+    def test_wav_rate_zero_is_ingest_error(self, tmp_path):
+        path = tmp_path / "zero.wav"
+        write_wav(path, tone(100.0, 0.05))
+        blob = bytearray(path.read_bytes())
+        blob[24:28] = b"\x00\x00\x00\x00"  # the fmt chunk's sample rate
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IngestError, match="sample rate"):
+            read_waveform(path)
+
     def test_f64_non_finite_sample_names_byte_offset(self, tmp_path):
         path = tmp_path / "nan.f64"
         samples = np.zeros(4)

@@ -1,4 +1,4 @@
-"""Whole-model checks: upcycling a dense model, and the size of the loss graph."""
+"""Whole-model checks: upcycling, the size of the loss graph, and a sampled gradcheck."""
 
 import numpy as np
 
@@ -7,6 +7,8 @@ from avmoe.losses import batch_balance_losses, total_loss
 from avmoe.model import Model, ModelConfig, moe_model_from_dense
 from avmoe.moe import MoEConfig
 from avmoe.train import Utterance, utterance_losses
+
+from helpers import numeric_grad_at, rel_error
 
 
 def tiny_config(moe: MoEConfig | None = None) -> ModelConfig:
@@ -56,4 +58,30 @@ def test_loss_graph_size_is_pinned():
     ctc_only = graph_nodes(l_ctc) - graph_nodes(l_att)
     # The CTC head's narrow and affine, the log-softmax, and the lattice node.
     assert len(ctc_only) == 4
-    assert len(graph_nodes(bundle.l_total)) == 155
+    assert len(graph_nodes(bundle.l_total)) == 82
+
+
+def test_total_loss_gradient_matches_finite_differences():
+    # Sampled coordinates of the attention, cgMLP-kernel and expert parameters,
+    # checked through the residuals and layer norms of the whole model.
+    cfg = MoEConfig(num_experts=2, top_k=1, hidden=8, ffn_hidden=16)
+    model = Model(tiny_config(cfg), np.random.default_rng(33))
+    model.enc_blocks[0].ffn2.router.data = np.random.default_rng(34).normal(size=(8, 2))
+    utt = fixed_utterance()
+
+    def loss():
+        l_att, l_ctc, stats = utterance_losses(model, utt)
+        return total_loss(l_att, l_ctc, batch_balance_losses([[s] for s in stats], 2)).l_total
+
+    loss().backward()
+    params = dict(model.named_parameters())
+    rng = np.random.default_rng(35)
+    for group in ("attn.", "local.kernel", "ffn2.experts."):
+        names = sorted(name for name in params if group in name)
+        for name in rng.choice(names, size=7):
+            p = params[name]
+            assert p.grad is not None, name  # with this router both experts receive tokens
+            coord = int(rng.integers(p.data.size))
+            numeric = numeric_grad_at(lambda: loss().item(), p.data, [coord])
+            # Central differences of a loss near 14 carry a few 1e-9 of roundoff.
+            assert rel_error(p.grad.reshape(-1)[[coord]], numeric) < 1e-5, (name, coord)

@@ -4,15 +4,24 @@ import numpy as np
 import pytest
 
 from avmoe.errors import ConfigError
-from avmoe.moe import LoadStats, MoEConfig, MoELayer, init_from_dense, load_balance_loss
-from avmoe.nn import FeedForward
+from avmoe.moe import (
+    LoadStats,
+    MoEConfig,
+    MoELayer,
+    expert_mixture,
+    init_from_dense,
+    load_balance_loss,
+)
+from avmoe.nn import _ACTIVATIONS, FeedForward
 from avmoe.optim import Adam
-from avmoe.tensor import Tensor
+from avmoe.tensor import Tensor, gather_rows, matmul
 
 from helpers import check_grad
 
 
-def make_layer(num_experts=8, top_k=4, renorm=True, hidden=6, ffn_hidden=12, seed=0):
+def make_layer(
+    num_experts=8, top_k=4, renorm=True, hidden=6, ffn_hidden=12, seed=0, activation="silu"
+):
     cfg = MoEConfig(
         num_experts=num_experts,
         top_k=top_k,
@@ -20,7 +29,27 @@ def make_layer(num_experts=8, top_k=4, renorm=True, hidden=6, ffn_hidden=12, see
         hidden=hidden,
         ffn_hidden=ffn_hidden,
     )
-    return MoELayer(cfg, np.random.default_rng(seed))
+    return MoELayer(cfg, np.random.default_rng(seed), activation=activation)
+
+
+def reference_mixture(x, weights, indices, experts):
+    """Per-expert gather, FeedForward and weighting: the path ``expert_mixture`` replaces.
+
+    A constant one-hot matrix puts each expert's rows back in token order.
+    """
+    tokens, k = indices.shape
+    flat_weights = weights.reshape(tokens * k)
+    out = None
+    for e, expert in enumerate(experts):
+        rows, slots = np.nonzero(indices == e)
+        if rows.size == 0:
+            continue
+        w = gather_rows(flat_weights, rows * k + slots).reshape(rows.size, 1)
+        place = np.zeros((tokens, rows.size))
+        place[rows, np.arange(rows.size)] = 1.0
+        part = matmul(Tensor(place), expert(gather_rows(x, rows)) * w)
+        out = part if out is None else out + part
+    return out
 
 
 def stats_from_probs(probs: np.ndarray) -> LoadStats:
@@ -146,6 +175,71 @@ class TestForward:
         x = Tensor(rng.uniform(-1, 1, (5, 4)))
         weights = Tensor(rng.normal(size=(5, 4)))
         check_grad(lambda: (layer(x)[0] * weights).sum(), layer.parameters(), tol=1e-4)
+
+
+class TestExpertMixture:
+    @pytest.mark.parametrize("activation", sorted(_ACTIVATIONS))
+    @pytest.mark.parametrize("top_k", [1, 2, 5])
+    def test_matches_per_expert_composition(self, activation, top_k):
+        layer = make_layer(num_experts=5, top_k=top_k, hidden=4, ffn_hidden=6,
+                           activation=activation)
+        rng = np.random.default_rng(20 + top_k)
+        layer.router.data = rng.normal(size=(4, 5))
+        x = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(9, 4)))
+        params = [x] + layer.parameters()
+        results = []
+        for mixture in (expert_mixture, lambda *a: (reference_mixture(*a), None)):
+            for p in params:
+                p.grad = None
+            decision = layer.route(x)
+            out, _ = mixture(x, decision.weights, decision.indices, layer.experts)
+            loss = (out * weights).sum()
+            loss.backward()
+            results.append((loss.item(), [p.grad for p in params]))
+        (loss_k, grads_k), (loss_r, grads_r) = results
+        assert abs(loss_k - loss_r) <= 1e-10 * abs(loss_r)
+        for got, want in zip(grads_k, grads_r):
+            if want is None:
+                assert got is None
+            else:
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("activation", sorted(_ACTIVATIONS))
+    def test_gradient_matches_finite_differences(self, activation):
+        layer = make_layer(num_experts=3, top_k=2, hidden=3, ffn_hidden=4, activation=activation)
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        mix = Tensor(rng.uniform(0.1, 1.0, size=(5, 2)), requires_grad=True)
+        indices = np.array([[0, 1], [2, 0], [1, 2], [0, 2], [1, 0]])
+        weights = Tensor(rng.normal(size=(5, 3)))
+        check_grad(
+            lambda: (expert_mixture(x, mix, indices, layer.experts)[0] * weights).sum(),
+            [x, mix] + layer.parameters()[1:],
+        )
+
+    def test_silent_expert_gets_no_gradient_and_no_adam_update(self):
+        layer = make_layer(num_experts=4, top_k=2, hidden=4, ffn_hidden=6)
+        rng = np.random.default_rng(25)
+        layer.router.data = rng.normal(size=(4, 4))
+        layer.router.data[:, 3] = -50.0  # with positive x, expert 3 is in no token's top 2
+        x = Tensor(rng.uniform(0.5, 1.5, size=(6, 4)))
+        out, stats = layer(x)
+        assert stats.dispatched == 2 * 6
+        (out * Tensor(rng.normal(size=out.shape))).sum().backward()
+        used = set(np.unique(layer.route(x).indices).tolist())
+        assert 3 not in used
+        for e, expert in enumerate(layer.experts):
+            assert all((p.grad is not None) == (e in used) for p in expert.parameters())
+        silent = layer.experts[3].parameters()
+        before = [p.data.copy() for p in silent]
+        opt = Adam(layer.named_parameters(), lr=1e-2)
+        opt.step()
+        for name, _ in layer.experts[3].named_parameters():
+            assert not opt.m[f"experts.3.{name}"].any()
+            assert not opt.v[f"experts.3.{name}"].any()
+        for p, keep in zip(silent, before):
+            np.testing.assert_array_equal(p.data, keep)
 
 
 class TestInitFromDense:

@@ -14,7 +14,6 @@ from avmoe.tensor import (
     matmul,
     narrow,
     no_grad,
-    scatter_rows,
     softmax_rows,
     take_along_cols,
 )
@@ -240,20 +239,6 @@ class TestShapeOps:
         np.testing.assert_array_equal(out.data, expected)
         weights = Tensor(rng.normal(size=(3, 2)))
         check_grad(lambda: (take_along_cols(a, idx) * weights).sum(), [a])
-
-    def test_scatter_rows_inverse_of_gather(self):
-        rng = np.random.default_rng(5)
-        src = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        out = scatter_rows(src, [3, 1], 5)
-        np.testing.assert_array_equal(out.data[3], src.data[0])
-        np.testing.assert_array_equal(out.data[1], src.data[1])
-        assert np.all(out.data[[0, 2, 4]] == 0.0)
-        weights = Tensor(rng.normal(size=(5, 3)))
-        check_grad(lambda: (scatter_rows(src, [3, 1], 5) * weights).sum(), [src])
-
-    def test_scatter_rows_rejects_duplicates(self):
-        with pytest.raises(ConfigError):
-            scatter_rows(Tensor(np.zeros((2, 3))), [1, 1], 4)
 
     def test_transpose_reshape_gradients(self):
         rng = np.random.default_rng(6)
