@@ -15,11 +15,11 @@ from pathlib import Path
 from .errors import AvmoeError, ConfigError, DataError, NumericError
 from .frontend import log_mel_from_waveform, read_waveform
 from .fusion import load_visual_embeddings
-from .decoding import attention_greedy_decode
+from .decoding import transcribe
 from .model import ModelConfig
 from .moe import MoEConfig
-from .synth import SyntheticTaskSpec, generate_corpus, reference_task_spec
-from .train import TrainConfig, Vocab, evaluate, restore_model, train
+from .synth import generate_corpus, read_task_spec, reference_task_spec
+from .train import TrainConfig, evaluate, restore_model, train
 from .checkpoint import load_checkpoint
 
 
@@ -71,17 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_task_spec(arg: str) -> SyntheticTaskSpec:
-    if arg == "reference":
-        return reference_task_spec()
-    path = Path(arg)
-    if not path.exists():
-        raise DataError(f"task spec not found: {path}")
-    return SyntheticTaskSpec.from_json(path.read_text())
-
-
 def _cmd_generate(args) -> int:
-    spec = _load_task_spec(args.spec)
+    spec = reference_task_spec() if args.spec == "reference" else read_task_spec(args.spec)
     manifests = generate_corpus(
         spec, args.n_train, args.n_dev, args.n_test, args.out,
         seed=args.seed, audio_only=args.audio_only,
@@ -137,22 +128,12 @@ def _build_train_configs(args) -> tuple[ModelConfig | None, TrainConfig]:
 
 def _cmd_train(args) -> int:
     model_cfg, train_cfg = _build_train_configs(args)
-    vocab = None
-    if model_cfg is not None:
-        from .synth import load_task_spec_near
-
-        spec = load_task_spec_near(args.manifest)
-        if spec is None:
-            raise ConfigError("task_spec.json not found next to the manifest")
-        vocab = Vocab(spec.vocab)
-        model_cfg.vocab_size = vocab.size
     result = train(
         args.manifest,
         model_cfg,
         train_cfg,
         args.ckpt_dir,
         dev_manifest_path=args.dev_manifest,
-        vocab=vocab,
         resume_from=args.resume,
     )
     print(f"final checkpoint: {result.final_checkpoint}")
@@ -174,8 +155,7 @@ def _cmd_decode(args) -> int:
     wave = read_waveform(args.audio)
     mel = log_mel_from_waveform(wave, n_mels=model.cfg.n_mels)
     visual = None if args.visual == "none" else load_visual_embeddings(args.visual)
-    states, _, _ = model.encode_utterance(mel, visual)
-    hyp = attention_greedy_decode(model, states, max_len=64)
+    hyp, _ = transcribe(model, mel, visual, max_len=64)
     print(" ".join(vocab.decode(hyp.token_ids)))
     return 0
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .frontend import LogMelSpectrogram
 from .model import Model
 from .tensor import Tensor, no_grad
 
@@ -61,3 +62,17 @@ def attention_greedy_decode(model: Model, states: Tensor, max_len: int) -> Hypot
             emitted.append(best)
     # Stray specials (possible early in training) are dropped from the result.
     return Hypothesis(token_ids=[t for t in emitted if t not in specials], score=score)
+
+
+def transcribe(
+    model: Model, mel: LogMelSpectrogram, visual: np.ndarray | None, max_len: int
+) -> tuple[Hypothesis, Hypothesis]:
+    """Encode one utterance and greedy-decode both heads: (attention, CTC).
+
+    Runs under ``no_grad``, so no graph is recorded.
+    """
+    with no_grad():
+        states, _, boundary = model.encode_utterance(mel, visual)
+        att = attention_greedy_decode(model, states, max_len)
+        ctc = ctc_greedy_decode(model.ctc_head(states, boundary), blank_id=model.cfg.blank_id)
+    return att, ctc

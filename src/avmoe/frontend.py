@@ -9,18 +9,20 @@ width to form speech tokens.
 Two audio file formats are read, sniffed by their leading bytes:
   * single-channel 16-bit PCM WAV
   * raw float64: header ``F64LE <count> <rate>\\n`` then ``count``
-    little-endian doubles
+    little-endian doubles, read and written by the shared float64 file codec
+    (``f64file``)
 """
 
 from __future__ import annotations
 
+import functools
 import wave
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, IngestError
+from .f64file import read_f64_file, write_f64_file
 from .tensor import Tensor, matmul
 
 MEL_FLOOR = 1e-10
@@ -64,10 +66,6 @@ def window_sizes(sample_rate: int, frame_length_ms: float = 25.0, frame_shift_ms
     return win, hop
 
 
-def num_frames(num_samples: int, win: int, hop: int) -> int:
-    return (num_samples - win) // hop + 1
-
-
 def frame_signal(
     waveform: Waveform, frame_length_ms: float = 25.0, frame_shift_ms: float = 10.0
 ) -> np.ndarray:
@@ -76,32 +74,30 @@ def frame_signal(
     n = waveform.samples.shape[0]
     if n < win:
         raise DataError(f"waveform too short: {n} samples, need at least {win}")
-    count = num_frames(n, win, hop)
     # Periodic Hann, the STFT convention.
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
-    frames = np.empty((count, win), dtype=np.float64)
-    for t in range(count):
-        frames[t] = waveform.samples[t * hop : t * hop + win]
-    return frames * window
+    return np.lib.stride_tricks.sliding_window_view(waveform.samples, win)[::hop] * window
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     """Triangular filters, linear in Mel between a uniform Mel grid.
 
     Adjacent triangles are complementary, so each FFT bin's total weight is
     at most 1 (edge bins below the first / above the last center get less).
+    Built once per (n_mels, n_fft, sample_rate); the array is shared between
+    callers and therefore read-only.
     """
     if n_mels < 1:
         raise ConfigError(f"need at least one Mel bin, got {n_mels}")
     n_bins = n_fft // 2 + 1
     bin_mels = hz_to_mel(np.arange(n_bins) * sample_rate / n_fft)
     grid = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2)
-    bank = np.zeros((n_mels, n_bins), dtype=np.float64)
-    for m in range(n_mels):
-        lo, center, hi = grid[m], grid[m + 1], grid[m + 2]
-        rising = (bin_mels - lo) / (center - lo)
-        falling = (hi - bin_mels) / (hi - center)
-        bank[m] = np.clip(np.minimum(rising, falling), 0.0, None)
+    lo, center, hi = grid[:-2, None], grid[1:-1, None], grid[2:, None]
+    rising = (bin_mels - lo) / (center - lo)
+    falling = (hi - bin_mels) / (hi - center)
+    bank = np.clip(np.minimum(rising, falling), 0.0, None)
+    bank.setflags(write=False)
     return bank
 
 
@@ -191,36 +187,22 @@ def write_wav(path, waveform: Waveform) -> None:
         wf.writeframes(pcm.tobytes())
 
 
-def read_f64(path) -> Waveform:
-    blob = Path(path).read_bytes()
-    newline = blob.find(b"\n")
-    if newline < 0:
-        raise IngestError(f"{path}: missing header line (byte offset 0)")
-    header = blob[:newline].decode("ascii", errors="replace").split()
-    if len(header) != 3 or header[0] != "F64LE":
-        raise IngestError(f"{path}: bad header {header!r} (byte offset 0)")
-    try:
-        count, rate = int(header[1]), int(header[2])
-    except ValueError as exc:
-        raise IngestError(f"{path}: non-integer header fields (byte offset 0)") from exc
+def _f64le_count(fields: tuple[int, ...]) -> int:
+    count, rate = fields
     if rate <= 0:
-        raise IngestError(f"{path}: sample rate must be positive, got {rate} (byte offset 0)")
-    payload = blob[newline + 1 :]
-    if len(payload) != 8 * count:
-        raise IngestError(
-            f"{path}: expected {count} samples ({8 * count} bytes), got {len(payload)} bytes"
-        )
-    samples = np.frombuffer(payload, dtype="<f8")
-    bad = np.flatnonzero(~np.isfinite(samples))
-    if bad.size:
-        offset = newline + 1 + 8 * int(bad[0])
-        raise IngestError(f"{path}: non-finite sample at byte offset {offset}")
-    return Waveform(samples=samples.copy(), sample_rate=rate)
+        raise ValueError(f"sample rate must be positive, got {rate}")
+    return count
+
+
+def read_f64(path) -> Waveform:
+    """Read F64LE audio: header fields ``<count> <rate>``, the rate positive."""
+    (_, rate), samples = read_f64_file(path, "F64LE", _f64le_count)
+    return Waveform(samples=samples, sample_rate=rate)
 
 
 def write_f64(path, waveform: Waveform) -> None:
-    header = f"F64LE {waveform.samples.shape[0]} {waveform.sample_rate}\n".encode("ascii")
-    Path(path).write_bytes(header + waveform.samples.astype("<f8").tobytes())
+    fields = (waveform.samples.shape[0], waveform.sample_rate)
+    write_f64_file(path, "F64LE", fields, waveform.samples)
 
 
 def read_waveform(path) -> Waveform:

@@ -2,82 +2,48 @@
 
 Visual embeddings arrive precomputed in the VEMB container: an ASCII
 header line ``VEMB <rows> <cols>\\n`` followed by rows*cols little-endian
-float64 values in row-major order. The projected visual rows are
-concatenated ahead of the speech tokens; the boundary index marks where
-speech begins.
+float64 values in row-major order, read and written by the shared float64
+file codec (``f64file``). The projected visual rows are concatenated ahead
+of the speech tokens; the boundary index marks where speech begins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, IngestError
-from .tensor import Tensor, concat, matmul, narrow
-
-VISUAL = "visual"
-SPEECH = "speech"
+from .errors import DimensionError
+from .f64file import read_f64_file, write_f64_file
+from .tensor import Tensor, concat, matmul
 
 
 @dataclass
 class FusedSequence:
     """Projected visual rows stacked on top of speech tokens."""
 
-    x: Tensor  # (num_visual + num_speech, width)
+    x: Tensor  # (visual rows + speech rows, width)
     boundary: int  # index of the first speech row
 
-    @property
-    def num_visual(self) -> int:
-        return self.boundary
 
-    @property
-    def num_speech(self) -> int:
-        return self.x.shape[0] - self.boundary
-
-    @property
-    def modality(self) -> tuple[str, ...]:
-        return (VISUAL,) * self.num_visual + (SPEECH,) * self.num_speech
+def _vemb_count(fields: tuple[int, ...]) -> int:
+    rows, cols = fields
+    if rows < 1 or cols < 1:
+        raise ValueError(f"VEMB dimensions must be positive, got {rows}x{cols}")
+    return rows * cols
 
 
 def load_visual_embeddings(path) -> np.ndarray:
     """Read a VEMB file into an (M, C) float64 array."""
-    blob = Path(path).read_bytes()
-    newline = blob.find(b"\n")
-    if newline < 0:
-        raise IngestError(f"{path}: missing VEMB header line (byte offset 0)")
-    fields = blob[:newline].decode("ascii", errors="replace").split()
-    if len(fields) != 3 or fields[0] != "VEMB":
-        raise IngestError(f"{path}: bad VEMB header {fields!r} (byte offset 0)")
-    try:
-        rows, cols = int(fields[1]), int(fields[2])
-    except ValueError as exc:
-        raise IngestError(f"{path}: non-integer VEMB dimensions (byte offset 0)") from exc
-    if rows < 1 or cols < 1:
-        raise IngestError(f"{path}: VEMB dimensions must be positive, got {rows}x{cols}")
-    payload = blob[newline + 1 :]
-    expected = rows * cols
-    actual = len(payload) // 8
-    if len(payload) != 8 * expected:
-        raise IngestError(
-            f"{path}: expected {expected} values ({8 * expected} bytes), "
-            f"got {actual} ({len(payload)} bytes)"
-        )
-    values = np.frombuffer(payload, dtype="<f8")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        offset = newline + 1 + 8 * int(bad[0])
-        raise IngestError(f"{path}: non-finite value at byte offset {offset}")
-    return values.reshape(rows, cols).copy()
+    (rows, cols), values = read_f64_file(path, "VEMB", _vemb_count)
+    return values.reshape(rows, cols)
 
 
 def save_visual_embeddings(path, z: np.ndarray) -> None:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise DimensionError(f"visual embeddings must be 2-d, got shape {z.shape}")
-    header = f"VEMB {z.shape[0]} {z.shape[1]}\n".encode("ascii")
-    Path(path).write_bytes(header + z.astype("<f8").tobytes())
+    write_f64_file(path, "VEMB", z.shape, z)
 
 
 def project_visual(z, proj: Tensor, bias: Tensor) -> Tensor:
@@ -98,9 +64,3 @@ def fuse_concat(v: Tensor | None, s: Tensor) -> FusedSequence:
         raise DimensionError(f"fuse width mismatch: visual {v.shape} vs speech {s.shape}")
     return FusedSequence(x=concat([v, s], axis=0), boundary=v.shape[0])
 
-
-def split_fused(fused: FusedSequence) -> tuple[Tensor, Tensor]:
-    """Recover the (visual, speech) halves of a fused sequence."""
-    v = narrow(fused.x, 0, 0, fused.boundary)
-    s = narrow(fused.x, 0, fused.boundary, fused.x.shape[0] - fused.boundary)
-    return v, s

@@ -36,14 +36,6 @@ class LossBundle:
     alpha: float
     beta: float
 
-    def as_floats(self) -> dict[str, float]:
-        return {
-            "l_att": self.l_att.item(),
-            "l_ctc": self.l_ctc.item(),
-            "l_aux": self.l_aux.item(),
-            "l_total": self.l_total.item(),
-        }
-
 
 def attention_loss(logits: Tensor, targets: list[int], pad_id: int) -> Tensor:
     """Summed negative log-likelihood of the targets, skipping pad positions."""

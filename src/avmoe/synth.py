@@ -308,9 +308,15 @@ def load_manifest(path) -> list[ManifestEntry]:
     return entries
 
 
+def read_task_spec(path) -> SyntheticTaskSpec:
+    """Read and validate a task spec JSON file."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"task spec not found: {path}")
+    return SyntheticTaskSpec.from_json(path.read_text())
+
+
 def load_task_spec_near(manifest_path) -> SyntheticTaskSpec | None:
     """Read task_spec.json from the manifest's directory, if present."""
     candidate = Path(manifest_path).parent / "task_spec.json"
-    if not candidate.exists():
-        return None
-    return SyntheticTaskSpec.from_json(candidate.read_text())
+    return read_task_spec(candidate) if candidate.exists() else None

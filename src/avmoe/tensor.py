@@ -15,13 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DimensionError,
-    GraphError,
-    NumericError,
-)
+from .errors import ConfigError, DataError, DimensionError, GraphError
 
 # Additive attention-mask value; exp(MASK_VALUE - rowmax) is exactly 0.0.
 MASK_VALUE = -1.0e30
@@ -72,9 +66,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -133,29 +124,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
 
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
 
     def __truediv__(self, other):
         return div(self, _as_tensor(other))
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
     # -- method-style ops -------------------------------------------------
 
@@ -166,27 +145,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def exp(self) -> "Tensor":
-        return exp(self)
-
-    def log(self) -> "Tensor":
-        return log(self)
-
-    def sigmoid(self) -> "Tensor":
-        return sigmoid(self)
-
-    def silu(self) -> "Tensor":
-        return silu(self)
-
-    def relu(self) -> "Tensor":
-        return relu(self)
-
-    def transpose(self) -> "Tensor":
-        return transpose(self)
 
 
 def _as_tensor(x) -> Tensor:
@@ -210,18 +168,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if dim == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float64), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=np.float64), requires_grad=requires_grad)
-
-
-def full(shape, value: float) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=np.float64))
 
 
 # -- elementwise arithmetic ------------------------------------------------
@@ -318,44 +264,12 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _record(data, (a,), backward)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape) / count,)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape) / count,)
-
-    return _record(data, (a,), backward)
-
-
 # -- pointwise nonlinearities -------------------------------------------------
-
-
-def exp(a: Tensor) -> Tensor:
-    if a.data.size and a.data.max() > 700.0:
-        raise NumericError("exp input exceeds 700; result would overflow to inf")
-    data = np.exp(a.data)
-    return _record(data, (a,), lambda g: (g * data,))
-
-
-def log(a: Tensor) -> Tensor:
-    if a.data.size and a.data.min() <= 0.0:
-        raise NumericError("log input must be strictly positive")
-    data = np.log(a.data)
-    return _record(data, (a,), lambda g: (g / a.data,))
 
 
 def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
     # tanh saturates instead of overflowing, for either sign of x.
     return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid_stable(a.data)
-    return _record(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def silu(a: Tensor) -> Tensor:

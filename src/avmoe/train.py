@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, load_params_into, save_checkpoint
-from .decoding import attention_greedy_decode, ctc_greedy_decode
+from .decoding import transcribe
 from .errors import CheckpointError, ConfigError, CtcInfeasibleError, DataError, NumericError
 from .frontend import LogMelSpectrogram, log_mel_from_waveform, read_waveform
 from .fusion import load_visual_embeddings
@@ -26,7 +26,6 @@ from .synth import (
     load_task_spec_near,
     synth_waveform,
 )
-from .tensor import Tensor, no_grad
 
 log = logging.getLogger(__name__)
 
@@ -282,14 +281,11 @@ def restore_model(ckpt: Checkpoint) -> tuple[Model, Vocab]:
     return model, vocab
 
 
-def restore_train_state(ckpt: Checkpoint) -> tuple[TrainState, Vocab, TrainConfig]:
-    model, vocab = restore_model(ckpt)
-    try:
-        train_cfg = TrainConfig(**json.loads(ckpt.config["train"]))
-        step, epochs_done = int(ckpt.config["step"]), int(ckpt.config["epochs_done"])
-        rng = _rng_from_json(ckpt.config["rng"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"unreadable training state: {exc!r}") from exc
+def new_train_state(
+    model: Model, train_cfg: TrainConfig, rng: np.random.Generator,
+    step: int = 0, epochs_done: int = 0,
+) -> TrainState:
+    """The training state around ``model``, with an Adam configured by ``train_cfg``."""
     optimizer = Adam(
         model.named_parameters(),
         lr=train_cfg.lr,
@@ -298,15 +294,25 @@ def restore_train_state(ckpt: Checkpoint) -> tuple[TrainState, Vocab, TrainConfi
         eps=train_cfg.adam_eps,
     )
     optimizer.step_count = step
+    return TrainState(model, optimizer, rng, step=step, epochs_done=epochs_done)
+
+
+def restore_train_state(ckpt: Checkpoint) -> tuple[TrainState, Vocab, TrainConfig]:
+    model, vocab = restore_model(ckpt)
+    try:
+        train_cfg = TrainConfig(**json.loads(ckpt.config["train"]))
+        step, epochs_done = int(ckpt.config["step"]), int(ckpt.config["epochs_done"])
+        rng = _rng_from_json(ckpt.config["rng"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"unreadable training state: {exc!r}") from exc
+    state = new_train_state(model, train_cfg, rng, step, epochs_done)
+    optimizer = state.optimizer
     for name in optimizer.m:
         m_key, v_key = "opt.m." + name, "opt.v." + name
         if m_key not in ckpt.tensors or v_key not in ckpt.tensors:
             raise CheckpointError(f"optimizer state missing for parameter {name!r}")
         optimizer.m[name] = ckpt.tensors[m_key].copy()
         optimizer.v[name] = ckpt.tensors[v_key].copy()
-    state = TrainState(
-        model=model, optimizer=optimizer, rng=rng, step=step, epochs_done=epochs_done
-    )
     return state, vocab, train_cfg
 
 
@@ -319,14 +325,15 @@ def train(
     train_cfg: TrainConfig,
     ckpt_dir,
     dev_manifest_path=None,
-    vocab: Vocab | None = None,
     resume_from=None,
 ) -> TrainResult:
     """Train on a manifest, checkpointing and logging metrics every epoch.
 
-    Fully deterministic for a given seed. With ``resume_from``, the model,
-    optimizer, RNG, and epoch counter continue exactly where the saved run
-    stopped; the combined run is bit-identical to an uninterrupted one.
+    A fresh run takes its vocabulary, and so ``model_cfg.vocab_size``, from
+    the task_spec.json next to the manifest. Fully deterministic for a given
+    seed. With ``resume_from``, the model, optimizer, RNG, and epoch counter
+    continue exactly where the saved run stopped; the combined run is
+    bit-identical to an uninterrupted one.
     """
     train_cfg.validate()
     ckpt_dir = Path(ckpt_dir)
@@ -338,29 +345,14 @@ def train(
         saved_cfg.epochs = train_cfg.epochs
         train_cfg = saved_cfg
     else:
-        if vocab is None:
-            if spec is None:
-                raise ConfigError(
-                    "no vocabulary: provide one, or keep task_spec.json next to the manifest"
-                )
-            vocab = Vocab(spec.vocab)
+        if spec is None:
+            raise ConfigError("task_spec.json not found next to the manifest")
         if model_cfg is None:
             raise ConfigError("model config is required when starting from scratch")
-        if model_cfg.vocab_size != vocab.size:
-            raise ConfigError(
-                f"model vocab_size {model_cfg.vocab_size} != vocabulary size {vocab.size}"
-            )
+        vocab = Vocab(spec.vocab)
+        model_cfg = replace(model_cfg, vocab_size=vocab.size)
         model = Model(model_cfg, np.random.default_rng(train_cfg.seed))
-        optimizer = Adam(
-            model.named_parameters(),
-            lr=train_cfg.lr,
-            beta1=train_cfg.adam_beta1,
-            beta2=train_cfg.adam_beta2,
-            eps=train_cfg.adam_eps,
-        )
-        state = TrainState(
-            model=model, optimizer=optimizer, rng=np.random.default_rng(train_cfg.seed)
-        )
+        state = new_train_state(model, train_cfg, np.random.default_rng(train_cfg.seed))
 
     data = load_dataset(
         manifest_path, vocab, n_mels=state.model.cfg.n_mels,
@@ -413,12 +405,7 @@ def score_dataset(
     subset_edits = subset_words = 0
     hom_correct = hom_total = 0
     for utt in data:
-        with no_grad():
-            states, _, boundary = model.encode_utterance(utt.mel, utt.visual)
-            att_hyp = attention_greedy_decode(model, states, max_decode_len)
-            ctc_hyp = ctc_greedy_decode(
-                model.ctc_head(states, boundary), blank_id=model.cfg.blank_id
-            )
+        att_hyp, ctc_hyp = transcribe(model, utt.mel, utt.visual, max_decode_len)
         hyp_words = vocab.decode(att_hyp.token_ids)
         ctc_words = vocab.decode(
             [t for t in ctc_hyp.token_ids if t >= Vocab.NUM_SPECIALS]

@@ -13,7 +13,6 @@ from avmoe.frontend import (
     log_mel_from_waveform,
     mel_center_frequencies,
     mel_filterbank,
-    num_frames,
     read_f64,
     read_waveform,
     read_wav,
@@ -38,7 +37,6 @@ class TestFraming:
         win, hop = window_sizes(16000)
         assert (win, hop) == (400, 160)
         assert framed.shape == (98, 400)
-        assert num_frames(16000, win, hop) == 98
 
     def test_exactly_one_window_is_one_frame(self):
         w = Waveform(samples=np.zeros(400), sample_rate=16000)
@@ -62,6 +60,16 @@ class TestFraming:
         framed = frame_signal(w)
         window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(400) / 400)
         np.testing.assert_allclose(framed[1], w.samples[160:560] * window, atol=1e-15)
+
+    def test_matches_per_frame_loop(self):
+        w = Waveform(samples=np.random.default_rng(5).uniform(-1, 1, 3333), sample_rate=16000)
+        win, hop = window_sizes(16000)
+        window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(win) / win)
+        count = (w.samples.size - win) // hop + 1
+        expected = np.empty((count, win))
+        for t in range(count):
+            expected[t] = w.samples[t * hop : t * hop + win]
+        np.testing.assert_array_equal(frame_signal(w), expected * window)
 
 
 class TestLogMel:
@@ -120,6 +128,25 @@ class TestLogMel:
         assert (bank >= 0.0).all()
         assert (bank.sum(axis=0) <= 1.0 + 1e-9).all()
 
+    def test_filterbank_matches_per_row_loop(self):
+        for n_mels, n_fft, rate in [(80, 512, 16000), (40, 512, 16000), (23, 1024, 8000)]:
+            n_bins = n_fft // 2 + 1
+            bin_mels = 2595.0 * np.log10(1.0 + np.arange(n_bins) * rate / n_fft / 700.0)
+            grid = np.linspace(0.0, 2595.0 * np.log10(1.0 + rate / 2.0 / 700.0), n_mels + 2)
+            expected = np.zeros((n_mels, n_bins))
+            for m in range(n_mels):
+                lo, center, hi = grid[m], grid[m + 1], grid[m + 2]
+                rising = (bin_mels - lo) / (center - lo)
+                falling = (hi - bin_mels) / (hi - center)
+                expected[m] = np.clip(np.minimum(rising, falling), 0.0, None)
+            np.testing.assert_array_equal(mel_filterbank(n_mels, n_fft, rate), expected)
+
+    def test_filterbank_is_built_once_and_read_only(self):
+        bank = mel_filterbank(80, 512, 16000)
+        assert mel_filterbank(80, 512, 16000) is bank
+        with pytest.raises(ValueError):
+            bank[0, 0] = 1.0
+
     def test_filterbank_partitions_unity_between_outer_centers(self):
         bank = mel_filterbank(40, 512, 16000)
         centers = mel_center_frequencies(40, 16000)
@@ -177,6 +204,15 @@ class TestAudioIO:
         back = read_f64(path)
         assert back.sample_rate == 16000
         np.testing.assert_array_equal(back.samples, w.samples)
+
+    def test_f64_golden_bytes(self, tmp_path):
+        path = tmp_path / "a.f64"
+        write_f64(path, Waveform(samples=np.array([1.0, -0.5]), sample_rate=8000))
+        assert path.read_bytes() == (
+            b"F64LE 2 8000\n"
+            + bytes.fromhex("000000000000f03f")  # 1.0
+            + bytes.fromhex("000000000000e0bf")  # -0.5
+        )
 
     def test_wav_roundtrip_within_quantization(self, tmp_path):
         w = tone(333.0, 0.1)

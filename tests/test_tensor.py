@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from avmoe.errors import ConfigError, DataError, DimensionError, GraphError, NumericError
+from avmoe.errors import ConfigError, DataError, DimensionError, GraphError
 from avmoe.tensor import (
     Tensor,
     affine,
@@ -14,6 +14,8 @@ from avmoe.tensor import (
     matmul,
     narrow,
     no_grad,
+    relu,
+    silu,
     softmax_rows,
     take_along_cols,
 )
@@ -145,8 +147,7 @@ class TestPointwiseGradients:
 
     @pytest.mark.parametrize(
         "op",
-        ["add", "sub", "mul", "div", "exp", "log", "sigmoid", "silu", "relu",
-         "softmax", "log_softmax", "mean"],
+        ["add", "sub", "mul", "div", "silu", "relu", "softmax", "log_softmax"],
     )
     def test_op_gradcheck(self, op):
         for seed in range(20):
@@ -164,29 +165,17 @@ class TestPointwiseGradients:
             elif op == "div":
                 y.data = np.abs(y.data) + 0.5  # bounded away from zero
                 build = lambda: ((x / y) * weights).sum()
-            elif op == "exp":
-                build = lambda: (x.exp() * weights).sum()
-            elif op == "log":
-                x.data = np.abs(x.data) + 0.5
-                build = lambda: (x.log() * weights).sum()
-            elif op == "sigmoid":
-                build = lambda: (x.sigmoid() * weights).sum()
             elif op == "silu":
-                build = lambda: (x.silu() * weights).sum()
+                build = lambda: (silu(x) * weights).sum()
             elif op == "relu":
                 x.data = x.data + np.sign(x.data) * 0.01  # keep clear of the kink
-                build = lambda: (x.relu() * weights).sum()
+                build = lambda: (relu(x) * weights).sum()
             elif op == "softmax":
                 build = lambda: (softmax_rows(x) * weights).sum()
-            elif op == "log_softmax":
-                build = lambda: (log_softmax_rows(x) * weights).sum()
             else:
-                row_weights = Tensor(rng.normal(size=3))
-                build = lambda: (x.mean(axis=1) * row_weights).sum()
+                build = lambda: (log_softmax_rows(x) * weights).sum()
 
-            check_grad(build, [x] if op in
-                       ("exp", "log", "sigmoid", "silu", "relu", "softmax",
-                        "log_softmax", "mean") else [x, y])
+            check_grad(build, [x, y] if op in ("add", "sub", "mul", "div") else [x])
 
     def test_broadcast_bias_gradient(self):
         rng = np.random.default_rng(7)
@@ -250,15 +239,10 @@ class TestShapeOps:
 
 
 class TestNumericGuards:
-    def test_exp_overflow_guarded(self):
-        with pytest.raises(NumericError):
-            Tensor(np.array([800.0])).exp()
-
-    def test_log_domain_guarded(self):
-        with pytest.raises(NumericError):
-            Tensor(np.array([0.0])).log()
-
     def test_sigmoid_finite_at_extremes(self):
-        out = Tensor(np.array([-1000.0, 1000.0])).sigmoid()
-        assert np.isfinite(out.data).all()
-        np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
+        # silu(x) = x * sigmoid(x); the sigmoid must saturate, not overflow.
+        x = Tensor(np.array([-1000.0, 1000.0]), requires_grad=True)
+        out = silu(x)
+        np.testing.assert_array_equal(out.data, [-0.0, 1000.0])
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad, [0.0, 1.0])
