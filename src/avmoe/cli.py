@@ -2,6 +2,23 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure (NaN or overflow detected).
+
+Each setting of ``avmoe train`` has one home. Hyperparameters come from the
+``--config`` JSON object (``default`` for all defaults), whose sections and
+keys are all optional; ``"moe": null`` trains a dense model:
+
+    {"model": {"hidden", "heads", "d_ff", "encoder_blocks", "decoder_blocks",
+               "n_mels", "stack_factor", "activation", "macaron_scale"},
+     "moe": {"num_experts", "top_k", "renormalize_topk"},
+     "train": {"epochs", "batch_size", "lr", "warmup_steps", "alpha", "beta",
+               "adam_beta1", "adam_beta2", "adam_eps"}}
+
+Any other section or key is a configuration error. Run settings are the flags
+``--seed`` and ``--audio-only``. The task spec fixes the vocabulary size and
+the visual width; the MoE widths are the model's ``hidden`` and ``d_ff``; the
+special ids (``ModelConfig``) and the decode cap (``decoding.MAX_DECODE_LEN``)
+are constants. A resumed run takes every setting from its checkpoint except
+``train.epochs``.
 """
 
 from __future__ import annotations
@@ -48,15 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="JSON config file, or 'default' for desk-scale defaults")
     tr.add_argument("--ckpt-dir", required=True)
     tr.add_argument("--seed", type=int, required=True)
-    tr.add_argument("--alpha", type=float, default=None)
-    tr.add_argument("--beta", type=float, default=None)
-    tr.add_argument("--experts", type=int, default=None)
-    tr.add_argument("--top-k", type=int, default=None)
-    tr.add_argument("--renorm-topk", choices=["true", "false"], default=None)
     tr.add_argument("--audio-only", action="store_true")
     tr.add_argument("--dev-manifest", default=None,
                     help="optional manifest for per-epoch dev WER")
-    tr.add_argument("--resume", default=None, help="checkpoint to continue from")
+    tr.add_argument("--resume", default=None,
+                    help="checkpoint to continue from; every setting comes from it "
+                    "except train.epochs")
 
     ev = sub.add_parser("eval", help="score a manifest with a checkpoint")
     ev.add_argument("--manifest", required=True)
@@ -82,47 +96,34 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _build_train_configs(args) -> tuple[ModelConfig | None, TrainConfig]:
-    overrides: dict = {}
+def _build_train_configs(args) -> tuple[ModelConfig, TrainConfig]:
+    sections: dict = {}
     if args.config != "default":
         path = Path(args.config)
         if not path.exists():
             raise DataError(f"config file not found: {path}")
         try:
-            overrides = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            sections = json.loads(path.read_bytes())
+        except ValueError as exc:
             raise ConfigError(f"bad config JSON: {exc}") from exc
-
-    train_over = dict(overrides.get("train", {}))
-    if args.alpha is not None:
-        train_over["alpha"] = args.alpha
-    if args.beta is not None:
-        train_over["beta"] = args.beta
-    train_cfg = TrainConfig(seed=args.seed, audio_only=args.audio_only, **train_over)
-
-    if args.resume is not None:
-        return None, train_cfg
-
-    model_over = dict(overrides.get("model", {}))
-    # "moe": null in the config file requests a dense model; any MoE flag on
-    # the command line switches it back on.
-    dense = "moe" in overrides and overrides["moe"] is None
-    moe_over = {} if dense else dict(overrides.get("moe") or {})
-    if args.experts is not None:
-        moe_over["num_experts"] = args.experts
-        dense = False
-    if args.top_k is not None:
-        moe_over["top_k"] = args.top_k
-        dense = False
-    if args.renorm_topk is not None:
-        moe_over["renormalize_topk"] = args.renorm_topk == "true"
-        dense = False
-    # vocab_size is filled in from the task spec at train time
-    model_cfg = ModelConfig(vocab_size=0, **model_over)
-    if not dense:
-        model_cfg.moe = MoEConfig(
-            hidden=model_cfg.hidden, ffn_hidden=model_cfg.d_ff, **moe_over
-        )
+        if not isinstance(sections, dict):
+            raise ConfigError("config file must hold a JSON object")
+    unknown = sorted(set(sections) - {"model", "moe", "train"})
+    if unknown:
+        raise ConfigError(f"unknown config section(s) {unknown}; known: model, moe, train")
+    # Values that a flag or the data sets are passed here, so a config file
+    # that sets one fails as a repeated keyword, which TypeError names.
+    try:
+        train_cfg = TrainConfig(seed=args.seed, audio_only=args.audio_only,
+                                **sections.get("train", {}))
+        # train() fills in vocab_size and visual_dim from the task spec.
+        model_cfg = ModelConfig(vocab_size=0, visual_dim=0, moe=None,
+                                **sections.get("model", {}))
+        moe = sections.get("moe", {})
+        if moe is not None:
+            model_cfg.moe = MoEConfig(hidden=model_cfg.hidden, ffn_hidden=model_cfg.d_ff, **moe)
+    except TypeError as exc:
+        raise ConfigError(f"config file: {exc}") from exc
     return model_cfg, train_cfg
 
 
@@ -155,7 +156,7 @@ def _cmd_decode(args) -> int:
     wave = read_waveform(args.audio)
     mel = log_mel_from_waveform(wave, n_mels=model.cfg.n_mels)
     visual = None if args.visual == "none" else load_visual_embeddings(args.visual)
-    hyp, _ = transcribe(model, mel, visual, max_len=64)
+    hyp, _ = transcribe(model, mel, visual)
     print(" ".join(vocab.decode(hyp.token_ids)))
     return 0
 

@@ -10,6 +10,9 @@ from .frontend import LogMelSpectrogram
 from .model import Model
 from .tensor import Tensor, no_grad
 
+# Longest attention hypothesis, in tokens, for every decode the package runs.
+MAX_DECODE_LEN = 32
+
 
 @dataclass
 class Hypothesis:
@@ -46,7 +49,6 @@ def ctc_greedy_decode(frame_logits: Tensor | np.ndarray, blank_id: int = 0) -> H
 def attention_greedy_decode(model: Model, states: Tensor, max_len: int) -> Hypothesis:
     """Argmax autoregressive decode from sos until eos or the length cap."""
     cfg = model.cfg
-    specials = {cfg.blank_id, cfg.sos_id, cfg.eos_id, cfg.pad_id}
     prefix = [cfg.sos_id]
     score = 0.0
     emitted: list[int] = []
@@ -61,18 +63,18 @@ def attention_greedy_decode(model: Model, states: Tensor, max_len: int) -> Hypot
             prefix.append(best)
             emitted.append(best)
     # Stray specials (possible early in training) are dropped from the result.
-    return Hypothesis(token_ids=[t for t in emitted if t not in specials], score=score)
+    return Hypothesis(token_ids=[t for t in emitted if t >= cfg.num_specials], score=score)
 
 
 def transcribe(
-    model: Model, mel: LogMelSpectrogram, visual: np.ndarray | None, max_len: int
+    model: Model, mel: LogMelSpectrogram, visual: np.ndarray | None
 ) -> tuple[Hypothesis, Hypothesis]:
     """Encode one utterance and greedy-decode both heads: (attention, CTC).
 
-    Runs under ``no_grad``, so no graph is recorded.
+    Runs under ``no_grad``, so no graph is recorded. Attention stops at ``MAX_DECODE_LEN``.
     """
     with no_grad():
         states, _, boundary = model.encode_utterance(mel, visual)
-        att = attention_greedy_decode(model, states, max_len)
+        att = attention_greedy_decode(model, states, MAX_DECODE_LEN)
         ctc = ctc_greedy_decode(model.ctc_head(states, boundary), blank_id=model.cfg.blank_id)
     return att, ctc

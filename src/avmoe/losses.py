@@ -37,8 +37,8 @@ class LossBundle:
     beta: float
 
 
-def attention_loss(logits: Tensor, targets: list[int], pad_id: int) -> Tensor:
-    """Summed negative log-likelihood of the targets, skipping pad positions."""
+def attention_loss(logits: Tensor, targets: list[int]) -> Tensor:
+    """Summed negative log-likelihood of the targets (one utterance, so no padding)."""
     ids = np.asarray(targets, dtype=np.int64)
     if ids.shape[0] != logits.shape[0]:
         raise DataError(
@@ -48,8 +48,7 @@ def attention_loss(logits: Tensor, targets: list[int], pad_id: int) -> Tensor:
         raise DataError(f"target id out of range for vocab {logits.shape[1]}")
     log_probs = log_softmax_rows(logits)
     picked = take_along_cols(log_probs, ids[:, None]).reshape(ids.shape[0])
-    keep = (ids != pad_id).astype(np.float64)
-    return -tsum(picked * Tensor(keep))
+    return -tsum(picked)
 
 
 def min_frames_for(target: list[int]) -> int:

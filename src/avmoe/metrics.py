@@ -8,16 +8,8 @@ from .errors import ScoringError
 
 
 def edit_distance(ref: Sequence, hyp: Sequence) -> int:
-    """Levenshtein distance with unit substitution/insertion/deletion costs."""
-    n, m = len(ref), len(hyp)
-    prev = list(range(m + 1))
-    for i in range(1, n + 1):
-        cur = [i] + [0] * m
-        for j in range(1, m + 1):
-            sub = prev[j - 1] + (ref[i - 1] != hyp[j - 1])
-            cur[j] = min(sub, prev[j] + 1, cur[j - 1] + 1)
-        prev = cur
-    return prev[m]
+    """Levenshtein distance with unit costs: the non-match ops of ``align_words``."""
+    return sum(op != "match" for op, _, _ in align_words(ref, hyp))
 
 
 def wer(ref: Sequence[str], hyp: Sequence[str]) -> float:

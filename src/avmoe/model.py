@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,6 +36,13 @@ from .tensor import Tensor, concat, gather_rows, narrow
 
 @dataclass
 class ModelConfig:
+    # Reserved token ids, fixed for every model; ``train.Vocab`` numbers words after them.
+    blank_id: ClassVar[int] = 0
+    sos_id: ClassVar[int] = 1
+    eos_id: ClassVar[int] = 2
+    pad_id: ClassVar[int] = 3
+    num_specials: ClassVar[int] = 4
+
     vocab_size: int
     hidden: int = 64
     heads: int = 4
@@ -46,10 +54,6 @@ class ModelConfig:
     stack_factor: int = 4
     activation: str = "silu"
     macaron_scale: float = 0.5
-    blank_id: int = 0
-    sos_id: int = 1
-    eos_id: int = 2
-    pad_id: int = 3
     moe: MoEConfig | None = None
 
     def __post_init__(self):
@@ -59,11 +63,6 @@ class ModelConfig:
     def validate(self) -> None:
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden={self.hidden} not divisible by heads={self.heads}")
-        specials = (self.blank_id, self.sos_id, self.eos_id, self.pad_id)
-        if len(set(specials)) != 4:
-            raise ConfigError(f"special token ids must be distinct, got {specials}")
-        if any(s < 0 or s >= self.vocab_size for s in specials):
-            raise ConfigError(f"special ids {specials} out of range for V={self.vocab_size}")
         if self.moe is not None:
             if self.moe.hidden != self.hidden or self.moe.ffn_hidden != self.d_ff:
                 raise ConfigError(

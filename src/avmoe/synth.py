@@ -52,6 +52,9 @@ class SyntheticTaskSpec:
             raise ConfigError("vocabulary contains duplicate words")
         grouped: set[str] = set()
         for group in self.homophone_groups:
+            unknown = [w for w in group if w not in self.tone_map or w not in self.visual_codes]
+            if unknown:
+                raise ConfigError(f"group {group}: no tone or visual code for {unknown}")
             if grouped & set(group):
                 raise ConfigError("homophone groups must be disjoint")
             grouped |= set(group)
@@ -103,11 +106,11 @@ class SyntheticTaskSpec:
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @staticmethod
-    def from_json(text: str) -> "SyntheticTaskSpec":
+    def from_json(text: str | bytes) -> "SyntheticTaskSpec":
         try:
             payload = json.loads(text)
             spec = SyntheticTaskSpec(**payload)
-        except (json.JSONDecodeError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:  # bad JSON or text, or unknown fields
             raise DataError(f"unreadable task spec: {exc}") from exc
         spec.validate()
         return spec
@@ -313,7 +316,7 @@ def read_task_spec(path) -> SyntheticTaskSpec:
     path = Path(path)
     if not path.exists():
         raise DataError(f"task spec not found: {path}")
-    return SyntheticTaskSpec.from_json(path.read_text())
+    return SyntheticTaskSpec.from_json(path.read_bytes())
 
 
 def load_task_spec_near(manifest_path) -> SyntheticTaskSpec | None:

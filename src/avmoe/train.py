@@ -43,7 +43,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     seed: int = 0
     audio_only: bool = False
-    max_decode_len: int = 32
 
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
@@ -55,20 +54,17 @@ class TrainConfig:
 
 
 class Vocab:
-    """Word list plus the four reserved ids (blank, sos, eos, pad)."""
-
-    BLANK, SOS, EOS, PAD = 0, 1, 2, 3
-    NUM_SPECIALS = 4
+    """Word list numbered after the reserved ids of ``ModelConfig``."""
 
     def __init__(self, words: list[str]):
         if len(set(words)) != len(words):
             raise ConfigError("vocabulary contains duplicates")
         self.words = list(words)
-        self._to_id = {w: i + self.NUM_SPECIALS for i, w in enumerate(words)}
+        self._to_id = {w: i + ModelConfig.num_specials for i, w in enumerate(words)}
 
     @property
     def size(self) -> int:
-        return len(self.words) + self.NUM_SPECIALS
+        return len(self.words) + ModelConfig.num_specials
 
     def encode(self, words: list[str]) -> list[int]:
         try:
@@ -79,9 +75,9 @@ class Vocab:
     def decode(self, ids: list[int]) -> list[str]:
         out = []
         for i in ids:
-            if not self.NUM_SPECIALS <= i < self.size:
+            if not ModelConfig.num_specials <= i < self.size:
                 raise DataError(f"id {i} is not a vocabulary word")
-            out.append(self.words[i - self.NUM_SPECIALS])
+            out.append(self.words[i - ModelConfig.num_specials])
         return out
 
 
@@ -147,7 +143,7 @@ def utterance_losses(model: Model, utt: Utterance):
     states, stats, boundary = model.encode_utterance(utt.mel, utt.visual)
     cfg = model.cfg
     logits = model.decode_teacher_forcing(states, [cfg.sos_id] + utt.target_ids)
-    l_att = attention_loss(logits, utt.target_ids + [cfg.eos_id], cfg.pad_id)
+    l_att = attention_loss(logits, utt.target_ids + [cfg.eos_id])
     frame_logits = model.ctc_head(states, boundary)
     try:
         l_ctc = ctc_loss(frame_logits, utt.target_ids, blank_id=cfg.blank_id)
@@ -321,7 +317,7 @@ def restore_train_state(ckpt: Checkpoint) -> tuple[TrainState, Vocab, TrainConfi
 
 def train(
     manifest_path,
-    model_cfg: ModelConfig | None,
+    model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     ckpt_dir,
     dev_manifest_path=None,
@@ -329,11 +325,12 @@ def train(
 ) -> TrainResult:
     """Train on a manifest, checkpointing and logging metrics every epoch.
 
-    A fresh run takes its vocabulary, and so ``model_cfg.vocab_size``, from
-    the task_spec.json next to the manifest. Fully deterministic for a given
-    seed. With ``resume_from``, the model, optimizer, RNG, and epoch counter
-    continue exactly where the saved run stopped; the combined run is
-    bit-identical to an uninterrupted one.
+    A fresh run takes its vocabulary, and so ``model_cfg.vocab_size``, and
+    ``model_cfg.visual_dim`` from the task_spec.json next to the manifest.
+    Fully deterministic for a given seed. With ``resume_from``, every setting
+    comes from the checkpoint except ``train_cfg.epochs``; the model,
+    optimizer, RNG, and epoch counter continue exactly where the saved run
+    stopped, and the combined run is bit-identical to an uninterrupted one.
     """
     train_cfg.validate()
     ckpt_dir = Path(ckpt_dir)
@@ -342,15 +339,12 @@ def train(
 
     if resume_from is not None:
         state, vocab, saved_cfg = restore_train_state(load_checkpoint(resume_from))
-        saved_cfg.epochs = train_cfg.epochs
-        train_cfg = saved_cfg
+        train_cfg = replace(saved_cfg, epochs=train_cfg.epochs)
     else:
         if spec is None:
             raise ConfigError("task_spec.json not found next to the manifest")
-        if model_cfg is None:
-            raise ConfigError("model config is required when starting from scratch")
         vocab = Vocab(spec.vocab)
-        model_cfg = replace(model_cfg, vocab_size=vocab.size)
+        model_cfg = replace(model_cfg, vocab_size=vocab.size, visual_dim=spec.visual_dim)
         model = Model(model_cfg, np.random.default_rng(train_cfg.seed))
         state = new_train_state(model, train_cfg, np.random.default_rng(train_cfg.seed))
 
@@ -373,7 +367,7 @@ def train(
             state.epochs_done += 1
             record = {"epoch": state.epochs_done, **epoch_log, "dev_wer": None}
             if dev_data is not None:
-                summary, _ = score_dataset(state.model, dev_data, vocab, train_cfg.max_decode_len)
+                summary, _ = score_dataset(state.model, dev_data, vocab)
                 record["dev_wer"] = summary["wer"]
             metrics.append(record)
             metrics_file.write(json.dumps(record) + "\n")
@@ -392,11 +386,7 @@ def train(
 
 
 def score_dataset(
-    model: Model,
-    data: list[Utterance],
-    vocab: Vocab,
-    max_decode_len: int = 32,
-    homophones: set[str] | None = None,
+    model: Model, data: list[Utterance], vocab: Vocab, homophones: set[str] | None = None
 ) -> tuple[dict, list[dict]]:
     """Decode every utterance and aggregate corpus-level scores."""
     records = []
@@ -405,10 +395,10 @@ def score_dataset(
     subset_edits = subset_words = 0
     hom_correct = hom_total = 0
     for utt in data:
-        att_hyp, ctc_hyp = transcribe(model, utt.mel, utt.visual, max_decode_len)
+        att_hyp, ctc_hyp = transcribe(model, utt.mel, utt.visual)
         hyp_words = vocab.decode(att_hyp.token_ids)
         ctc_words = vocab.decode(
-            [t for t in ctc_hyp.token_ids if t >= Vocab.NUM_SPECIALS]
+            [t for t in ctc_hyp.token_ids if t >= ModelConfig.num_specials]
         )
         edits = edit_distance(utt.words, hyp_words)
         total_edits += edits
@@ -446,11 +436,7 @@ def score_dataset(
 
 
 def evaluate(
-    manifest_path,
-    ckpt_path,
-    audio_only: bool = False,
-    subset: str | None = None,
-    max_decode_len: int = 32,
+    manifest_path, ckpt_path, audio_only: bool = False, subset: str | None = None
 ) -> tuple[dict, list[dict]]:
     """Score a manifest with a trained checkpoint.
 
@@ -466,9 +452,7 @@ def evaluate(
     data = load_dataset(
         manifest_path, vocab, n_mels=model.cfg.n_mels, audio_only=audio_only, spec=spec
     )
-    summary, records = score_dataset(
-        model, data, vocab, max_decode_len=max_decode_len, homophones=homophones
-    )
+    summary, records = score_dataset(model, data, vocab, homophones=homophones)
     summary["mode"] = "audio_only" if audio_only else "audiovisual"
     if subset == "homophone":
         if homophones is None:

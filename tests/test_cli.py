@@ -1,10 +1,18 @@
-"""The command line end to end: exit codes, decode against eval, resume, corpus determinism."""
+"""The command line end to end: exit codes, decode against eval, resume, corpus determinism,
+and the settings that ``avmoe train`` accepts."""
 
+import argparse
+import dataclasses
 import json
 
 import pytest
 
-from avmoe.cli import main
+from avmoe.checkpoint import load_checkpoint, save_checkpoint
+from avmoe.cli import _build_parser, _build_train_configs, main
+from avmoe.errors import ConfigError
+from avmoe.model import ModelConfig
+from avmoe.moe import MoEConfig
+from avmoe.train import TrainConfig
 
 TINY = {
     "model": {"hidden": 8, "heads": 2, "d_ff": 16, "encoder_blocks": 1, "decoder_blocks": 1,
@@ -49,21 +57,14 @@ def test_decode_prints_the_eval_hypothesis(run, capsys):
     assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt)]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
     entries = {e["utt_id"]: e for e in map(json.loads, manifest.read_text().splitlines())}
-    finished = 0
     for record in records:
         entry = entries[record["utt_id"]]
         code = main(["decode", "--ckpt", str(ckpt),
                      "--audio", str(run / "corpus" / entry["audio"]),
                      "--visual", str(run / "corpus" / entry["visual"])])
         assert code == 0
-        hyp, decoded = record["hyp"].split(), capsys.readouterr().out.split()
-        # eval stops at 32 tokens and decode at 64; below the cap both stop at eos.
-        if len(hyp) < 32:
-            assert decoded == hyp
-            finished += 1
-        else:
-            assert decoded[: len(hyp)] == hyp
-    assert finished >= 1
+        assert capsys.readouterr().out.split() == record["hyp"].split()
+    assert len(records) == 3
 
 
 def test_config_that_is_not_json_exits_2(run):
@@ -72,11 +73,94 @@ def test_config_that_is_not_json_exits_2(run):
     assert train(run, "not_json", str(bad)) == 2
 
 
+# Each is refused before training starts. The error message quotes the
+# offending name, or says what a config file must hold.
+REJECTED_CONFIGS = {
+    "JSON object": [TINY],
+    "trian": {"trian": {"epochs": 1}},
+    "hiden": {"model": {"hiden": 3}},
+    "seed": {"train": {"seed": 5}},
+    "audio_only": {"train": {"audio_only": True}},
+    "vocab_size": {"model": {"vocab_size": 16}},
+    "visual_dim": {"model": {"visual_dim": 16}},
+    "moe": {"model": {"moe": None}},
+    "hidden": {"moe": {"hidden": 64}},
+    "ffn_hidden": {"moe": {"ffn_hidden": 256}},
+    "max_decode_len": {"train": {"max_decode_len": 64}},
+    "sos_id": {"model": {"sos_id": 7}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_CONFIGS))
+def test_config_that_sets_what_it_cannot_exits_2(run, name, capsys):
+    path = run / "rejected.json"
+    path.write_text(json.dumps(REJECTED_CONFIGS[name]))
+    assert train(run, "rejected", str(path)) == 2
+    assert (name if name == "JSON object" else repr(name)) in capsys.readouterr().err
+    assert not (run / "rejected" / "metrics.jsonl").exists()
+
+
+def test_settable_surface_is_pinned(tmp_path):
+    # A new flag or config key must update these lists.
+    train_parser = _build_parser()._subparsers._group_actions[0].choices["train"]
+    flags = {opt for action in train_parser._actions for opt in action.option_strings}
+    assert flags == {"-h", "--help", "--manifest", "--config", "--ckpt-dir", "--seed",
+                     "--audio-only", "--dev-manifest", "--resume"}
+    probes = {f.name: 1 if f.default is dataclasses.MISSING else f.default
+              for cls in (ModelConfig, MoEConfig, TrainConfig) for f in dataclasses.fields(cls)}
+    probes.update(blank_id=0, sos_id=1, eos_id=2, pad_id=3, max_decode_len=32)  # removed
+    accepted = {}
+    path = tmp_path / "probe.json"
+    for section in ("model", "moe", "train"):
+        accepted[section] = set()
+        for key, value in probes.items():
+            path.write_text(json.dumps({section: {key: value}}))
+            try:
+                _build_train_configs(argparse.Namespace(config=str(path), seed=1, audio_only=False))
+            except ConfigError:
+                continue
+            accepted[section].add(key)
+    assert accepted == {
+        "model": {"hidden", "heads", "d_ff", "encoder_blocks", "decoder_blocks", "n_mels",
+                  "stack_factor", "activation", "macaron_scale"},
+        "moe": {"num_experts", "top_k", "renormalize_topk"},
+        "train": {"epochs", "batch_size", "lr", "warmup_steps", "alpha", "beta",
+                  "adam_beta1", "adam_beta2", "adam_eps"},
+    }
+
+
 def test_checkpoint_with_bad_magic_exits_3(run):
     ckpt = run / "bad_magic.ckpt"
     ckpt.write_bytes(b"EVACKPT0\n" + (run / "full" / "final.ckpt").read_bytes()[9:])
     manifest = run / "corpus" / "test.jsonl"
     assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt)]) == 3
+
+
+def test_checkpoint_naming_a_special_id_field_exits_3(run):
+    # What a checkpoint from before the special ids became constants holds.
+    saved = load_checkpoint(run / "full" / "final.ckpt")
+    model = {**json.loads(saved.config["model"]), "blank_id": 0}
+    ckpt = run / "old_fields.ckpt"
+    save_checkpoint(ckpt, {**saved.config, "model": json.dumps(model)}, saved.tensors)
+    manifest = run / "corpus" / "test.jsonl"
+    assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt)]) == 3
+    assert train(run, "old_fields", write_config(run / "config.json"),
+                 "--resume", str(ckpt)) == 3
+
+
+def test_spec_that_is_not_utf8_exits_3(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(b"\xff\xfe")
+    assert generate(tmp_path / "out", spec=spec) == 3
+
+
+def test_spec_group_word_without_a_tone_exits_2(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "vocab": ["a", "b"], "homophone_groups": [["a", "b"]], "tone_map": {"a": 300.0},
+        "visual_codes": {"a": [1.0], "b": [0.0]}, "visual_dim": 1,
+    }))
+    assert generate(tmp_path / "out", spec=spec) == 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,10 +1,19 @@
-"""Greedy CTC decoding against the per-frame loop it replaces."""
+"""Greedy decoding: CTC against the per-frame loop it replaces, attention
+against one teacher-forced pass over its own hypothesis."""
 
 import math
 
 import numpy as np
+import pytest
 
-from avmoe.decoding import collapse_ctc_path, ctc_greedy_decode
+from avmoe.decoding import (
+    MAX_DECODE_LEN,
+    _log_softmax_np,
+    attention_greedy_decode,
+    collapse_ctc_path,
+    ctc_greedy_decode,
+)
+from avmoe.model import Model, ModelConfig
 from avmoe.tensor import Tensor
 
 
@@ -43,3 +52,66 @@ def test_hand_case():
     assert hyp.token_ids == [1, 1, 2]
     # Each frame picks a logit 10 above the other two.
     assert math.isclose(hyp.score, -7.0 * np.log1p(2.0 * np.exp(-10.0)), rel_tol=1e-12)
+
+
+def tiny_decoder(seed: int) -> Model:
+    """A random tiny model that never prefers blank, sos or pad."""
+    cfg = ModelConfig(vocab_size=9, hidden=8, heads=2, d_ff=16, encoder_blocks=1,
+                      decoder_blocks=1, visual_dim=4, n_mels=6, stack_factor=2)
+    model = Model(cfg, np.random.default_rng(seed))
+    model.out_proj.bias.data[[cfg.blank_id, cfg.sos_id, cfg.pad_id]] = -1e3
+    return model
+
+
+@pytest.mark.parametrize("eos_bias", [0.0, -1e3, 1e3])
+def test_attention_hypothesis_is_the_teacher_forced_argmax_chain(eos_bias):
+    stops = set()
+    for seed in range(8):
+        model = tiny_decoder(seed)
+        model.out_proj.bias.data[ModelConfig.eos_id] += eos_bias
+        states = Tensor(np.random.default_rng(100 + seed).normal(size=(5, 8)))
+        hyp = attention_greedy_decode(model, states, MAX_DECODE_LEN)
+        log_probs = _log_softmax_np(
+            model.decode_teacher_forcing(states, [ModelConfig.sos_id] + hyp.token_ids).data
+        )
+        chain = [int(i) for i in log_probs.argmax(axis=1)]
+        n = len(hyp.token_ids)
+        at_eos = n < MAX_DECODE_LEN
+        assert chain[:n] == hyp.token_ids
+        if at_eos:
+            assert chain[n] == ModelConfig.eos_id
+        else:
+            assert n == MAX_DECODE_LEN
+        scored = range(n + at_eos)  # the eos step counts in the score
+        assert math.isclose(hyp.score, sum(log_probs[t, chain[t]] for t in scored), rel_tol=1e-12)
+        stops.add(at_eos)
+    # Unbiased, some seeds stop at eos and some at the cap; biased, all stop alike.
+    assert stops == {0.0: {True, False}, -1e3: {False}, 1e3: {True}}[eos_bias]
+    if eos_bias > 0:
+        assert hyp.token_ids == []
+
+
+class ScriptedDecoder:
+    """Picks the next token from a script, whatever the prefix."""
+
+    cfg = ModelConfig(vocab_size=9)
+
+    def __init__(self, script: list[int]):
+        self.script = script
+        self.prefixes: list[list[int]] = []
+
+    def decode_teacher_forcing(self, states, prefix):
+        self.prefixes.append(list(prefix))
+        logits = np.zeros((len(prefix), self.cfg.vocab_size))
+        logits[-1, self.script[len(prefix) - 1]] = 5.0
+        return Tensor(logits)
+
+
+def test_attention_decode_drops_special_ids():
+    # Specials other than eos stay in the decoder's own prefix but not in
+    # the hypothesis; eos stops the decode.
+    model = ScriptedDecoder([5, 3, 6, 0, 1, 7, 2, 8])
+    hyp = attention_greedy_decode(model, None, MAX_DECODE_LEN)
+    assert hyp.token_ids == [5, 6, 7]
+    assert model.prefixes[-1] == [1, 5, 3, 6, 0, 1, 7]
+

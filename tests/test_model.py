@@ -58,7 +58,7 @@ def test_loss_graph_size_is_pinned():
     ctc_only = graph_nodes(l_ctc) - graph_nodes(l_att)
     # The CTC head's narrow and affine, the log-softmax, and the lattice node.
     assert len(ctc_only) == 4
-    assert len(graph_nodes(bundle.l_total)) == 82
+    assert len(graph_nodes(bundle.l_total)) == 81
 
 
 def test_total_loss_gradient_matches_finite_differences():
