@@ -30,7 +30,11 @@ class ScoringError(DataError):
 
 
 class CtcInfeasibleError(DataError):
-    """Target cannot be aligned to the available frames."""
+    """Target cannot be aligned to the available frames; ``index`` is its place in the batch."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class CheckpointError(DataError):

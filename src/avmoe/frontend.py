@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import wave
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -134,26 +135,30 @@ def log_mel_from_waveform(waveform: Waveform, n_mels: int = 80) -> LogMelSpectro
     return log_mel(frame_signal(waveform), n_mels=n_mels, sample_rate=waveform.sample_rate)
 
 
-def stack_frames(mel: LogMelSpectrogram, stack_factor: int, proj: Tensor) -> Tensor:
+def stack_frames(mels: Sequence[LogMelSpectrogram], stack_factor: int, proj: Tensor) -> Tensor:
     """Group ``stack_factor`` consecutive frames and project to model width.
 
-    The last group is zero-padded. Output has ceil(num_frames / stack_factor)
-    rows; gradients flow into ``proj`` only (features are constants).
+    Each spectrogram's last group is zero-padded, so it gives
+    ceil(num_frames / stack_factor) rows; the rows of all spectrograms are
+    packed one after another and projected by one product. Gradients flow
+    into ``proj`` only (features are constants).
     """
     if stack_factor < 1:
         raise ConfigError(f"stack factor must be >= 1, got {stack_factor}")
-    expected_in = stack_factor * mel.n_mels
-    if proj.shape[0] != expected_in:
-        raise DimensionError(
-            f"stack projection expects {expected_in} input columns "
-            f"({stack_factor} x {mel.n_mels}), got {proj.shape}"
-        )
-    count = mel.num_frames
-    groups = -(-count // stack_factor)
-    padded = np.zeros((groups * stack_factor, mel.n_mels), dtype=np.float64)
-    padded[:count] = mel.frames
-    stacked = Tensor(padded.reshape(groups, expected_in))
-    return matmul(stacked, proj)
+    blocks = []
+    for mel in mels:
+        expected_in = stack_factor * mel.n_mels
+        if proj.shape[0] != expected_in:
+            raise DimensionError(
+                f"stack projection expects {expected_in} input columns "
+                f"({stack_factor} x {mel.n_mels}), got {proj.shape}"
+            )
+        count = mel.num_frames
+        groups = -(-count // stack_factor)
+        padded = np.zeros((groups * stack_factor, mel.n_mels), dtype=np.float64)
+        padded[:count] = mel.frames
+        blocks.append(padded.reshape(groups, expected_in))
+    return matmul(Tensor(np.concatenate(blocks)), proj)
 
 
 # -- audio file IO -----------------------------------------------------------

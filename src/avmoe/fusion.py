@@ -10,20 +10,23 @@ of the speech tokens; the boundary index marks where speech begins.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError
 from .f64file import read_f64_file, write_f64_file
-from .tensor import Tensor, concat, matmul
+from .nn import Segments
+from .tensor import Tensor, concat, gather_rows, matmul
 
 
 @dataclass
 class FusedSequence:
-    """Projected visual rows stacked on top of speech tokens."""
+    """A batch of utterances packed along axis 0, each its visual rows then its speech tokens."""
 
-    x: Tensor  # (visual rows + speech rows, width)
-    boundary: int  # index of the first speech row
+    x: Tensor  # (total rows, width)
+    segments: Segments  # the rows of each utterance
+    boundary: np.ndarray  # per utterance, the position of its first speech row within its rows
 
 
 def _vemb_count(fields: tuple[int, ...]) -> int:
@@ -56,11 +59,49 @@ def project_visual(z, proj: Tensor, bias: Tensor) -> Tensor:
     return matmul(zt, proj) + bias
 
 
-def fuse_concat(v: Tensor | None, s: Tensor) -> FusedSequence:
-    """Concatenate visual rows (possibly none) ahead of the speech tokens."""
-    if v is None or v.shape[0] == 0:
-        return FusedSequence(x=s, boundary=0)
+def fuse_concat(
+    v: Tensor | None,
+    s: Tensor,
+    visual_counts: Sequence[int] | None = None,
+    speech_counts: Sequence[int] | None = None,
+) -> FusedSequence:
+    """Pack each utterance's visual rows (possibly none) ahead of its speech tokens.
+
+    ``v`` holds the visual rows of all utterances one after another and
+    ``s`` their speech tokens; ``visual_counts`` and ``speech_counts`` give
+    each utterance's share, and default to one utterance.
+    """
+    visual_total = 0 if v is None else v.shape[0]
+    visual_counts = np.asarray(
+        [visual_total] if visual_counts is None else visual_counts, dtype=np.int64
+    )
+    speech_counts = np.asarray(
+        [s.shape[0]] if speech_counts is None else speech_counts, dtype=np.int64
+    )
+    if (
+        visual_counts.shape != speech_counts.shape
+        or visual_counts.sum() != visual_total
+        or speech_counts.sum() != s.shape[0]
+    ):
+        raise DimensionError(
+            f"fuse counts {visual_counts.tolist()} / {speech_counts.tolist()} do not split "
+            f"{visual_total} visual and {s.shape[0]} speech rows"
+        )
+    segments = Segments(visual_counts + speech_counts)
+    if visual_total == 0:
+        return FusedSequence(x=s, segments=segments, boundary=visual_counts)
     if v.shape[1] != s.shape[1]:
         raise DimensionError(f"fuse width mismatch: visual {v.shape} vs speech {s.shape}")
-    return FusedSequence(x=concat([v, s], axis=0), boundary=v.shape[0])
-
+    x = concat([v, s], axis=0)
+    if segments.count == 1:  # already in packed order
+        return FusedSequence(x=x, segments=segments, boundary=visual_counts)
+    # Source row of each packed row, in concat([v, s]).
+    seg, pos = segments.index, segments.positions
+    visual_start = np.cumsum(visual_counts) - visual_counts
+    speech_start = np.cumsum(speech_counts) - speech_counts
+    order = np.where(
+        pos < visual_counts[seg],
+        visual_start[seg] + pos,
+        visual_total + speech_start[seg] + pos - visual_counts[seg],
+    )
+    return FusedSequence(x=gather_rows(x, order), segments=segments, boundary=visual_counts)

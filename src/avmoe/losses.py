@@ -1,19 +1,25 @@
 """Training objectives: attention cross-entropy, CTC, and their weighted total.
 
-CTC is one graph node. A numpy alpha-beta pass (recursion in ``ctc_loss``)
-gives the loss and its gradient d loss / d log_probs[t, v] = -occupancy[t, v],
-the posterior weight of label v at frame t; through the log-softmax this is
-softmax - occupancy on the logits.
+CTC is one graph node over the B lattices of a batch. A numpy alpha-beta
+pass (recursion in ``ctc_loss``) gives the loss and its gradient
+d loss / d log_probs[t, v] = -occupancy[t, v], the posterior weight of label
+v at frame t; through the log-softmax this is softmax - occupancy on the
+logits.
 
-Reductions: the attention and CTC terms are sums over target positions /
-alignments for one utterance; the training harness divides batch sums by the
-batch size only. Balancing losses from multiple MoE layers are averaged so
-the beta coefficient keeps its meaning regardless of depth.
+Reductions: a batch is packed (see ``model``), so both terms are sums over
+all of its utterances: the attention term over every target position, the
+CTC term over each utterance's alignments. One utterance is the batch of
+one. The training harness divides the batch sums by the batch size only.
+The balancing loss scores each MoE layer on its statistics over the whole
+batch, and the layers' losses are averaged so the beta coefficient keeps
+its meaning regardless of depth. ``batch_balance_losses`` merges
+per-utterance statistics into the same batch statistics first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +44,7 @@ class LossBundle:
 
 
 def attention_loss(logits: Tensor, targets: list[int]) -> Tensor:
-    """Summed negative log-likelihood of the targets (one utterance, so no padding)."""
+    """Summed negative log-likelihood of the targets, one per logit row (packed, no padding)."""
     ids = np.asarray(targets, dtype=np.int64)
     if ids.shape[0] != logits.shape[0]:
         raise DataError(
@@ -66,8 +72,17 @@ def extended_labels(target: list[int], blank_id: int) -> list[int]:
     return ext
 
 
-def ctc_loss(frame_logits: Tensor, target: list[int], blank_id: int = 0) -> Tensor:
-    """Negative log-probability of the target under the CTC alignment lattice.
+def ctc_loss(
+    frame_logits: Tensor,
+    targets: list[list[int]],
+    blank_id: int = 0,
+    frames: Sequence[int] | None = None,
+) -> Tensor:
+    """Summed negative log-probability of B targets, each under its own CTC lattice.
+
+    ``frame_logits`` holds the frames of B utterances one after another,
+    ``frames[b]`` of them for utterance b (by default one utterance over all
+    rows), and ``targets[b]`` is that utterance's label sequence.
 
     Alpha-beta forward-backward (Graves et al., 2006, section 4). With
     ``y[t, s]`` the log-probability at frame t of the label of state s of the
@@ -82,60 +97,92 @@ def ctc_loss(frame_logits: Tensor, target: list[int], blank_id: int = 0) -> Tens
     earlier. ``beta[t, s]``, the log-probability of the suffixes that leave
     state s at frame t (``y[t, s]`` included), is alpha of the lattice
     reversed in time and in state; the skip rule reads the same backwards
-    because blanks and labels alternate. The loss is one graph node on top
-    of the log-softmax, with gradient ``-occupancy``: ``occupancy[t, v]``
-    sums ``exp(alpha + beta - y + loss)`` over the states that carry label
-    v. Its rows sum to one, so the log-softmax backward turns this into
-    ``softmax - occupancy`` on the logits. ``LOG_ZERO`` stands in for log 0,
-    so no -inf is ever formed.
+    because blanks and labels alternate. The B lattices are padded to the
+    longest T and S with ``LOG_ZERO`` (which stands in for log 0, so no -inf
+    is ever formed) and the recursion steps all of them at once; padding
+    lies after each lattice in time and in state, so it never reaches a
+    real state. The loss is one graph node on top of the log-softmax, with
+    gradient ``-occupancy``: ``occupancy[t, v]`` sums
+    ``exp(alpha + beta - y + loss)`` over the states that carry label v. Its
+    rows sum to one, so the log-softmax backward turns this into
+    ``softmax - occupancy`` on the logits.
 
     An infeasible target (more symbols plus required separating blanks than
     frames) raises instead of returning infinity: it means the data is bad.
     """
-    num_frames, vocab = frame_logits.shape
-    if not target:
-        raise DataError("CTC target must be non-empty")
-    ids = np.asarray(target, dtype=np.int64)
-    if ids.min() < 0 or ids.max() >= vocab:
-        raise DataError(f"CTC target id out of range for vocab {vocab}")
-    if blank_id in target:
-        raise DataError(f"CTC target must not contain the blank id {blank_id}")
-    needed = min_frames_for(target)
-    if num_frames < needed:
-        raise CtcInfeasibleError(
-            f"target of length {len(target)} needs at least {needed} frames, got {num_frames}"
+    rows, vocab = frame_logits.shape
+    counts = np.asarray([rows] if frames is None else frames, dtype=np.int64)
+    if counts.shape != (len(targets),) or counts.sum() != rows or (counts < 1).any():
+        raise DataError(
+            f"CTC: frame counts {counts.tolist()} do not split {rows} frames "
+            f"among {len(targets)} targets"
         )
+    for b, (target, num_frames) in enumerate(zip(targets, counts)):
+        if not target:
+            raise DataError("CTC target must be non-empty")
+        ids = np.asarray(target, dtype=np.int64)
+        if ids.min() < 0 or ids.max() >= vocab:
+            raise DataError(f"CTC target id out of range for vocab {vocab}")
+        if blank_id in target:
+            raise DataError(f"CTC target must not contain the blank id {blank_id}")
+        needed = min_frames_for(target)
+        if num_frames < needed:
+            raise CtcInfeasibleError(
+                f"target of length {len(target)} needs at least {needed} frames, "
+                f"got {num_frames}",
+                index=b,
+            )
 
-    ext = np.asarray(extended_labels(target, blank_id), dtype=np.int64)
+    batch = len(targets)
+    states = np.asarray([2 * len(t) + 1 for t in targets])
+    ext = np.full((batch, states.max()), blank_id, dtype=np.int64)
+    for b, target in enumerate(targets):
+        ext[b, : states[b]] = extended_labels(target, blank_id)
+    t_pos, s_pos = np.arange(counts.max()), np.arange(states.max())
+    valid = (t_pos[None, :, None] < counts[:, None, None]) & (s_pos < states[:, None])[:, None]
+    # Packed row of frame t of utterance b (clipped into the utterance past its end).
+    frame_row = (np.cumsum(counts) - counts)[:, None] + np.minimum(t_pos, counts[:, None] - 1)
+
     log_probs = log_softmax_rows(frame_logits)
-    lattice = log_probs.data[:, ext]
+    lattice = np.where(valid, log_probs.data[frame_row[:, :, None], ext[:, None, :]], LOG_ZERO)
     alpha = _ctc_alpha(lattice, ext, blank_id)
-    log_like = np.logaddexp(alpha[-1, -2], alpha[-1, -1])
+    end = (np.arange(batch), counts - 1)
+    log_like = np.logaddexp(alpha[(*end, states - 2)], alpha[(*end, states - 1)])
 
     def backward(g):
-        beta = _ctc_alpha(lattice[::-1, ::-1], ext[::-1], blank_id)[::-1, ::-1]
-        posterior = np.exp(alpha + beta - lattice - log_like)
-        occupancy = np.zeros(log_probs.shape)
-        np.add.at(occupancy.T, ext, posterior.T)
-        return (-g * occupancy,)
+        # Each lattice reversed in its own time and state range: an involution.
+        t_rev = np.where(t_pos < counts[:, None], counts[:, None] - 1 - t_pos, t_pos)
+        s_rev = np.where(s_pos < states[:, None], states[:, None] - 1 - s_pos, s_pos)
+        flip = (np.arange(batch)[:, None, None], t_rev[:, :, None], s_rev[:, None, :])
+        ext_rev = np.take_along_axis(ext, s_rev, axis=1)
+        beta = _ctc_alpha(lattice[flip], ext_rev, blank_id)[flip]
+        posterior = np.exp(alpha + beta - lattice - log_like[:, None, None])[valid]
+        # Summed in (frame, state) order, the order the per-state sums of one
+        # lattice would take.
+        cell = frame_row[:, :, None] * vocab + ext[:, None, :]
+        occupancy = np.bincount(cell[valid], weights=posterior, minlength=rows * vocab)
+        return (-g * occupancy.reshape(rows, vocab),)
 
-    return _record(np.asarray(-log_like), (log_probs,), backward)
+    return _record(np.asarray(-log_like.sum()), (log_probs,), backward)
 
 
 def _ctc_alpha(lattice: np.ndarray, ext: np.ndarray, blank_id: int) -> np.ndarray:
-    """Forward log-variables ``alpha[t, s]`` of a (frames, states) lattice.
+    """Forward log-variables ``alpha[b, t, s]`` of B (frames, states) lattices.
 
     Two LOG_ZERO columns ahead of the first state make s-1 and s-2 slices.
     """
-    skip = np.zeros(ext.size, dtype=bool)
-    skip[2:] = (ext[2:] != blank_id) & (ext[2:] != ext[:-2])
-    alpha = np.full((lattice.shape[0], ext.size + 2), LOG_ZERO)
-    alpha[0, 2:4] = lattice[0, :2]
-    for t in range(1, lattice.shape[0]):
-        prev = alpha[t - 1]
-        step2 = np.where(skip, prev[:-2], LOG_ZERO)
-        alpha[t, 2:] = np.logaddexp(np.logaddexp(prev[2:], prev[1:-1]), step2) + lattice[t]
-    return alpha[:, 2:]
+    skip = np.zeros(ext.shape, dtype=bool)
+    skip[:, 2:] = (ext[:, 2:] != blank_id) & (ext[:, 2:] != ext[:, :-2])
+    batch, num_frames, num_states = lattice.shape
+    alpha = np.full((batch, num_frames, num_states + 2), LOG_ZERO)
+    alpha[:, 0, 2:4] = lattice[:, 0, :2]
+    for t in range(1, num_frames):
+        prev = alpha[:, t - 1]
+        step2 = np.where(skip, prev[:, :-2], LOG_ZERO)
+        alpha[:, t, 2:] = (
+            np.logaddexp(np.logaddexp(prev[:, 2:], prev[:, 1:-1]), step2) + lattice[:, t]
+        )
+    return alpha[:, :, 2:]
 
 
 def total_loss(
@@ -160,6 +207,10 @@ def total_loss(
 
 
 def batch_balance_losses(per_layer_stats: list[list[LoadStats]], num_experts: int) -> list[Tensor]:
-    """Merge per-utterance stats layer by layer and score each layer's balance."""
+    """Merge per-utterance stats layer by layer and score each layer's balance.
+
+    A packed batch has its statistics already; this is for losses taken one
+    utterance at a time.
+    """
     merged = [LoadStats.merge(layer_parts) for layer_parts in per_layer_stats]
     return [load_balance_loss(stats, num_experts) for stats in merged]

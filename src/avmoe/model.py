@@ -6,6 +6,11 @@ model width, and the block closes with the (dense or MoE) second FFN. Both
 FFN slots use half-scaled residuals; all sublayers are pre-norm. The decoder
 is a standard pre-norm Transformer with cross-attention. A linear CTC head
 reads the encoder states at speech positions only.
+
+Every method runs on a batch packed along axis 0 (``nn.Segments``): the
+rows of utterance b follow those of utterance b - 1, positions restart at
+each utterance, and attention and the convolution stay inside it. One
+utterance is the batch of one, the default of every method.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DimensionError
+from .fields import check_fields
 from .frontend import LogMelSpectrogram, stack_frames
 from .fusion import FusedSequence, fuse_concat, project_visual
 from .moe import LoadStats, MoEConfig, MoELayer, init_from_dense
@@ -27,6 +33,7 @@ from .nn import (
     Linear,
     Module,
     MultiHeadAttention,
+    Segments,
     causal_mask,
     glorot,
     sinusoidal_positions,
@@ -57,10 +64,15 @@ class ModelConfig:
     moe: MoEConfig | None = None
 
     def __post_init__(self):
-        if self.d_ff is None:
+        if self.d_ff is None and type(self.hidden) is int:
             self.d_ff = 4 * self.hidden
 
     def validate(self) -> None:
+        check_fields(self, {
+            "vocab_size": (0, None), "hidden": (2, None), "heads": (1, None), "d_ff": (1, None),
+            "encoder_blocks": (0, None), "decoder_blocks": (0, None), "visual_dim": (0, None),
+            "n_mels": (1, None), "stack_factor": (1, None),
+        })
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden={self.hidden} not divisible by heads={self.heads}")
         if self.moe is not None:
@@ -90,11 +102,11 @@ class EncoderBlock(Module):
         self.final_norm = LayerNorm(d)
         self.scale = cfg.macaron_scale
 
-    def __call__(self, x: Tensor) -> tuple[Tensor, LoadStats | None]:
+    def __call__(self, x: Tensor, segments: Segments) -> tuple[Tensor, LoadStats | None]:
         h = x + self.ffn1(self.ffn1_norm(x)) * self.scale
         attn_in = self.attn_norm(h)
-        global_branch = self.attn(attn_in, attn_in)
-        local_branch = self.local(self.local_norm(h))
+        global_branch = self.attn(attn_in, attn_in, None, segments, segments)
+        local_branch = self.local(self.local_norm(h), segments)
         merged = h + self.merge(concat([global_branch, local_branch], axis=1))
         stats = None
         if isinstance(self.ffn2, MoELayer):
@@ -114,10 +126,12 @@ class DecoderBlock(Module):
         self.ffn_norm = LayerNorm(d)
         self.ffn = FeedForward(rng, d, cfg.d_ff, cfg.activation)
 
-    def __call__(self, x: Tensor, memory: Tensor, mask: np.ndarray) -> Tensor:
+    def __call__(
+        self, x: Tensor, memory: Tensor, mask: np.ndarray, inputs: Segments, sources: Segments
+    ) -> Tensor:
         a = self.self_norm(x)
-        x = x + self.self_attn(a, a, mask)
-        x = x + self.cross_attn(self.cross_norm(x), memory)
+        x = x + self.self_attn(a, a, mask, inputs, inputs)
+        x = x + self.cross_attn(self.cross_norm(x), memory, None, inputs, sources)
         return x + self.ffn(self.ffn_norm(x))
 
 
@@ -143,21 +157,35 @@ class Model(Module):
 
     # -- encoder side ------------------------------------------------------
 
-    def speech_tokens(self, mel: LogMelSpectrogram) -> Tensor:
-        return stack_frames(mel, self.cfg.stack_factor, self.input_proj)
-
-    def fuse(self, mel: LogMelSpectrogram, visual: np.ndarray | None) -> FusedSequence:
-        s = self.speech_tokens(mel)
-        if visual is None:
-            return fuse_concat(None, s)
-        v = project_visual(visual, self.visual_proj, self.visual_bias)
-        return fuse_concat(v, s)
+    def fuse(
+        self, mels: list[LogMelSpectrogram], visuals: list[np.ndarray | None]
+    ) -> FusedSequence:
+        """Pack utterances for the encoder: each one's visual rows, then its speech tokens."""
+        if len(mels) != len(visuals) or not mels:
+            raise DataError(f"fuse got {len(mels)} spectrograms and {len(visuals)} visual inputs")
+        sf = self.cfg.stack_factor
+        s = stack_frames(mels, sf, self.input_proj)
+        present = [z for z in visuals if z is not None]
+        for z in present:
+            if z.ndim != 2 or z.shape[1] != self.cfg.visual_dim:
+                raise DimensionError(
+                    f"visual width mismatch: embeddings {z.shape} vs projection "
+                    f"{self.visual_proj.shape}"
+                )
+        v = None
+        if present:
+            v = project_visual(np.concatenate(present), self.visual_proj, self.visual_bias)
+        visual_counts = [0 if z is None else z.shape[0] for z in visuals]
+        speech_counts = [-(-mel.num_frames // sf) for mel in mels]
+        return fuse_concat(v, s, visual_counts, speech_counts)
 
     def encode(self, fused: FusedSequence) -> tuple[Tensor, list[LoadStats]]:
-        x = fused.x + Tensor(sinusoidal_positions(fused.x.shape[0], self.cfg.hidden))
+        seg = fused.segments
+        table = sinusoidal_positions(seg.longest, self.cfg.hidden)
+        x = fused.x + Tensor(table[seg.positions])
         stats: list[LoadStats] = []
         for block in self.enc_blocks:
-            x, block_stats = block(x)
+            x, block_stats = block(x, seg)
             if block_stats is not None:
                 stats.append(block_stats)
         return x, stats
@@ -165,13 +193,26 @@ class Model(Module):
     def encode_utterance(
         self, mel: LogMelSpectrogram, visual: np.ndarray | None
     ) -> tuple[Tensor, list[LoadStats], int]:
-        fused = self.fuse(mel, visual)
+        fused = self.fuse([mel], [visual])
         states, stats = self.encode(fused)
-        return states, stats, fused.boundary
+        return states, stats, int(fused.boundary[0])
 
     # -- decoder / heads -----------------------------------------------------
 
-    def decode_teacher_forcing(self, states: Tensor, target_in: list[int]) -> Tensor:
+    def decode_teacher_forcing(
+        self,
+        states: Tensor,
+        target_in: list[int],
+        sources: Segments | None = None,
+        inputs: Segments | None = None,
+    ) -> Tensor:
+        """Decoder logits, one row per input token.
+
+        ``target_in`` holds each utterance's decoder input, one after
+        another; ``inputs`` gives their lengths and ``sources`` the rows of
+        ``states`` that each utterance attends to. Both default to one
+        utterance.
+        """
         ids = np.asarray(target_in, dtype=np.int64)
         if ids.size == 0:
             raise DataError("decoder input must contain at least the start token")
@@ -179,18 +220,43 @@ class Model(Module):
             raise DataError(
                 f"token id out of range: {int(ids.max())} >= vocab {self.cfg.vocab_size}"
             )
+        inputs = inputs if inputs is not None else Segments([ids.size])
+        sources = sources if sources is not None else Segments([states.shape[0]])
+        if inputs.total != ids.size:
+            raise DataError(f"decoder input lengths cover {inputs.total} of {ids.size} tokens")
         d = self.cfg.hidden
         x = gather_rows(self.dec_embed, ids) * math.sqrt(d)
-        x = x + Tensor(sinusoidal_positions(ids.size, d))
-        mask = causal_mask(ids.size)
+        x = x + Tensor(sinusoidal_positions(inputs.longest, d)[inputs.positions])
+        mask = causal_mask(inputs.longest)
         for block in self.dec_blocks:
-            x = block(x, states, mask)
+            x = block(x, states, mask, inputs, sources)
         return self.out_proj(self.dec_norm(x))
 
-    def ctc_head(self, states: Tensor, boundary: int) -> Tensor:
-        """Frame logits over speech positions only; visual rows are excluded."""
-        speech = narrow(states, 0, boundary, states.shape[0] - boundary)
-        return self.ctc_proj(speech)
+    def ctc_head(
+        self, states: Tensor, boundary, segments: Segments | None = None
+    ) -> Tensor:
+        """Frame logits over speech positions only; visual rows are excluded.
+
+        ``boundary`` is the position of each utterance's first speech row
+        within its rows of ``states`` (an int for one utterance), and
+        ``segments`` splits the rows into utterances, by default one.
+        """
+        seg = segments if segments is not None else Segments([states.shape[0]])
+        first = np.asarray(boundary, dtype=np.int64).reshape(-1)
+        if (
+            seg.total != states.shape[0]
+            or first.shape != (seg.count,)
+            or (first < 0).any()
+            or (first >= seg.lengths).any()
+        ):
+            raise DimensionError(
+                f"ctc_head: boundaries {first.tolist()} do not fit segments "
+                f"{seg.lengths.tolist()} of {states.shape[0]} rows"
+            )
+        if seg.count == 1:  # one block of rows
+            return self.ctc_proj(narrow(states, 0, int(first[0]), seg.total - int(first[0])))
+        speech = np.flatnonzero(seg.positions >= np.repeat(first, seg.lengths))
+        return self.ctc_proj(gather_rows(states, speech))
 
 
 def moe_model_from_dense(dense: Model, moe_cfg: MoEConfig) -> Model:

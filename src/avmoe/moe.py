@@ -23,6 +23,9 @@ in ascending expert order. Backward, with G the output gradient and
     da_e  = (dy_e W2_e^T) * act'(x[R_e] W1_e + b1_e)
     dW1_e = x[R_e]^T da_e,   db1_e = colsum(da_e),   dx[R_e] += da_e W1_e^T
 
+``act'`` comes from what the forward saved: the sigmoid s for silu, as
+``s + act * (1 - s)``, and the mask ``pre > 0`` for relu.
+
 An expert with an empty segment gets ``None`` for all four parameter
 gradients, exactly as if it were not in the graph, so the optimizer skips it.
 """
@@ -34,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
+from .fields import check_fields
 from .nn import FeedForward, Module
 from .tensor import (
     Tensor,
@@ -55,14 +59,10 @@ class MoEConfig:
     ffn_hidden: int = 256
 
     def validate(self) -> None:
+        check_fields(self, {"num_experts": (1, None), "hidden": (1, None), "ffn_hidden": (1, None)})
         if not 1 <= self.top_k <= self.num_experts:
             raise ConfigError(
                 f"top_k={self.top_k} out of range for {self.num_experts} experts"
-            )
-        if self.hidden < 1 or self.ffn_hidden < 1:
-            raise ConfigError(
-                f"widths must be positive, got hidden={self.hidden}, "
-                f"ffn_hidden={self.ffn_hidden}"
             )
 
 
@@ -156,21 +156,26 @@ class MoELayer(Module):
         return out, stats
 
 
-def _activation(name: str, pre: np.ndarray) -> np.ndarray:
-    """``act(pre)``, equal to the forward of ``tensor.silu`` / ``tensor.relu``."""
+def _activation(name: str, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``act(pre)``, equal to the forward of ``tensor.silu`` / ``tensor.relu``, and
+    what ``_activation_grad`` needs besides it: the sigmoid for silu, the mask for relu."""
     if name == "silu":
-        return pre * _sigmoid_stable(pre)
+        s = _sigmoid_stable(pre)
+        return pre * s, s
     if name == "relu":
-        return np.maximum(pre, 0.0)
+        return np.maximum(pre, 0.0), pre > 0.0
     raise ConfigError(f"expert_mixture has no kernel for activation {name!r}")
 
 
-def _activation_grad(name: str, pre: np.ndarray) -> np.ndarray:
-    """``act'(pre)``, equal to the backward of ``tensor.silu`` / ``tensor.relu``."""
+def _activation_grad(name: str, act: np.ndarray, saved: np.ndarray) -> np.ndarray:
+    """``act'(pre)``, equal to the backward of ``tensor.silu`` / ``tensor.relu``.
+
+    For silu, ``s + act * (1 - s)`` with ``act = pre * s`` is bit-identical
+    to ``s + pre * s * (1 - s)``, which evaluates ``pre * s`` first.
+    """
     if name == "silu":
-        s = _sigmoid_stable(pre)
-        return s + pre * s * (1.0 - s)
-    return pre > 0.0
+        return saved + act * (1.0 - saved)
+    return saved
 
 
 def expert_mixture(
@@ -196,7 +201,7 @@ def expert_mixture(
     bounds = np.searchsorted(indices.reshape(-1)[order], np.arange(len(experts) + 1))
     flat_w = weights.data.reshape(-1)
     out = np.zeros(x.shape)
-    saved = []  # per expert: (pair ids, rows, inputs, pre-activation, act, unweighted output)
+    saved = []  # per expert: (pair ids, rows, inputs, act, sigmoid or mask, unweighted output)
     dispatched = 0
     for e, expert in enumerate(experts):
         pairs = order[bounds[e] : bounds[e + 1]]
@@ -207,10 +212,10 @@ def expert_mixture(
         rows = pairs // k
         xr = x.data[rows]
         pre = xr @ expert.lin1.weight.data + expert.lin1.bias.data
-        act = _activation(expert.act, pre)
+        act, act_saved = _activation(expert.act, pre)
         y = act @ expert.lin2.weight.data + expert.lin2.bias.data
         out[rows] += y * flat_w[pairs][:, None]
-        saved.append((pairs, rows, xr, pre, act, y))
+        saved.append((pairs, rows, xr, act, act_saved, y))
 
     def backward(g):
         dx = np.zeros(x.shape)
@@ -220,11 +225,11 @@ def expert_mixture(
             if rec is None:
                 grads.extend([None] * 4)
                 continue
-            pairs, rows, xr, pre, act, y = rec
+            pairs, rows, xr, act, act_saved, y = rec
             gr = g[rows]
             dw[pairs] = (gr * y).sum(axis=1)
             dy = gr * flat_w[pairs][:, None]
-            da = (dy @ expert.lin2.weight.data.T) * _activation_grad(expert.act, pre)
+            da = (dy @ expert.lin2.weight.data.T) * _activation_grad(expert.act, act, act_saved)
             dx[rows] += da @ expert.lin1.weight.data.T
             grads.extend([xr.T @ da, da.sum(axis=0), act.T @ dy, dy.sum(axis=0)])
         return (dx, dw.reshape(weights.shape), *grads)

@@ -1,12 +1,19 @@
 """Small neural-net building blocks on top of the tensor engine.
 
-Two computations are single graph nodes with hand-written backward passes:
+A batch of B sequences is packed along axis 0, one after another, and
+``Segments`` records their lengths. Row-wise layers run once on all rows;
+the two computations that read across rows know the segments, so no row
+ever sees a row of another sequence. Both are single graph nodes with
+hand-written backward passes:
 
-- ``attend``: all heads of scaled dot-product attention at once. Per head,
-  ``S = (Q K^T) * scale (+ mask)``, ``P = softmax_rows(S)``, ``O = P V``;
-  backward ``dV = P^T G``, ``dP = G V^T``,
-  ``dS = P * (dP - rowsum(dP * P)) * scale``, ``dQ = dS K``, ``dK = dS^T Q``.
-- ``depthwise3``: the zero-padded 3-tap depthwise conv along time,
+- ``attend``: all heads of scaled dot-product attention at once, on a
+  zero-padded (B, H, T_max, T_max) batch whose padding keys are masked.
+  Per head and sequence, ``S = (Q K^T) * scale (+ mask)``,
+  ``P = softmax_rows(S)``, ``O = P V``; backward ``dV = P^T G``,
+  ``dP = G V^T``, ``dS = P * (dP - rowsum(dP * P)) * scale``, ``dQ = dS K``,
+  ``dK = dS^T Q``.
+- ``depthwise3``: the 3-tap depthwise conv along time, zero-padded at both
+  ends of every sequence,
   ``y[t] = x[t-1] k0 + x[t] k1 + x[t+1] k2 + b``; backward
   ``dx[t] = g[t+1] k0 + g[t] k1 + g[t-1] k2``, ``dk_j = sum_t g[t] x[t+j-1]``,
   ``db = sum_t g[t]``.
@@ -14,6 +21,7 @@ Two computations are single graph nodes with hand-written backward passes:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -108,6 +116,63 @@ class FeedForward(Module):
         self.lin2.bias.data = other.lin2.bias.data.copy()
 
 
+class Segments:
+    """Lengths of B sequences packed one after another along axis 0.
+
+    Row r of the packed array belongs to sequence ``index[r]``, at position
+    ``positions[r]`` within it. ``pad`` lays the rows out as a zero-padded
+    (B, longest, ...) batch and ``unpad`` packs such a batch back.
+    """
+
+    def __init__(self, lengths):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
+            raise DimensionError(f"need one or more positive segment lengths, got {lengths}")
+        self.lengths = lengths
+        self.count = lengths.size
+        self.total = int(lengths.sum())
+        self.longest = int(lengths.max())
+        self.padded = self.total != self.count * self.longest
+
+    # Built on first use: a decoder step of one utterance needs none of them.
+    @functools.cached_property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.lengths) - self.lengths
+
+    @functools.cached_property
+    def index(self) -> np.ndarray:
+        return np.repeat(np.arange(self.count), self.lengths)
+
+    @functools.cached_property
+    def positions(self) -> np.ndarray:
+        if self.count == 1:
+            return np.arange(self.total)
+        return np.arange(self.total) - self.starts[self.index]
+
+    @functools.cached_property
+    def _slots(self) -> np.ndarray:
+        return self.index * self.longest + self.positions
+
+    def pad(self, a: np.ndarray) -> np.ndarray:
+        """(total, ...) packed rows -> (count, longest, ...), zeros after each sequence."""
+        if not self.padded:
+            return a.reshape(self.count, self.longest, *a.shape[1:])
+        out = np.zeros((self.count * self.longest,) + a.shape[1:])
+        out[self._slots] = a
+        return out.reshape(self.count, self.longest, *a.shape[1:])
+
+    def unpad(self, a: np.ndarray) -> np.ndarray:
+        """(count, longest, ...) -> (total, ...), the inverse of ``pad``."""
+        flat = a.reshape(self.count * self.longest, *a.shape[2:])
+        return flat[self._slots] if self.padded else flat
+
+    def key_mask(self) -> np.ndarray:
+        """(count, longest) additive mask: 0 on each sequence's rows, MASK_VALUE on padding."""
+        mask = np.full((self.count, self.longest), MASK_VALUE)
+        mask.reshape(-1)[self._slots] = 0.0
+        return mask
+
+
 class MultiHeadAttention(Module):
     def __init__(self, rng: np.random.Generator, dim: int, heads: int):
         if dim % heads != 0:
@@ -120,37 +185,55 @@ class MultiHeadAttention(Module):
         self.v_proj = Linear(rng, dim, dim)
         self.out_proj = Linear(rng, dim, dim)
 
-    def __call__(self, query: Tensor, memory: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    def __call__(
+        self,
+        query: Tensor,
+        memory: Tensor,
+        mask: np.ndarray | None = None,
+        query_segments: Segments | None = None,
+        memory_segments: Segments | None = None,
+    ) -> Tensor:
         q = self.q_proj(query)
         k = self.k_proj(memory)
         v = self.v_proj(memory)
-        return self.out_proj(attend(q, k, v, self.heads, self.scale, mask))
+        out = attend(q, k, v, self.heads, self.scale, mask, query_segments, memory_segments)
+        return self.out_proj(out)
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
-    """(T, H * d_h) -> (H, T, d_h) view; head h owns columns h*d_h .. (h+1)*d_h."""
-    return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
+    """(B, T, H * d_h) -> (B, H, T, d_h) view; head h owns columns h*d_h .. (h+1)*d_h."""
+    return a.reshape(a.shape[0], a.shape[1], heads, -1).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(a: np.ndarray) -> np.ndarray:
-    """(H, T, d_h) -> (T, H * d_h), the inverse of ``_split_heads``."""
-    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+    """(B, H, T, d_h) -> (B, T, H * d_h), the inverse of ``_split_heads``."""
+    return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], -1)
 
 
 def attend(
-    q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float, mask: np.ndarray | None = None
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    heads: int,
+    scale: float,
+    mask: np.ndarray | None = None,
+    q_segments: Segments | None = None,
+    k_segments: Segments | None = None,
 ) -> Tensor:
-    """Multi-head scaled dot-product attention as one graph node.
+    """Multi-head scaled dot-product attention of B packed sequences, as one graph node.
 
     ``q`` is (T_q, D), ``k`` and ``v`` are (T_k, D), with D = heads * d_h and
-    head h reading columns h*d_h .. (h+1)*d_h of each. Per head, on an
-    (H, T, d_h) view:
+    head h reading columns h*d_h .. (h+1)*d_h of each. Query sequence b,
+    rows ``q_segments`` b, attends only to key sequence b, rows
+    ``k_segments`` b; each defaults to one sequence over all rows. Per head
+    and sequence, on a zero-padded (B, H, T_max, d_h) view:
 
         S = (Q K^T) * scale (+ mask),  P = softmax_rows(S),  O = P V
 
     and the heads' outputs sit side by side in a (T_q, D) result. ``mask``
-    is an additive (T_q, T_k) array shared by all heads. Backward, with G
-    the output gradient in the same view:
+    is an additive (T_q_max, T_k_max) array shared by all sequences and
+    heads; padding keys are masked with ``MASK_VALUE``, so they get
+    probability 0. Backward, with G the output gradient in the same view:
 
         dV = P^T G,  dP = G V^T,  dS = P * (dP - rowsum(dP * P)) * scale,
         dQ = dS K,   dK = dS^T Q
@@ -159,54 +242,86 @@ def attend(
         raise DimensionError(f"attend got q={q.shape}, k={k.shape}, v={v.shape}")
     if q.shape[1] % heads != 0:
         raise DimensionError(f"width {q.shape[1]} not divisible by {heads} heads")
-    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
-    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale
+    qs = q_segments if q_segments is not None else Segments([q.shape[0]])
+    ks = k_segments if k_segments is not None else Segments([k.shape[0]])
+    if qs.total != q.shape[0] or ks.total != k.shape[0] or qs.count != ks.count:
+        raise DimensionError(
+            f"attend: {qs.count} query segments over {qs.total} rows and {ks.count} key "
+            f"segments over {ks.total} rows do not fit q={q.shape}, k={k.shape}"
+        )
+    qh = _split_heads(qs.pad(q.data), heads)
+    kh = _split_heads(ks.pad(k.data), heads)
+    vh = _split_heads(ks.pad(v.data), heads)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale
     if mask is not None:
         scores = scores + mask
+    if ks.padded:
+        scores = scores + ks.key_mask()[:, None, None, :]
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        gh = _split_heads(g, heads)
-        dprobs = np.matmul(gh, vh.transpose(0, 2, 1))
+        gh = _split_heads(qs.pad(g), heads)
+        dprobs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
         dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * scale
         dq = np.matmul(dscores, kh)
-        dk = np.matmul(dscores.transpose(0, 2, 1), qh)
-        dv = np.matmul(probs.transpose(0, 2, 1), gh)
-        return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+        dk = np.matmul(dscores.transpose(0, 1, 3, 2), qh)
+        dv = np.matmul(probs.transpose(0, 1, 3, 2), gh)
+        return qs.unpad(_merge_heads(dq)), ks.unpad(_merge_heads(dk)), ks.unpad(_merge_heads(dv))
 
-    return _record(_merge_heads(np.matmul(probs, vh)), (q, k, v), backward)
+    return _record(qs.unpad(_merge_heads(np.matmul(probs, vh))), (q, k, v), backward)
 
 
-def depthwise3(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Zero-padded 3-tap depthwise convolution along time, as one graph node.
+def depthwise3(
+    x: Tensor, kernel: Tensor, bias: Tensor, segments: Segments | None = None
+) -> Tensor:
+    """3-tap depthwise convolution along time of B packed sequences, as one graph node.
 
-    ``x`` is (T, D), ``kernel`` (3, D), ``bias`` (D,). With ``p`` the input
-    padded by one zero row at each end (so ``p[t] = x[t-1]``):
+    ``x`` is (T, D), ``kernel`` (3, D), ``bias`` (D,); ``segments`` splits
+    the rows into sequences and defaults to one. With ``prev[t]`` and
+    ``next[t]`` the rows before and after t, zero where t starts or ends its
+    sequence:
 
-        y[t] = p[t] k0 + p[t+1] k1 + p[t+2] k2 + b      (summed in that order)
+        y[t] = prev[t] k0 + x[t] k1 + next[t] k2 + b      (summed in that order)
 
-    Backward, with ``gp`` the output gradient padded the same way:
+    Backward, with ``gprev`` and ``gnext`` the output gradient shifted the
+    same way:
 
-        dx[t] = gp[t+2] k0 + gp[t+1] k1 + gp[t] k2
-        dk_j  = sum_t g[t] p[t+j],   db = sum_t g[t]
+        dx[t] = gnext[t] k0 + g[t] k1 + gprev[t] k2
+        dk_0 = sum_t g[t] prev[t],  dk_1 = sum_t g[t] x[t],  dk_2 = sum_t g[t] next[t]
+        db = sum_t g[t]
     """
     length, dim = x.shape
     if kernel.shape != (3, dim) or bias.shape != (dim,):
         raise DimensionError(
             f"depthwise3 got x={x.shape}, kernel={kernel.shape}, bias={bias.shape}"
         )
+    seg = segments if segments is not None else Segments([length])
+    if seg.total != length:
+        raise DimensionError(f"depthwise3: segments cover {seg.total} rows, x has {length}")
     zero = np.zeros((1, dim))
-    padded = np.concatenate([zero, x.data, zero])
+    inner = seg.starts[1:]  # first rows of the sequences after the first
+
+    def shifted(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row before, row after) each row of ``a``, zero across sequence ends."""
+        padded = np.concatenate([zero, a, zero])
+        before, after = padded[:-2], padded[2:]
+        if inner.size:
+            before, after = before.copy(), after.copy()
+            before[inner] = 0.0
+            after[inner - 1] = 0.0
+        return before, after
+
+    prev, nxt = shifted(x.data)
     taps = kernel.data
-    y = padded[:length] * taps[0]
-    y = y + padded[1 : length + 1] * taps[1]
-    y = y + padded[2:] * taps[2]
+    y = prev * taps[0]
+    y = y + x.data * taps[1]
+    y = y + nxt * taps[2]
 
     def backward(g):
-        gp = np.concatenate([zero, g, zero])
-        dx = gp[2:] * taps[0] + g * taps[1] + gp[:length] * taps[2]
-        dk = np.stack([(g * padded[j : j + length]).sum(axis=0) for j in range(3)])
+        gprev, gnext = shifted(g)
+        dx = gnext * taps[0] + g * taps[1] + gprev * taps[2]
+        dk = np.stack([(g * p).sum(axis=0) for p in (prev, x.data, nxt)])
         return dx, dk, g.sum(axis=0)
 
     return _record(y + bias.data, (x, kernel, bias), backward)
@@ -223,29 +338,30 @@ class ConvGatedMLP(Module):
         self.down = Linear(rng, dim, dim)
         self.dim = dim
 
-    def _depthwise3(self, x: Tensor) -> Tensor:
-        return depthwise3(x, self.kernel, self.kernel_bias)
-
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, segments: Segments | None = None) -> Tensor:
         u = silu(self.up(x))
         gate = narrow(u, 1, 0, self.dim)
         conv_in = narrow(u, 1, self.dim, self.dim)
-        return self.down(gate * self._depthwise3(conv_in))
+        return self.down(gate * depthwise3(conv_in, self.kernel, self.kernel_bias, segments))
 
 
+@functools.lru_cache(maxsize=64)
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
-    """Absolute sine/cosine position table of shape (length, dim)."""
+    """Absolute sine/cosine position table of shape (length, dim).
+
+    Memoised, since every encode and every decoder step asks for one, and
+    read-only, since callers share it.
+    """
     pos = np.arange(length, dtype=np.float64)[:, None]
     half = np.arange(0, dim, 2, dtype=np.float64)
     angles = pos / np.power(10000.0, half / dim)
     table = np.zeros((length, dim), dtype=np.float64)
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles[:, : table[:, 1::2].shape[1]])
+    table.setflags(write=False)
     return table
 
 
 def causal_mask(length: int) -> np.ndarray:
     """Additive mask blocking attention to strictly-future positions."""
-    mask = np.zeros((length, length), dtype=np.float64)
-    mask[np.triu_indices(length, k=1)] = MASK_VALUE
-    return mask
+    return np.triu(np.full((length, length), MASK_VALUE), k=1)

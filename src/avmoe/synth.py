@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .fields import check_fields
 from .frontend import Waveform, write_f64
 from .fusion import save_visual_embeddings
 
@@ -48,6 +49,19 @@ class SyntheticTaskSpec:
     seed: int = 101
 
     def validate(self) -> None:
+        check_fields(self, {
+            "visual_slots": (1, None), "visual_dim": (1, None), "symbol_duration_ms": (0, None),
+            "noise_std": (0, None), "sample_rate": (1, None), "min_words": (1, None),
+        })
+        if not self.vocab:
+            raise ConfigError("vocabulary is empty")
+        if round(self.symbol_duration_ms / 1000.0 * self.sample_rate) < 1:
+            raise ConfigError(
+                f"a {self.symbol_duration_ms} ms symbol at {self.sample_rate} Hz has no samples"
+            )
+        bad_codes = sorted(w for w, c in self.visual_codes.items() if len(c) != self.visual_dim)
+        if bad_codes:
+            raise ConfigError(f"visual codes of {bad_codes} do not have {self.visual_dim} values")
         if len(set(self.vocab)) != len(self.vocab):
             raise ConfigError("vocabulary contains duplicate words")
         grouped: set[str] = set()
@@ -240,6 +254,8 @@ def generate_corpus(
     """
     if min(n_train, n_dev, n_test) < 1:
         raise ConfigError("all split sizes must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"corpus seed must be >= 0, got {seed}")
     spec.validate()
     out = Path(out_dir)
     (out / "audio").mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,14 @@
-"""Training loop, evaluation, and checkpoint state management."""
+"""Training loop, evaluation, and checkpoint state management.
+
+A training step runs one forward and one backward pass over its batch,
+packed as the rows of all its utterances (see ``model``): each layer runs
+once per step, not once per utterance. ``batch_losses`` returns the batch
+sums of the attention and CTC losses and each MoE layer's load statistics
+over all the batch's tokens; ``_train_batch`` divides the two sums by the
+batch size, scores each layer's balance on its whole-batch statistics,
+averages those over layers, and takes one Adam step. ``utterance_losses``
+is the batch of one.
+"""
 
 from __future__ import annotations
 
@@ -12,12 +22,14 @@ import numpy as np
 from .checkpoint import Checkpoint, load_checkpoint, load_params_into, save_checkpoint
 from .decoding import transcribe
 from .errors import CheckpointError, ConfigError, CtcInfeasibleError, DataError, NumericError
+from .fields import check_fields
 from .frontend import LogMelSpectrogram, log_mel_from_waveform, read_waveform
 from .fusion import load_visual_embeddings
-from .losses import attention_loss, batch_balance_losses, ctc_loss, total_loss
+from .losses import attention_loss, ctc_loss, total_loss
 from .metrics import edit_distance, slot_accuracy, wer
 from .model import Model, ModelConfig
-from .moe import MoEConfig
+from .moe import LoadStats, MoEConfig, load_balance_loss
+from .nn import Segments
 from .optim import Adam
 from .synth import (
     ManifestEntry,
@@ -26,6 +38,7 @@ from .synth import (
     load_task_spec_near,
     synth_waveform,
 )
+from .tensor import Tensor
 
 log = logging.getLogger(__name__)
 
@@ -45,12 +58,17 @@ class TrainConfig:
     audio_only: bool = False
 
     def validate(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
+        check_fields(self, {
+            "epochs": (1, None), "batch_size": (1, None), "warmup_steps": (0, None),
+            "alpha": (0, None), "beta": (0, None), "adam_beta1": (0, 1), "adam_beta2": (0, 1),
+            "seed": (0, None),
+        })
+        if self.lr <= 0 or self.adam_eps <= 0:
             raise ConfigError(
-                f"epochs/batch_size must be >= 1, got {self.epochs}/{self.batch_size}"
+                f"learning rate and adam_eps must be positive, got {self.lr} and {self.adam_eps}"
             )
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if self.adam_beta1 == 1 or self.adam_beta2 == 1:
+            raise ConfigError("Adam decay rates must be below 1")
 
 
 class Vocab:
@@ -138,18 +156,30 @@ def load_dataset(
     return utterances
 
 
-def utterance_losses(model: Model, utt: Utterance):
-    """Per-utterance attention and CTC losses plus the MoE load stats."""
-    states, stats, boundary = model.encode_utterance(utt.mel, utt.visual)
+def batch_losses(model: Model, batch: list[Utterance]) -> tuple[Tensor, Tensor, list[LoadStats]]:
+    """Summed attention and CTC losses of a batch, from one packed pass, and
+    each MoE layer's load stats over all of the batch's tokens."""
     cfg = model.cfg
-    logits = model.decode_teacher_forcing(states, [cfg.sos_id] + utt.target_ids)
-    l_att = attention_loss(logits, utt.target_ids + [cfg.eos_id])
-    frame_logits = model.ctc_head(states, boundary)
+    fused = model.fuse([u.mel for u in batch], [u.visual for u in batch])
+    states, stats = model.encode(fused)
+    inputs = Segments([len(u.target_ids) + 1 for u in batch])
+    target_in = [t for u in batch for t in [cfg.sos_id] + u.target_ids]
+    logits = model.decode_teacher_forcing(states, target_in, fused.segments, inputs)
+    l_att = attention_loss(logits, [t for u in batch for t in u.target_ids + [cfg.eos_id]])
+    frame_logits = model.ctc_head(states, fused.boundary, fused.segments)
+    frames = fused.segments.lengths - fused.boundary
     try:
-        l_ctc = ctc_loss(frame_logits, utt.target_ids, blank_id=cfg.blank_id)
+        l_ctc = ctc_loss(
+            frame_logits, [u.target_ids for u in batch], blank_id=cfg.blank_id, frames=frames
+        )
     except CtcInfeasibleError as exc:
-        raise DataError(f"utterance {utt.utt_id}: {exc}") from exc
+        raise DataError(f"utterance {batch[exc.index].utt_id}: {exc}") from exc
     return l_att, l_ctc, stats
+
+
+def utterance_losses(model: Model, utt: Utterance) -> tuple[Tensor, Tensor, list[LoadStats]]:
+    """Attention and CTC losses of one utterance plus the MoE load stats: the batch of one."""
+    return batch_losses(model, [utt])
 
 
 @dataclass
@@ -169,26 +199,13 @@ class TrainResult:
 
 
 def _train_batch(state: TrainState, batch: list[Utterance], cfg: TrainConfig) -> dict:
-    att_sum = None
-    ctc_sum = None
-    per_layer: list[list] = []
-    for utt in batch:
-        l_att, l_ctc, stats = utterance_losses(state.model, utt)
-        att_sum = l_att if att_sum is None else att_sum + l_att
-        ctc_sum = l_ctc if ctc_sum is None else ctc_sum + l_ctc
-        if stats:
-            if not per_layer:
-                per_layer = [[] for _ in stats]
-            for layer_idx, s in enumerate(stats):
-                per_layer[layer_idx].append(s)
+    att_sum, ctc_sum, stats = batch_losses(state.model, batch)
     scale = 1.0 / len(batch)
-    l_att = att_sum * scale
-    l_ctc = ctc_sum * scale
     aux_terms = []
-    if per_layer:
+    if stats:
         num_experts = state.model.cfg.moe.num_experts
-        aux_terms = batch_balance_losses(per_layer, num_experts)
-    bundle = total_loss(l_att, l_ctc, aux_terms, alpha=cfg.alpha, beta=cfg.beta)
+        aux_terms = [load_balance_loss(s, num_experts) for s in stats]
+    bundle = total_loss(att_sum * scale, ctc_sum * scale, aux_terms, alpha=cfg.alpha, beta=cfg.beta)
     if not np.isfinite(bundle.l_total.item()):
         raise NumericError(f"non-finite loss at step {state.step + 1}")
     bundle.l_total.backward()

@@ -5,6 +5,7 @@ import argparse
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from avmoe.checkpoint import load_checkpoint, save_checkpoint
@@ -12,6 +13,7 @@ from avmoe.cli import _build_parser, _build_train_configs, main
 from avmoe.errors import ConfigError
 from avmoe.model import ModelConfig
 from avmoe.moe import MoEConfig
+from avmoe.synth import reference_task_spec
 from avmoe.train import TrainConfig
 
 TINY = {
@@ -183,3 +185,65 @@ def test_generate_is_byte_identical_on_repeat(run):
     again = run / "again"
     assert generate(again, spec=run / "corpus" / "task_spec.json") == 0
     assert tree(again) == tree(run / "corpus")
+
+
+# Values a JSON config or spec field might hold: wrong types, booleans where
+# ints belong, non-finite numbers, and in- and out-of-range numbers.
+FUZZ_VALUES = [-1, 0, 1, 2, 3, 0.5, 1.5, "x", "", None, True, False, [], {}, [1], ["a"],
+               {"a": 1.0}, float("nan"), float("inf"), "relu"]
+
+
+def test_config_value_fuzz_never_exits_1(run):
+    # Each case sets one key of the tiny config to a random value: training
+    # runs (exit 0) or the config is refused (exit 2), never a traceback.
+    rng = np.random.default_rng(90)
+    keys = [(section, key) for section, values in TINY.items() for key in values]
+    keys += [("model", k) for k in ("stack_factor", "activation", "macaron_scale")]
+    keys += [("moe", "renormalize_topk")] + [
+        ("train", k) for k in ("alpha", "beta", "adam_beta1", "adam_beta2", "adam_eps")]
+    codes = []
+    for case in range(100):
+        section, key = keys[int(rng.integers(len(keys)))]
+        value = FUZZ_VALUES[int(rng.integers(len(FUZZ_VALUES)))]
+        config = {name: dict(values) for name, values in TINY.items()}
+        config["train"]["epochs"] = 1
+        config[section][key] = value
+        path = run / "fuzz.json"
+        path.write_text(json.dumps(config))
+        code = train(run, f"fuzz{case}", str(path))
+        assert code in (0, 2), (section, key, value, code)
+        codes.append(code)
+    assert codes.count(0) >= 10 and codes.count(2) >= 10
+
+
+def spec_mutation(spec: dict, rng) -> dict:
+    """The spec with one field, or one element of a list or dict field, replaced."""
+    spec = json.loads(json.dumps(spec))
+    key = sorted(spec)[int(rng.integers(len(spec)))]
+    value = FUZZ_VALUES[int(rng.integers(len(FUZZ_VALUES)))]
+    field = spec[key]
+    if isinstance(field, (list, dict)) and field and rng.integers(2):
+        inner = list(field)[int(rng.integers(len(field)))] if isinstance(field, dict) else \
+            int(rng.integers(len(field)))
+        if isinstance(field[inner], list) and field[inner] and rng.integers(2):
+            field[inner][int(rng.integers(len(field[inner])))] = value
+        else:
+            field[inner] = value
+    else:
+        spec[key] = value
+    return spec
+
+
+def test_spec_value_fuzz_never_exits_1(tmp_path):
+    # Exit 0 (corpus written), 2 (spec refused) or 3 (spec unreadable).
+    base = json.loads(reference_task_spec().to_json())
+    rng = np.random.default_rng(91)
+    codes = []
+    for case in range(150):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_mutation(base, rng)))
+        code = main(["generate", "--spec", str(path), "--out", str(tmp_path / f"out{case}"),
+                     "--seed", "3", "--n-train", "2", "--n-dev", "1", "--n-test", "1"])
+        assert code in (0, 2, 3), (path.read_text(), code)
+        codes.append(code)
+    assert codes.count(0) >= 10 and codes.count(2) >= 10

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from avmoe import moe
 from avmoe.errors import ConfigError
 from avmoe.moe import (
     LoadStats,
@@ -14,7 +15,7 @@ from avmoe.moe import (
 )
 from avmoe.nn import _ACTIVATIONS, FeedForward
 from avmoe.optim import Adam
-from avmoe.tensor import Tensor, gather_rows, matmul
+from avmoe.tensor import Tensor, _sigmoid_stable, gather_rows, matmul
 
 from helpers import check_grad
 
@@ -217,6 +218,40 @@ class TestExpertMixture:
             lambda: (expert_mixture(x, mix, indices, layer.experts)[0] * weights).sum(),
             [x, mix] + layer.parameters()[1:],
         )
+
+    @pytest.mark.parametrize("activation", sorted(_ACTIVATIONS))
+    def test_backward_is_bit_identical_to_recomputing_from_the_pre_activation(
+        self, activation, monkeypatch
+    ):
+        # The kernel saves the sigmoid (silu) or the mask (relu); this is the
+        # backward that saved the pre-activation and took the sigmoid again.
+        def pre_activation(name, pre):
+            act = pre * _sigmoid_stable(pre) if name == "silu" else np.maximum(pre, 0.0)
+            return act, pre
+
+        def grad_from_pre(name, act, pre):
+            if name == "silu":
+                s = _sigmoid_stable(pre)
+                return s + pre * s * (1.0 - s)
+            return pre > 0.0
+
+        layer = make_layer(num_experts=5, top_k=3, hidden=4, ffn_hidden=6, activation=activation)
+        rng = np.random.default_rng(26)
+        layer.router.data = rng.normal(size=(4, 5))
+        x = Tensor(rng.normal(scale=3.0, size=(11, 4)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(11, 4)))
+        params = [x] + layer.parameters()
+        grads = []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(moe, "_activation", pre_activation)
+                monkeypatch.setattr(moe, "_activation_grad", grad_from_pre)
+            for p in params:
+                p.grad = None
+            (layer(x)[0] * weights).sum().backward()
+            grads.append([p.grad for p in params])
+        for got, want in zip(*grads):
+            np.testing.assert_array_equal(got, want)
 
     def test_silent_expert_gets_no_gradient_and_no_adam_update(self):
         layer = make_layer(num_experts=4, top_k=2, hidden=4, ffn_hidden=6)

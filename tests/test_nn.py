@@ -1,10 +1,11 @@
-"""The single-node attention and depthwise-conv kernels against the compositions they replace."""
+"""The single-node attention and depthwise-conv kernels against the compositions they replace,
+and their packed (segmented) forms against one call per segment."""
 
 import numpy as np
 import pytest
 
 from avmoe.errors import DimensionError
-from avmoe.nn import attend, causal_mask, depthwise3
+from avmoe.nn import Segments, attend, causal_mask, depthwise3
 from avmoe.tensor import Tensor, concat, matmul, narrow, softmax_rows
 
 from helpers import check_grad
@@ -148,3 +149,114 @@ class TestDepthwise3:
             depthwise3(x, Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
         with pytest.raises(DimensionError):
             depthwise3(x, Tensor(np.zeros((3, 3))), Tensor(np.zeros(4)))
+
+
+def split_rows(a: np.ndarray, seg: Segments) -> list[np.ndarray]:
+    return [a[start : start + length] for start, length in zip(seg.starts, seg.lengths)]
+
+
+def leaf(a: np.ndarray) -> Tensor:
+    return Tensor(a.copy(), requires_grad=True)
+
+
+class TestSegments:
+    def test_layout(self):
+        seg = Segments([2, 3, 1])
+        assert (seg.count, seg.total, seg.longest, seg.padded) == (3, 6, 3, True)
+        np.testing.assert_array_equal(seg.starts, [0, 2, 5])
+        np.testing.assert_array_equal(seg.index, [0, 0, 1, 1, 1, 2])
+        np.testing.assert_array_equal(seg.positions, [0, 1, 0, 1, 2, 0])
+        rows = np.arange(12.0).reshape(6, 2)
+        padded = seg.pad(rows)
+        assert padded.shape == (3, 3, 2)
+        np.testing.assert_array_equal(padded[0, 2], [0.0, 0.0])
+        np.testing.assert_array_equal(padded[1], rows[2:5])
+        np.testing.assert_array_equal(seg.unpad(padded), rows)
+        np.testing.assert_array_equal(seg.key_mask() == 0.0, [[1, 1, 0], [1, 1, 1], [1, 0, 0]])
+
+    @pytest.mark.parametrize("lengths", [[], [2, 0], [[1, 2]]])
+    def test_bad_lengths_rejected(self, lengths):
+        with pytest.raises(DimensionError):
+            Segments(lengths)
+
+
+# (query lengths, key lengths, width, heads, causal): self-attention with and
+# without the causal mask, cross-attention, and equal lengths (no padding).
+SEGMENTED_ATTENTION_CASES = [
+    ([3, 7, 5], None, 8, 2, False),
+    ([4, 1, 6], None, 8, 4, True),
+    ([2, 5, 3], [6, 4, 7], 12, 3, False),
+    ([4, 4], None, 8, 2, True),
+]
+
+
+class TestSegmentedAttend:
+    @pytest.mark.parametrize("q_lengths,k_lengths,dim,heads,causal", SEGMENTED_ATTENTION_CASES)
+    def test_matches_one_call_per_segment(self, q_lengths, k_lengths, dim, heads, causal):
+        qs = Segments(q_lengths)
+        ks = Segments(k_lengths) if k_lengths else qs
+        rng = np.random.default_rng(sum(q_lengths) * dim)
+        arrays = [rng.normal(size=(n, dim)) for n in (qs.total, ks.total, ks.total)]
+        weights = rng.normal(size=(qs.total, dim))
+        scale = 1.0 / np.sqrt(dim // heads)
+
+        q, k, v = (leaf(a) for a in arrays)
+        mask = causal_mask(qs.longest) if causal else None
+        out = attend(q, k, v, heads, scale, mask, qs, ks)
+        (out * Tensor(weights)).sum().backward()
+
+        outs, grads = [], [[], [], []]
+        for qb, kb, vb, wb in zip(
+            split_rows(arrays[0], qs), split_rows(arrays[1], ks), split_rows(arrays[2], ks),
+            split_rows(weights, qs),
+        ):
+            parts = [leaf(a) for a in (qb, kb, vb)]
+            mask_b = causal_mask(qb.shape[0]) if causal else None
+            out_b = attend(*parts, heads, scale, mask_b)
+            (out_b * Tensor(wb)).sum().backward()
+            outs.append(out_b.data)
+            for acc, t in zip(grads, parts):
+                acc.append(t.grad)
+        assert relative_gap(out.data, np.concatenate(outs)) <= 1e-12
+        for t, parts in zip((q, k, v), grads):
+            assert relative_gap(t.grad, np.concatenate(parts)) <= 1e-12
+
+    def test_segments_must_fit_the_rows(self):
+        q, k, v = qkv(np.random.default_rng(5), 5, 5, 4)
+        with pytest.raises(DimensionError):
+            attend(q, k, v, 2, 0.5, None, Segments([2, 2]), Segments([2, 3]))
+        with pytest.raises(DimensionError):
+            attend(q, k, v, 2, 0.5, None, Segments([5]), Segments([2, 3]))
+
+
+class TestSegmentedDepthwise3:
+    @pytest.mark.parametrize("lengths", [[1, 4, 2], [3, 3], [5]])
+    def test_matches_one_call_per_segment(self, lengths):
+        seg = Segments(lengths)
+        rng = np.random.default_rng(len(lengths))
+        xa, ka, ba = rng.normal(size=(seg.total, 5)), rng.normal(size=(3, 5)), rng.normal(size=5)
+        weights = rng.normal(size=(seg.total, 5))
+        x, kernel, bias = leaf(xa), leaf(ka), leaf(ba)
+        out = depthwise3(x, kernel, bias, seg)
+        (out * Tensor(weights)).sum().backward()
+
+        outs, dxs, dk, db = [], [], np.zeros_like(ka), np.zeros_like(ba)
+        for xb, wb in zip(split_rows(xa, seg), split_rows(weights, seg)):
+            xt, kt, bt = leaf(xb), leaf(ka), leaf(ba)
+            out_b = depthwise3(xt, kt, bt)
+            (out_b * Tensor(wb)).sum().backward()
+            outs.append(out_b.data)
+            dxs.append(xt.grad)
+            dk += kt.grad
+            db += bt.grad
+        # Output and input gradient are the same sums in the same order; the
+        # parameter gradients sum the rows in one pass instead of per segment.
+        np.testing.assert_array_equal(out.data, np.concatenate(outs))
+        np.testing.assert_array_equal(x.grad, np.concatenate(dxs))
+        assert relative_gap(kernel.grad, dk) <= 1e-12
+        assert relative_gap(bias.grad, db) <= 1e-12
+
+    def test_segments_must_cover_the_rows(self):
+        x = Tensor(np.zeros((4, 3)))
+        with pytest.raises(DimensionError):
+            depthwise3(x, Tensor(np.zeros((3, 3))), Tensor(np.zeros(3)), Segments([2, 3]))
