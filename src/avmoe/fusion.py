@@ -92,9 +92,6 @@ def fuse_concat(
         return FusedSequence(x=s, segments=segments, boundary=visual_counts)
     if v.shape[1] != s.shape[1]:
         raise DimensionError(f"fuse width mismatch: visual {v.shape} vs speech {s.shape}")
-    x = concat([v, s], axis=0)
-    if segments.count == 1:  # already in packed order
-        return FusedSequence(x=x, segments=segments, boundary=visual_counts)
     # Source row of each packed row, in concat([v, s]).
     seg, pos = segments.index, segments.positions
     visual_start = np.cumsum(visual_counts) - visual_counts
@@ -104,4 +101,5 @@ def fuse_concat(
         visual_start[seg] + pos,
         visual_total + speech_start[seg] + pos - visual_counts[seg],
     )
-    return FusedSequence(x=gather_rows(x, order), segments=segments, boundary=visual_counts)
+    x = gather_rows(concat([v, s], axis=0), order)
+    return FusedSequence(x=x, segments=segments, boundary=visual_counts)

@@ -38,7 +38,7 @@ from .nn import (
     glorot,
     sinusoidal_positions,
 )
-from .tensor import Tensor, concat, gather_rows, narrow
+from .tensor import Tensor, concat, gather_rows
 
 
 @dataclass
@@ -253,8 +253,6 @@ class Model(Module):
                 f"ctc_head: boundaries {first.tolist()} do not fit segments "
                 f"{seg.lengths.tolist()} of {states.shape[0]} rows"
             )
-        if seg.count == 1:  # one block of rows
-            return self.ctc_proj(narrow(states, 0, int(first[0]), seg.total - int(first[0])))
         speech = np.flatnonzero(seg.positions >= np.repeat(first, seg.lengths))
         return self.ctc_proj(gather_rows(states, speech))
 

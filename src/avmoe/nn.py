@@ -126,15 +126,16 @@ class Segments:
 
     def __init__(self, lengths):
         lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
+        sizes = lengths.tolist()  # Python ints: cheaper than array reductions for few segments
+        if lengths.ndim != 1 or not sizes or min(sizes) < 1:
             raise DimensionError(f"need one or more positive segment lengths, got {lengths}")
         self.lengths = lengths
-        self.count = lengths.size
-        self.total = int(lengths.sum())
-        self.longest = int(lengths.max())
+        self.count = len(sizes)
+        self.total = sum(sizes)
+        self.longest = max(sizes)
         self.padded = self.total != self.count * self.longest
 
-    # Built on first use: a decoder step of one utterance needs none of them.
+    # Built on first use: a decoder step of one utterance needs only ``positions``.
     @functools.cached_property
     def starts(self) -> np.ndarray:
         return np.cumsum(self.lengths) - self.lengths
@@ -145,9 +146,7 @@ class Segments:
 
     @functools.cached_property
     def positions(self) -> np.ndarray:
-        if self.count == 1:
-            return np.arange(self.total)
-        return np.arange(self.total) - self.starts[self.index]
+        return np.concatenate([np.arange(n) for n in self.lengths.tolist()])
 
     @functools.cached_property
     def _slots(self) -> np.ndarray:

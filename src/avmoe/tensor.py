@@ -387,10 +387,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
     def backward(g):
         full_grad = np.zeros_like(a.data)
-        if np.unique(idx).size == idx.size:  # a plain scatter is much faster than np.add.at
-            full_grad[idx] = g
-        else:
-            np.add.at(full_grad, idx, g)
+        np.add.at(full_grad, idx, g)
         return (full_grad,)
 
     return _record(data, (a,), backward)

@@ -76,24 +76,6 @@ class TestProjection:
         v = project_visual(np.zeros((3, 4)), Tensor(np.zeros((4, 3))), Tensor(bias))
         np.testing.assert_array_equal(v.data, np.tile(bias, (3, 1)))
 
-    def test_packs_each_utterance_visual_rows_first(self):
-        # Three utterances: 2 visual + 3 speech rows, 0 + 2, 1 + 1.
-        v = Tensor(np.array([[1.0], [2.0], [3.0]]), requires_grad=True)
-        s = Tensor(np.array([[10.0], [11.0], [12.0], [20.0], [21.0], [30.0]]), requires_grad=True)
-        fused = fuse_concat(v, s, [2, 0, 1], [3, 2, 1])
-        np.testing.assert_array_equal(
-            fused.x.data[:, 0], [1.0, 2.0, 10.0, 11.0, 12.0, 20.0, 21.0, 3.0, 30.0]
-        )
-        np.testing.assert_array_equal(fused.segments.lengths, [5, 2, 2])
-        np.testing.assert_array_equal(fused.boundary, [2, 0, 1])
-        (fused.x * Tensor(np.arange(9.0)[:, None])).sum().backward()
-        np.testing.assert_array_equal(v.grad[:, 0], [0.0, 1.0, 7.0])
-        np.testing.assert_array_equal(s.grad[:, 0], [2.0, 3.0, 4.0, 5.0, 6.0, 8.0])
-
-    def test_counts_must_split_the_rows(self):
-        with pytest.raises(DimensionError):
-            fuse_concat(Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 2))), [1, 1], [2, 2])
-
     def test_width_mismatch(self):
         with pytest.raises(DimensionError):
             project_visual(np.zeros((2, 4)), Tensor(np.zeros((5, 3))), Tensor(np.zeros(3)))

@@ -56,9 +56,11 @@ def test_loss_graph_size_is_pinned():
     aux = batch_balance_losses([[s] for s in stats], cfg.num_experts)
     bundle = total_loss(l_att, l_ctc, aux)
     ctc_only = graph_nodes(l_ctc) - graph_nodes(l_att)
-    # The CTC head's narrow and affine, the log-softmax, and the lattice node.
+    # The CTC head's row gather and affine, the log-softmax, and the lattice node.
     assert len(ctc_only) == 4
-    assert len(graph_nodes(bundle.l_total)) == 81
+    # One utterance runs the packed code, so fusion gathers the concatenated
+    # visual and speech rows into packed order: one node more than a bare concat.
+    assert len(graph_nodes(bundle.l_total)) == 82
 
 
 def test_total_loss_gradient_matches_finite_differences():
