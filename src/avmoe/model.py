@@ -27,6 +27,7 @@ from .frontend import LogMelSpectrogram, stack_frames
 from .fusion import FusedSequence, fuse_concat, project_visual
 from .moe import LoadStats, MoEConfig, MoELayer, init_from_dense
 from .nn import (
+    ACTIVATIONS,
     ConvGatedMLP,
     FeedForward,
     LayerNorm,
@@ -75,6 +76,8 @@ class ModelConfig:
         })
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden={self.hidden} not divisible by heads={self.heads}")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r}; choose from {ACTIVATIONS}")
         if self.moe is not None:
             if self.moe.hidden != self.hidden or self.moe.ffn_hidden != self.d_ff:
                 raise ConfigError(
@@ -272,5 +275,5 @@ def moe_model_from_dense(dense: Model, moe_cfg: MoEConfig) -> Model:
             continue
         param.data = dense_params[name].data.copy()
     for moe_block, dense_block in zip(model.enc_blocks, dense.enc_blocks):
-        moe_block.ffn2 = init_from_dense(dense_block.ffn2, moe_cfg, activation=cfg.activation)
+        moe_block.ffn2 = init_from_dense(dense_block.ffn2, moe_cfg)
     return model

@@ -13,18 +13,16 @@ expert) form of MegaBlocks (Gale et al., arXiv 2211.15841). The (token, slot)
 pairs are stable-sorted by expert into contiguous segments; expert e runs
 once on the rows R_e of its segment, with weights w_e:
 
-    h_e = act(x[R_e] W1_e + b1_e),   out[R_e] += (h_e W2_e + b2_e) * w_e
+    y_e = FFN_e(x[R_e]),   out[R_e] += y_e * w_e
 
-in ascending expert order. Backward, with G the output gradient and
-``dy_e = G[R_e] * w_e``:
+in ascending expert order. Backward, with G the output gradient, runs the
+expert's FFN backward on ``dy_e = G[R_e] * w_e``, which gives
+``dx[R_e] += dx_e`` and the expert's four parameter gradients, and
 
-    dw_e  = rowsum(G[R_e] * (h_e W2_e + b2_e))
-    dW2_e = h_e^T dy_e,   db2_e = colsum(dy_e)
-    da_e  = (dy_e W2_e^T) * act'(x[R_e] W1_e + b1_e)
-    dW1_e = x[R_e]^T da_e,   db1_e = colsum(da_e),   dx[R_e] += da_e W1_e^T
+    dw_e = rowsum(G[R_e] * y_e)
 
-``act'`` comes from what the forward saved: the sigmoid s for silu, as
-``s + act * (1 - s)``, and the mask ``pre > 0`` for relu.
+The FFN kernel and its formulas are in ``nn``: ``FeedForward.forward`` and
+``FeedForward.backward``.
 
 An expert with an empty segment gets ``None`` for all four parameter
 gradients, exactly as if it were not in the graph, so the optimizer skips it.
@@ -39,15 +37,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .fields import check_fields
 from .nn import FeedForward, Module
-from .tensor import (
-    Tensor,
-    _record,
-    _sigmoid_stable,
-    matmul,
-    softmax_rows,
-    take_along_cols,
-    tsum,
-)
+from .tensor import Tensor, _record, matmul, softmax_rows, take_along_cols, tsum
 
 
 @dataclass
@@ -156,28 +146,6 @@ class MoELayer(Module):
         return out, stats
 
 
-def _activation(name: str, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``act(pre)``, equal to the forward of ``tensor.silu`` / ``tensor.relu``, and
-    what ``_activation_grad`` needs besides it: the sigmoid for silu, the mask for relu."""
-    if name == "silu":
-        s = _sigmoid_stable(pre)
-        return pre * s, s
-    if name == "relu":
-        return np.maximum(pre, 0.0), pre > 0.0
-    raise ConfigError(f"expert_mixture has no kernel for activation {name!r}")
-
-
-def _activation_grad(name: str, act: np.ndarray, saved: np.ndarray) -> np.ndarray:
-    """``act'(pre)``, equal to the backward of ``tensor.silu`` / ``tensor.relu``.
-
-    For silu, ``s + act * (1 - s)`` with ``act = pre * s`` is bit-identical
-    to ``s + pre * s * (1 - s)``, which evaluates ``pre * s`` first.
-    """
-    if name == "silu":
-        return saved + act * (1.0 - saved)
-    return saved
-
-
 def expert_mixture(
     x: Tensor, weights: Tensor, indices: np.ndarray, experts: list[FeedForward]
 ) -> tuple[Tensor, int]:
@@ -201,7 +169,7 @@ def expert_mixture(
     bounds = np.searchsorted(indices.reshape(-1)[order], np.arange(len(experts) + 1))
     flat_w = weights.data.reshape(-1)
     out = np.zeros(x.shape)
-    saved = []  # per expert: (pair ids, rows, inputs, act, sigmoid or mask, unweighted output)
+    saved = []  # per expert: (pair ids, rows, unweighted output, what its FFN backward needs)
     dispatched = 0
     for e, expert in enumerate(experts):
         pairs = order[bounds[e] : bounds[e + 1]]
@@ -210,12 +178,9 @@ def expert_mixture(
             continue
         dispatched += pairs.size
         rows = pairs // k
-        xr = x.data[rows]
-        pre = xr @ expert.lin1.weight.data + expert.lin1.bias.data
-        act, act_saved = _activation(expert.act, pre)
-        y = act @ expert.lin2.weight.data + expert.lin2.bias.data
+        y, ffn_saved = expert.forward(x.data[rows])
         out[rows] += y * flat_w[pairs][:, None]
-        saved.append((pairs, rows, xr, act, act_saved, y))
+        saved.append((pairs, rows, y, ffn_saved))
 
     def backward(g):
         dx = np.zeros(x.shape)
@@ -225,31 +190,26 @@ def expert_mixture(
             if rec is None:
                 grads.extend([None] * 4)
                 continue
-            pairs, rows, xr, act, act_saved, y = rec
+            pairs, rows, y, ffn_saved = rec
             gr = g[rows]
             dw[pairs] = (gr * y).sum(axis=1)
-            dy = gr * flat_w[pairs][:, None]
-            da = (dy @ expert.lin2.weight.data.T) * _activation_grad(expert.act, act, act_saved)
-            dx[rows] += da @ expert.lin1.weight.data.T
-            grads.extend([xr.T @ da, da.sum(axis=0), act.T @ dy, dy.sum(axis=0)])
+            dxr, *expert_grads = expert.backward(gr * flat_w[pairs][:, None], ffn_saved)
+            dx[rows] += dxr
+            grads.extend(expert_grads)
         return (dx, dw.reshape(weights.shape), *grads)
 
-    params = tuple(
-        p
-        for expert in experts
-        for p in (expert.lin1.weight, expert.lin1.bias, expert.lin2.weight, expert.lin2.bias)
-    )
+    params = tuple(p for expert in experts for p in expert.weights)
     return _record(out, (x, weights) + params, backward), dispatched
 
 
-def init_from_dense(donor: FeedForward, cfg: MoEConfig, activation: str = "silu") -> MoELayer:
-    """Build an MoE layer whose experts are exact copies of ``donor``."""
+def init_from_dense(donor: FeedForward, cfg: MoEConfig) -> MoELayer:
+    """Build an MoE layer whose experts are exact copies of ``donor``, activation included."""
     if donor.lin1.weight.shape != (cfg.hidden, cfg.ffn_hidden):
         raise DimensionError(
             f"donor shape {donor.lin1.weight.shape} does not match config "
             f"({cfg.hidden}, {cfg.ffn_hidden})"
         )
-    layer = MoELayer(cfg, np.random.default_rng(0), activation=activation)
+    layer = MoELayer(cfg, np.random.default_rng(0), activation=donor.act)
     for expert in layer.experts:
         expert.copy_weights_from(donor)
     return layer

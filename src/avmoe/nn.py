@@ -17,6 +17,22 @@ hand-written backward passes:
   ``y[t] = x[t-1] k0 + x[t] k1 + x[t+1] k2 + b``; backward
   ``dx[t] = g[t+1] k0 + g[t] k1 + g[t-1] k2``, ``dk_j = sum_t g[t] x[t+j-1]``,
   ``db = sum_t g[t]``.
+
+The position-wise FFN, which is also one MoE expert, runs as one numpy
+kernel pair, ``FeedForward.forward`` and ``FeedForward.backward``.
+``FeedForward.__call__`` records it as one graph node; ``moe.expert_mixture``
+calls it once per expert on that expert's rows. With ``act`` silu or relu:
+
+    a = act(x W1 + b1),   y = a W2 + b2
+
+Backward, with G the output gradient:
+
+    dW2 = a^T G,   db2 = colsum(G)
+    da  = (G W2^T) * act'(x W1 + b1)
+    dW1 = x^T da,   db1 = colsum(da),   dx = da W1^T
+
+``act'`` comes from what the forward saved besides ``a``: the sigmoid s for
+silu, as ``s + a * (1 - s)``, and the mask ``x W1 + b1 > 0`` for relu.
 """
 
 from __future__ import annotations
@@ -31,22 +47,15 @@ from .tensor import (
     MASK_VALUE,
     Tensor,
     _record,
+    _sigmoid_stable,
     affine,
     layer_norm,
-    matmul,
     narrow,
-    relu,
     silu,
 )
 
-_ACTIVATIONS = {"silu": silu, "relu": relu}
-
-
-def activation_fn(name: str):
-    try:
-        return _ACTIVATIONS[name]
-    except KeyError:
-        raise ConfigError(f"unknown activation {name!r}; choose from {sorted(_ACTIVATIONS)}")
+# The activations ``FeedForward`` has a kernel for.
+ACTIVATIONS = ("silu", "relu")
 
 
 class Module:
@@ -77,13 +86,11 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class Linear(Module):
-    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int, bias: bool = True):
+    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int):
         self.weight = Tensor(glorot(rng, d_in, d_out), requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.bias is None:
-            return matmul(x, self.weight)
         return affine(x, self.weight, self.bias)
 
 
@@ -98,22 +105,54 @@ class LayerNorm(Module):
 
 
 class FeedForward(Module):
-    """Two-layer position-wise network; also serves as one expert."""
+    """Two-layer position-wise network; also serves as one expert.
+
+    The formulas of ``forward`` and ``backward`` are in the module docstring.
+    """
 
     def __init__(self, rng: np.random.Generator, dim: int, hidden: int, activation: str = "silu"):
+        if activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {activation!r}; choose from {ACTIVATIONS}")
         self.lin1 = Linear(rng, dim, hidden)
         self.lin2 = Linear(rng, hidden, dim)
         self.act = activation
-        self._act_fn = activation_fn(activation)
+
+    @property
+    def weights(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+        """``W1, b1, W2, b2``, in the order ``backward`` returns their gradients."""
+        return self.lin1.weight, self.lin1.bias, self.lin2.weight, self.lin2.bias
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The (rows, dim) output for (rows, dim) ``x``, and what ``backward`` needs."""
+        pre = x @ self.lin1.weight.data + self.lin1.bias.data
+        if self.act == "silu":
+            s = _sigmoid_stable(pre)
+            act = pre * s
+        else:
+            s = pre > 0.0
+            act = np.maximum(pre, 0.0)
+        return act @ self.lin2.weight.data + self.lin2.bias.data, (x, act, s)
+
+    def backward(self, g: np.ndarray, saved: tuple) -> tuple[np.ndarray, ...]:
+        """``dx, dW1, db1, dW2, db2`` for output gradient ``g`` of a ``forward`` call.
+
+        ``s`` is the sigmoid (silu) or the mask (relu). For silu,
+        ``s + act * (1 - s)`` with ``act = pre * s`` is bit-identical to
+        ``s + pre * s * (1 - s)``, which evaluates ``pre * s`` first.
+        """
+        x, act, s = saved
+        act_grad = s + act * (1.0 - s) if self.act == "silu" else s
+        da = (g @ self.lin2.weight.data.T) * act_grad
+        return da @ self.lin1.weight.data.T, x.T @ da, da.sum(axis=0), act.T @ g, g.sum(axis=0)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(self._act_fn(self.lin1(x)))
+        """The FFN as one graph node with parents ``(x, W1, b1, W2, b2)``."""
+        y, saved = self.forward(x.data)
+        return _record(y, (x, *self.weights), lambda g: self.backward(g, saved))
 
     def copy_weights_from(self, other: "FeedForward") -> None:
-        self.lin1.weight.data = other.lin1.weight.data.copy()
-        self.lin1.bias.data = other.lin1.bias.data.copy()
-        self.lin2.weight.data = other.lin2.weight.data.copy()
-        self.lin2.bias.data = other.lin2.bias.data.copy()
+        for mine, theirs in zip(self.weights, other.weights):
+            mine.data = theirs.data.copy()
 
 
 class Segments:

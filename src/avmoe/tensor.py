@@ -60,10 +60,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
     def item(self) -> float:
         return float(self.data)
 
@@ -124,9 +120,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
@@ -176,11 +169,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
     return _record(data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-    return _record(data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -238,12 +226,6 @@ def affine(a: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _record(data, (a, weight, bias), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise DimensionError(f"transpose expects a rank-2 tensor, got {a.shape}")
-    return _record(a.data.T.copy(), (a,), lambda g: (g.T,))
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = a.data.reshape(shape)
     return _record(data, (a,), lambda g: (g.reshape(a.shape),))
@@ -276,11 +258,6 @@ def silu(a: Tensor) -> Tensor:
     s = _sigmoid_stable(a.data)
     data = a.data * s
     return _record(data, (a,), lambda g: (g * (s + a.data * s * (1.0 - s)),))
-
-
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0.0)
-    return _record(data, (a,), lambda g: (g * (a.data > 0.0),))
 
 
 # -- row-wise softmax family ---------------------------------------------------

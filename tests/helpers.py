@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from avmoe.tensor import Tensor
+from avmoe.tensor import Tensor, affine, silu
 
 
 def numeric_grad(func, array: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -72,3 +72,13 @@ def check_grad(build_loss, params: list[Tensor], tol: float = 1e-4, h: float = 1
         worst = max(worst, err)
         assert err < tol, f"gradient mismatch {err:.3e} on tensor of shape {p.data.shape}"
     return worst
+
+
+def reference_ffn(ffn, x: Tensor) -> Tensor:
+    """``ffn`` on ``x`` from Tensor ops that do not call its kernel: affine, activation, affine.
+
+    relu is a product with the constant mask of positive pre-activations.
+    """
+    pre = affine(x, ffn.lin1.weight, ffn.lin1.bias)
+    act = silu(pre) if ffn.act == "silu" else pre * Tensor(pre.data > 0.0)
+    return affine(act, ffn.lin2.weight, ffn.lin2.bias)

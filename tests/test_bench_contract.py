@@ -10,12 +10,15 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from avmoe import losses
 from avmoe import train as avtrain
 from avmoe.model import Model
 from avmoe.moe import MoELayer
+from avmoe.nn import FeedForward
+from avmoe.tensor import Tensor
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -40,7 +43,8 @@ def test_every_traced_model_method_exists(spans):
     assert not missing
 
 
-# Called by bench/run.py, bench/prep.py and bench/harness.py.
+# Called by bench/run.py, bench/prep.py and bench/harness.py; ``FeedForward.__call__``
+# is the traced run's ``nn.ffn1`` span.
 CALLED = [
     (avtrain, "utterance_losses"), (avtrain, "_train_batch"), (avtrain, "run_epoch"),
     (avtrain, "load_dataset"), (avtrain, "save_train_state"), (avtrain, "restore_model"),
@@ -48,10 +52,16 @@ CALLED = [
     (avtrain, "Vocab"), (avtrain, "model_config_json"),
     (losses, "batch_balance_losses"), (losses, "total_loss"),
     (Model, "encode_utterance"), (Model, "decode_teacher_forcing"), (Model, "ctc_head"),
-    (MoELayer, "route"), (MoELayer, "__call__"),
+    (MoELayer, "route"), (MoELayer, "__call__"), (Model, "parameters"),
+    (FeedForward, "__call__"),
 ]
 
 
 @pytest.mark.parametrize("home, attr", CALLED, ids=[f"{h.__name__}.{a}" for h, a in CALLED])
 def test_every_called_name_exists(home, attr):
     assert callable(getattr(home, attr, None))
+
+
+def test_tensor_size_counts_the_elements():
+    # bench/run.py sums ``p.size`` over the parameters.
+    assert Tensor(np.zeros((2, 3))).size == 6

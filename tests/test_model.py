@@ -1,7 +1,10 @@
-"""Whole-model checks: upcycling, the size of the loss graph, and a sampled gradcheck."""
+"""Whole-model checks: config validation, upcycling, the size of the loss graph, and a sampled
+gradcheck."""
 
 import numpy as np
+import pytest
 
+from avmoe.errors import ConfigError
 from avmoe.frontend import LogMelSpectrogram
 from avmoe.losses import batch_balance_losses, total_loss
 from avmoe.model import Model, ModelConfig, moe_model_from_dense
@@ -48,6 +51,14 @@ def test_upcycled_model_starts_with_the_dense_losses():
     np.testing.assert_allclose(moe_ctc.item(), dense_ctc.item(), rtol=0, atol=1e-12)
 
 
+def test_unknown_activation_rejected_without_any_ffn():
+    cfg = tiny_config()
+    cfg.encoder_blocks = cfg.decoder_blocks = 0
+    cfg.activation = "gelu"
+    with pytest.raises(ConfigError):
+        Model(cfg, np.random.default_rng(0))
+
+
 def test_loss_graph_size_is_pinned():
     # A change to the number of graph nodes must update these counts.
     cfg = MoEConfig(num_experts=2, top_k=1, hidden=8, ffn_hidden=16)
@@ -60,7 +71,8 @@ def test_loss_graph_size_is_pinned():
     assert len(ctc_only) == 4
     # One utterance runs the packed code, so fusion gathers the concatenated
     # visual and speech rows into packed order: one node more than a bare concat.
-    assert len(graph_nodes(bundle.l_total)) == 82
+    # Each dense FFN (here ffn1 and the decoder's) is one node.
+    assert len(graph_nodes(bundle.l_total)) == 78
 
 
 def test_total_loss_gradient_matches_finite_differences():

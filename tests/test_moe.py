@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from avmoe import moe
 from avmoe.errors import ConfigError
 from avmoe.moe import (
     LoadStats,
@@ -13,11 +12,11 @@ from avmoe.moe import (
     init_from_dense,
     load_balance_loss,
 )
-from avmoe.nn import _ACTIVATIONS, FeedForward
+from avmoe.nn import ACTIVATIONS, FeedForward
 from avmoe.optim import Adam
 from avmoe.tensor import Tensor, _sigmoid_stable, gather_rows, matmul
 
-from helpers import check_grad
+from helpers import check_grad, reference_ffn
 
 
 def make_layer(
@@ -34,9 +33,11 @@ def make_layer(
 
 
 def reference_mixture(x, weights, indices, experts):
-    """Per-expert gather, FeedForward and weighting: the path ``expert_mixture`` replaces.
+    """Per-expert gather, FFN and weighting: the path ``expert_mixture`` replaces.
 
-    A constant one-hot matrix puts each expert's rows back in token order.
+    Each expert's FFN is built from Tensor ops (``reference_ffn``), not from
+    the kernel that ``expert_mixture`` calls. A constant one-hot matrix puts
+    each expert's rows back in token order.
     """
     tokens, k = indices.shape
     flat_weights = weights.reshape(tokens * k)
@@ -48,7 +49,7 @@ def reference_mixture(x, weights, indices, experts):
         w = gather_rows(flat_weights, rows * k + slots).reshape(rows.size, 1)
         place = np.zeros((tokens, rows.size))
         place[rows, np.arange(rows.size)] = 1.0
-        part = matmul(Tensor(place), expert(gather_rows(x, rows)) * w)
+        part = matmul(Tensor(place), reference_ffn(expert, gather_rows(x, rows)) * w)
         out = part if out is None else out + part
     return out
 
@@ -179,7 +180,7 @@ class TestForward:
 
 
 class TestExpertMixture:
-    @pytest.mark.parametrize("activation", sorted(_ACTIVATIONS))
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
     @pytest.mark.parametrize("top_k", [1, 2, 5])
     def test_matches_per_expert_composition(self, activation, top_k):
         layer = make_layer(num_experts=5, top_k=top_k, hidden=4, ffn_hidden=6,
@@ -206,7 +207,7 @@ class TestExpertMixture:
             else:
                 assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
-    @pytest.mark.parametrize("activation", sorted(_ACTIVATIONS))
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
     def test_gradient_matches_finite_differences(self, activation):
         layer = make_layer(num_experts=3, top_k=2, hidden=3, ffn_hidden=4, activation=activation)
         rng = np.random.default_rng(24)
@@ -219,21 +220,26 @@ class TestExpertMixture:
             [x, mix] + layer.parameters()[1:],
         )
 
-    @pytest.mark.parametrize("activation", sorted(_ACTIVATIONS))
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
     def test_backward_is_bit_identical_to_recomputing_from_the_pre_activation(
         self, activation, monkeypatch
     ):
-        # The kernel saves the sigmoid (silu) or the mask (relu); this is the
-        # backward that saved the pre-activation and took the sigmoid again.
-        def pre_activation(name, pre):
-            act = pre * _sigmoid_stable(pre) if name == "silu" else np.maximum(pre, 0.0)
-            return act, pre
+        # The FFN kernel saves the sigmoid (silu) or the mask (relu); this is
+        # the kernel that saved the pre-activation and took the sigmoid again.
+        def forward_saving_pre(ffn, x):
+            pre = x @ ffn.lin1.weight.data + ffn.lin1.bias.data
+            act = pre * _sigmoid_stable(pre) if ffn.act == "silu" else np.maximum(pre, 0.0)
+            return act @ ffn.lin2.weight.data + ffn.lin2.bias.data, (x, act, pre)
 
-        def grad_from_pre(name, act, pre):
-            if name == "silu":
+        def backward_from_pre(ffn, g, saved):
+            x, act, pre = saved
+            if ffn.act == "silu":
                 s = _sigmoid_stable(pre)
-                return s + pre * s * (1.0 - s)
-            return pre > 0.0
+                act_grad = s + pre * s * (1.0 - s)
+            else:
+                act_grad = pre > 0.0
+            da = (g @ ffn.lin2.weight.data.T) * act_grad
+            return da @ ffn.lin1.weight.data.T, x.T @ da, da.sum(axis=0), act.T @ g, g.sum(axis=0)
 
         layer = make_layer(num_experts=5, top_k=3, hidden=4, ffn_hidden=6, activation=activation)
         rng = np.random.default_rng(26)
@@ -244,8 +250,8 @@ class TestExpertMixture:
         grads = []
         for patched in (False, True):
             if patched:
-                monkeypatch.setattr(moe, "_activation", pre_activation)
-                monkeypatch.setattr(moe, "_activation_grad", grad_from_pre)
+                monkeypatch.setattr(FeedForward, "forward", forward_saving_pre)
+                monkeypatch.setattr(FeedForward, "backward", backward_from_pre)
             for p in params:
                 p.grad = None
             (layer(x)[0] * weights).sum().backward()
@@ -296,6 +302,15 @@ class TestInitFromDense:
             x = Tensor(np.random.default_rng(seed).normal(size=(3, 6)))
             out, _ = layer(x)
             np.testing.assert_allclose(out.data, donor(x).data, atol=1e-12)
+
+    def test_relu_donor_gives_relu_experts(self):
+        rng = np.random.default_rng(15)
+        donor = FeedForward(rng, 6, 12, "relu")
+        layer = init_from_dense(donor, MoEConfig(num_experts=4, top_k=2, hidden=6, ffn_hidden=12))
+        assert all(expert.act == "relu" for expert in layer.experts)
+        x = Tensor(rng.normal(size=(5, 6)))
+        out, _ = layer(x)
+        np.testing.assert_allclose(out.data, donor(x).data, rtol=0, atol=1e-12)
 
     def test_experts_diverge_after_one_step_with_distinct_gradients(self):
         rng = np.random.default_rng(12)

@@ -1,25 +1,30 @@
-"""The single-node attention and depthwise-conv kernels against the compositions they replace,
-and their packed (segmented) forms against one call per segment."""
+"""The single-node attention, depthwise-conv and FFN kernels against the compositions they
+replace, and the packed (segmented) forms against one call per segment."""
 
 import numpy as np
 import pytest
 
-from avmoe.errors import DimensionError
-from avmoe.nn import Segments, attend, causal_mask, depthwise3
-from avmoe.tensor import Tensor, concat, matmul, narrow, softmax_rows
+from avmoe.errors import ConfigError, DimensionError
+from avmoe.nn import ACTIVATIONS, FeedForward, Segments, attend, causal_mask, depthwise3
+from avmoe.tensor import Tensor, concat, matmul, narrow, softmax_rows, tsum
 
-from helpers import check_grad
+from helpers import check_grad, reference_ffn
 
 TOL = 1e-10
 
 
 def reference_attend(q, k, v, heads, scale, mask=None):
-    """Per-head narrow, matmul, softmax and concat: the path ``attend`` replaces."""
+    """Per-head narrow, matmul, softmax and concat: the path ``attend`` replaces.
+
+    ``Q K^T`` is the sum over d_h of the broadcast product of (T_q, 1, d_h) and
+    (1, T_k, d_h) views.
+    """
     d = q.shape[1] // heads
     outs = []
     for h in range(heads):
         qh, kh, vh = (narrow(t, 1, h * d, d) for t in (q, k, v))
-        scores = matmul(qh, kh.T) * scale
+        pairs = qh.reshape(q.shape[0], 1, d) * kh.reshape(1, k.shape[0], d)
+        scores = tsum(pairs, axis=2) * scale
         if mask is not None:
             scores = scores + Tensor(mask)
         outs.append(matmul(softmax_rows(scores), vh))
@@ -149,6 +154,44 @@ class TestDepthwise3:
             depthwise3(x, Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
         with pytest.raises(DimensionError):
             depthwise3(x, Tensor(np.zeros((3, 3))), Tensor(np.zeros(4)))
+
+
+def ffn_and_input(activation: str, seed: int) -> tuple[FeedForward, Tensor]:
+    """An FFN with random biases (zero at init) and an input that gives it a gradient."""
+    rng = np.random.default_rng(seed)
+    ffn = FeedForward(rng, 4, 6, activation)
+    for bias in (ffn.lin1.bias, ffn.lin2.bias):
+        bias.data = rng.normal(size=bias.shape)
+    return ffn, Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+
+
+class TestFeedForward:
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_node_is_bit_identical_to_the_composition(self, activation):
+        ffn, x = ffn_and_input(activation, 6)
+        params = [x] + ffn.parameters()
+        weights = Tensor(np.random.default_rng(7).normal(size=(7, 4)))
+        results = []
+        for build in (ffn, lambda t: reference_ffn(ffn, t)):
+            for p in params:
+                p.grad = None
+            out = build(x)
+            (out * weights).sum().backward()
+            results.append((out.data, [p.grad for p in params]))
+        (out_k, grads_k), (out_r, grads_r) = results
+        np.testing.assert_array_equal(out_k, out_r)
+        for got, want in zip(grads_k, grads_r):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_gradient_matches_finite_differences(self, activation):
+        ffn, x = ffn_and_input(activation, 9)
+        weights = Tensor(np.random.default_rng(10).normal(size=(7, 4)))
+        check_grad(lambda: (ffn(x) * weights).sum(), [x] + ffn.parameters())
+
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ConfigError):
+            FeedForward(np.random.default_rng(0), 4, 6, "gelu")
 
 
 def split_rows(a: np.ndarray, seg: Segments) -> list[np.ndarray]:

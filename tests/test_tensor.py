@@ -14,7 +14,6 @@ from avmoe.tensor import (
     matmul,
     narrow,
     no_grad,
-    relu,
     silu,
     softmax_rows,
     take_along_cols,
@@ -147,7 +146,7 @@ class TestPointwiseGradients:
 
     @pytest.mark.parametrize(
         "op",
-        ["add", "sub", "mul", "div", "silu", "relu", "softmax", "log_softmax"],
+        ["add", "mul", "div", "silu", "softmax", "log_softmax"],
     )
     def test_op_gradcheck(self, op):
         for seed in range(20):
@@ -158,8 +157,6 @@ class TestPointwiseGradients:
 
             if op == "add":
                 build = lambda: ((x + y) * weights).sum()
-            elif op == "sub":
-                build = lambda: ((x - y) * weights).sum()
             elif op == "mul":
                 build = lambda: (x * y * weights).sum()
             elif op == "div":
@@ -167,15 +164,12 @@ class TestPointwiseGradients:
                 build = lambda: ((x / y) * weights).sum()
             elif op == "silu":
                 build = lambda: (silu(x) * weights).sum()
-            elif op == "relu":
-                x.data = x.data + np.sign(x.data) * 0.01  # keep clear of the kink
-                build = lambda: (relu(x) * weights).sum()
             elif op == "softmax":
                 build = lambda: (softmax_rows(x) * weights).sum()
             else:
                 build = lambda: (log_softmax_rows(x) * weights).sum()
 
-            check_grad(build, [x, y] if op in ("add", "sub", "mul", "div") else [x])
+            check_grad(build, [x, y] if op in ("add", "mul", "div") else [x])
 
     def test_broadcast_bias_gradient(self):
         rng = np.random.default_rng(7)
@@ -229,13 +223,11 @@ class TestShapeOps:
         weights = Tensor(rng.normal(size=(3, 2)))
         check_grad(lambda: (take_along_cols(a, idx) * weights).sum(), [a])
 
-    def test_transpose_reshape_gradients(self):
+    def test_reshape_gradients(self):
         rng = np.random.default_rng(6)
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        weights = Tensor(rng.normal(size=(4, 3)))
-        check_grad(lambda: (a.T * weights).sum(), [a])
-        weights2 = Tensor(rng.normal(size=12))
-        check_grad(lambda: (a.reshape(12) * weights2).sum(), [a])
+        weights = Tensor(rng.normal(size=12))
+        check_grad(lambda: (a.reshape(12) * weights).sum(), [a])
 
 
 class TestNumericGuards:
