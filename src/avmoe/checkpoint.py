@@ -14,12 +14,20 @@ Layout:
 Offsets index into the payload. The CRC32 of the config lines and of every
 tensor is verified on load, so a corrupted file fails loudly instead of
 producing a silently wrong model.
+
+The save streams the header and then each array's own buffer to a sibling
+temp file and moves it onto ``path`` with ``os.replace``, so a save that
+fails part way leaves the previous file at ``path`` intact. The load reads the
+file once; each loaded tensor is a read-only view into that one buffer, and
+callers that keep a tensor copy it (``load_params_into``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,20 +55,29 @@ def save_checkpoint(path, config: dict[str, str], tensors: dict[str, np.ndarray]
         entries.append(f"{key}={json.dumps(config[key])}")
     config_crc = zlib.crc32("\n".join(entries).encode("ascii")) & 0xFFFFFFFF
     header = [MAGIC.decode("ascii"), "[config]", *entries, f"{CONFIG_CRC}{config_crc}", "[tensors]"]
-    blobs: list[bytes] = []
+    arrays: list[np.ndarray] = []
     offset = 0
     for name, array in tensors.items():
         if " " in name or "\n" in name:
             raise CheckpointError(f"tensor name {name!r} may not contain spaces or newlines")
-        arr = np.asarray(array, dtype=np.float64)
-        raw = arr.astype("<f8").tobytes()
+        # A no-op for live float64 parameters; unlike ascontiguousarray it keeps 0-d arrays 0-d.
+        arr = np.require(array, "<f8", "C")
         shape = "x".join(str(d) for d in arr.shape) if arr.ndim else "scalar"
-        crc = zlib.crc32(raw) & 0xFFFFFFFF
-        header.append(f"{name} {shape} {offset} {crc}")
-        blobs.append(raw)
-        offset += len(raw)
+        header.append(f"{name} {shape} {offset} {zlib.crc32(arr) & 0xFFFFFFFF}")
+        arrays.append(arr)
+        offset += arr.nbytes
     header.append("[data]")
-    Path(path).write_bytes("\n".join(header).encode("ascii") + b"\n" + b"".join(blobs))
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as f:
+            f.write("\n".join(header).encode("ascii") + b"\n")
+            for arr in arrays:
+                f.write(arr)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -68,22 +85,23 @@ def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    blob = path.read_bytes()
-    if not blob.startswith(MAGIC + b"\n"):
+    blob = _read_file(path)
+    if blob[: len(MAGIC) + 1] != MAGIC + b"\n":
         raise CheckpointError(
-            f"{path}: bad magic {blob[:8]!r}; this reader understands {MAGIC.decode()} only"
+            f"{path}: bad magic {bytes(blob[:8])!r}; this reader understands {MAGIC.decode()} only"
         )
-    marker = blob.find(b"\n[data]\n")
-    if marker < 0:
+    found = re.search(rb"\n\[data\]\n", blob)
+    if found is None:
         raise CheckpointError(f"{path}: truncated header, no [data] section")
-    payload = blob[marker + len(b"\n[data]\n") :]
+    marker = found.start()
+    payload = blob[found.end() :]
 
     config: dict[str, str] = {}
     config_lines: list[str] = []
     tensors: dict[str, np.ndarray] = {}
     section = None
     line_start = len(MAGIC) + 1
-    for raw_line in blob[line_start:marker].split(b"\n"):
+    for raw_line in bytes(blob[line_start:marker]).split(b"\n"):
         try:
             line = raw_line.decode("ascii")
             if line == "[config]" and section is None:
@@ -112,7 +130,7 @@ def load_checkpoint(path) -> Checkpoint:
                     raise CheckpointError(f"payload truncated for tensor {name!r}")
                 if (zlib.crc32(raw) & 0xFFFFFFFF) != int(crc_text):
                     raise CheckpointError(f"checksum failure for tensor {name!r}")
-                tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+                tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
             else:
                 raise CheckpointError("stray line before [config]")
         except (CheckpointError, ValueError) as exc:  # ValueError covers bad ascii and JSON
@@ -123,6 +141,19 @@ def load_checkpoint(path) -> Checkpoint:
     if section != "[tensors]":
         raise CheckpointError(f"{path}: header has no [tensors] section")
     return Checkpoint(config=config, tensors=tensors)
+
+
+def _read_file(path: Path) -> memoryview:
+    """The whole file, read once into one read-only buffer.
+
+    On Linux numpy asks the kernel to back a large ``np.empty`` with huge
+    pages, so the read takes far fewer page faults than ``read_bytes`` does.
+    """
+    with path.open("rb") as f:
+        buf = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
+        buf = buf[: f.readinto(buf)]
+    buf.flags.writeable = False
+    return memoryview(buf)
 
 
 def _verify_config(lines: list[str]) -> None:

@@ -18,8 +18,14 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> None:
-    """One bias-corrected Adam update; ``step`` is the 1-based count."""
+    """One bias-corrected Adam update; ``step`` is the 1-based count.
+
+    Runs in place: ``scratch`` holds two flat float64 buffers of at least
+    ``param.size`` values (allocated when omitted). The ufuncs round in the
+    same order as ``p - lr * (m / c1) / (sqrt(v / c2) + eps)``.
+    """
     if not (param.shape == grad.shape == m.shape == v.shape):
         raise DimensionError(
             f"adam_step shape mismatch: param {param.shape}, grad {grad.shape}, "
@@ -27,11 +33,24 @@ def adam_step(
         )
     if step < 1:
         raise DimensionError(f"adam_step needs a step count >= 1, got {step}")
-    m[...] = beta1 * m + (1.0 - beta1) * grad
-    v[...] = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**step)
-    v_hat = v / (1.0 - beta2**step)
-    param[...] = param - lr * m_hat / (np.sqrt(v_hat) + eps)
+    if scratch is None:
+        scratch = (np.empty(param.size), np.empty(param.size))
+    t = scratch[0][: param.size].reshape(param.shape)
+    u = scratch[1][: param.size].reshape(param.shape)
+    m *= beta1
+    np.multiply(grad, 1.0 - beta1, out=t)
+    m += t
+    v *= beta2
+    np.multiply(grad, 1.0 - beta2, out=t)
+    t *= grad
+    v += t
+    np.divide(v, 1.0 - beta2**step, out=t)
+    np.sqrt(t, out=t)
+    t += eps
+    np.divide(m, 1.0 - beta1**step, out=u)
+    u *= lr
+    u /= t
+    param -= u
 
 
 class Adam:
@@ -58,6 +77,8 @@ class Adam:
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+        size = max((p.data.size for _, p in self.params), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, lr: float | None = None) -> None:
         self.step_count += 1
@@ -75,6 +96,7 @@ class Adam:
                 self.beta1,
                 self.beta2,
                 self.eps,
+                self._scratch,
             )
 
     def zero_grad(self) -> None:

@@ -462,8 +462,7 @@ def evaluate(
     manifest; ``subset="homophone"`` restricts the reported records to
     utterances containing a homophone word.
     """
-    ckpt = load_checkpoint(ckpt_path)
-    model, vocab = restore_model(ckpt)
+    model, vocab = restore_model(load_checkpoint(ckpt_path))
     spec = load_task_spec_near(manifest_path)
     homophones = spec.homophone_words() if spec is not None else None
     data = load_dataset(

@@ -1,9 +1,14 @@
 """Checkpoint files, and seeded header fuzzing of every binary reader."""
 
+import errno
+import json
+import pathlib
+import zlib
+
 import numpy as np
 import pytest
 
-from avmoe.checkpoint import load_checkpoint
+from avmoe.checkpoint import load_checkpoint, save_checkpoint
 from avmoe.errors import AvmoeError, CheckpointError
 from avmoe.frontend import Waveform, read_waveform, write_f64
 from avmoe.fusion import load_visual_embeddings, save_visual_embeddings
@@ -71,6 +76,148 @@ class TestCheckpoint:
         path.write_bytes(edited)
         with pytest.raises(CheckpointError, match=r"checksum failure for the \[config\] section"):
             load_checkpoint(path)
+
+
+def tobytes_writer(config: dict, tensors: dict) -> bytes:
+    """The file the writer made before it streamed: each tensor's tobytes, joined in memory."""
+    entries = [f"{key}={json.dumps(value)}" for key, value in config.items()]
+    config_crc = zlib.crc32("\n".join(entries).encode("ascii")) & 0xFFFFFFFF
+    header = ["EVACKPT2", "[config]", *entries, f"crc32 {config_crc}", "[tensors]"]
+    blobs, offset = [], 0
+    for name, array in tensors.items():
+        arr = np.asarray(array, dtype=np.float64)
+        raw = arr.astype("<f8").tobytes()
+        shape = "x".join(str(d) for d in arr.shape) if arr.ndim else "scalar"
+        header.append(f"{name} {shape} {offset} {zlib.crc32(raw) & 0xFFFFFFFF}")
+        blobs.append(raw)
+        offset += len(raw)
+    header.append("[data]")
+    return "\n".join(header).encode("ascii") + b"\n" + b"".join(blobs)
+
+
+def hand_built_tensors() -> dict:
+    rng = np.random.default_rng(44)
+    grid = rng.normal(size=(3, 5))
+    return {
+        "transposed": grid.T,  # not contiguous
+        "strided": grid[:, ::2],
+        "single": rng.normal(size=(2, 3)).astype(np.float32),
+        "scalar": np.array(-0.0),
+        "empty": np.zeros((0, 4)),
+        "row": rng.normal(size=7),
+    }
+
+
+HAND_BUILT_CONFIG = {"model": json.dumps({"hidden": 4}), "note": "caf\u00e9 = 1", "step": "3"}
+
+
+def base_buffer(array: np.ndarray):
+    """The object at the bottom of an array's chain of views."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return getattr(array, "obj", array)
+
+
+class TestWriterBytes:
+    def test_file_equals_the_tobytes_formula(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tensors = hand_built_tensors()
+        save_checkpoint(path, HAND_BUILT_CONFIG, tensors)
+        assert path.read_bytes() == tobytes_writer(HAND_BUILT_CONFIG, tensors)
+
+    def test_train_state_file_equals_the_tobytes_formula(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        ckpt = load_checkpoint(path)
+        assert path.read_bytes() == tobytes_writer(ckpt.config, ckpt.tensors)
+
+    def test_file_of_the_tobytes_formula_loads_unchanged(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tensors = hand_built_tensors()
+        path.write_bytes(tobytes_writer(HAND_BUILT_CONFIG, tensors))
+        ckpt = load_checkpoint(path)
+        assert ckpt.config == HAND_BUILT_CONFIG
+        assert list(ckpt.tensors) == list(tensors)
+        for name, array in tensors.items():
+            loaded = ckpt.tensors[name]
+            assert loaded.dtype == np.float64 and loaded.shape == array.shape, name
+            assert loaded.tobytes() == np.asarray(array, dtype=np.float64).tobytes(), name
+
+
+class TestInterruptedSave:
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        state = write_tiny_checkpoint(path)
+        before = path.read_bytes()
+        state.step += 1
+        real_open = pathlib.Path.open
+
+        class DiskFull:
+            def __init__(self, file):
+                self.file = file
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.file.close()
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def open_disk_full(self, mode="r", *args, **kwargs):
+            file = real_open(self, mode, *args, **kwargs)
+            return DiskFull(file) if "w" in mode else file
+
+        monkeypatch.setattr(pathlib.Path, "open", open_disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            save_train_state(path, state, Vocab(["a", "b"]), TrainConfig())
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+    @pytest.mark.parametrize("config, tensors", [
+        ({"bad key": "1"}, {"t": np.zeros(2)}),
+        ({"k": "1"}, {"t": np.zeros(2), "bad\nname": np.zeros(2)}),
+    ])
+    def test_bad_name_opens_no_file(self, tmp_path, config, tensors):
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError, match="may not contain"):
+            save_checkpoint(path, config, tensors)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+
+class TestLoad:
+    def test_payload_short_by_8_bytes_names_the_last_tensor(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        last = list(load_checkpoint(path).tensors)[-1]
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CheckpointError, match=f"payload truncated for tensor '{last}'"):
+            load_checkpoint(path)
+
+    def test_tensors_are_read_only_views_of_one_buffer(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        tensors = load_checkpoint(path).tensors
+        assert not any(t.flags.writeable for t in tensors.values())
+        assert len({id(base_buffer(t)) for t in tensors.values()}) == 1
+
+    def test_restored_state_does_not_alias_the_checkpoint(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        ckpt = load_checkpoint(path)
+        before = {name: t.copy() for name, t in ckpt.tensors.items()}
+        state, _, _ = restore_train_state(ckpt)
+        for name, p in state.model.named_parameters():
+            p.data += 1.0
+            state.optimizer.m[name][...] = 7.0
+            state.optimizer.v[name] *= 3.0
+        for name, t in ckpt.tensors.items():
+            np.testing.assert_array_equal(t, before[name], err_msg=name)
 
 
 def corrupt_headers(blob: bytes, start: int, stop: int, count: int, seed: int):

@@ -76,3 +76,56 @@ def test_matches_reference_formula_over_steps():
         ref_v = b2 * ref_v + (1 - b2) * g * g
         ref_p = ref_p - lr * (ref_m / (1 - b1**t)) / (np.sqrt(ref_v / (1 - b2**t)) + eps)
         np.testing.assert_allclose(param, ref_p, atol=1e-15)
+
+
+def expression_adam_step(param, grad, m, v, step, lr, beta1, beta2, eps):
+    """Adam as one numpy expression per array, allocating its temporaries."""
+    m[...] = beta1 * m + (1.0 - beta1) * grad
+    v[...] = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1**step)
+    v_hat = v / (1.0 - beta2**step)
+    param[...] = param - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_in_place_update_is_bit_identical_to_the_expression():
+    rng = np.random.default_rng(3)
+    # Small weights, so that a change in how the update rounds shows in the weights.
+    shapes = {"w": (16, 24), "b": (24,), "s": (), "e": (2, 1, 3)}
+    params = [(name, Tensor(0.01 * rng.normal(size=shape), requires_grad=True))
+              for name, shape in shapes.items()]
+    opt = Adam(params, lr=1e-2, beta1=0.8, beta2=0.99, eps=1e-6)
+    ref = {name: (p.data.copy(), np.zeros(p.data.shape), np.zeros(p.data.shape))
+           for name, p in params}
+    for t in range(1, 7):
+        lr = 1e-2 / t
+        for name, p in params:
+            g = rng.normal(size=p.data.shape)
+            if t == 2:
+                g = np.zeros_like(g)
+            elif t == 3:
+                g = np.full_like(g, -0.0)
+            elif g.ndim:
+                g.flat[::2] = 0.0
+                g.flat[1::3] = -0.0
+            p.grad = g
+            ref_p, ref_m, ref_v = ref[name]
+            expression_adam_step(ref_p, g, ref_m, ref_v, t, lr, 0.8, 0.99, 1e-6)
+        opt.step(lr)
+        for name, p in params:
+            ref_p, ref_m, ref_v = ref[name]
+            assert p.data.tobytes() == ref_p.tobytes(), (t, name)
+            assert opt.m[name].tobytes() == ref_m.tobytes(), (t, name)
+            assert opt.v[name].tobytes() == ref_v.tobytes(), (t, name)
+
+
+def test_adam_step_without_scratch_is_bit_identical_to_the_expression():
+    rng = np.random.default_rng(4)
+    state = [rng.normal(size=(3, 2)), np.zeros((3, 2)), np.zeros((3, 2))]
+    ref = [a.copy() for a in state]
+    for t in range(1, 5):
+        g = rng.normal(size=(3, 2))
+        g[0] = -0.0
+        adam_step(*state[:1], g, *state[1:], step=t, lr=3e-3)
+        expression_adam_step(*ref[:1], g, *ref[1:], t, 3e-3, 0.9, 0.999, 1e-8)
+        for a, b in zip(state, ref):
+            assert a.tobytes() == b.tobytes()
