@@ -149,9 +149,12 @@ def _read_file(path: Path) -> memoryview:
     On Linux numpy asks the kernel to back a large ``np.empty`` with huge
     pages, so the read takes far fewer page faults than ``read_bytes`` does.
     """
-    with path.open("rb") as f:
-        buf = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
-        buf = buf[: f.readinto(buf)]
+    try:
+        with path.open("rb") as f:
+            buf = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
+            buf = buf[: f.readinto(buf)]
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read the checkpoint: {exc.strerror}") from exc
     buf.flags.writeable = False
     return memoryview(buf)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontend import LogMelSpectrogram
-from .model import Model
+from .model import DecodeCache, Model
 from .tensor import Tensor, no_grad
 
 # Longest attention hypothesis, in tokens, for every decode the package runs.
@@ -47,20 +47,28 @@ def ctc_greedy_decode(frame_logits: Tensor | np.ndarray, blank_id: int = 0) -> H
 
 
 def attention_greedy_decode(model: Model, states: Tensor, max_len: int) -> Hypothesis:
-    """Argmax autoregressive decode from sos until eos or the length cap."""
+    """Argmax autoregressive decode from sos until eos or the length cap.
+
+    Incremental: each step feeds only the newest token through
+    ``Model.decode_teacher_forcing`` with one ``DecodeCache`` per request,
+    which keeps every decoder block's keys and values. A step therefore
+    projects one new self-attention row and reuses the cross-attention keys
+    and values of ``states``, instead of rerunning the whole prefix.
+    """
     cfg = model.cfg
-    prefix = [cfg.sos_id]
+    token = cfg.sos_id
     score = 0.0
     emitted: list[int] = []
     with no_grad():
+        cache = DecodeCache(cfg.decoder_blocks)
         for _ in range(max_len):
-            logits = model.decode_teacher_forcing(states, prefix)
+            logits = model.decode_teacher_forcing(states, [token], cache=cache)
             log_probs = _log_softmax_np(logits.data[-1])
             best = int(np.argmax(log_probs))
             score += float(log_probs[best])
             if best == cfg.eos_id:
                 break
-            prefix.append(best)
+            token = best
             emitted.append(best)
     # Stray specials (possible early in training) are dropped from the result.
     return Hypothesis(token_ids=[t for t in emitted if t >= cfg.num_specials], score=score)

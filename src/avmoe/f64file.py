@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import IngestError
+from .errors import DataError, IngestError
 
 
 def read_f64_file(
@@ -26,10 +26,14 @@ def read_f64_file(
     """Read a ``magic`` file; return its integer header fields and its values.
 
     ``count`` maps the header fields to the number of values in the payload,
-    and raises ValueError for fields that its format rejects. Every failure
-    is an IngestError that names a byte offset.
+    and raises ValueError for fields that its format rejects. A file that
+    cannot be read is a DataError; every other failure is an IngestError
+    that names a byte offset.
     """
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read the {magic} file: {exc.strerror}") from exc
     newline = blob.find(b"\n")
     if newline < 0:
         raise IngestError(f"{path}: missing {magic} header line (byte offset 0)")

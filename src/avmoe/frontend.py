@@ -176,6 +176,8 @@ def read_wav(path) -> Waveform:
             raw = wf.readframes(wf.getnframes())
     except wave.Error as exc:
         raise IngestError(f"{path}: not a readable WAV file ({exc})") from exc
+    except EOFError as exc:
+        raise IngestError(f"{path}: not a readable WAV file (it ends inside a chunk)") from exc
     if rate <= 0:
         raise IngestError(f"{path}: sample rate must be positive, got {rate} (byte offset 24)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
@@ -212,8 +214,11 @@ def write_f64(path, waveform: Waveform) -> None:
 
 def read_waveform(path) -> Waveform:
     """Read WAV or raw-float audio, sniffing the format from leading bytes."""
-    with open(path, "rb") as fh:
-        head = fh.read(6)
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(6)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read the audio file: {exc.strerror}") from exc
     if head.startswith(b"RIFF"):
         return read_wav(path)
     if head.startswith(b"F64LE "):

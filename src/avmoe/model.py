@@ -21,7 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError, GraphError
 from .fields import check_fields
 from .frontend import LogMelSpectrogram, stack_frames
 from .fusion import FusedSequence, fuse_concat, project_visual
@@ -30,6 +30,7 @@ from .nn import (
     ACTIVATIONS,
     ConvGatedMLP,
     FeedForward,
+    KVCache,
     LayerNorm,
     Linear,
     Module,
@@ -39,7 +40,7 @@ from .nn import (
     glorot,
     sinusoidal_positions,
 )
-from .tensor import Tensor, concat, gather_rows
+from .tensor import Tensor, concat, gather_rows, grad_enabled
 
 
 @dataclass
@@ -130,12 +131,35 @@ class DecoderBlock(Module):
         self.ffn = FeedForward(rng, d, cfg.d_ff, cfg.activation)
 
     def __call__(
-        self, x: Tensor, memory: Tensor, mask: np.ndarray, inputs: Segments, sources: Segments
+        self,
+        x: Tensor,
+        memory: Tensor,
+        mask: np.ndarray | None,
+        inputs: Segments | None,
+        sources: Segments | None,
+        cache: tuple[KVCache, KVCache] | None = None,
     ) -> Tensor:
+        """``cache`` holds this block's (self-attention, cross-attention) keys and values."""
+        self_kv, memory_kv = cache if cache is not None else (None, None)
         a = self.self_norm(x)
-        x = x + self.self_attn(a, a, mask, inputs, inputs)
-        x = x + self.cross_attn(self.cross_norm(x), memory, None, inputs, sources)
+        x = x + self.self_attn(a, a, mask, inputs, inputs, self_kv)
+        x = x + self.cross_attn(self.cross_norm(x), memory, None, inputs, sources, memory_kv)
         return x + self.ffn(self.ffn_norm(x))
+
+
+class DecodeCache:
+    """What an incremental decode of one utterance keeps between its steps.
+
+    ``fed`` counts the tokens fed so far, so it is the position of the next
+    one. Each decoder block has a pair of ``KVCache``: self-attention keys
+    and values, which grow by one row per step, and the cross-attention keys
+    and values of the encoder states, projected on the first step. A cache
+    serves one request, with one ``states``.
+    """
+
+    def __init__(self, decoder_blocks: int):
+        self.fed = 0
+        self.blocks = [(KVCache(grow=True), KVCache(grow=False)) for _ in range(decoder_blocks)]
 
 
 class Model(Module):
@@ -208,6 +232,7 @@ class Model(Module):
         target_in: list[int],
         sources: Segments | None = None,
         inputs: Segments | None = None,
+        cache: DecodeCache | None = None,
     ) -> Tensor:
         """Decoder logits, one row per input token.
 
@@ -215,6 +240,13 @@ class Model(Module):
         another; ``inputs`` gives their lengths and ``sources`` the rows of
         ``states`` that each utterance attends to. Both default to one
         utterance.
+
+        With ``cache`` the call is one step of an incremental decode of one
+        utterance, under ``no_grad``: ``target_in`` is the newest token
+        alone, fed at position ``cache.fed``. Its row attends to the keys and
+        values the cache holds for every token fed before it and for the
+        encoder states, so it needs no mask, and its logits equal the last
+        row of an uncached call over the whole prefix, to rounding.
         """
         ids = np.asarray(target_in, dtype=np.int64)
         if ids.size == 0:
@@ -223,16 +255,31 @@ class Model(Module):
             raise DataError(
                 f"token id out of range: {int(ids.max())} >= vocab {self.cfg.vocab_size}"
             )
-        inputs = inputs if inputs is not None else Segments([ids.size])
-        sources = sources if sources is not None else Segments([states.shape[0]])
-        if inputs.total != ids.size:
-            raise DataError(f"decoder input lengths cover {inputs.total} of {ids.size} tokens")
         d = self.cfg.hidden
+        if cache is None:
+            inputs = inputs if inputs is not None else Segments([ids.size])
+            sources = sources if sources is not None else Segments([states.shape[0]])
+            if inputs.total != ids.size:
+                raise DataError(f"decoder input lengths cover {inputs.total} of {ids.size} tokens")
+            positions = sinusoidal_positions(inputs.longest, d)[inputs.positions]
+            mask = causal_mask(inputs.longest)
+            block_caches = [None] * len(self.dec_blocks)
+        else:
+            if grad_enabled():
+                raise GraphError("a decode cache keeps no graph; use it under no_grad only")
+            if ids.size != 1 or any(s is not None and s.count != 1 for s in (inputs, sources)):
+                raise ConfigError(
+                    "a decode cache takes one token of one utterance per call, got "
+                    f"{ids.size} tokens"
+                )
+            positions = sinusoidal_positions(cache.fed + 1, d)[cache.fed :]
+            mask = inputs = None
+            block_caches = cache.blocks
+            cache.fed += 1
         x = gather_rows(self.dec_embed, ids) * math.sqrt(d)
-        x = x + Tensor(sinusoidal_positions(inputs.longest, d)[inputs.positions])
-        mask = causal_mask(inputs.longest)
-        for block in self.dec_blocks:
-            x = block(x, states, mask, inputs, sources)
+        x = x + Tensor(positions)
+        for block, kv in zip(self.dec_blocks, block_caches):
+            x = block(x, states, mask, inputs, sources, kv)
         return self.out_proj(self.dec_norm(x))
 
     def ctc_head(

@@ -230,12 +230,39 @@ class MultiHeadAttention(Module):
         mask: np.ndarray | None = None,
         query_segments: Segments | None = None,
         memory_segments: Segments | None = None,
+        cache: "KVCache | None" = None,
     ) -> Tensor:
+        """Attention of ``query`` over ``memory``; with ``cache``, over the keys it holds."""
         q = self.q_proj(query)
-        k = self.k_proj(memory)
-        v = self.v_proj(memory)
+        if cache is None:
+            k, v = self.k_proj(memory), self.v_proj(memory)
+        else:
+            k, v = cache.keys_values(self, memory)
         out = attend(q, k, v, self.heads, self.scale, mask, query_segments, memory_segments)
         return self.out_proj(out)
+
+
+class KVCache:
+    """Projected keys and values that one attention layer keeps across decode steps.
+
+    With ``grow`` (decoder self-attention) every call projects only its new
+    rows of ``memory`` and appends them. Without it (cross-attention) the
+    memory is projected on the first call and reused by every later one. A
+    cache serves one sequence under ``no_grad``: it holds arrays, not graph.
+    """
+
+    def __init__(self, grow: bool):
+        self.grow = grow
+        self.k: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+
+    def keys_values(self, attn: MultiHeadAttention, memory: Tensor) -> tuple[Tensor, Tensor]:
+        if self.k is None or self.grow:
+            k, v = attn.k_proj(memory).data, attn.v_proj(memory).data
+            if self.k is not None:
+                k, v = np.concatenate([self.k, k]), np.concatenate([self.v, v])
+            self.k, self.v = k, v
+        return Tensor(self.k), Tensor(self.v)
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:

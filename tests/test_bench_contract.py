@@ -15,7 +15,8 @@ import pytest
 
 from avmoe import losses
 from avmoe import train as avtrain
-from avmoe.model import Model
+from avmoe.decoding import MAX_DECODE_LEN, attention_greedy_decode
+from avmoe.model import Model, ModelConfig
 from avmoe.moe import MoELayer
 from avmoe.nn import FeedForward
 from avmoe.tensor import Tensor
@@ -65,3 +66,28 @@ def test_every_called_name_exists(home, attr):
 def test_tensor_size_counts_the_elements():
     # bench/run.py sums ``p.size`` over the parameters.
     assert Tensor(np.zeros((2, 3))).size == 6
+
+
+def test_each_decode_step_is_one_decoder_call():
+    # The traced run's ``model.decoder_tf`` span wraps ``decode_teacher_forcing``
+    # by swapping the model's class; the incremental decode must still make
+    # every step through it, one call per step, or the span misses decoder time.
+    cfg = ModelConfig(vocab_size=9, hidden=8, heads=2, d_ff=16, encoder_blocks=0,
+                      decoder_blocks=2, visual_dim=4, n_mels=6, stack_factor=2)
+    calls = []
+
+    class Traced(Model):
+        def decode_teacher_forcing(self, *args, **kwargs):
+            calls.append(args[1])
+            return super().decode_teacher_forcing(*args, **kwargs)
+
+    for eos_bias in (1e3, 0.0, -1e3):  # stops at once, stops at eos, runs to the cap
+        model = Model(cfg, np.random.default_rng(5))
+        model.out_proj.bias.data[: cfg.num_specials] = -1e3
+        model.out_proj.bias.data[cfg.eos_id] = eos_bias
+        model.__class__ = Traced
+        calls.clear()
+        states = Tensor(np.random.default_rng(6).normal(size=(7, 8)))
+        hyp = attention_greedy_decode(model, states, MAX_DECODE_LEN)
+        assert calls == [[cfg.sos_id]] + [[t] for t in hyp.token_ids][: MAX_DECODE_LEN - 1]
+        assert len(calls) == {1e3: 1, -1e3: MAX_DECODE_LEN}.get(eos_bias, len(calls))

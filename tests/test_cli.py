@@ -150,6 +150,21 @@ def test_checkpoint_naming_a_special_id_field_exits_3(run):
                  "--resume", str(ckpt)) == 3
 
 
+@pytest.mark.parametrize("flag, kind", [
+    ("--ckpt", "directory"), ("--audio", "missing"), ("--audio", "directory"),
+    ("--visual", "missing"), ("--visual", "directory"),
+])
+def test_decode_of_a_path_it_cannot_read_exits_3(run, flag, kind, capsys):
+    entry = json.loads((run / "corpus" / "test.jsonl").read_text().splitlines()[0])
+    paths = {"--ckpt": run / "full" / "final.ckpt", "--audio": run / "corpus" / entry["audio"],
+             "--visual": run / "corpus" / entry["visual"]}
+    paths[flag] = run / "corpus" if kind == "directory" else run / "no_such_file"
+    argv = ["decode"] + [str(a) for pair in paths.items() for a in pair]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert str(paths[flag]) in capsys.readouterr().err
+
+
 def test_spec_that_is_not_utf8_exits_3(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_bytes(b"\xff\xfe")

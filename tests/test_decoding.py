@@ -1,5 +1,6 @@
 """Greedy decoding: CTC against the per-frame loop it replaces, attention
-against one teacher-forced pass over its own hypothesis."""
+against one teacher-forced pass over its own hypothesis, and the decode
+cache against teacher forcing over the whole prefix at every step."""
 
 import math
 
@@ -13,8 +14,11 @@ from avmoe.decoding import (
     collapse_ctc_path,
     ctc_greedy_decode,
 )
-from avmoe.model import Model, ModelConfig
-from avmoe.tensor import Tensor
+from avmoe.errors import ConfigError, GraphError
+from avmoe.frontend import LogMelSpectrogram
+from avmoe.model import DecodeCache, Model, ModelConfig
+from avmoe.nn import Segments
+from avmoe.tensor import Tensor, no_grad
 
 
 def loop_ctc_greedy(logits: np.ndarray, blank_id: int):
@@ -92,26 +96,114 @@ def test_attention_hypothesis_is_the_teacher_forced_argmax_chain(eos_bias):
 
 
 class ScriptedDecoder:
-    """Picks the next token from a script, whatever the prefix."""
+    """Picks the next token from a script, whatever it was fed.
+
+    Takes one token per call with a decode cache, as the incremental decode
+    feeds them.
+    """
 
     cfg = ModelConfig(vocab_size=9)
 
     def __init__(self, script: list[int]):
         self.script = script
-        self.prefixes: list[list[int]] = []
+        self.fed: list[int] = []
 
-    def decode_teacher_forcing(self, states, prefix):
-        self.prefixes.append(list(prefix))
-        logits = np.zeros((len(prefix), self.cfg.vocab_size))
-        logits[-1, self.script[len(prefix) - 1]] = 5.0
+    def decode_teacher_forcing(self, states, tokens, cache):
+        assert len(tokens) == 1 and isinstance(cache, DecodeCache)
+        self.fed.extend(tokens)
+        logits = np.zeros((1, self.cfg.vocab_size))
+        logits[0, self.script[len(self.fed) - 1]] = 5.0
         return Tensor(logits)
 
 
 def test_attention_decode_drops_special_ids():
-    # Specials other than eos stay in the decoder's own prefix but not in
+    # Specials other than eos are fed back to the decoder but kept out of
     # the hypothesis; eos stops the decode.
     model = ScriptedDecoder([5, 3, 6, 0, 1, 7, 2, 8])
     hyp = attention_greedy_decode(model, None, MAX_DECODE_LEN)
     assert hyp.token_ids == [5, 6, 7]
-    assert model.prefixes[-1] == [1, 5, 3, 6, 0, 1, 7]
+    assert model.fed == [1, 5, 3, 6, 0, 1, 7]
 
+
+def cached_model(seed: int) -> Model:
+    cfg = ModelConfig(vocab_size=11, hidden=8, heads=2, d_ff=16, encoder_blocks=1,
+                      decoder_blocks=2, visual_dim=4, n_mels=6, stack_factor=2)
+    return Model(cfg, np.random.default_rng(seed))
+
+
+def encoded(model: Model, seed: int, visual: bool) -> Tensor:
+    rng = np.random.default_rng(seed)
+    mel = LogMelSpectrogram(frames=rng.normal(size=(15, 6)), n_mels=6, sample_rate=16000)
+    with no_grad():
+        states, _, _ = model.encode_utterance(mel, rng.normal(size=(3, 4)) if visual else None)
+    return states
+
+
+class TestDecodeCache:
+    @pytest.mark.parametrize("visual", [True, False], ids=["av", "audio_only"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_step_equals_teacher_forcing_over_the_prefix(self, seed, visual):
+        # The prefix follows the argmax chain with eos excluded, so all 32
+        # steps run; the logits keep their unbiased scale, which sets the
+        # tolerance.
+        model = cached_model(seed)
+        states = encoded(model, 50 + seed, visual)
+        assert states.shape[0] == 8 + 3 * visual
+        prefix = [ModelConfig.sos_id]
+        cache = DecodeCache(model.cfg.decoder_blocks)
+        with no_grad():
+            for step in range(MAX_DECODE_LEN):
+                row = model.decode_teacher_forcing(states, prefix[-1:], cache=cache).data
+                full = model.decode_teacher_forcing(states, prefix).data[-1]
+                assert row.shape == (1, model.cfg.vocab_size) and cache.fed == step + 1
+                assert np.abs(row[0] - full).max() <= 1e-12 * np.abs(full).max()
+                prefix.append(int(np.argmax(np.where(
+                    np.arange(full.size) == ModelConfig.eos_id, -np.inf, full))))
+
+    def test_memory_is_projected_once_and_each_step_projects_one_row(self):
+        model = cached_model(3)
+        model.out_proj.bias.data[: ModelConfig.num_specials] = -1e3  # runs to the cap
+        states = encoded(model, 53, visual=True)
+        rows = {}
+
+        class Counted:
+            """Records the rows of every call, then runs the projection."""
+
+            def __init__(self, name, proj):
+                self.name, self.proj = name, proj
+                rows[name] = []
+
+            def __call__(self, x):
+                rows[self.name].append(x.shape[0])
+                return self.proj(x)
+
+        for b, block in enumerate(model.dec_blocks):
+            for kind in ("self_attn", "cross_attn"):
+                attn = getattr(block, kind)
+                for proj in ("k_proj", "v_proj"):
+                    setattr(attn, proj, Counted((b, kind, proj), getattr(attn, proj)))
+        hyp = attention_greedy_decode(model, states, MAX_DECODE_LEN)
+        assert len(hyp.token_ids) == MAX_DECODE_LEN
+        for (b, kind, proj), seen in rows.items():
+            if kind == "cross_attn":
+                assert seen == [states.shape[0]], (b, kind, proj)
+            else:
+                assert seen == [1] * MAX_DECODE_LEN, (b, kind, proj)
+
+    def test_cache_refuses_grad_and_more_than_one_sequence(self):
+        model = cached_model(4)
+        states = encoded(model, 54, visual=True)
+        sos = ModelConfig.sos_id
+        with pytest.raises(GraphError):
+            model.decode_teacher_forcing(states, [sos], cache=DecodeCache(2))
+        with no_grad():
+            with pytest.raises(ConfigError):
+                model.decode_teacher_forcing(states, [sos, 5], cache=DecodeCache(2))
+            with pytest.raises(ConfigError):
+                model.decode_teacher_forcing(
+                    states, [sos], Segments([5, 6]), cache=DecodeCache(2)
+                )
+            with pytest.raises(ConfigError):
+                model.decode_teacher_forcing(
+                    states, [sos], inputs=Segments([1, 1]), cache=DecodeCache(2)
+                )

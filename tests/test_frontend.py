@@ -246,6 +246,14 @@ class TestAudioIO:
         with pytest.raises(IngestError):
             read_waveform(path)
 
+    def test_truncated_riff_header_is_ingest_error(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        write_wav(path, tone(100.0, 0.05))
+        for size in (6, 20):
+            path.write_bytes(path.read_bytes()[:size])
+            with pytest.raises(IngestError, match="not a readable WAV"):
+                read_waveform(path)
+
     def test_truncated_f64_payload_rejected(self, tmp_path):
         path = tmp_path / "short.f64"
         path.write_bytes(b"F64LE 10 16000\n" + b"\x00" * 24)

@@ -94,6 +94,42 @@ class TestLayerNorm:
         check_grad(lambda: (layer_norm(x, g, b) * weights).sum(), [x, g, b], tol=1e-5)
 
 
+def old_layer_norm(x, gain, bias, g, eps=1e-5):
+    """The two-pass statistics (``mean``, then ``var``) and the backward, in plain numpy."""
+    dim = x.shape[-1]
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv
+    dxhat = g * gain
+    da = inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    dgain = (g * xhat).reshape(-1, dim).sum(axis=0)
+    return xhat * gain + bias, da, dgain, g.reshape(-1, dim).sum(axis=0)
+
+
+@pytest.mark.parametrize("shape", [(1, 64), (35, 64), (3, 5, 64)])
+def test_layer_norm_is_bit_identical_to_mean_and_var(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(scale=3.0, size=shape)
+    rows = x.reshape(-1, 64)
+    rows[0] = 1e8 + rng.normal(size=64)  # a large offset
+    if rows.shape[0] > 2:
+        rows[1] = 1e8  # constant rows: variance 0
+        rows[2] = -2.5
+    gain, bias = rng.normal(size=64), rng.normal(size=64)
+    g = rng.normal(size=shape)
+    a, tg, tb = (Tensor(v, requires_grad=True) for v in (x, gain, bias))
+    out = layer_norm(a, tg, tb)
+    (out * Tensor(g)).sum().backward()
+    expected = old_layer_norm(x, gain, bias, g)
+    for got, want in zip((out.data, a.grad, tg.grad, tb.grad), expected):
+        assert np.array_equal(got, want)
+
+
 class TestBackwardRules:
     def test_sum_gives_ones(self):
         w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
