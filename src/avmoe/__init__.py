@@ -12,8 +12,8 @@ from .errors import (
     NumericError,
     ScoringError,
 )
-from .model import Model, ModelConfig, moe_model_from_dense
-from .moe import LoadStats, MoEConfig, MoELayer, RoutingDecision, init_from_dense
+from .model import Model, ModelConfig
+from .moe import LoadStats, MoEConfig, MoELayer, RoutingDecision
 from .tensor import Tensor, no_grad
 
 __all__ = [
@@ -34,7 +34,5 @@ __all__ = [
     "RoutingDecision",
     "ScoringError",
     "Tensor",
-    "init_from_dense",
-    "moe_model_from_dense",
     "no_grad",
 ]

@@ -8,8 +8,8 @@ Each setting of ``avmoe train`` has one home. Hyperparameters come from the
 keys are all optional; ``"moe": null`` trains a dense model:
 
     {"model": {"hidden", "heads", "d_ff", "encoder_blocks", "decoder_blocks",
-               "n_mels", "stack_factor", "activation", "macaron_scale"},
-     "moe": {"num_experts", "top_k", "renormalize_topk"},
+               "n_mels", "stack_factor", "macaron_scale"},
+     "moe": {"num_experts", "top_k"},
      "train": {"epochs", "batch_size", "lr", "warmup_steps", "alpha", "beta",
                "adam_beta1", "adam_beta2", "adam_eps"}}
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .frontend import LogMelSpectrogram
 from .model import DecodeCache, Model
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, log_softmax_rows, no_grad
 
 # Longest attention hypothesis, in tokens, for every decode the package runs.
 MAX_DECODE_LEN = 32
@@ -18,12 +18,6 @@ MAX_DECODE_LEN = 32
 class Hypothesis:
     token_ids: list[int]
     score: float  # summed log-probability of the chosen steps
-
-
-def _log_softmax_np(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax along the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def collapse_ctc_path(path: list[int], blank_id: int) -> list[int]:
@@ -39,8 +33,8 @@ def collapse_ctc_path(path: list[int], blank_id: int) -> list[int]:
 
 def ctc_greedy_decode(frame_logits: Tensor | np.ndarray, blank_id: int = 0) -> Hypothesis:
     """Best per-frame path, collapsed. Score is that single path's log-prob."""
-    logits = frame_logits.data if isinstance(frame_logits, Tensor) else np.asarray(frame_logits)
-    log_probs = _log_softmax_np(logits)
+    logits = frame_logits if isinstance(frame_logits, Tensor) else Tensor(frame_logits)
+    log_probs = log_softmax_rows(logits).data
     path = log_probs.argmax(axis=1)
     score = float(log_probs[np.arange(path.size), path].sum())
     return Hypothesis(token_ids=collapse_ctc_path(path.tolist(), blank_id), score=score)
@@ -63,7 +57,7 @@ def attention_greedy_decode(model: Model, states: Tensor, max_len: int) -> Hypot
         cache = DecodeCache(cfg.decoder_blocks)
         for _ in range(max_len):
             logits = model.decode_teacher_forcing(states, [token], cache=cache)
-            log_probs = _log_softmax_np(logits.data[-1])
+            log_probs = log_softmax_rows(logits).data[-1]
             best = int(np.argmax(log_probs))
             score += float(log_probs[best])
             if best == cfg.eos_id:

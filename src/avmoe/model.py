@@ -25,9 +25,8 @@ from .errors import ConfigError, DataError, DimensionError, GraphError
 from .fields import check_fields
 from .frontend import LogMelSpectrogram, stack_frames
 from .fusion import FusedSequence, fuse_concat, project_visual
-from .moe import LoadStats, MoEConfig, MoELayer, init_from_dense
+from .moe import LoadStats, MoEConfig, MoELayer
 from .nn import (
-    ACTIVATIONS,
     ConvGatedMLP,
     FeedForward,
     KVCache,
@@ -61,7 +60,6 @@ class ModelConfig:
     visual_dim: int = 16
     n_mels: int = 80
     stack_factor: int = 4
-    activation: str = "silu"
     macaron_scale: float = 0.5
     moe: MoEConfig | None = None
 
@@ -77,8 +75,6 @@ class ModelConfig:
         })
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden={self.hidden} not divisible by heads={self.heads}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}; choose from {ACTIVATIONS}")
         if self.moe is not None:
             if self.moe.hidden != self.hidden or self.moe.ffn_hidden != self.d_ff:
                 raise ConfigError(
@@ -92,7 +88,7 @@ class EncoderBlock(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         d = cfg.hidden
         self.ffn1_norm = LayerNorm(d)
-        self.ffn1 = FeedForward(rng, d, cfg.d_ff, cfg.activation)
+        self.ffn1 = FeedForward(rng, d, cfg.d_ff)
         self.attn_norm = LayerNorm(d)
         self.attn = MultiHeadAttention(rng, d, cfg.heads)
         self.local_norm = LayerNorm(d)
@@ -100,9 +96,9 @@ class EncoderBlock(Module):
         self.merge = Linear(rng, 2 * d, d)
         self.ffn2_norm = LayerNorm(d)
         if cfg.moe is not None:
-            self.ffn2 = MoELayer(cfg.moe, rng, activation=cfg.activation)
+            self.ffn2 = MoELayer(cfg.moe, rng)
         else:
-            self.ffn2 = FeedForward(rng, d, cfg.d_ff, cfg.activation)
+            self.ffn2 = FeedForward(rng, d, cfg.d_ff)
         self.final_norm = LayerNorm(d)
         self.scale = cfg.macaron_scale
 
@@ -128,7 +124,7 @@ class DecoderBlock(Module):
         self.cross_norm = LayerNorm(d)
         self.cross_attn = MultiHeadAttention(rng, d, cfg.heads)
         self.ffn_norm = LayerNorm(d)
-        self.ffn = FeedForward(rng, d, cfg.d_ff, cfg.activation)
+        self.ffn = FeedForward(rng, d, cfg.d_ff)
 
     def __call__(
         self,
@@ -305,22 +301,3 @@ class Model(Module):
             )
         speech = np.flatnonzero(seg.positions >= np.repeat(first, seg.lengths))
         return self.ctc_proj(gather_rows(states, speech))
-
-
-def moe_model_from_dense(dense: Model, moe_cfg: MoEConfig) -> Model:
-    """Turn a dense model into its MoE twin by replicating each second FFN.
-
-    Every parameter outside the second-FFN slots is copied verbatim; each
-    slot becomes an MoE layer whose experts are exact copies of the dense
-    FFN it replaces, with a zero-initialized router.
-    """
-    cfg = ModelConfig(**{**vars(dense.cfg), "moe": moe_cfg})
-    model = Model(cfg, np.random.default_rng(0))
-    dense_params = dict(dense.named_parameters())
-    for name, param in model.named_parameters():
-        if ".ffn2." in name:
-            continue
-        param.data = dense_params[name].data.copy()
-    for moe_block, dense_block in zip(model.enc_blocks, dense.enc_blocks):
-        moe_block.ffn2 = init_from_dense(dense_block.ffn2, moe_cfg)
-    return model

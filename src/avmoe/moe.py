@@ -2,8 +2,8 @@
 
 Routing probabilities come from a softmax over ``x @ router``. Each token is
 processed only by its k highest-probability experts and the outputs are
-combined with those probabilities (renormalized over the selected set by
-default, raw otherwise). Per-batch load statistics feed the balancing loss
+combined with those probabilities, renormalized over the selected set.
+Per-batch load statistics feed the balancing loss
 ``num_experts * sum_i assign_fraction_i * mean_prob_i``: the hard assignment
 fractions are treated as constants, so its gradient reaches the router only
 through the mean probabilities.
@@ -44,7 +44,6 @@ from .tensor import Tensor, _record, matmul, softmax_rows, take_along_cols, tsum
 class MoEConfig:
     num_experts: int = 8
     top_k: int = 4
-    renormalize_topk: bool = True
     hidden: int = 64
     ffn_hidden: int = 256
 
@@ -104,17 +103,15 @@ class LoadStats:
 
 
 class MoELayer(Module):
-    def __init__(self, cfg: MoEConfig, rng: np.random.Generator, activation: str = "silu"):
+    def __init__(self, cfg: MoEConfig, rng: np.random.Generator):
         cfg.validate()
         self.cfg = cfg
-        # Zero router: uniform routing at step 0, so a replicated-expert layer
-        # starts out exactly equivalent to its donor network. No bias.
+        # Zero router, no bias: routing is uniform at step 0.
         self.router = Tensor(
             np.zeros((cfg.hidden, cfg.num_experts)), requires_grad=True
         )
         self.experts = [
-            FeedForward(rng, cfg.hidden, cfg.ffn_hidden, activation)
-            for _ in range(cfg.num_experts)
+            FeedForward(rng, cfg.hidden, cfg.ffn_hidden) for _ in range(cfg.num_experts)
         ]
 
     def route(self, x: Tensor) -> RoutingDecision:
@@ -127,8 +124,7 @@ class MoELayer(Module):
         # A stable sort of the negated rows keeps equal entries in index order.
         indices = np.argsort(-probs.data, axis=1, kind="stable")[:, : self.cfg.top_k]
         weights = take_along_cols(probs, indices)
-        if self.cfg.renormalize_topk:
-            weights = weights / tsum(weights, axis=1, keepdims=True)
+        weights = weights / tsum(weights, axis=1, keepdims=True)
         return RoutingDecision(indices=indices, weights=weights, probs=probs)
 
     def __call__(self, x: Tensor) -> tuple[Tensor, LoadStats]:
@@ -200,19 +196,6 @@ def expert_mixture(
 
     params = tuple(p for expert in experts for p in expert.weights)
     return _record(out, (x, weights) + params, backward), dispatched
-
-
-def init_from_dense(donor: FeedForward, cfg: MoEConfig) -> MoELayer:
-    """Build an MoE layer whose experts are exact copies of ``donor``, activation included."""
-    if donor.lin1.weight.shape != (cfg.hidden, cfg.ffn_hidden):
-        raise DimensionError(
-            f"donor shape {donor.lin1.weight.shape} does not match config "
-            f"({cfg.hidden}, {cfg.ffn_hidden})"
-        )
-    layer = MoELayer(cfg, np.random.default_rng(0), activation=donor.act)
-    for expert in layer.experts:
-        expert.copy_weights_from(donor)
-    return layer
 
 
 def load_balance_loss(stats: LoadStats, num_experts: int) -> Tensor:

@@ -21,18 +21,18 @@ hand-written backward passes:
 The position-wise FFN, which is also one MoE expert, runs as one numpy
 kernel pair, ``FeedForward.forward`` and ``FeedForward.backward``.
 ``FeedForward.__call__`` records it as one graph node; ``moe.expert_mixture``
-calls it once per expert on that expert's rows. With ``act`` silu or relu:
+calls it once per expert on that expert's rows:
 
-    a = act(x W1 + b1),   y = a W2 + b2
+    a = silu(x W1 + b1),   y = a W2 + b2
 
 Backward, with G the output gradient:
 
     dW2 = a^T G,   db2 = colsum(G)
-    da  = (G W2^T) * act'(x W1 + b1)
+    da  = (G W2^T) * silu'(x W1 + b1)
     dW1 = x^T da,   db1 = colsum(da),   dx = da W1^T
 
-``act'`` comes from what the forward saved besides ``a``: the sigmoid s for
-silu, as ``s + a * (1 - s)``, and the mask ``x W1 + b1 > 0`` for relu.
+``silu'`` comes from what the forward saved besides ``a``: with s the
+sigmoid of ``x W1 + b1``, it is ``s + a * (1 - s)``.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ from .tensor import (
     narrow,
     silu,
 )
-
-# The activations ``FeedForward`` has a kernel for.
-ACTIVATIONS = ("silu", "relu")
 
 
 class Module:
@@ -110,12 +107,9 @@ class FeedForward(Module):
     The formulas of ``forward`` and ``backward`` are in the module docstring.
     """
 
-    def __init__(self, rng: np.random.Generator, dim: int, hidden: int, activation: str = "silu"):
-        if activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {activation!r}; choose from {ACTIVATIONS}")
+    def __init__(self, rng: np.random.Generator, dim: int, hidden: int):
         self.lin1 = Linear(rng, dim, hidden)
         self.lin2 = Linear(rng, hidden, dim)
-        self.act = activation
 
     @property
     def weights(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
@@ -125,34 +119,25 @@ class FeedForward(Module):
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         """The (rows, dim) output for (rows, dim) ``x``, and what ``backward`` needs."""
         pre = x @ self.lin1.weight.data + self.lin1.bias.data
-        if self.act == "silu":
-            s = _sigmoid_stable(pre)
-            act = pre * s
-        else:
-            s = pre > 0.0
-            act = np.maximum(pre, 0.0)
+        s = _sigmoid_stable(pre)
+        act = pre * s
         return act @ self.lin2.weight.data + self.lin2.bias.data, (x, act, s)
 
     def backward(self, g: np.ndarray, saved: tuple) -> tuple[np.ndarray, ...]:
         """``dx, dW1, db1, dW2, db2`` for output gradient ``g`` of a ``forward`` call.
 
-        ``s`` is the sigmoid (silu) or the mask (relu). For silu,
-        ``s + act * (1 - s)`` with ``act = pre * s`` is bit-identical to
-        ``s + pre * s * (1 - s)``, which evaluates ``pre * s`` first.
+        ``s`` is the sigmoid of ``pre = x W1 + b1``. ``s + act * (1 - s)``
+        with ``act = pre * s`` is bit-identical to ``s + pre * s * (1 - s)``,
+        which evaluates ``pre * s`` first.
         """
         x, act, s = saved
-        act_grad = s + act * (1.0 - s) if self.act == "silu" else s
-        da = (g @ self.lin2.weight.data.T) * act_grad
+        da = (g @ self.lin2.weight.data.T) * (s + act * (1.0 - s))
         return da @ self.lin1.weight.data.T, x.T @ da, da.sum(axis=0), act.T @ g, g.sum(axis=0)
 
     def __call__(self, x: Tensor) -> Tensor:
         """The FFN as one graph node with parents ``(x, W1, b1, W2, b2)``."""
         y, saved = self.forward(x.data)
         return _record(y, (x, *self.weights), lambda g: self.backward(g, saved))
-
-    def copy_weights_from(self, other: "FeedForward") -> None:
-        for mine, theirs in zip(self.weights, other.weights):
-            mine.data = theirs.data.copy()
 
 
 class Segments:
@@ -174,7 +159,8 @@ class Segments:
         self.longest = max(sizes)
         self.padded = self.total != self.count * self.longest
 
-    # Built on first use: a decoder step of one utterance needs only ``positions``.
+    # Built on first use: ``attend`` on one sequence builds two ``Segments`` and reads
+    # none of these, and a decode step makes two such calls per decoder block.
     @functools.cached_property
     def starts(self) -> np.ndarray:
         return np.cumsum(self.lengths) - self.lengths

@@ -301,7 +301,7 @@ def generate_corpus(
 
 
 def load_manifest(path) -> list[ManifestEntry]:
-    """Parse a JSONL manifest and check that referenced files exist."""
+    """Parse a JSONL manifest, check each record's field types and that its files exist."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
@@ -313,7 +313,8 @@ def load_manifest(path) -> list[ManifestEntry]:
         try:
             record = json.loads(line)
             entry = ManifestEntry(**record)
-        except (json.JSONDecodeError, TypeError) as exc:
+            check_fields(entry)
+        except (json.JSONDecodeError, TypeError, ConfigError) as exc:
             raise DataError(f"{path}:{lineno}: bad manifest record ({exc})") from exc
         if not entry.transcript.strip():
             raise DataError(f"{path}:{lineno}: empty transcript for {entry.utt_id}")

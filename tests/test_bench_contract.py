@@ -1,4 +1,5 @@
-"""The avmoe names that the benchmark in bench/ wraps or calls still exist.
+"""The avmoe names that the benchmark in bench/ wraps or calls still exist, and
+take the keyword arguments that bench/ passes them.
 
 A traced run replaces each function in ``spans.FUNCTIONS`` by name and skips
 one that is gone, so a renamed function reads 0 instead of failing; a
@@ -7,18 +8,20 @@ in it.
 """
 
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from avmoe import losses
+from avmoe import decoding, frontend, losses, synth
 from avmoe import train as avtrain
 from avmoe.decoding import MAX_DECODE_LEN, attention_greedy_decode
 from avmoe.model import Model, ModelConfig
-from avmoe.moe import MoELayer
+from avmoe.moe import MoEConfig, MoELayer
 from avmoe.nn import FeedForward
+from avmoe.optim import Adam
 from avmoe.tensor import Tensor
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -61,6 +64,28 @@ CALLED = [
 @pytest.mark.parametrize("home, attr", CALLED, ids=[f"{h.__name__}.{a}" for h, a in CALLED])
 def test_every_called_name_exists(home, attr):
     assert callable(getattr(home, attr, None))
+
+
+# Calls that bench/ makes with keyword arguments, as (callee, positional count, keywords).
+BOUND = [
+    (ModelConfig, 0, ["vocab_size"]),
+    (MoEConfig, 0, ["hidden", "ffn_hidden"]),
+    (avtrain.TrainConfig, 0, ["seed", "batch_size", "lr", "warmup_steps", "epochs"]),
+    (avtrain.load_dataset, 2, ["n_mels", "spec"]),
+    (Adam, 1, ["lr", "beta1", "beta2", "eps"]),
+    (avtrain.TrainState, 0, ["model", "optimizer", "rng"]),
+    (frontend.log_mel_from_waveform, 1, ["n_mels"]),
+    (decoding.ctc_greedy_decode, 1, ["blank_id"]),
+    (losses.total_loss, 3, ["alpha", "beta"]),
+    (synth.generate_corpus, 5, ["seed"]),
+]
+
+
+@pytest.mark.parametrize("callee, positional, keywords", BOUND,
+                         ids=[callee.__name__ for callee, _, _ in BOUND])
+def test_every_bench_call_binds(callee, positional, keywords):
+    # A removed or renamed parameter raises TypeError here, not in a bench run.
+    inspect.signature(callee).bind(*range(positional), **dict.fromkeys(keywords))
 
 
 def test_tensor_size_counts_the_elements():

@@ -90,6 +90,8 @@ REJECTED_CONFIGS = {
     "ffn_hidden": {"moe": {"ffn_hidden": 256}},
     "max_decode_len": {"train": {"max_decode_len": 64}},
     "sos_id": {"model": {"sos_id": 7}},
+    "activation": {"model": {"activation": "silu"}},
+    "renormalize_topk": {"moe": {"renormalize_topk": True}},
 }
 
 
@@ -110,7 +112,8 @@ def test_settable_surface_is_pinned(tmp_path):
                      "--audio-only", "--dev-manifest", "--resume"}
     probes = {f.name: 1 if f.default is dataclasses.MISSING else f.default
               for cls in (ModelConfig, MoEConfig, TrainConfig) for f in dataclasses.fields(cls)}
-    probes.update(blank_id=0, sos_id=1, eos_id=2, pad_id=3, max_decode_len=32)  # removed
+    probes.update(blank_id=0, sos_id=1, eos_id=2, pad_id=3, max_decode_len=32,  # removed
+                  activation="silu", renormalize_topk=True)
     accepted = {}
     path = tmp_path / "probe.json"
     for section in ("model", "moe", "train"):
@@ -124,8 +127,8 @@ def test_settable_surface_is_pinned(tmp_path):
             accepted[section].add(key)
     assert accepted == {
         "model": {"hidden", "heads", "d_ff", "encoder_blocks", "decoder_blocks", "n_mels",
-                  "stack_factor", "activation", "macaron_scale"},
-        "moe": {"num_experts", "top_k", "renormalize_topk"},
+                  "stack_factor", "macaron_scale"},
+        "moe": {"num_experts", "top_k"},
         "train": {"epochs", "batch_size", "lr", "warmup_steps", "alpha", "beta",
                   "adam_beta1", "adam_beta2", "adam_eps"},
     }
@@ -138,16 +141,36 @@ def test_checkpoint_with_bad_magic_exits_3(run):
     assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt)]) == 3
 
 
-def test_checkpoint_naming_a_special_id_field_exits_3(run):
-    # What a checkpoint from before the special ids became constants holds.
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "blank_id", 0), ("model", "activation", "silu"), ("moe", "renormalize_topk", True),
+], ids=["model.blank_id", "model.activation", "moe.renormalize_topk"])
+def test_checkpoint_naming_a_removed_field_exits_3(run, section, key, value):
+    # What a checkpoint from before the special ids became constants, or from
+    # before the activation and raw top-k settings were removed, holds.
     saved = load_checkpoint(run / "full" / "final.ckpt")
-    model = {**json.loads(saved.config["model"]), "blank_id": 0}
+    model = json.loads(saved.config["model"])
+    (model if section == "model" else model["moe"])[key] = value
     ckpt = run / "old_fields.ckpt"
     save_checkpoint(ckpt, {**saved.config, "model": json.dumps(model)}, saved.tensors)
     manifest = run / "corpus" / "test.jsonl"
     assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt)]) == 3
     assert train(run, "old_fields", write_config(run / "config.json"),
                  "--resume", str(ckpt)) == 3
+
+
+@pytest.mark.parametrize("field, value", [("transcript", 5), ("transcript", ["a"]), ("visual", 5)],
+                         ids=["transcript-int", "transcript-list", "visual-int"])
+def test_manifest_field_of_the_wrong_type_exits_3(run, field, value, capsys):
+    # One record of the test manifest, its file paths made relative to ``run``.
+    record = json.loads((run / "corpus" / "test.jsonl").read_text().splitlines()[0])
+    record.update(audio=f"corpus/{record['audio']}", visual=f"corpus/{record['visual']}")
+    manifest = run / "wrong_type.jsonl"
+    manifest.write_text(json.dumps({**record, field: value}) + "\n")
+    capsys.readouterr()
+    ckpt = run / "full" / "final.ckpt"
+    assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt)]) == 3
+    err = capsys.readouterr().err
+    assert f"{manifest}:1:" in err and f"ManifestEntry.{field}" in err
 
 
 @pytest.mark.parametrize("flag, kind", [
@@ -213,9 +236,8 @@ def test_config_value_fuzz_never_exits_1(run):
     # runs (exit 0) or the config is refused (exit 2), never a traceback.
     rng = np.random.default_rng(90)
     keys = [(section, key) for section, values in TINY.items() for key in values]
-    keys += [("model", k) for k in ("stack_factor", "activation", "macaron_scale")]
-    keys += [("moe", "renormalize_topk")] + [
-        ("train", k) for k in ("alpha", "beta", "adam_beta1", "adam_beta2", "adam_eps")]
+    keys += [("model", k) for k in ("stack_factor", "macaron_scale")]
+    keys += [("train", k) for k in ("alpha", "beta", "adam_beta1", "adam_beta2", "adam_eps")]
     codes = []
     for case in range(100):
         section, key = keys[int(rng.integers(len(keys)))]

@@ -1,13 +1,10 @@
-"""Whole-model checks: config validation, upcycling, the size of the loss graph, and a sampled
-gradcheck."""
+"""Whole-model checks: the size of the loss graph and a sampled gradcheck."""
 
 import numpy as np
-import pytest
 
-from avmoe.errors import ConfigError
 from avmoe.frontend import LogMelSpectrogram
 from avmoe.losses import batch_balance_losses, total_loss
-from avmoe.model import Model, ModelConfig, moe_model_from_dense
+from avmoe.model import Model, ModelConfig
 from avmoe.moe import MoEConfig
 from avmoe.train import Utterance, utterance_losses
 
@@ -38,25 +35,6 @@ def graph_nodes(loss) -> set[int]:
         seen.add(id(node))
         stack.extend(node._parents)
     return seen
-
-
-def test_upcycled_model_starts_with_the_dense_losses():
-    dense = Model(tiny_config(), np.random.default_rng(31))
-    moe = moe_model_from_dense(dense, MoEConfig(num_experts=4, top_k=2, hidden=8, ffn_hidden=16))
-    utt = fixed_utterance()
-    dense_att, dense_ctc, _ = utterance_losses(dense, utt)
-    moe_att, moe_ctc, stats = utterance_losses(moe, utt)
-    assert len(stats) == 1
-    np.testing.assert_allclose(moe_att.item(), dense_att.item(), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(moe_ctc.item(), dense_ctc.item(), rtol=0, atol=1e-12)
-
-
-def test_unknown_activation_rejected_without_any_ffn():
-    cfg = tiny_config()
-    cfg.encoder_blocks = cfg.decoder_blocks = 0
-    cfg.activation = "gelu"
-    with pytest.raises(ConfigError):
-        Model(cfg, np.random.default_rng(0))
 
 
 def test_loss_graph_size_is_pinned():

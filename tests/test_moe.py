@@ -1,4 +1,4 @@
-"""Routing, sparse dispatch, replicated initialization, and the balance loss."""
+"""Routing, sparse dispatch, and the balance loss."""
 
 import numpy as np
 import pytest
@@ -9,27 +9,18 @@ from avmoe.moe import (
     MoEConfig,
     MoELayer,
     expert_mixture,
-    init_from_dense,
     load_balance_loss,
 )
-from avmoe.nn import ACTIVATIONS, FeedForward
+from avmoe.nn import FeedForward
 from avmoe.optim import Adam
 from avmoe.tensor import Tensor, _sigmoid_stable, gather_rows, matmul
 
-from helpers import check_grad, reference_ffn
+from helpers import check_grad, copy_ffn_weights, reference_ffn
 
 
-def make_layer(
-    num_experts=8, top_k=4, renorm=True, hidden=6, ffn_hidden=12, seed=0, activation="silu"
-):
-    cfg = MoEConfig(
-        num_experts=num_experts,
-        top_k=top_k,
-        renormalize_topk=renorm,
-        hidden=hidden,
-        ffn_hidden=ffn_hidden,
-    )
-    return MoELayer(cfg, np.random.default_rng(seed), activation=activation)
+def make_layer(num_experts=8, top_k=4, hidden=6, ffn_hidden=12, seed=0):
+    cfg = MoEConfig(num_experts=num_experts, top_k=top_k, hidden=hidden, ffn_hidden=ffn_hidden)
+    return MoELayer(cfg, np.random.default_rng(seed))
 
 
 def reference_mixture(x, weights, indices, experts):
@@ -74,14 +65,13 @@ class TestRouting:
         np.testing.assert_array_equal(decision.indices, np.tile([0, 1, 2, 3], (5, 1)))
 
     def test_two_expert_closed_form(self):
-        for renorm, expected_weight in ((False, 0.75), (True, 1.0)):
-            layer = make_layer(num_experts=2, top_k=1, renorm=renorm, hidden=2, ffn_hidden=4)
-            # logits = x @ router = (0, ln 3) for x = (1, 0)
-            layer.router.data = np.array([[0.0, np.log(3.0)], [0.0, 0.0]])
-            decision = layer.route(Tensor([[1.0, 0.0]]))
-            np.testing.assert_allclose(decision.probs.data, [[0.25, 0.75]], atol=1e-12)
-            assert decision.indices.tolist() == [[1]]
-            np.testing.assert_allclose(decision.weights.data, [[expected_weight]], atol=1e-12)
+        layer = make_layer(num_experts=2, top_k=1, hidden=2, ffn_hidden=4)
+        # logits = x @ router = (0, ln 3) for x = (1, 0)
+        layer.router.data = np.array([[0.0, np.log(3.0)], [0.0, 0.0]])
+        decision = layer.route(Tensor([[1.0, 0.0]]))
+        np.testing.assert_allclose(decision.probs.data, [[0.25, 0.75]], atol=1e-12)
+        assert decision.indices.tolist() == [[1]]
+        np.testing.assert_allclose(decision.weights.data, [[1.0]], atol=1e-12)
 
     def test_router_logit_shift_invariance(self):
         layer = make_layer(hidden=4, ffn_hidden=8)
@@ -118,30 +108,19 @@ class TestRouting:
 
 class TestForward:
     def test_full_ensemble_of_identical_experts_is_dense(self):
-        # K = E: weights sum to 1 with or without renormalization.
-        for renorm in (True, False):
-            layer = make_layer(num_experts=4, top_k=4, renorm=renorm)
-            donor = layer.experts[0]
-            for expert in layer.experts:
-                expert.copy_weights_from(donor)
-            x = Tensor(np.random.default_rng(5).normal(size=(7, 6)))
-            out, _ = layer(x)
-            np.testing.assert_allclose(out.data, donor(x).data, atol=1e-12)
-
-    def test_raw_top4_of_uniform_gives_half_ffn(self):
-        layer = make_layer(num_experts=8, top_k=4, renorm=False)
+        layer = make_layer(num_experts=4, top_k=4)
         donor = layer.experts[0]
         for expert in layer.experts:
-            expert.copy_weights_from(donor)
-        x = Tensor(np.random.default_rng(6).normal(size=(5, 6)))
+            copy_ffn_weights(expert, donor)
+        x = Tensor(np.random.default_rng(5).normal(size=(7, 6)))
         out, _ = layer(x)
-        np.testing.assert_allclose(out.data, 0.5 * donor(x).data, atol=1e-12)
+        np.testing.assert_allclose(out.data, donor(x).data, atol=1e-12)
 
     def test_renormalized_top4_of_uniform_is_identity(self):
-        layer = make_layer(num_experts=8, top_k=4, renorm=True)
+        layer = make_layer(num_experts=8, top_k=4)
         donor = layer.experts[0]
         for expert in layer.experts:
-            expert.copy_weights_from(donor)
+            copy_ffn_weights(expert, donor)
         x = Tensor(np.random.default_rng(7).normal(size=(5, 6)))
         out, _ = layer(x)
         np.testing.assert_allclose(out.data, donor(x).data, atol=1e-12)
@@ -166,7 +145,7 @@ class TestForward:
         permuted = make_layer(hidden=4, ffn_hidden=8)
         permuted.router.data = layer.router.data[:, perm]
         for new_pos, old_pos in enumerate(perm):
-            permuted.experts[new_pos].copy_weights_from(layer.experts[old_pos])
+            copy_ffn_weights(permuted.experts[new_pos], layer.experts[old_pos])
         out, _ = permuted(x)
         np.testing.assert_allclose(out.data, base.data, atol=1e-12, rtol=0)
 
@@ -180,11 +159,9 @@ class TestForward:
 
 
 class TestExpertMixture:
-    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
     @pytest.mark.parametrize("top_k", [1, 2, 5])
-    def test_matches_per_expert_composition(self, activation, top_k):
-        layer = make_layer(num_experts=5, top_k=top_k, hidden=4, ffn_hidden=6,
-                           activation=activation)
+    def test_matches_per_expert_composition(self, top_k):
+        layer = make_layer(num_experts=5, top_k=top_k, hidden=4, ffn_hidden=6)
         rng = np.random.default_rng(20 + top_k)
         layer.router.data = rng.normal(size=(4, 5))
         x = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
@@ -207,9 +184,8 @@ class TestExpertMixture:
             else:
                 assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
-    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
-    def test_gradient_matches_finite_differences(self, activation):
-        layer = make_layer(num_experts=3, top_k=2, hidden=3, ffn_hidden=4, activation=activation)
+    def test_gradient_matches_finite_differences(self):
+        layer = make_layer(num_experts=3, top_k=2, hidden=3, ffn_hidden=4)
         rng = np.random.default_rng(24)
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         mix = Tensor(rng.uniform(0.1, 1.0, size=(5, 2)), requires_grad=True)
@@ -220,28 +196,23 @@ class TestExpertMixture:
             [x, mix] + layer.parameters()[1:],
         )
 
-    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
     def test_backward_is_bit_identical_to_recomputing_from_the_pre_activation(
-        self, activation, monkeypatch
+        self, monkeypatch
     ):
-        # The FFN kernel saves the sigmoid (silu) or the mask (relu); this is
-        # the kernel that saved the pre-activation and took the sigmoid again.
+        # The FFN kernel saves the sigmoid; this is the kernel that saved the
+        # pre-activation and took the sigmoid again.
         def forward_saving_pre(ffn, x):
             pre = x @ ffn.lin1.weight.data + ffn.lin1.bias.data
-            act = pre * _sigmoid_stable(pre) if ffn.act == "silu" else np.maximum(pre, 0.0)
+            act = pre * _sigmoid_stable(pre)
             return act @ ffn.lin2.weight.data + ffn.lin2.bias.data, (x, act, pre)
 
         def backward_from_pre(ffn, g, saved):
             x, act, pre = saved
-            if ffn.act == "silu":
-                s = _sigmoid_stable(pre)
-                act_grad = s + pre * s * (1.0 - s)
-            else:
-                act_grad = pre > 0.0
-            da = (g @ ffn.lin2.weight.data.T) * act_grad
+            s = _sigmoid_stable(pre)
+            da = (g @ ffn.lin2.weight.data.T) * (s + pre * s * (1.0 - s))
             return da @ ffn.lin1.weight.data.T, x.T @ da, da.sum(axis=0), act.T @ g, g.sum(axis=0)
 
-        layer = make_layer(num_experts=5, top_k=3, hidden=4, ffn_hidden=6, activation=activation)
+        layer = make_layer(num_experts=5, top_k=3, hidden=4, ffn_hidden=6)
         rng = np.random.default_rng(26)
         layer.router.data = rng.normal(size=(4, 5))
         x = Tensor(rng.normal(scale=3.0, size=(11, 4)), requires_grad=True)
@@ -281,57 +252,6 @@ class TestExpertMixture:
             assert not opt.v[f"experts.3.{name}"].any()
         for p, keep in zip(silent, before):
             np.testing.assert_array_equal(p.data, keep)
-
-
-class TestInitFromDense:
-    def test_experts_are_bit_exact_copies(self):
-        rng = np.random.default_rng(10)
-        donor = FeedForward(rng, 6, 12)
-        layer = init_from_dense(donor, MoEConfig(hidden=6, ffn_hidden=12))
-        x = Tensor(rng.normal(size=(4, 6)))
-        expected = donor(x).data
-        for expert in layer.experts:
-            np.testing.assert_array_equal(expert(x).data, expected)
-        assert np.all(layer.router.data == 0.0)
-
-    def test_forward_matches_donor_after_init(self):
-        rng = np.random.default_rng(11)
-        donor = FeedForward(rng, 6, 12)
-        layer = init_from_dense(donor, MoEConfig(num_experts=8, top_k=4, hidden=6, ffn_hidden=12))
-        for seed in range(100):
-            x = Tensor(np.random.default_rng(seed).normal(size=(3, 6)))
-            out, _ = layer(x)
-            np.testing.assert_allclose(out.data, donor(x).data, atol=1e-12)
-
-    def test_relu_donor_gives_relu_experts(self):
-        rng = np.random.default_rng(15)
-        donor = FeedForward(rng, 6, 12, "relu")
-        layer = init_from_dense(donor, MoEConfig(num_experts=4, top_k=2, hidden=6, ffn_hidden=12))
-        assert all(expert.act == "relu" for expert in layer.experts)
-        x = Tensor(rng.normal(size=(5, 6)))
-        out, _ = layer(x)
-        np.testing.assert_allclose(out.data, donor(x).data, rtol=0, atol=1e-12)
-
-    def test_experts_diverge_after_one_step_with_distinct_gradients(self):
-        rng = np.random.default_rng(12)
-        donor = FeedForward(rng, 4, 8)
-        layer = init_from_dense(donor, MoEConfig(num_experts=4, top_k=2, hidden=4, ffn_hidden=8))
-        # Distinct routing per token so different experts see different data.
-        layer.router.data = rng.normal(size=(4, 4))
-        x = Tensor(rng.normal(size=(6, 4)))
-        out, _ = layer(x)
-        (out * Tensor(rng.normal(size=out.shape))).sum().backward()
-        opt = Adam(layer.named_parameters(), lr=1e-2)
-        opt.step()
-        first = layer.experts[0].lin1.weight.data
-        assert any(
-            not np.array_equal(first, e.lin1.weight.data) for e in layer.experts[1:]
-        )
-
-    def test_shape_mismatch_rejected(self):
-        donor = FeedForward(np.random.default_rng(0), 4, 8)
-        with pytest.raises(ConfigError):
-            init_from_dense(donor, MoEConfig(hidden=6, ffn_hidden=12))
 
 
 class TestBalanceLoss:
