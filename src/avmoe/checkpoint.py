@@ -11,26 +11,40 @@ Layout:
     [data]\\n
     <raw little-endian float64 payload>
 
-Offsets index into the payload. The CRC32 of the config lines and of every
-tensor is verified on load, so a corrupted file fails loudly instead of
-producing a silently wrong model.
+Offsets index into the payload. The save streams the header and then each
+array's own buffer to a sibling temp file and moves it onto ``path`` with
+``os.replace``, so a save that fails part way leaves the previous file at
+``path`` intact.
 
-The save streams the header and then each array's own buffer to a sibling
-temp file and moves it onto ``path`` with ``os.replace``, so a save that
-fails part way leaves the previous file at ``path`` intact. The load reads the
-file once; each loaded tensor is a read-only view into that one buffer, and
-callers that keep a tensor copy it (``load_params_into``).
+The load has two steps, so that a caller reads only the tensors it uses:
+
+- ``load_checkpoint`` reads the header and no payload. It checks the magic,
+  the CRC32 of the config lines and the syntax of every tensor line, and it
+  checks each tensor's byte range against the file length from ``fstat``,
+  so a truncated file fails here.
+- ``Checkpoint.read(prefix)`` reads the byte range that covers the tensors
+  whose names start with ``prefix``, in one read, and checks each one's
+  CRC32. It refuses a file whose inode, size or mtime changed after the
+  header step. Each tensor is a read-only view into that one buffer, and
+  callers that keep a tensor copy it (``load_params_into``).
+  ``Checkpoint.tensors`` is ``read("")``: every tensor, verified.
+
+The trade: ``train.restore_model`` (``avmoe eval`` and ``decode``) reads and
+verifies only the ``model.*`` tensors, a third of a training checkpoint, so
+it does not notice a corrupted Adam moment. ``train.restore_train_state``
+(``avmoe train --resume``) reads and verifies every tensor.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
-import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,12 +53,67 @@ from .tensor import Tensor
 
 MAGIC = b"EVACKPT2"
 CONFIG_CRC = "crc32 "
+DATA_MARKER = b"\n[data]\n"
+HEADER_CHUNK = 1 << 16  # bytes per read while looking for the end of the header
+
+
+class TensorEntry(NamedTuple):
+    """One tensor line of the header."""
+
+    shape: tuple[int, ...]
+    offset: int  # into the payload
+    nbytes: int
+    crc32: int
 
 
 @dataclass
 class Checkpoint:
+    """A checkpoint's verified header; ``read`` loads and verifies its tensors."""
+
+    path: Path
     config: dict[str, str]
-    tensors: dict[str, np.ndarray]
+    entries: dict[str, TensorEntry]
+    data_start: int  # file offset of the payload
+    stamp: tuple[int, int, int]  # (st_ino, st_size, st_mtime_ns) when the header was read
+
+    @functools.cached_property
+    def tensors(self) -> dict[str, np.ndarray]:
+        """Every tensor, verified."""
+        return self.read()
+
+    def read(self, prefix: str = "") -> dict[str, np.ndarray]:
+        """The tensors whose names start with ``prefix``, each checked against its CRC32.
+
+        One ``readinto`` fills a buffer with the byte range that covers them,
+        and each is a read-only view into it. On Linux numpy asks the kernel
+        to back a large ``np.empty`` with huge pages, so the read takes far
+        fewer page faults than ``read_bytes`` does.
+        """
+        chosen = {name: e for name, e in self.entries.items() if name.startswith(prefix)}
+        if not chosen:
+            return {}
+        low = min(e.offset for e in chosen.values())
+        buf = np.empty(max(e.offset + e.nbytes for e in chosen.values()) - low, dtype=np.uint8)
+        try:
+            with self.path.open("rb", buffering=0) as f:
+                stamp = _stamp(os.fstat(f.fileno()))
+                f.seek(self.data_start + low)
+                count = f.readinto(buf)
+        except OSError as exc:
+            raise CheckpointError(
+                f"{self.path}: cannot read the checkpoint: {exc.strerror}"
+            ) from exc
+        if stamp != self.stamp or count != len(buf):
+            raise CheckpointError(f"{self.path}: the file changed after its header was read")
+        buf.flags.writeable = False
+        view = memoryview(buf)
+        tensors = {}
+        for name, e in chosen.items():
+            raw = view[e.offset - low : e.offset - low + e.nbytes]
+            if zlib.crc32(raw) != e.crc32:
+                raise CheckpointError(f"{self.path}: checksum failure for tensor {name!r}")
+            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(e.shape)
+        return tensors
 
 
 def save_checkpoint(path, config: dict[str, str], tensors: dict[str, np.ndarray]) -> None:
@@ -81,27 +150,40 @@ def save_checkpoint(path, config: dict[str, str], tensors: dict[str, np.ndarray]
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a malformed header line fails with its byte offset."""
+    """Read and verify a checkpoint's header; a malformed line fails with its byte offset.
+
+    No tensor is read: ``Checkpoint.read`` and ``Checkpoint.tensors`` do that.
+    """
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    blob = _read_file(path)
-    if blob[: len(MAGIC) + 1] != MAGIC + b"\n":
-        raise CheckpointError(
-            f"{path}: bad magic {bytes(blob[:8])!r}; this reader understands {MAGIC.decode()} only"
-        )
-    found = re.search(rb"\n\[data\]\n", blob)
-    if found is None:
-        raise CheckpointError(f"{path}: truncated header, no [data] section")
-    marker = found.start()
-    payload = blob[found.end() :]
+    try:
+        with path.open("rb", buffering=0) as f:
+            stat = os.fstat(f.fileno())
+            head = f.read(HEADER_CHUNK)
+            if head[: len(MAGIC) + 1] != MAGIC + b"\n":
+                raise CheckpointError(
+                    f"{path}: bad magic {head[:8]!r}; this reader understands {MAGIC.decode()} only"
+                )
+            marker = head.find(DATA_MARKER)
+            while marker < 0:
+                chunk = f.read(HEADER_CHUNK)
+                if not chunk:
+                    raise CheckpointError(f"{path}: truncated header, no [data] section")
+                searched = len(head) - len(DATA_MARKER) + 1
+                head += chunk
+                marker = head.find(DATA_MARKER, searched)
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read the checkpoint: {exc.strerror}") from exc
+    data_start = marker + len(DATA_MARKER)
+    payload_len = stat.st_size - data_start
 
     config: dict[str, str] = {}
     config_lines: list[str] = []
-    tensors: dict[str, np.ndarray] = {}
+    entries: dict[str, TensorEntry] = {}
     section = None
     line_start = len(MAGIC) + 1
-    for raw_line in bytes(blob[line_start:marker]).split(b"\n"):
+    for raw_line in head[line_start:marker].split(b"\n"):
         try:
             line = raw_line.decode("ascii")
             if line == "[config]" and section is None:
@@ -124,13 +206,10 @@ def load_checkpoint(path) -> Checkpoint:
                 offset = int(offset_text)
                 if offset < 0 or any(d < 0 for d in shape):
                     raise CheckpointError("negative offset or dimension")
-                count = math.prod(shape)
-                raw = payload[offset : offset + 8 * count]
-                if len(raw) != 8 * count:
+                nbytes = 8 * math.prod(shape)
+                if offset + nbytes > payload_len:
                     raise CheckpointError(f"payload truncated for tensor {name!r}")
-                if (zlib.crc32(raw) & 0xFFFFFFFF) != int(crc_text):
-                    raise CheckpointError(f"checksum failure for tensor {name!r}")
-                tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+                entries[name] = TensorEntry(shape, offset, nbytes, int(crc_text))
             else:
                 raise CheckpointError("stray line before [config]")
         except (CheckpointError, ValueError) as exc:  # ValueError covers bad ascii and JSON
@@ -140,23 +219,11 @@ def load_checkpoint(path) -> Checkpoint:
         line_start += len(raw_line) + 1
     if section != "[tensors]":
         raise CheckpointError(f"{path}: header has no [tensors] section")
-    return Checkpoint(config=config, tensors=tensors)
+    return Checkpoint(path, config, entries, data_start, _stamp(stat))
 
 
-def _read_file(path: Path) -> memoryview:
-    """The whole file, read once into one read-only buffer.
-
-    On Linux numpy asks the kernel to back a large ``np.empty`` with huge
-    pages, so the read takes far fewer page faults than ``read_bytes`` does.
-    """
-    try:
-        with path.open("rb") as f:
-            buf = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
-            buf = buf[: f.readinto(buf)]
-    except OSError as exc:
-        raise CheckpointError(f"{path}: cannot read the checkpoint: {exc.strerror}") from exc
-    buf.flags.writeable = False
-    return memoryview(buf)
+def _stamp(stat: os.stat_result) -> tuple[int, int, int]:
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
 def _verify_config(lines: list[str]) -> None:

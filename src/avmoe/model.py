@@ -85,7 +85,7 @@ class ModelConfig:
 
 
 class EncoderBlock(Module):
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None):
         d = cfg.hidden
         self.ffn1_norm = LayerNorm(d)
         self.ffn1 = FeedForward(rng, d, cfg.d_ff)
@@ -117,7 +117,7 @@ class EncoderBlock(Module):
 
 
 class DecoderBlock(Module):
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None):
         d = cfg.hidden
         self.self_norm = LayerNorm(d)
         self.self_attn = MultiHeadAttention(rng, d, cfg.heads)
@@ -159,7 +159,10 @@ class DecodeCache:
 
 
 class Model(Module):
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+    """With ``rng=None`` nothing is drawn: weights are left uninitialised for a
+    checkpoint load (``train.restore_model``) to overwrite."""
+
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None):
         cfg.validate()
         self.cfg = cfg
         d = cfg.hidden
@@ -169,8 +172,9 @@ class Model(Module):
         self.visual_proj = Tensor(glorot(rng, cfg.visual_dim, d), requires_grad=True)
         self.visual_bias = Tensor(np.zeros(d), requires_grad=True)
         self.enc_blocks = [EncoderBlock(cfg, rng) for _ in range(cfg.encoder_blocks)]
+        shape = (cfg.vocab_size, d)
         self.dec_embed = Tensor(
-            rng.normal(0.0, 1.0 / math.sqrt(d), size=(cfg.vocab_size, d)),
+            np.empty(shape) if rng is None else rng.normal(0.0, 1.0 / math.sqrt(d), size=shape),
             requires_grad=True,
         )
         self.dec_blocks = [DecoderBlock(cfg, rng) for _ in range(cfg.decoder_blocks)]

@@ -103,7 +103,7 @@ class LoadStats:
 
 
 class MoELayer(Module):
-    def __init__(self, cfg: MoEConfig, rng: np.random.Generator):
+    def __init__(self, cfg: MoEConfig, rng: np.random.Generator | None):
         cfg.validate()
         self.cfg = cfg
         # Zero router, no bias: routing is uniform at step 0.

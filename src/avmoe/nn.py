@@ -77,13 +77,16 @@ class Module:
         return [p for _, p in self.named_parameters()]
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def glorot(rng: np.random.Generator | None, fan_in: int, fan_out: int) -> np.ndarray:
+    """Glorot-uniform weights; with no ``rng``, uninitialised ones that a load overwrites."""
+    if rng is None:
+        return np.empty((fan_in, fan_out))
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 class Linear(Module):
-    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int):
+    def __init__(self, rng: np.random.Generator | None, d_in: int, d_out: int):
         self.weight = Tensor(glorot(rng, d_in, d_out), requires_grad=True)
         self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
@@ -107,7 +110,7 @@ class FeedForward(Module):
     The formulas of ``forward`` and ``backward`` are in the module docstring.
     """
 
-    def __init__(self, rng: np.random.Generator, dim: int, hidden: int):
+    def __init__(self, rng: np.random.Generator | None, dim: int, hidden: int):
         self.lin1 = Linear(rng, dim, hidden)
         self.lin2 = Linear(rng, hidden, dim)
 
@@ -198,7 +201,7 @@ class Segments:
 
 
 class MultiHeadAttention(Module):
-    def __init__(self, rng: np.random.Generator, dim: int, heads: int):
+    def __init__(self, rng: np.random.Generator | None, dim: int, heads: int):
         if dim % heads != 0:
             raise ConfigError(f"hidden width {dim} not divisible by {heads} heads")
         self.heads = heads
@@ -381,10 +384,11 @@ def depthwise3(
 class ConvGatedMLP(Module):
     """Local-context branch: linear gate modulated by a depthwise 3-tap conv."""
 
-    def __init__(self, rng: np.random.Generator, dim: int):
+    def __init__(self, rng: np.random.Generator | None, dim: int):
         self.up = Linear(rng, dim, 2 * dim)
         limit = math.sqrt(1.0 / 3.0)
-        self.kernel = Tensor(rng.uniform(-limit, limit, size=(3, dim)), requires_grad=True)
+        kernel = np.empty((3, dim)) if rng is None else rng.uniform(-limit, limit, size=(3, dim))
+        self.kernel = Tensor(kernel, requires_grad=True)
         self.kernel_bias = Tensor(np.zeros(dim), requires_grad=True)
         self.down = Linear(rng, dim, dim)
         self.dim = dim

@@ -118,9 +118,14 @@ def _resolve_audio(entry: ManifestEntry, base: Path, spec: SyntheticTaskSpec | N
             )
         words = entry.audio.get("words")
         noise_seed = entry.audio.get("noise_seed")
-        if words is None or noise_seed is None:
-            raise DataError(f"{entry.utt_id}: inline audio needs 'words' and 'noise_seed'")
-        return synth_waveform(list(words), spec, np.random.default_rng(int(noise_seed)))
+        if not (isinstance(words, list) and words and all(isinstance(w, str) for w in words)):
+            raise DataError(f"{entry.utt_id}: inline audio 'words' must be a non-empty list of "
+                            f"words, got {words!r}")
+        if not (isinstance(noise_seed, int) and not isinstance(noise_seed, bool)
+                and noise_seed >= 0):
+            raise DataError(f"{entry.utt_id}: inline audio 'noise_seed' must be a non-negative "
+                            f"integer, got {noise_seed!r}")
+        return synth_waveform(words, spec, np.random.default_rng(noise_seed))
     raise DataError(f"{entry.utt_id}: audio must be a path or an inline synthesis record")
 
 
@@ -283,14 +288,20 @@ def save_train_state(path, state: TrainState, vocab: Vocab, train_cfg: TrainConf
     save_checkpoint(path, config, tensors)
 
 
-def restore_model(ckpt: Checkpoint) -> tuple[Model, Vocab]:
+def _unfilled_model(ckpt: Checkpoint) -> tuple[Model, Vocab]:
+    """The checkpoint's model, with no weights drawn, and its vocabulary."""
     try:
         cfg = model_config_from_json(ckpt.config["model"])
         vocab = Vocab(json.loads(ckpt.config["vocab"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"unreadable model config or vocabulary: {exc!r}") from exc
-    model = Model(cfg, np.random.default_rng(0))
-    load_params_into(model.named_parameters(), ckpt.tensors, prefix="model.")
+    return Model(cfg, rng=None), vocab
+
+
+def restore_model(ckpt: Checkpoint) -> tuple[Model, Vocab]:
+    """The model and vocabulary; reads and verifies only the ``model.*`` tensors."""
+    model, vocab = _unfilled_model(ckpt)
+    load_params_into(model.named_parameters(), ckpt.read("model."), prefix="model.")
     return model, vocab
 
 
@@ -311,7 +322,10 @@ def new_train_state(
 
 
 def restore_train_state(ckpt: Checkpoint) -> tuple[TrainState, Vocab, TrainConfig]:
-    model, vocab = restore_model(ckpt)
+    """Everything ``--resume`` needs; reads and verifies every tensor of the file."""
+    model, vocab = _unfilled_model(ckpt)
+    tensors = ckpt.tensors
+    load_params_into(model.named_parameters(), tensors, prefix="model.")
     try:
         train_cfg = TrainConfig(**json.loads(ckpt.config["train"]))
         step, epochs_done = int(ckpt.config["step"]), int(ckpt.config["epochs_done"])
@@ -322,10 +336,10 @@ def restore_train_state(ckpt: Checkpoint) -> tuple[TrainState, Vocab, TrainConfi
     optimizer = state.optimizer
     for name in optimizer.m:
         m_key, v_key = "opt.m." + name, "opt.v." + name
-        if m_key not in ckpt.tensors or v_key not in ckpt.tensors:
+        if m_key not in tensors or v_key not in tensors:
             raise CheckpointError(f"optimizer state missing for parameter {name!r}")
-        optimizer.m[name] = ckpt.tensors[m_key].copy()
-        optimizer.v[name] = ckpt.tensors[v_key].copy()
+        optimizer.m[name] = tensors[m_key].copy()
+        optimizer.v[name] = tensors[v_key].copy()
     return state, vocab, train_cfg
 
 

@@ -1,9 +1,10 @@
-"""Shared test utilities: finite-difference oracles and gradient checks."""
+"""Shared test utilities: finite-difference oracles, gradient checks and checkpoint damage."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from avmoe.checkpoint import load_checkpoint
 from avmoe.tensor import Tensor, affine, silu
 
 
@@ -84,3 +85,13 @@ def copy_ffn_weights(dst, src) -> None:
     """Give FFN ``dst`` copies of the weights of FFN ``src``."""
     for mine, theirs in zip(dst.weights, src.weights):
         mine.data = theirs.data.copy()
+
+
+def flip_byte_in_tensor(path, prefix: str) -> str:
+    """Flip one bit in the middle of the first non-empty tensor under ``prefix``; its name."""
+    ckpt = load_checkpoint(path)
+    name, entry = next((n, e) for n, e in ckpt.entries.items() if n.startswith(prefix) and e.nbytes)
+    blob = bytearray(path.read_bytes())
+    blob[ckpt.data_start + entry.offset + entry.nbytes // 2] ^= 0x10
+    path.write_bytes(bytes(blob))
+    return name

@@ -2,20 +2,26 @@
 
 import errno
 import json
+import os
 import pathlib
 import zlib
 
 import numpy as np
 import pytest
 
-from avmoe.checkpoint import load_checkpoint, save_checkpoint
+from avmoe import checkpoint
+from avmoe.checkpoint import load_checkpoint, load_params_into, save_checkpoint
 from avmoe.errors import AvmoeError, CheckpointError
 from avmoe.frontend import Waveform, read_waveform, write_f64
 from avmoe.fusion import load_visual_embeddings, save_visual_embeddings
 from avmoe.model import Model, ModelConfig
 from avmoe.moe import MoEConfig
 from avmoe.optim import Adam
-from avmoe.train import TrainConfig, TrainState, Vocab, restore_train_state, save_train_state
+from avmoe.train import (
+    TrainConfig, TrainState, Vocab, restore_model, restore_train_state, save_train_state,
+)
+
+from helpers import flip_byte_in_tensor
 
 
 def write_tiny_checkpoint(path) -> TrainState:
@@ -199,6 +205,19 @@ class TestLoad:
         with pytest.raises(CheckpointError, match=f"payload truncated for tensor '{last}'"):
             load_checkpoint(path)
 
+    def test_header_parses_the_same_in_chunks_of_any_size(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        whole = load_checkpoint(path)
+        marker = whole.data_start - len(checkpoint.DATA_MARKER)
+        # The smallest chunk that holds the magic line, and chunks that end
+        # just before, inside and just after the [data] marker.
+        for chunk in (9, 64, marker, marker + 3, whole.data_start, whole.data_start + 1):
+            monkeypatch.setattr(checkpoint, "HEADER_CHUNK", chunk)
+            ckpt = load_checkpoint(path)
+            assert (ckpt.config, ckpt.entries, ckpt.data_start) == \
+                (whole.config, whole.entries, whole.data_start), chunk
+
     def test_tensors_are_read_only_views_of_one_buffer(self, tmp_path):
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
@@ -218,6 +237,150 @@ class TestLoad:
             state.optimizer.v[name] *= 3.0
         for name, t in ckpt.tensors.items():
             np.testing.assert_array_equal(t, before[name], err_msg=name)
+
+
+def write_drawn_checkpoint(path, cfg: ModelConfig) -> None:
+    """A training checkpoint of ``cfg`` with drawn weights and non-zero Adam moments."""
+    model = Model(cfg, np.random.default_rng(50))
+    optimizer = Adam(model.named_parameters(), lr=1e-3)
+    rng = np.random.default_rng(51)
+    for name in optimizer.m:
+        optimizer.m[name] = rng.normal(size=optimizer.m[name].shape)
+        optimizer.v[name] = rng.random(size=optimizer.v[name].shape)
+    state = TrainState(model, optimizer, np.random.default_rng(52), step=2)
+    save_train_state(path, state, Vocab(["a", "b"]), TrainConfig())
+
+
+class TestModelOnlyLoad:
+    @pytest.mark.parametrize("moe", [MoEConfig(), None], ids=["moe", "dense"])
+    def test_restored_model_equals_a_drawn_then_loaded_one(self, tmp_path, moe):
+        path = tmp_path / "m.ckpt"
+        cfg = ModelConfig(vocab_size=16, moe=moe)
+        write_drawn_checkpoint(path, cfg)
+        restored, _ = restore_model(load_checkpoint(path))
+        drawn = Model(cfg, np.random.default_rng(0))
+        load_params_into(drawn.named_parameters(), load_checkpoint(path).tensors, prefix="model.")
+        mine, theirs = restored.named_parameters(), drawn.named_parameters()
+        assert [name for name, _ in mine] == [name for name, _ in theirs]
+        for (name, p), (_, q) in zip(mine, theirs):
+            assert p.data.dtype == q.data.dtype and p.data.flags.writeable, name
+            np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+
+    def test_flipped_byte_in_a_model_tensor_fails_restore_model(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        name = flip_byte_in_tensor(path, "model.")
+        ckpt = load_checkpoint(path)  # the header is intact
+        with pytest.raises(CheckpointError, match=f"checksum failure for tensor '{name}'"):
+            restore_model(ckpt)
+
+    def test_flipped_byte_in_an_adam_moment_fails_only_the_train_state(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        saved = write_tiny_checkpoint(path)
+        name = flip_byte_in_tensor(path, "opt.")
+        model, _ = restore_model(load_checkpoint(path))  # the stated trade
+        for (key, p), (_, q) in zip(model.named_parameters(), saved.model.named_parameters()):
+            np.testing.assert_array_equal(p.data, q.data, err_msg=key)
+        with pytest.raises(CheckpointError, match=f"checksum failure for tensor '{name}'"):
+            read_train_state(path)
+
+    def test_file_replaced_after_the_header_fails_the_read(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        ckpt = load_checkpoint(path)
+        other = tmp_path / "other.ckpt"
+        write_tiny_checkpoint(other)  # the same bytes, another inode
+        os.replace(other, path)
+        with pytest.raises(CheckpointError, match="changed after its header was read"):
+            restore_model(ckpt)
+        with pytest.raises(CheckpointError, match="changed after its header was read"):
+            ckpt.read("opt.")
+
+    def test_file_removed_after_the_header_fails_the_read(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        ckpt = load_checkpoint(path)
+        path.unlink()
+        with pytest.raises(CheckpointError, match="cannot read the checkpoint"):
+            ckpt.read("model.")
+
+    def test_read_of_a_prefix_is_the_matching_part_of_every_tensor(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        ckpt = load_checkpoint(path)
+        every = ckpt.tensors
+        for prefix in ("model.", "opt.m.", "opt.", "model.dec_embed", "nothing"):
+            part = ckpt.read(prefix)
+            assert list(part) == [n for n in every if n.startswith(prefix)], prefix
+            for name, t in part.items():
+                assert not t.flags.writeable
+                assert t.tobytes() == every[name].tobytes(), name
+            assert len({id(base_buffer(t)) for t in part.values()}) <= 1
+
+
+def count_file_reads(monkeypatch) -> list[int]:
+    """Make every file that ``Path.open`` returns count the bytes read from it."""
+    counter = [0]
+    real_open = pathlib.Path.open
+
+    class CountingFile:
+        def __init__(self, file):
+            self.file = file
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.file.close()
+
+        def __getattr__(self, name):
+            return getattr(self.file, name)
+
+        def read(self, *args):
+            data = self.file.read(*args)
+            counter[0] += len(data)
+            return data
+
+        def readinto(self, buffer):
+            count = self.file.readinto(buffer)
+            counter[0] += count or 0
+            return count
+
+    def counting_open(self, mode="r", *args, **kwargs):
+        return CountingFile(real_open(self, mode, *args, **kwargs))
+
+    monkeypatch.setattr(pathlib.Path, "open", counting_open)
+    return counter
+
+
+class TestBytesRead:
+    @pytest.mark.parametrize("cfg, chunk", [
+        (None, 256),  # the tiny checkpoint, its header read in many chunks
+        (ModelConfig(vocab_size=16, moe=MoEConfig()), checkpoint.HEADER_CHUNK),
+    ], ids=["tiny-256-byte-chunks", "default-moe"])
+    def test_restore_model_reads_the_header_and_the_model_range(
+        self, tmp_path, monkeypatch, cfg, chunk
+    ):
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path) if cfg is None else write_drawn_checkpoint(path, cfg)
+        monkeypatch.setattr(checkpoint, "HEADER_CHUNK", chunk)
+        ckpt = load_checkpoint(path)
+        model = [e for n, e in ckpt.entries.items() if n.startswith("model.")]
+        model_range = max(e.offset + e.nbytes for e in model) - min(e.offset for e in model)
+        header_chunks = -(-ckpt.data_start // checkpoint.HEADER_CHUNK) * checkpoint.HEADER_CHUNK
+        counter = count_file_reads(monkeypatch)
+        restore_model(load_checkpoint(path))
+        assert model_range <= counter[0] <= header_chunks + model_range < path.stat().st_size
+
+    def test_train_state_reads_every_payload_byte(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        size = path.stat().st_size
+        payload = size - load_checkpoint(path).data_start
+        counter = count_file_reads(monkeypatch)
+        read_train_state(path)
+        # The header step reads one chunk, all of this small file.
+        assert counter[0] == min(size, checkpoint.HEADER_CHUNK) + payload
 
 
 def corrupt_headers(blob: bytes, start: int, stop: int, count: int, seed: int):

@@ -16,6 +16,8 @@ from avmoe.moe import MoEConfig
 from avmoe.synth import reference_task_spec
 from avmoe.train import TrainConfig
 
+from helpers import flip_byte_in_tensor
+
 TINY = {
     "model": {"hidden": 8, "heads": 2, "d_ff": 16, "encoder_blocks": 1, "decoder_blocks": 1,
               "n_mels": 20},
@@ -173,6 +175,23 @@ def test_manifest_field_of_the_wrong_type_exits_3(run, field, value, capsys):
     assert f"{manifest}:1:" in err and f"ManifestEntry.{field}" in err
 
 
+@pytest.mark.parametrize("audio", [
+    {"words": 5, "noise_seed": 1}, {"words": ["red"], "noise_seed": "x"},
+    {"words": ["red"], "noise_seed": -1}, {"words": ["red"], "noise_seed": True},
+], ids=["words-int", "seed-str", "seed-negative", "seed-bool"])
+def test_inline_audio_of_the_wrong_type_exits_3(run, audio, capsys):
+    corpus = run / "inline"
+    corpus.mkdir(exist_ok=True)
+    (corpus / "task_spec.json").write_bytes((run / "corpus" / "task_spec.json").read_bytes())
+    manifest = corpus / "test.jsonl"
+    record = {"utt_id": "u0", "audio": audio, "visual": "none", "transcript": "red"}
+    manifest.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    ckpt = run / "full" / "final.ckpt"
+    assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt)]) == 3
+    assert "u0: inline audio" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, kind", [
     ("--ckpt", "directory"), ("--audio", "missing"), ("--audio", "directory"),
     ("--visual", "missing"), ("--visual", "directory"),
@@ -186,6 +205,17 @@ def test_decode_of_a_path_it_cannot_read_exits_3(run, flag, kind, capsys):
     capsys.readouterr()
     assert main(argv) == 3
     assert str(paths[flag]) in capsys.readouterr().err
+
+
+def test_decode_of_a_checkpoint_with_a_flipped_model_byte_exits_3(run, capsys):
+    entry = json.loads((run / "corpus" / "test.jsonl").read_text().splitlines()[0])
+    ckpt = run / "flipped.ckpt"
+    ckpt.write_bytes((run / "full" / "final.ckpt").read_bytes())
+    name = flip_byte_in_tensor(ckpt, "model.")
+    capsys.readouterr()
+    assert main(["decode", "--ckpt", str(ckpt), "--audio", str(run / "corpus" / entry["audio"]),
+                 "--visual", str(run / "corpus" / entry["visual"])]) == 3
+    assert f"checksum failure for tensor '{name}'" in capsys.readouterr().err
 
 
 def test_spec_that_is_not_utf8_exits_3(tmp_path):
