@@ -19,9 +19,10 @@ array's own buffer to a sibling temp file and moves it onto ``path`` with
 The load has two steps, so that a caller reads only the tensors it uses:
 
 - ``load_checkpoint`` reads the header and no payload. It checks the magic,
-  the CRC32 of the config lines and the syntax of every tensor line, and it
-  checks each tensor's byte range against the file length from ``fstat``,
-  so a truncated file fails here.
+  the CRC32 of the config lines and the syntax of every tensor line, refuses
+  a config key or tensor name that appears twice, and checks each tensor's
+  byte range against the file length from ``fstat``, so a truncated file
+  fails here.
 - ``Checkpoint.read(prefix)`` reads the byte range that covers the tensors
   whose names start with ``prefix``, in one read, and checks each one's
   CRC32. It refuses a file whose inode, size or mtime changed after the
@@ -195,12 +196,16 @@ def load_checkpoint(path) -> Checkpoint:
                 config_lines.append(line)
                 if not line.startswith(CONFIG_CRC):
                     key, _, value = line.partition("=")
+                    if key in config:
+                        raise CheckpointError(f"config key {key!r} appears twice")
                     config[key] = json.loads(value)
             elif section == "[tensors]":
                 parts = line.split(" ")
                 if len(parts) != 4:
                     raise CheckpointError("a tensor line needs name, shape, offset and crc")
                 name, shape_text, offset_text, crc_text = parts
+                if name in entries:
+                    raise CheckpointError(f"tensor {name!r} appears twice")
                 dims = [] if shape_text == "scalar" else shape_text.split("x")
                 shape = tuple(int(d) for d in dims)
                 offset = int(offset_text)

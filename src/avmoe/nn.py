@@ -162,8 +162,8 @@ class Segments:
         self.longest = max(sizes)
         self.padded = self.total != self.count * self.longest
 
-    # Built on first use: ``attend`` on one sequence builds two ``Segments`` and reads
-    # none of these, and a decode step makes two such calls per decoder block.
+    # Built on first use: ``pad``, ``unpad`` and ``attend`` read none of these when no
+    # sequence is padded.
     @functools.cached_property
     def starts(self) -> np.ndarray:
         return np.cumsum(self.lengths) - self.lengths
@@ -296,34 +296,53 @@ def attend(
         raise DimensionError(f"attend got q={q.shape}, k={k.shape}, v={v.shape}")
     if q.shape[1] % heads != 0:
         raise DimensionError(f"width {q.shape[1]} not divisible by {heads} heads")
-    qs = q_segments if q_segments is not None else Segments([q.shape[0]])
-    ks = k_segments if k_segments is not None else Segments([k.shape[0]])
-    if qs.total != q.shape[0] or ks.total != k.shape[0] or qs.count != ks.count:
-        raise DimensionError(
-            f"attend: {qs.count} query segments over {qs.total} rows and {ks.count} key "
-            f"segments over {ks.total} rows do not fit q={q.shape}, k={k.shape}"
-        )
-    qh = _split_heads(qs.pad(q.data), heads)
-    kh = _split_heads(ks.pad(k.data), heads)
-    vh = _split_heads(ks.pad(v.data), heads)
+    if q_segments is None and k_segments is None:
+        # One sequence on each side, as in every cached decode step: a batch of
+        # one is a reshape, and needs no Segments, padding or key mask.
+        pad_q = pad_k = _batch_of_one
+        unpad_q = unpad_k = _unbatch_one
+        key_mask = None
+    else:
+        qs = q_segments if q_segments is not None else Segments([q.shape[0]])
+        ks = k_segments if k_segments is not None else Segments([k.shape[0]])
+        if qs.total != q.shape[0] or ks.total != k.shape[0] or qs.count != ks.count:
+            raise DimensionError(
+                f"attend: {qs.count} query segments over {qs.total} rows and {ks.count} key "
+                f"segments over {ks.total} rows do not fit q={q.shape}, k={k.shape}"
+            )
+        pad_q, unpad_q, pad_k, unpad_k = qs.pad, qs.unpad, ks.pad, ks.unpad
+        key_mask = ks.key_mask()[:, None, None, :] if ks.padded else None
+    qh = _split_heads(pad_q(q.data), heads)
+    kh = _split_heads(pad_k(k.data), heads)
+    vh = _split_heads(pad_k(v.data), heads)
     scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale
     if mask is not None:
         scores = scores + mask
-    if ks.padded:
-        scores = scores + ks.key_mask()[:, None, None, :]
+    if key_mask is not None:
+        scores = scores + key_mask
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        gh = _split_heads(qs.pad(g), heads)
+        gh = _split_heads(pad_q(g), heads)
         dprobs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
         dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * scale
         dq = np.matmul(dscores, kh)
         dk = np.matmul(dscores.transpose(0, 1, 3, 2), qh)
         dv = np.matmul(probs.transpose(0, 1, 3, 2), gh)
-        return qs.unpad(_merge_heads(dq)), ks.unpad(_merge_heads(dk)), ks.unpad(_merge_heads(dv))
+        return unpad_q(_merge_heads(dq)), unpad_k(_merge_heads(dk)), unpad_k(_merge_heads(dv))
 
-    return _record(qs.unpad(_merge_heads(np.matmul(probs, vh))), (q, k, v), backward)
+    return _record(unpad_q(_merge_heads(np.matmul(probs, vh))), (q, k, v), backward)
+
+
+def _batch_of_one(a: np.ndarray) -> np.ndarray:
+    """(T, ...) -> (1, T, ...): ``Segments([T]).pad``, without building the Segments."""
+    return a.reshape(1, *a.shape)
+
+
+def _unbatch_one(a: np.ndarray) -> np.ndarray:
+    """(1, T, ...) -> (T, ...): ``Segments([T]).unpad``, without building the Segments."""
+    return a.reshape(a.shape[1:])
 
 
 def depthwise3(

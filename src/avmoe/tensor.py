@@ -6,6 +6,14 @@ scalar walks the recorded graph once in reverse topological order;
 gradients accumulate additively wherever a tensor fans out into several
 consumers. Everything is 64-bit: the test suite leans on tight
 finite-difference tolerances that float32 cannot meet.
+
+The walk frees the graph as it goes. Once a node's closure has handed its
+gradients to the node's parents, the node drops the closure (and with it
+the arrays the forward saved for the backward), its parents and its own
+gradient. So after ``backward`` only the loss and the leaves hold a
+``grad``; every forward ``data`` stays. A walked node keeps a sentinel in
+place of its closure, and a later ``backward`` that reaches it raises
+``GraphError``: rebuild the graph for another pass.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ def grad_enabled() -> bool:
 class Tensor:
     """A dense float64 array plus an optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_used")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -51,7 +59,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
-        self._used = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -77,16 +84,18 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``grad`` on every requires_grad leaf reachable from here.
 
-        The loss must be a scalar still attached to the graph; a second call
-        on the same node is an error (rebuild the graph for another pass).
+        The loss must be a scalar still attached to the graph. Each node the
+        walk passes drops its closure, with the arrays that closure saved, its
+        parents and its gradient, so interior ``grad`` is ``None`` afterwards;
+        the loss keeps its unit gradient and leaves keep accumulating until
+        zeroed. A later call that reaches a walked node, from the same loss
+        or from another that shares a subgraph with it, raises ``GraphError``
+        before any gradient moves: rebuild the graph for another pass.
         """
         if self.data.shape != ():
             raise GraphError(f"backward needs a scalar loss, got shape {self.data.shape}")
         if not self.requires_grad:
             raise GraphError("loss is detached: no gradient-tracked tensor feeds it")
-        if self._used:
-            raise GraphError("backward already ran from this node; rebuild the graph first")
-        self._used = True
 
         order: list[Tensor] = []
         seen: set[int] = set()
@@ -98,14 +107,17 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _spent:
+                _spent(None)  # raises, before this pass has moved any gradient
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
 
-        # Interior grads from any earlier pass over a shared subgraph must not
-        # leak into this one; leaves keep accumulating until zeroed explicitly.
+        # Only an earlier backward that a closure's exception stopped part way
+        # leaves interior grads behind, on the nodes it had not reached yet;
+        # those partial sums must not leak into this pass.
         for node in order:
             if node._backward is not None:
                 node.grad = None
@@ -113,12 +125,17 @@ class Tensor:
 
         for node in reversed(order):
             fn = node._backward
-            if fn is None or node.grad is None:
+            if fn is None:
                 continue
-            for parent, g in zip(node._parents, fn(node.grad)):
-                if g is None or not parent.requires_grad:
-                    continue
-                parent.grad = g if parent.grad is None else parent.grad + g
+            if node.grad is not None:
+                for parent, g in zip(node._parents, fn(node.grad)):
+                    if g is None or not parent.requires_grad:
+                        continue
+                    parent.grad = g if parent.grad is None else parent.grad + g
+            node._backward = _spent
+            node._parents = ()
+            if node is not self:
+                node.grad = None
 
     # -- operators ------------------------------------------------------
 
@@ -143,6 +160,11 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tsum(self, axis=axis, keepdims=keepdims)
+
+
+def _spent(g):
+    """The closure of a node that a backward pass has walked."""
+    raise GraphError("backward already ran through this node; rebuild the graph first")
 
 
 def _as_tensor(x) -> Tensor:

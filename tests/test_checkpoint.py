@@ -73,6 +73,42 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="byte offset 18:"):
             load_checkpoint(path)
 
+    def test_tensor_named_twice_is_refused(self, tmp_path):
+        # A second line for the first tensor, pointing at the second tensor's
+        # bytes with its CRC, would otherwise win silently.
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        blob = path.read_bytes()
+        first, second = list(load_checkpoint(path).entries)[:2]
+        second_start = blob.index(f"\n{second} ".encode()) + 1
+        insert_at = blob.index(b"\n", second_start) + 1
+        duplicate = first.encode() + blob[second_start + len(second) : insert_at]
+        path.write_bytes(blob[:insert_at] + duplicate + blob[insert_at:])
+        with pytest.raises(
+            CheckpointError, match=f"at byte offset {insert_at}: tensor '{first}' appears twice"
+        ):
+            load_checkpoint(path)
+
+    def test_config_key_named_twice_is_refused(self, tmp_path):
+        # The config CRC is recomputed over the doubled lines, so only the
+        # duplicate check can refuse the file.
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        blob = path.read_bytes()
+        body_start = blob.index(b"[config]\n") + len(b"[config]\n")
+        crc_line = blob.index(b"\ncrc32 ", body_start)
+        lines = blob[body_start:crc_line].split(b"\n")
+        key = lines[0].partition(b"=")[0].decode()
+        body = b"\n".join(lines + [f'{key}="0"'.encode()])
+        crc = str(zlib.crc32(body) & 0xFFFFFFFF).encode()
+        tail = blob[blob.index(b"\n", crc_line + 1) :]
+        path.write_bytes(blob[:body_start] + body + b"\ncrc32 " + crc + tail)
+        offset = body_start + len(body) - len(f'{key}="0"')
+        with pytest.raises(
+            CheckpointError, match=f"at byte offset {offset}: config key '{key}' appears twice"
+        ):
+            load_checkpoint(path)
+
     def test_edited_config_value_is_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)

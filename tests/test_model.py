@@ -1,4 +1,7 @@
-"""Whole-model checks: the size of the loss graph and a sampled gradcheck."""
+"""Whole-model checks: the size of the loss graph, a sampled gradcheck, and what
+a backward pass frees."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -6,7 +9,7 @@ from avmoe.frontend import LogMelSpectrogram
 from avmoe.losses import batch_balance_losses, total_loss
 from avmoe.model import Model, ModelConfig
 from avmoe.moe import MoEConfig
-from avmoe.train import Utterance, utterance_losses
+from avmoe.train import Utterance, batch_losses, utterance_losses
 
 from helpers import numeric_grad_at, rel_error
 
@@ -24,15 +27,15 @@ def fixed_utterance() -> Utterance:
     return Utterance("u0", mel, rng.normal(size=(2, 4)), ["a", "b", "b"], [4, 5, 5])
 
 
-def graph_nodes(loss) -> set[int]:
-    """Ids of the recorded (non-leaf) nodes that ``loss`` depends on."""
-    seen: set[int] = set()
+def graph_nodes(loss) -> dict:
+    """The recorded (non-leaf) nodes that ``loss`` depends on, by id."""
+    seen: dict = {}
     stack = [loss]
     while stack:
         node = stack.pop()
         if node._backward is None or id(node) in seen:
             continue
-        seen.add(id(node))
+        seen[id(node)] = node
         stack.extend(node._parents)
     return seen
 
@@ -44,7 +47,7 @@ def test_loss_graph_size_is_pinned():
     l_att, l_ctc, stats = utterance_losses(model, fixed_utterance())
     aux = batch_balance_losses([[s] for s in stats], cfg.num_experts)
     bundle = total_loss(l_att, l_ctc, aux)
-    ctc_only = graph_nodes(l_ctc) - graph_nodes(l_att)
+    ctc_only = graph_nodes(l_ctc).keys() - graph_nodes(l_att).keys()
     # The CTC head's row gather and affine, the log-softmax, and the lattice node.
     assert len(ctc_only) == 4
     # One utterance runs the packed code, so fusion gathers the concatenated
@@ -53,27 +56,113 @@ def test_loss_graph_size_is_pinned():
     assert len(graph_nodes(bundle.l_total)) == 78
 
 
+def routed_model() -> Model:
+    """The gradcheck's model: with this router both experts receive tokens."""
+    model = Model(tiny_config(MoEConfig(num_experts=2, top_k=1, hidden=8, ffn_hidden=16)),
+                  np.random.default_rng(33))
+    model.enc_blocks[0].ffn2.router.data = np.random.default_rng(34).normal(size=(8, 2))
+    return model
+
+
+def routed_total_loss(model: Model, utt: Utterance):
+    l_att, l_ctc, stats = utterance_losses(model, utt)
+    return total_loss(l_att, l_ctc, batch_balance_losses([[s] for s in stats], 2)).l_total
+
+
 def test_total_loss_gradient_matches_finite_differences():
     # Sampled coordinates of the attention, cgMLP-kernel and expert parameters,
     # checked through the residuals and layer norms of the whole model.
-    cfg = MoEConfig(num_experts=2, top_k=1, hidden=8, ffn_hidden=16)
-    model = Model(tiny_config(cfg), np.random.default_rng(33))
-    model.enc_blocks[0].ffn2.router.data = np.random.default_rng(34).normal(size=(8, 2))
+    model = routed_model()
     utt = fixed_utterance()
-
-    def loss():
-        l_att, l_ctc, stats = utterance_losses(model, utt)
-        return total_loss(l_att, l_ctc, batch_balance_losses([[s] for s in stats], 2)).l_total
-
-    loss().backward()
+    routed_total_loss(model, utt).backward()
     params = dict(model.named_parameters())
     rng = np.random.default_rng(35)
     for group in ("attn.", "local.kernel", "ffn2.experts."):
         names = sorted(name for name in params if group in name)
         for name in rng.choice(names, size=7):
             p = params[name]
-            assert p.grad is not None, name  # with this router both experts receive tokens
+            assert p.grad is not None, name
             coord = int(rng.integers(p.data.size))
-            numeric = numeric_grad_at(lambda: loss().item(), p.data, [coord])
+            numeric = numeric_grad_at(
+                lambda: routed_total_loss(model, utt).item(), p.data, [coord]
+            )
             # Central differences of a loss near 14 carry a few 1e-9 of roundoff.
             assert rel_error(p.grad.reshape(-1)[[coord]], numeric) < 1e-5, (name, coord)
+
+
+def reference_leaf_grads(loss, params) -> list:
+    """Leaf gradients by the walk that keeps every closure and interior gradient.
+
+    The same reverse topological order and the same accumulation order as
+    ``Tensor.backward``, with the interior gradients held in a dict until
+    the end; ``loss``'s graph is left as it was.
+    """
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if p.requires_grad and id(p) not in seen)
+    grads = {id(loss): np.ones(())}
+    for node in reversed(order):
+        if node._backward is None or id(node) not in grads:
+            continue
+        for parent, g in zip(node._parents, node._backward(grads[id(node)])):
+            if g is not None and parent.requires_grad:
+                grads[id(parent)] = g if id(parent) not in grads else grads[id(parent)] + g
+    return [grads.get(id(p)) for p in params]
+
+
+def test_backward_frees_interior_grads_and_keeps_leaf_grads_bit_identical():
+    model = routed_model()
+    utt = fixed_utterance()
+    params = model.parameters()
+    want = reference_leaf_grads(routed_total_loss(model, utt), params)
+    total = routed_total_loss(model, utt)
+    interior = [node for node in graph_nodes(total).values() if node is not total]
+    total.backward()
+    assert interior and all(node.grad is None for node in interior)
+    np.testing.assert_array_equal(total.grad, 1.0)
+    assert all(w is not None for w in want)
+    for p, w in zip(params, want):
+        np.testing.assert_array_equal(p.grad, w)
+
+
+def test_backward_peak_stays_near_the_forward_graph():
+    # Freeing each node's saved arrays and gradient as the walk passes it
+    # keeps the backward's extra allocation at about 10% of what the forward
+    # graph holds on this model; keeping them all to the end costs about 50%.
+    cfg = tiny_config(MoEConfig(num_experts=4, top_k=2, hidden=8, ffn_hidden=16))
+    model = Model(cfg, np.random.default_rng(36))
+    rng = np.random.default_rng(37)
+    batch = [
+        Utterance(f"u{i}", LogMelSpectrogram(rng.normal(size=(40, 6)), 6, 16000),
+                  rng.normal(size=(2, 4)), ["a", "b", "b"], [4, 5, 5])
+        for i in range(4)
+    ]
+
+    def loss():
+        l_att, l_ctc, stats = batch_losses(model, batch)
+        return total_loss(l_att, l_ctc, batch_balance_losses([[s] for s in stats], 4)).l_total
+
+    loss().backward()  # fills the lazy caches before anything is measured
+    for p in model.parameters():
+        p.grad = None
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        total = loss()
+        forward_end = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        total.backward()
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    graph = forward_end - start
+    assert graph > 0
+    assert backward_peak - forward_end <= 0.25 * graph, (backward_peak - forward_end) / graph

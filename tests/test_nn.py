@@ -258,6 +258,23 @@ class TestSegmentedAttend:
         for t, parts in zip((q, k, v), grads):
             assert relative_gap(t.grad, np.concatenate(parts)) <= 1e-12
 
+    @pytest.mark.parametrize("t_q,t_k,causal", [(1, 4, False), (1, 48, False), (6, 6, True)])
+    def test_no_segments_is_bit_identical_to_one_segment(self, t_q, t_k, causal):
+        # Without segments attend builds none; Segments([n]) on each side is
+        # the general path over the same single sequences.
+        rng = np.random.default_rng(t_q * t_k)
+        arrays = [rng.normal(size=(n, 8)) for n in (t_q, t_k, t_k)]
+        weights = Tensor(rng.normal(size=(t_q, 8)))
+        mask = causal_mask(t_q) if causal else None
+        results = []
+        for segments in ((None, None), (Segments([t_q]), Segments([t_k]))):
+            q, k, v = (leaf(a) for a in arrays)
+            out = attend(q, k, v, 2, 0.5, mask, *segments)
+            (out * weights).sum().backward()
+            results.append((out.data, q.grad, k.grad, v.grad))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
     def test_segments_must_fit_the_rows(self):
         q, k, v = qkv(np.random.default_rng(5), 5, 5, 4)
         with pytest.raises(DimensionError):

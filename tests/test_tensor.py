@@ -6,6 +6,7 @@ import pytest
 from avmoe.errors import ConfigError, DataError, DimensionError, GraphError
 from avmoe.tensor import (
     Tensor,
+    _record,
     affine,
     concat,
     gather_rows,
@@ -156,6 +157,33 @@ class TestBackwardRules:
         loss.backward()
         with pytest.raises(GraphError, match="already"):
             loss.backward()
+
+    def test_second_loss_through_a_walked_subgraph_rejected(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        shared = w * 2.0
+        first, second = shared.sum(), (shared * w).sum()
+        first.backward()
+        with pytest.raises(GraphError, match="already ran through this node"):
+            second.backward()
+        # Refused before any gradient moved: second's product would reach w first.
+        np.testing.assert_array_equal(w.grad, 2.0)
+
+    def test_pass_stopped_by_an_exception_leaks_no_interior_grad(self):
+        # A closure that raises stops the walk with a partial gradient on h,
+        # which that pass had not reached; a later pass from h must not add it.
+        w = Tensor(np.array([0.5, 1.5]), requires_grad=True)
+        h = w * 2.0
+
+        def fail(g):
+            raise FloatingPointError("stopped")
+
+        stopper = _record(h.data.copy(), (h,), fail)
+        with pytest.raises(FloatingPointError):
+            ((h * 3.0).sum() + stopper.sum()).backward()
+        assert h.grad is not None
+        w.grad = None
+        (h * h).sum().backward()
+        np.testing.assert_array_equal(w.grad, 8.0 * w.data)
 
     def test_fanout_accumulates(self):
         x = Tensor(np.array(2.0), requires_grad=True)
