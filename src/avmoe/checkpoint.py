@@ -19,16 +19,17 @@ array's own buffer to a sibling temp file and moves it onto ``path`` with
 The load has two steps, so that a caller reads only the tensors it uses:
 
 - ``load_checkpoint`` reads the header and no payload. It checks the magic,
-  the CRC32 of the config lines and the syntax of every tensor line, refuses
-  a config key or tensor name that appears twice, and checks each tensor's
-  byte range against the file length from ``fstat``, so a truncated file
-  fails here.
+  the CRC32 of the config lines and the syntax of every tensor line (decimal
+  digits, a CRC32 below 2**32), refuses a config key or tensor name that
+  appears twice, and checks that each tensor starts where the previous one
+  ends, so no two share a byte, and ends within the file length from
+  ``fstat``, so a truncated file fails here.
 - ``Checkpoint.read(prefix)`` reads the byte range that covers the tensors
   whose names start with ``prefix``, in one read, and checks each one's
   CRC32. It refuses a file whose inode, size or mtime changed after the
-  header step. Each tensor is a read-only view into that one buffer, and
-  callers that keep a tensor copy it (``load_params_into``).
-  ``Checkpoint.tensors`` is ``read("")``: every tensor, verified.
+  header step. Every call reads into a fresh buffer that belongs to the
+  caller alone, and each tensor is a writable, aligned view into it: a
+  restored model's parameters and Adam moments are those views, with no copy.
 
 The trade: ``train.restore_model`` (``avmoe eval`` and ``decode``) reads and
 verifies only the ``model.*`` tensors, a third of a training checkpoint, so
@@ -38,7 +39,6 @@ it does not notice a corrupted Adam moment. ``train.restore_train_state``
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -77,24 +77,25 @@ class Checkpoint:
     data_start: int  # file offset of the payload
     stamp: tuple[int, int, int]  # (st_ino, st_size, st_mtime_ns) when the header was read
 
-    @functools.cached_property
-    def tensors(self) -> dict[str, np.ndarray]:
-        """Every tensor, verified."""
-        return self.read()
-
     def read(self, prefix: str = "") -> dict[str, np.ndarray]:
         """The tensors whose names start with ``prefix``, each checked against its CRC32.
 
-        One ``readinto`` fills a buffer with the byte range that covers them,
-        and each is a read-only view into it. On Linux numpy asks the kernel
-        to back a large ``np.empty`` with huge pages, so the read takes far
-        fewer page faults than ``read_bytes`` does.
+        One ``readinto`` fills a fresh float64 buffer, which starts on a 64-byte
+        cache line, with the byte range that covers them, and each is a
+        writable view into it. The caller owns that buffer: no other read or
+        cache holds it. On Linux numpy asks the kernel to back a large
+        ``np.empty`` with huge pages, so the read takes far fewer page faults
+        than ``read_bytes`` does.
         """
         chosen = {name: e for name, e in self.entries.items() if name.startswith(prefix)}
         if not chosen:
             return {}
+        # Offsets are multiples of 8: the header step checks that tensors tile the payload.
         low = min(e.offset for e in chosen.values())
-        buf = np.empty(max(e.offset + e.nbytes for e in chosen.values()) - low, dtype=np.uint8)
+        size = (max(e.offset + e.nbytes for e in chosen.values()) - low) // 8
+        raw = np.empty(size + 7, "<f8")
+        skip = -raw.ctypes.data % 64 // 8  # decode ran 2-4% slower on 16-byte-aligned weights
+        buf = raw[skip : skip + size]
         try:
             with self.path.open("rb", buffering=0) as f:
                 stamp = _stamp(os.fstat(f.fileno()))
@@ -104,16 +105,15 @@ class Checkpoint:
             raise CheckpointError(
                 f"{self.path}: cannot read the checkpoint: {exc.strerror}"
             ) from exc
-        if stamp != self.stamp or count != len(buf):
+        if stamp != self.stamp or count != buf.nbytes:
             raise CheckpointError(f"{self.path}: the file changed after its header was read")
-        buf.flags.writeable = False
-        view = memoryview(buf)
         tensors = {}
         for name, e in chosen.items():
-            raw = view[e.offset - low : e.offset - low + e.nbytes]
-            if zlib.crc32(raw) != e.crc32:
+            start = (e.offset - low) // 8
+            flat = buf[start : start + e.nbytes // 8]
+            if zlib.crc32(flat) != e.crc32:
                 raise CheckpointError(f"{self.path}: checksum failure for tensor {name!r}")
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(e.shape)
+            tensors[name] = flat.reshape(e.shape)
         return tensors
 
 
@@ -153,7 +153,7 @@ def save_checkpoint(path, config: dict[str, str], tensors: dict[str, np.ndarray]
 def load_checkpoint(path) -> Checkpoint:
     """Read and verify a checkpoint's header; a malformed line fails with its byte offset.
 
-    No tensor is read: ``Checkpoint.read`` and ``Checkpoint.tensors`` do that.
+    No tensor is read: ``Checkpoint.read`` does that.
     """
     path = Path(path)
     if not path.exists():
@@ -179,51 +179,63 @@ def load_checkpoint(path) -> Checkpoint:
     data_start = marker + len(DATA_MARKER)
     payload_len = stat.st_size - data_start
 
+    start = len(MAGIC) + 1
+    lines = head[start:marker].decode("latin-1").split("\n")  # one character per byte
+
+    def bad_line(index: int, exc: Exception) -> CheckpointError:
+        offset = start + sum(map(len, lines[:index])) + index
+        raw = lines[index].encode("latin-1")
+        return CheckpointError(f"{path}: bad header line {raw!r} at byte offset {offset}: {exc}")
+
+    split = lines.index("[tensors]", 1) if "[tensors]" in lines[1:] else len(lines)
     config: dict[str, str] = {}
-    config_lines: list[str] = []
-    entries: dict[str, TensorEntry] = {}
-    section = None
-    line_start = len(MAGIC) + 1
-    for raw_line in head[line_start:marker].split(b"\n"):
+    for index, line in enumerate(lines[:split]):
         try:
-            line = raw_line.decode("ascii")
-            if line == "[config]" and section is None:
-                section = line
-            elif line == "[tensors]" and section == "[config]":
-                _verify_config(config_lines)
-                section = line
-            elif section == "[config]":
-                config_lines.append(line)
-                if not line.startswith(CONFIG_CRC):
-                    key, _, value = line.partition("=")
-                    if key in config:
-                        raise CheckpointError(f"config key {key!r} appears twice")
-                    config[key] = json.loads(value)
-            elif section == "[tensors]":
-                parts = line.split(" ")
-                if len(parts) != 4:
-                    raise CheckpointError("a tensor line needs name, shape, offset and crc")
-                name, shape_text, offset_text, crc_text = parts
-                if name in entries:
-                    raise CheckpointError(f"tensor {name!r} appears twice")
-                dims = [] if shape_text == "scalar" else shape_text.split("x")
-                shape = tuple(int(d) for d in dims)
-                offset = int(offset_text)
-                if offset < 0 or any(d < 0 for d in shape):
-                    raise CheckpointError("negative offset or dimension")
-                nbytes = 8 * math.prod(shape)
-                if offset + nbytes > payload_len:
-                    raise CheckpointError(f"payload truncated for tensor {name!r}")
-                entries[name] = TensorEntry(shape, offset, nbytes, int(crc_text))
-            else:
-                raise CheckpointError("stray line before [config]")
+            if not line.isascii():
+                line.encode("latin-1").decode("ascii")  # raises, naming the byte
+            if index == 0:
+                if line != "[config]":
+                    raise CheckpointError("stray line before [config]")
+            elif not line.startswith(CONFIG_CRC):
+                key, _, value = line.partition("=")
+                if key in config:
+                    raise CheckpointError(f"config key {key!r} appears twice")
+                config[key] = json.loads(value)
         except (CheckpointError, ValueError) as exc:  # ValueError covers bad ascii and JSON
-            raise CheckpointError(
-                f"{path}: bad header line {raw_line!r} at byte offset {line_start}: {exc}"
-            ) from exc
-        line_start += len(raw_line) + 1
-    if section != "[tensors]":
+            raise bad_line(index, exc) from exc
+    if split == len(lines):
         raise CheckpointError(f"{path}: header has no [tensors] section")
+    try:
+        _verify_config(lines[1:split])
+    except (CheckpointError, ValueError) as exc:
+        raise bad_line(split, exc) from exc
+
+    entries: dict[str, TensorEntry] = {}
+    end = 0  # of the previous tensor: each starts there, so no two share a byte
+    try:
+        for line in lines[split + 1 :]:
+            if not line.isascii():  # so that isdigit() means 0-9
+                line.encode("latin-1").decode("ascii")
+            parts = line.split(" ")
+            if len(parts) != 4:
+                raise CheckpointError("a tensor line needs name, shape, offset and crc")
+            name, shape_text, offset_text, crc_text = parts
+            if name in entries:
+                raise CheckpointError(f"tensor {name!r} appears twice")
+            dims = () if shape_text == "scalar" else shape_text.split("x")
+            if not (offset_text.isdigit() and crc_text.isdigit() and all(map(str.isdigit, dims))):
+                raise CheckpointError("dims, offset and crc must be ASCII decimal digits")
+            shape, offset, crc = tuple(map(int, dims)), int(offset_text), int(crc_text)
+            if crc >> 32:
+                raise CheckpointError(f"crc {crc} does not fit in 32 bits")
+            if offset != end:
+                raise CheckpointError(f"offset {offset} is not {end}, where the tensor before ends")
+            end = offset + 8 * math.prod(shape)
+            if end > payload_len:
+                raise CheckpointError(f"payload truncated for tensor {name!r}")
+            entries[name] = TensorEntry(shape, offset, end - offset, crc)
+    except (CheckpointError, ValueError) as exc:  # ValueError: bad ascii, an int of 4301+ digits
+        raise bad_line(split + 1 + len(entries), exc) from exc  # each good line added one entry
     return Checkpoint(path, config, entries, data_start, _stamp(stat))
 
 
@@ -245,10 +257,10 @@ def load_params_into(
     tensors: dict[str, np.ndarray],
     prefix: str,
 ) -> None:
-    """Copy stored arrays under ``prefix`` into live parameters.
+    """Make the stored arrays under ``prefix`` the live parameters' data, with no copy.
 
     Any missing, extra, or shape-mismatched tensor fails with a full diff so
-    a config/checkpoint mismatch is obvious.
+    a config/checkpoint mismatch is obvious, and then no parameter changes.
     """
     problems = []
     for name, param in named_params:
@@ -267,4 +279,4 @@ def load_params_into(
     if problems:
         raise CheckpointError("checkpoint/model mismatch: " + "; ".join(problems))
     for name, param in named_params:
-        param.data = tensors[prefix + name].copy()
+        param.data = tensors[prefix + name]

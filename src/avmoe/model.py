@@ -38,6 +38,7 @@ from .nn import (
     causal_mask,
     glorot,
     sinusoidal_positions,
+    unfilled,
 )
 from .tensor import Tensor, concat, gather_rows, grad_enabled
 
@@ -159,8 +160,8 @@ class DecodeCache:
 
 
 class Model(Module):
-    """With ``rng=None`` nothing is drawn: weights are left uninitialised for a
-    checkpoint load (``train.restore_model``) to overwrite."""
+    """With ``rng=None`` nothing is drawn: weights are ``nn.unfilled`` stand-ins,
+    which hold no storage, for a checkpoint load (``train.restore_model``) to replace."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None):
         cfg.validate()
@@ -174,7 +175,7 @@ class Model(Module):
         self.enc_blocks = [EncoderBlock(cfg, rng) for _ in range(cfg.encoder_blocks)]
         shape = (cfg.vocab_size, d)
         self.dec_embed = Tensor(
-            np.empty(shape) if rng is None else rng.normal(0.0, 1.0 / math.sqrt(d), size=shape),
+            unfilled(shape) if rng is None else rng.normal(0.0, 1.0 / math.sqrt(d), size=shape),
             requires_grad=True,
         )
         self.dec_blocks = [DecoderBlock(cfg, rng) for _ in range(cfg.decoder_blocks)]

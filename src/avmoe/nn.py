@@ -77,10 +77,15 @@ class Module:
         return [p for _, p in self.named_parameters()]
 
 
+def unfilled(shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only stand-in of ``shape`` that holds no storage, for a checkpoint load to replace."""
+    return np.ndarray(shape, buffer=bytes(8), strides=(0,) * len(shape))
+
+
 def glorot(rng: np.random.Generator | None, fan_in: int, fan_out: int) -> np.ndarray:
-    """Glorot-uniform weights; with no ``rng``, uninitialised ones that a load overwrites."""
+    """Glorot-uniform weights; with no ``rng``, an ``unfilled`` stand-in."""
     if rng is None:
-        return np.empty((fan_in, fan_out))
+        return unfilled((fan_in, fan_out))
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
@@ -406,7 +411,7 @@ class ConvGatedMLP(Module):
     def __init__(self, rng: np.random.Generator | None, dim: int):
         self.up = Linear(rng, dim, 2 * dim)
         limit = math.sqrt(1.0 / 3.0)
-        kernel = np.empty((3, dim)) if rng is None else rng.uniform(-limit, limit, size=(3, dim))
+        kernel = unfilled((3, dim)) if rng is None else rng.uniform(-limit, limit, size=(3, dim))
         self.kernel = Tensor(kernel, requires_grad=True)
         self.kernel_bias = Tensor(np.zeros(dim), requires_grad=True)
         self.down = Linear(rng, dim, dim)

@@ -299,7 +299,8 @@ def _unfilled_model(ckpt: Checkpoint) -> tuple[Model, Vocab]:
 
 
 def restore_model(ckpt: Checkpoint) -> tuple[Model, Vocab]:
-    """The model and vocabulary; reads and verifies only the ``model.*`` tensors."""
+    """The model and vocabulary; reads and verifies only the ``model.*`` tensors.
+    The parameters are views into the buffer of that read, which the model owns."""
     model, vocab = _unfilled_model(ckpt)
     load_params_into(model.named_parameters(), ckpt.read("model."), prefix="model.")
     return model, vocab
@@ -322,9 +323,11 @@ def new_train_state(
 
 
 def restore_train_state(ckpt: Checkpoint) -> tuple[TrainState, Vocab, TrainConfig]:
-    """Everything ``--resume`` needs; reads and verifies every tensor of the file."""
+    """Everything ``--resume`` needs; reads and verifies every tensor of the file in
+    one read. The parameters and Adam moments are views into its buffer, which the
+    state owns, and Adam updates them there in place."""
     model, vocab = _unfilled_model(ckpt)
-    tensors = ckpt.tensors
+    tensors = ckpt.read()
     load_params_into(model.named_parameters(), tensors, prefix="model.")
     try:
         train_cfg = TrainConfig(**json.loads(ckpt.config["train"]))
@@ -338,8 +341,8 @@ def restore_train_state(ckpt: Checkpoint) -> tuple[TrainState, Vocab, TrainConfi
         m_key, v_key = "opt.m." + name, "opt.v." + name
         if m_key not in tensors or v_key not in tensors:
             raise CheckpointError(f"optimizer state missing for parameter {name!r}")
-        optimizer.m[name] = tensors[m_key].copy()
-        optimizer.v[name] = tensors[v_key].copy()
+        optimizer.m[name] = tensors[m_key]
+        optimizer.v[name] = tensors[v_key]
     return state, vocab, train_cfg
 
 

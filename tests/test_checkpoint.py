@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import pathlib
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -63,6 +64,33 @@ class TestCheckpoint:
         broken[blob.index(b" ", line_start) + 1] = ord("q")  # shape field of the first tensor
         path.write_bytes(bytes(broken))
         with pytest.raises(CheckpointError, match=f"at byte offset {line_start}:"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("line, field, edit, message", [
+        (0, 0, lambda name: name + b"\xe9", "'ascii' codec can't decode byte 0xe9"),
+        (0, 1, lambda dims: b"0_" + dims, "dims, offset and crc must be ASCII decimal digits"),
+        (0, 2, lambda offset: b"+" + offset, "dims, offset and crc must be ASCII decimal digits"),
+        (0, 3, lambda crc: b"%d" % (int(crc) + 2**32), "crc [0-9]+ does not fit in 32 bits"),
+        (1, 2, lambda offset: b"0", "offset 0 is not [0-9]+, where the tensor before ends"),
+    ], ids=["non-ascii-name", "dim-with-underscore", "offset-with-plus", "crc-of-33-bits",
+            "overlapping-offset"])
+    def test_non_canonical_tensor_line_names_its_byte_offset(
+        self, tmp_path, line, field, edit, message
+    ):
+        # int() reads each edited number, so without the header checks only the
+        # CRC32 check of the payload step would refuse it. The header is decoded
+        # in one pass, and a non-ASCII name must still fail on its own line.
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        blob = path.read_bytes()
+        tensors_at = blob.index(b"\n[tensors]\n") + len(b"\n[tensors]\n")
+        lines = blob[tensors_at:].split(b"\n")
+        line_start = tensors_at + sum(len(raw) + 1 for raw in lines[:line])
+        fields = lines[line].split(b" ")
+        fields[field] = edit(fields[field])
+        lines[line] = b" ".join(fields)
+        path.write_bytes(blob[:tensors_at] + b"\n".join(lines))
+        with pytest.raises(CheckpointError, match=f"at byte offset {line_start}: {message}"):
             load_checkpoint(path)
 
     def test_non_ascii_header_is_a_checkpoint_error(self, tmp_path):
@@ -154,8 +182,8 @@ HAND_BUILT_CONFIG = {"model": json.dumps({"hidden": 4}), "note": "caf\u00e9 = 1"
 
 
 def base_buffer(array: np.ndarray):
-    """The object at the bottom of an array's chain of views."""
-    while isinstance(array, np.ndarray):
+    """The object that owns the memory at the bottom of an array's chain of views."""
+    while isinstance(array, np.ndarray) and array.base is not None:
         array = array.base
     return getattr(array, "obj", array)
 
@@ -171,7 +199,7 @@ class TestWriterBytes:
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
         ckpt = load_checkpoint(path)
-        assert path.read_bytes() == tobytes_writer(ckpt.config, ckpt.tensors)
+        assert path.read_bytes() == tobytes_writer(ckpt.config, ckpt.read())
 
     def test_file_of_the_tobytes_formula_loads_unchanged(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -179,9 +207,10 @@ class TestWriterBytes:
         path.write_bytes(tobytes_writer(HAND_BUILT_CONFIG, tensors))
         ckpt = load_checkpoint(path)
         assert ckpt.config == HAND_BUILT_CONFIG
-        assert list(ckpt.tensors) == list(tensors)
+        every = ckpt.read()
+        assert list(every) == list(tensors)
         for name, array in tensors.items():
-            loaded = ckpt.tensors[name]
+            loaded = every[name]
             assert loaded.dtype == np.float64 and loaded.shape == array.shape, name
             assert loaded.tobytes() == np.asarray(array, dtype=np.float64).tobytes(), name
 
@@ -236,7 +265,7 @@ class TestLoad:
     def test_payload_short_by_8_bytes_names_the_last_tensor(self, tmp_path):
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
-        last = list(load_checkpoint(path).tensors)[-1]
+        last = list(load_checkpoint(path).entries)[-1]
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CheckpointError, match=f"payload truncated for tensor '{last}'"):
             load_checkpoint(path)
@@ -254,24 +283,47 @@ class TestLoad:
             assert (ckpt.config, ckpt.entries, ckpt.data_start) == \
                 (whole.config, whole.entries, whole.data_start), chunk
 
-    def test_tensors_are_read_only_views_of_one_buffer(self, tmp_path):
+    def test_each_read_returns_views_of_a_buffer_of_its_own(self, tmp_path):
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
-        tensors = load_checkpoint(path).tensors
-        assert not any(t.flags.writeable for t in tensors.values())
-        assert len({id(base_buffer(t)) for t in tensors.values()}) == 1
+        ckpt = load_checkpoint(path)
+        first, second = ckpt.read(), ckpt.read()
+        for tensors in (first, second):
+            assert len({id(base_buffer(t)) for t in tensors.values()}) == 1
+            assert next(iter(tensors.values())).ctypes.data % 64 == 0
+            for name, t in tensors.items():
+                assert t.flags.writeable and t.flags.c_contiguous and t.flags.aligned, name
+        for name, t in first.items():
+            assert not np.shares_memory(t, second[name]), name
+
+    def test_two_restores_share_no_memory(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        ckpt = load_checkpoint(path)
+        (one, _), (two, _) = restore_model(ckpt), restore_model(ckpt)
+        for (name, p), (_, q) in zip(one.named_parameters(), two.named_parameters()):
+            assert p.data.flags.c_contiguous and p.data.flags.aligned, name
+            assert not np.shares_memory(p.data, q.data), name
+
+    def test_resumed_parameters_and_moments_are_views_of_one_buffer(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        state, _, _ = read_train_state(path)
+        arrays = [p.data for p in state.model.parameters()]
+        arrays += [*state.optimizer.m.values(), *state.optimizer.v.values()]
+        assert len({id(base_buffer(a)) for a in arrays}) == 1
 
     def test_restored_state_does_not_alias_the_checkpoint(self, tmp_path):
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
         ckpt = load_checkpoint(path)
-        before = {name: t.copy() for name, t in ckpt.tensors.items()}
+        before = ckpt.read()
         state, _, _ = restore_train_state(ckpt)
         for name, p in state.model.named_parameters():
             p.data += 1.0
             state.optimizer.m[name][...] = 7.0
             state.optimizer.v[name] *= 3.0
-        for name, t in ckpt.tensors.items():
+        for name, t in ckpt.read().items():
             np.testing.assert_array_equal(t, before[name], err_msg=name)
 
 
@@ -295,12 +347,29 @@ class TestModelOnlyLoad:
         write_drawn_checkpoint(path, cfg)
         restored, _ = restore_model(load_checkpoint(path))
         drawn = Model(cfg, np.random.default_rng(0))
-        load_params_into(drawn.named_parameters(), load_checkpoint(path).tensors, prefix="model.")
+        load_params_into(drawn.named_parameters(), load_checkpoint(path).read(), prefix="model.")
         mine, theirs = restored.named_parameters(), drawn.named_parameters()
         assert [name for name, _ in mine] == [name for name, _ in theirs]
         for (name, p), (_, q) in zip(mine, theirs):
             assert p.data.dtype == q.data.dtype and p.data.flags.writeable, name
             np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+
+    def test_restore_model_allocates_the_model_payload_once(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_drawn_checkpoint(path, ModelConfig(vocab_size=16, moe=MoEConfig()))
+        ckpt = load_checkpoint(path)
+        payload = sum(e.nbytes for name, e in ckpt.entries.items() if name.startswith("model."))
+        tracemalloc.start()
+        try:
+            restore_model(ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The one buffer of the model.* read (12.0 MB), plus 1 MiB for the
+        # parameter objects and the read's bookkeeping (0.4 MB measured). A
+        # copy of the parameters, or storage behind the unfilled model, would
+        # allocate the payload a second time.
+        assert peak <= payload + 2**20
 
     def test_flipped_byte_in_a_model_tensor_fails_restore_model(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -344,12 +413,11 @@ class TestModelOnlyLoad:
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
         ckpt = load_checkpoint(path)
-        every = ckpt.tensors
+        every = ckpt.read()
         for prefix in ("model.", "opt.m.", "opt.", "model.dec_embed", "nothing"):
             part = ckpt.read(prefix)
             assert list(part) == [n for n in every if n.startswith(prefix)], prefix
             for name, t in part.items():
-                assert not t.flags.writeable
                 assert t.tobytes() == every[name].tobytes(), name
             assert len({id(base_buffer(t)) for t in part.values()}) <= 1
 

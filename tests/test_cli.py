@@ -153,7 +153,7 @@ def test_checkpoint_naming_a_removed_field_exits_3(run, section, key, value):
     model = json.loads(saved.config["model"])
     (model if section == "model" else model["moe"])[key] = value
     ckpt = run / "old_fields.ckpt"
-    save_checkpoint(ckpt, {**saved.config, "model": json.dumps(model)}, saved.tensors)
+    save_checkpoint(ckpt, {**saved.config, "model": json.dumps(model)}, saved.read())
     manifest = run / "corpus" / "test.jsonl"
     assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt)]) == 3
     assert train(run, "old_fields", write_config(run / "config.json"),
