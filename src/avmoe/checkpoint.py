@@ -1,29 +1,27 @@
-"""Versioned binary checkpoints with per-tensor checksums.
+"""Versioned binary checkpoints: one checksummed JSON header, then the tensors.
 
 Layout:
 
-    EVACKPT2\\n
-    [config]\\n
-    <key>=<value>\\n ...          (values are JSON-escaped strings)
-    crc32 <crc32>\\n             (of the <key>=<value> lines, newline-joined)
-    [tensors]\\n
-    <name> <d0xd1x...> <byte offset> <crc32>\\n ...
-    [data]\\n
+    EVACKPT3 <header bytes> <crc32>\\n    (both ASCII decimal; the crc32 is of the header)
+    {"config": {...}, "tensors": [[<name>, [<d0>, <d1>, ...], <crc32>], ...]}
     <raw little-endian float64 payload>
 
-Offsets index into the payload. The save streams the header and then each
-array's own buffer to a sibling temp file and moves it onto ``path`` with
-``os.replace``, so a save that fails part way leaves the previous file at
-``path`` intact.
+The config holds plain JSON values. Each tensor occupies ``8 * d0 * d1 * ...``
+bytes of the payload, in header order, so its offset is the sum of the sizes
+before it and the sizes add up to exactly the payload. The save streams the
+header and then each array's own buffer to a sibling temp file and moves it
+onto ``path`` with ``os.replace``, so a save that fails part way leaves the
+previous file at ``path`` intact.
 
 The load has two steps, so that a caller reads only the tensors it uses:
 
 - ``load_checkpoint`` reads the header and no payload. It checks the magic,
-  the CRC32 of the config lines and the syntax of every tensor line (decimal
-  digits, a CRC32 below 2**32), refuses a config key or tensor name that
-  appears twice, and checks that each tensor starts where the previous one
-  ends, so no two share a byte, and ends within the file length from
-  ``fstat``, so a truncated file fails here.
+  refuses a header length that does not fit in the file (from ``fstat``)
+  before reading it, checks the header's CRC32, and then the structure the
+  standard library's JSON parser returns: a ``config`` object, and a
+  ``tensors`` list of ``[name, dims, crc32]`` entries with unique names,
+  non-negative integer dims and a CRC32 below 2**32, whose sizes add up to
+  the payload length. Every fault is a ``CheckpointError``.
 - ``Checkpoint.read(prefix)`` reads the byte range that covers the tensors
   whose names start with ``prefix``, in one read, and checks each one's
   CRC32. It refuses a file whose inode, size or mtime changed after the
@@ -45,21 +43,18 @@ import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .errors import CheckpointError
-from .tensor import Tensor
 
-MAGIC = b"EVACKPT2"
-CONFIG_CRC = "crc32 "
-DATA_MARKER = b"\n[data]\n"
-HEADER_CHUNK = 1 << 16  # bytes per read while looking for the end of the header
+MAGIC = b"EVACKPT3"
+FIRST_LINE_MAX = 64  # bytes; the magic and two decimal numbers need at most 40
 
 
 class TensorEntry(NamedTuple):
-    """One tensor line of the header."""
+    """One tensor of the header, with its offset derived from the ones before it."""
 
     shape: tuple[int, ...]
     offset: int  # into the payload
@@ -72,7 +67,7 @@ class Checkpoint:
     """A checkpoint's verified header; ``read`` loads and verifies its tensors."""
 
     path: Path
-    config: dict[str, str]
+    config: dict[str, Any]
     entries: dict[str, TensorEntry]
     data_start: int  # file offset of the payload
     stamp: tuple[int, int, int]  # (st_ino, st_size, st_mtime_ns) when the header was read
@@ -90,7 +85,7 @@ class Checkpoint:
         chosen = {name: e for name, e in self.entries.items() if name.startswith(prefix)}
         if not chosen:
             return {}
-        # Offsets are multiples of 8: the header step checks that tensors tile the payload.
+        # Offsets are multiples of 8: each is a sum of tensor sizes of 8 bytes a value.
         low = min(e.offset for e in chosen.values())
         size = (max(e.offset + e.nbytes for e in chosen.values()) - low) // 8
         raw = np.empty(size + 7, "<f8")
@@ -113,35 +108,30 @@ class Checkpoint:
             flat = buf[start : start + e.nbytes // 8]
             if zlib.crc32(flat) != e.crc32:
                 raise CheckpointError(f"{self.path}: checksum failure for tensor {name!r}")
-            tensors[name] = flat.reshape(e.shape)
+            try:
+                tensors[name] = flat.reshape(e.shape)
+            except ValueError as exc:  # over 64 dims, or a dim too large beside a zero
+                raise CheckpointError(f"{self.path}: tensor {name!r}: {exc}") from exc
         return tensors
 
 
-def save_checkpoint(path, config: dict[str, str], tensors: dict[str, np.ndarray]) -> None:
-    entries = []
-    for key in config:
-        if any(c in key for c in "=\n "):
-            raise CheckpointError(f"config key {key!r} may not contain '=', spaces, or newlines")
-        entries.append(f"{key}={json.dumps(config[key])}")
-    config_crc = zlib.crc32("\n".join(entries).encode("ascii")) & 0xFFFFFFFF
-    header = [MAGIC.decode("ascii"), "[config]", *entries, f"{CONFIG_CRC}{config_crc}", "[tensors]"]
-    arrays: list[np.ndarray] = []
-    offset = 0
-    for name, array in tensors.items():
-        if " " in name or "\n" in name:
-            raise CheckpointError(f"tensor name {name!r} may not contain spaces or newlines")
-        # A no-op for live float64 parameters; unlike ascontiguousarray it keeps 0-d arrays 0-d.
-        arr = np.require(array, "<f8", "C")
-        shape = "x".join(str(d) for d in arr.shape) if arr.ndim else "scalar"
-        header.append(f"{name} {shape} {offset} {zlib.crc32(arr) & 0xFFFFFFFF}")
-        arrays.append(arr)
-        offset += arr.nbytes
-    header.append("[data]")
+def save_checkpoint(path, config: dict[str, Any], tensors: dict[str, np.ndarray]) -> None:
+    """Write ``config`` (JSON values) and ``tensors``, in the order given, to ``path``.
+
+    The bytes depend only on the arguments: keys are sorted and separators fixed.
+    """
+    # A no-op for live float64 parameters; unlike ascontiguousarray it keeps 0-d arrays 0-d.
+    arrays = [np.require(array, "<f8", "C") for array in tensors.values()]
+    listed = [[name, list(arr.shape), zlib.crc32(arr)] for name, arr in zip(tensors, arrays)]
+    header = json.dumps(
+        {"config": config, "tensors": listed}, sort_keys=True, separators=(",", ":")
+    ).encode("ascii")
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("wb") as f:
-            f.write("\n".join(header).encode("ascii") + b"\n")
+            f.write(b"%s %d %d\n" % (MAGIC, len(header), zlib.crc32(header)))
+            f.write(header)
             for arr in arrays:
                 f.write(arr)
         os.replace(tmp, path)
@@ -151,132 +141,104 @@ def save_checkpoint(path, config: dict[str, str], tensors: dict[str, np.ndarray]
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read and verify a checkpoint's header; a malformed line fails with its byte offset.
-
-    No tensor is read: ``Checkpoint.read`` does that.
-    """
+    """Read and verify a checkpoint's header. No tensor is read: ``Checkpoint.read`` does that."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
     try:
         with path.open("rb", buffering=0) as f:
             stat = os.fstat(f.fileno())
-            head = f.read(HEADER_CHUNK)
-            if head[: len(MAGIC) + 1] != MAGIC + b"\n":
+            line, newline, _ = f.read(FIRST_LINE_MAX).partition(b"\n")
+            fields = line.split(b" ")
+            if fields[0] != MAGIC:
                 raise CheckpointError(
-                    f"{path}: bad magic {head[:8]!r}; this reader understands {MAGIC.decode()} only"
+                    f"{path}: bad magic {line[:8]!r}; this reader understands {MAGIC.decode()} only"
                 )
-            marker = head.find(DATA_MARKER)
-            while marker < 0:
-                chunk = f.read(HEADER_CHUNK)
-                if not chunk:
-                    raise CheckpointError(f"{path}: truncated header, no [data] section")
-                searched = len(head) - len(DATA_MARKER) + 1
-                head += chunk
-                marker = head.find(DATA_MARKER, searched)
+            # bytes.isdigit is true for ASCII digits only.
+            if not (newline and len(fields) == 3 and fields[1].isdigit() and fields[2].isdigit()):
+                raise CheckpointError(
+                    f"{path}: bad first line {line!r}, not '{MAGIC.decode()} <length> <crc32>'"
+                )
+            header_start, length = len(line) + 1, int(fields[1])
+            data_start = header_start + length
+            if data_start > stat.st_size:
+                raise CheckpointError(
+                    f"{path}: a header of {length} bytes does not fit in a file of "
+                    f"{stat.st_size} bytes"
+                )
+            f.seek(header_start)
+            header = f.read(length)
     except OSError as exc:
         raise CheckpointError(f"{path}: cannot read the checkpoint: {exc.strerror}") from exc
-    data_start = marker + len(DATA_MARKER)
+    if len(header) != length or zlib.crc32(header) != int(fields[2]):
+        raise CheckpointError(f"{path}: checksum failure for the header")
+    try:
+        doc = json.loads(header, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8 and bad JSON
+        raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+    if not (
+        isinstance(doc, dict) and doc.keys() == {"config", "tensors"}
+        and isinstance(doc["config"], dict) and isinstance(doc["tensors"], list)
+    ):
+        raise CheckpointError(f"{path}: the header is not a config object and a tensors list")
+
     payload_len = stat.st_size - data_start
-
-    start = len(MAGIC) + 1
-    lines = head[start:marker].decode("latin-1").split("\n")  # one character per byte
-
-    def bad_line(index: int, exc: Exception) -> CheckpointError:
-        offset = start + sum(map(len, lines[:index])) + index
-        raw = lines[index].encode("latin-1")
-        return CheckpointError(f"{path}: bad header line {raw!r} at byte offset {offset}: {exc}")
-
-    split = lines.index("[tensors]", 1) if "[tensors]" in lines[1:] else len(lines)
-    config: dict[str, str] = {}
-    for index, line in enumerate(lines[:split]):
-        try:
-            if not line.isascii():
-                line.encode("latin-1").decode("ascii")  # raises, naming the byte
-            if index == 0:
-                if line != "[config]":
-                    raise CheckpointError("stray line before [config]")
-            elif not line.startswith(CONFIG_CRC):
-                key, _, value = line.partition("=")
-                if key in config:
-                    raise CheckpointError(f"config key {key!r} appears twice")
-                config[key] = json.loads(value)
-        except (CheckpointError, ValueError) as exc:  # ValueError covers bad ascii and JSON
-            raise bad_line(index, exc) from exc
-    if split == len(lines):
-        raise CheckpointError(f"{path}: header has no [tensors] section")
-    try:
-        _verify_config(lines[1:split])
-    except (CheckpointError, ValueError) as exc:
-        raise bad_line(split, exc) from exc
-
     entries: dict[str, TensorEntry] = {}
-    end = 0  # of the previous tensor: each starts there, so no two share a byte
-    try:
-        for line in lines[split + 1 :]:
-            if not line.isascii():  # so that isdigit() means 0-9
-                line.encode("latin-1").decode("ascii")
-            parts = line.split(" ")
-            if len(parts) != 4:
-                raise CheckpointError("a tensor line needs name, shape, offset and crc")
-            name, shape_text, offset_text, crc_text = parts
-            if name in entries:
-                raise CheckpointError(f"tensor {name!r} appears twice")
-            dims = () if shape_text == "scalar" else shape_text.split("x")
-            if not (offset_text.isdigit() and crc_text.isdigit() and all(map(str.isdigit, dims))):
-                raise CheckpointError("dims, offset and crc must be ASCII decimal digits")
-            shape, offset, crc = tuple(map(int, dims)), int(offset_text), int(crc_text)
-            if crc >> 32:
-                raise CheckpointError(f"crc {crc} does not fit in 32 bits")
-            if offset != end:
-                raise CheckpointError(f"offset {offset} is not {end}, where the tensor before ends")
-            end = offset + 8 * math.prod(shape)
-            if end > payload_len:
-                raise CheckpointError(f"payload truncated for tensor {name!r}")
-            entries[name] = TensorEntry(shape, offset, end - offset, crc)
-    except (CheckpointError, ValueError) as exc:  # ValueError: bad ascii, an int of 4301+ digits
-        raise bad_line(split + 1 + len(entries), exc) from exc  # each good line added one entry
-    return Checkpoint(path, config, entries, data_start, _stamp(stat))
+    end = 0  # of the tensors so far, where the next one starts
+    for item in doc["tensors"]:
+        if not (isinstance(item, list) and len(item) == 3 and isinstance(item[0], str)):
+            raise CheckpointError(
+                f"{path}: tensor entry {len(entries)} is not a [name, dims, crc32] list"
+            )
+        name, dims, crc = item
+        if name in entries:
+            raise CheckpointError(f"{path}: tensor {name!r} appears twice")
+        # JSON numbers parse as int or float, and true and false as bool, a subclass of int.
+        if not (isinstance(dims, list) and all(type(d) is int and d >= 0 for d in dims)):
+            raise CheckpointError(
+                f"{path}: tensor {name!r}: dims must be a list of non-negative integers"
+            )
+        if not (type(crc) is int and 0 <= crc < 2**32):
+            raise CheckpointError(
+                f"{path}: tensor {name!r}: crc32 must be an integer in [0, 2**32)"
+            )
+        nbytes = 8 * math.prod(dims)
+        if end + nbytes > payload_len:
+            raise CheckpointError(f"{path}: payload truncated for tensor {name!r}")
+        entries[name] = TensorEntry(tuple(dims), end, nbytes, crc)
+        end += nbytes
+    if end != payload_len:
+        raise CheckpointError(
+            f"{path}: {payload_len - end} payload bytes follow the last tensor, "
+            f"{next(reversed(entries), None)!r}"
+        )
+    return Checkpoint(path, doc["config"], entries, data_start, _stamp(stat))
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A header object; JSON would otherwise keep the last of two equal keys."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"key {next(k for k in obj if keys.count(k) > 1)!r} appears twice")
+    return obj
 
 
 def _stamp(stat: os.stat_result) -> tuple[int, int, int]:
     return stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-def _verify_config(lines: list[str]) -> None:
-    """The last config line holds the CRC32 of the lines before it."""
-    if not lines or not lines[-1].startswith(CONFIG_CRC):
-        raise CheckpointError("the [config] section does not end with its crc32 line")
-    expected = zlib.crc32("\n".join(lines[:-1]).encode("ascii")) & 0xFFFFFFFF
-    if expected != int(lines[-1][len(CONFIG_CRC) :]):
-        raise CheckpointError("checksum failure for the [config] section")
+def check_layout(tensors: dict[str, np.ndarray], expected: dict[str, tuple[int, ...]]) -> None:
+    """Refuse a read whose names and shapes are not exactly ``expected``.
 
-
-def load_params_into(
-    named_params: list[tuple[str, Tensor]],
-    tensors: dict[str, np.ndarray],
-    prefix: str,
-) -> None:
-    """Make the stored arrays under ``prefix`` the live parameters' data, with no copy.
-
-    Any missing, extra, or shape-mismatched tensor fails with a full diff so
-    a config/checkpoint mismatch is obvious, and then no parameter changes.
+    The error lists every missing, mis-shaped and unexpected tensor, so a
+    config/checkpoint mismatch is obvious; callers assign nothing before this passes.
     """
-    problems = []
-    for name, param in named_params:
-        key = prefix + name
-        if key not in tensors:
-            problems.append(f"missing tensor {key!r}")
-        elif tensors[key].shape != param.data.shape:
-            problems.append(
-                f"shape mismatch for {key!r}: checkpoint {tensors[key].shape} "
-                f"vs model {param.data.shape}"
-            )
-    stored = {k for k in tensors if k.startswith(prefix)}
-    expected = {prefix + name for name, _ in named_params}
-    for extra in sorted(stored - expected):
-        problems.append(f"unexpected tensor {extra!r}")
+    problems = [f"missing tensor {name!r}" for name in expected if name not in tensors]
+    problems += [
+        f"shape mismatch for {name!r}: checkpoint {t.shape} vs model {expected[name]}"
+        for name, t in tensors.items() if name in expected and t.shape != expected[name]
+    ]
+    problems += [f"unexpected tensor {name!r}" for name in tensors if name not in expected]
     if problems:
         raise CheckpointError("checkpoint/model mismatch: " + "; ".join(problems))
-    for name, param in named_params:
-        param.data = tensors[prefix + name]

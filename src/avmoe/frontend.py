@@ -27,6 +27,8 @@ from .f64file import read_f64_file, write_f64_file
 from .tensor import Tensor, matmul
 
 MEL_FLOOR = 1e-10
+FRAME_LENGTH_MS = 25.0
+FRAME_SHIFT_MS = 10.0
 
 
 @dataclass
@@ -44,9 +46,6 @@ class Waveform:
 class LogMelSpectrogram:
     frames: np.ndarray  # (num_frames, n_mels)
     n_mels: int
-    sample_rate: int
-    frame_shift_ms: float = 10.0
-    frame_length_ms: float = 25.0
 
     @property
     def num_frames(self) -> int:
@@ -61,17 +60,16 @@ def mel_to_hz(m):
     return 700.0 * (np.power(10.0, np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def window_sizes(sample_rate: int, frame_length_ms: float = 25.0, frame_shift_ms: float = 10.0):
-    win = int(round(sample_rate * frame_length_ms / 1000.0))
-    hop = int(round(sample_rate * frame_shift_ms / 1000.0))
+def window_sizes(sample_rate: int) -> tuple[int, int]:
+    """Samples per window and per hop at ``sample_rate``."""
+    win = int(round(sample_rate * FRAME_LENGTH_MS / 1000.0))
+    hop = int(round(sample_rate * FRAME_SHIFT_MS / 1000.0))
     return win, hop
 
 
-def frame_signal(
-    waveform: Waveform, frame_length_ms: float = 25.0, frame_shift_ms: float = 10.0
-) -> np.ndarray:
+def frame_signal(waveform: Waveform) -> np.ndarray:
     """Slice the signal into Hann-windowed frames of shape (num_frames, win)."""
-    win, hop = window_sizes(waveform.sample_rate, frame_length_ms, frame_shift_ms)
+    win, hop = window_sizes(waveform.sample_rate)
     n = waveform.samples.shape[0]
     if n < win:
         raise DataError(f"waveform too short: {n} samples, need at least {win}")
@@ -107,13 +105,7 @@ def mel_center_frequencies(n_mels: int, sample_rate: int) -> np.ndarray:
     return mel_to_hz(grid[1:-1])
 
 
-def log_mel(
-    framed: np.ndarray,
-    n_mels: int = 80,
-    sample_rate: int = 16000,
-    frame_shift_ms: float = 10.0,
-    frame_length_ms: float = 25.0,
-) -> LogMelSpectrogram:
+def log_mel(framed: np.ndarray, n_mels: int = 80, sample_rate: int = 16000) -> LogMelSpectrogram:
     """Windowed frames -> power spectrum -> Mel energies -> floored natural log."""
     win = framed.shape[1]
     n_fft = 1 << (win - 1).bit_length()
@@ -122,13 +114,7 @@ def log_mel(
     bank = mel_filterbank(n_mels, n_fft, sample_rate)
     energies = power @ bank.T
     frames = np.log(np.maximum(energies, MEL_FLOOR))
-    return LogMelSpectrogram(
-        frames=frames,
-        n_mels=n_mels,
-        sample_rate=sample_rate,
-        frame_shift_ms=frame_shift_ms,
-        frame_length_ms=frame_length_ms,
-    )
+    return LogMelSpectrogram(frames=frames, n_mels=n_mels)
 
 
 def log_mel_from_waveform(waveform: Waveform, n_mels: int = 80) -> LogMelSpectrogram:

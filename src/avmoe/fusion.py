@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionError
 from .f64file import read_f64_file, write_f64_file
 from .nn import Segments
-from .tensor import Tensor, concat, gather_rows, matmul
+from .tensor import Tensor, affine, concat, gather_rows
 
 
 @dataclass
@@ -56,7 +56,7 @@ def project_visual(z, proj: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(
             f"visual width mismatch: embeddings {zt.shape} vs projection {proj.shape}"
         )
-    return matmul(zt, proj) + bias
+    return affine(zt, proj, bias)
 
 
 def fuse_concat(

@@ -10,7 +10,7 @@ order, zero-padded to the configured slot count).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -102,22 +102,7 @@ class SyntheticTaskSpec:
         return {w for group in self.homophone_groups for w in group}
 
     def to_json(self) -> str:
-        payload = {
-            "vocab": self.vocab,
-            "homophone_groups": self.homophone_groups,
-            "tone_map": self.tone_map,
-            "visual_codes": self.visual_codes,
-            "visual_slots": self.visual_slots,
-            "visual_dim": self.visual_dim,
-            "symbol_duration_ms": self.symbol_duration_ms,
-            "noise_std": self.noise_std,
-            "amplitude": self.amplitude,
-            "sample_rate": self.sample_rate,
-            "min_words": self.min_words,
-            "max_words": self.max_words,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str | bytes) -> "SyntheticTaskSpec":

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Checkpoint, load_checkpoint, load_params_into, save_checkpoint
+from .checkpoint import Checkpoint, check_layout, load_checkpoint, save_checkpoint
 from .decoding import transcribe
 from .errors import CheckpointError, ConfigError, CtcInfeasibleError, DataError, NumericError
 from .fields import check_fields
@@ -244,40 +244,27 @@ def run_epoch(state: TrainState, data: list[Utterance], cfg: TrainConfig) -> dic
 # -- checkpoint plumbing -------------------------------------------------------
 
 
-def _rng_state_json(rng: np.random.Generator) -> str:
-    return json.dumps(rng.bit_generator.state)
-
-
-def _rng_from_json(text: str) -> np.random.Generator:
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = json.loads(text)
-    return rng
-
-
 def model_config_json(cfg: ModelConfig) -> str:
-    payload = {k: v for k, v in vars(cfg).items() if k != "moe"}
-    payload["moe"] = None if cfg.moe is None else asdict(cfg.moe)
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(asdict(cfg), sort_keys=True)
 
 
-def model_config_from_json(text: str) -> ModelConfig:
-    payload = json.loads(text)
-    moe = payload.pop("moe", None)
+def model_config_from_json(payload: dict) -> ModelConfig:
+    """The validated model config of a checkpoint's ``model`` object."""
     cfg = ModelConfig(**payload)
-    if moe is not None:
-        cfg.moe = MoEConfig(**moe)
+    if cfg.moe is not None:
+        cfg.moe = MoEConfig(**cfg.moe)
     cfg.validate()
     return cfg
 
 
 def save_train_state(path, state: TrainState, vocab: Vocab, train_cfg: TrainConfig) -> None:
     config = {
-        "model": model_config_json(state.model.cfg),
-        "train": json.dumps(asdict(train_cfg), sort_keys=True),
-        "vocab": json.dumps(vocab.words),
-        "rng": _rng_state_json(state.rng),
-        "step": str(state.step),
-        "epochs_done": str(state.epochs_done),
+        "model": asdict(state.model.cfg),
+        "train": asdict(train_cfg),
+        "vocab": vocab.words,
+        "rng": state.rng.bit_generator.state,
+        "step": state.step,
+        "epochs_done": state.epochs_done,
     }
     tensors: dict[str, np.ndarray] = {}
     for name, p in state.model.named_parameters():
@@ -288,21 +275,41 @@ def save_train_state(path, state: TrainState, vocab: Vocab, train_cfg: TrainConf
     save_checkpoint(path, config, tensors)
 
 
+# What building a config, vocabulary or RNG from a checkpoint's JSON values can raise.
+_BAD_VALUE = (ConfigError, KeyError, OverflowError, TypeError, ValueError)
+
+
 def _unfilled_model(ckpt: Checkpoint) -> tuple[Model, Vocab]:
     """The checkpoint's model, with no weights drawn, and its vocabulary."""
     try:
         cfg = model_config_from_json(ckpt.config["model"])
-        vocab = Vocab(json.loads(ckpt.config["vocab"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"unreadable model config or vocabulary: {exc!r}") from exc
+        words = ckpt.config["vocab"]
+        if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
+            raise CheckpointError(
+                f"{ckpt.path}: the vocabulary must be a list of words, got {words!r}"
+            )
+        vocab = Vocab(words)
+    except _BAD_VALUE as exc:
+        raise CheckpointError(
+            f"{ckpt.path}: unreadable model config or vocabulary: {exc!r}"
+        ) from exc
     return Model(cfg, rng=None), vocab
+
+
+def _load_parameters(model: Model, tensors: dict[str, np.ndarray], prefixes: list[str]) -> None:
+    """Make the read's ``model.*`` arrays the parameters' data, with no copy, once
+    ``check_layout`` finds exactly each parameter's shape under each of ``prefixes``."""
+    params = model.named_parameters()
+    check_layout(tensors, {prefix + name: p.shape for prefix in prefixes for name, p in params})
+    for name, param in params:
+        param.data = tensors["model." + name]
 
 
 def restore_model(ckpt: Checkpoint) -> tuple[Model, Vocab]:
     """The model and vocabulary; reads and verifies only the ``model.*`` tensors.
     The parameters are views into the buffer of that read, which the model owns."""
     model, vocab = _unfilled_model(ckpt)
-    load_params_into(model.named_parameters(), ckpt.read("model."), prefix="model.")
+    _load_parameters(model, ckpt.read("model."), ["model."])
     return model, vocab
 
 
@@ -327,22 +334,23 @@ def restore_train_state(ckpt: Checkpoint) -> tuple[TrainState, Vocab, TrainConfi
     one read. The parameters and Adam moments are views into its buffer, which the
     state owns, and Adam updates them there in place."""
     model, vocab = _unfilled_model(ckpt)
-    tensors = ckpt.read()
-    load_params_into(model.named_parameters(), tensors, prefix="model.")
     try:
-        train_cfg = TrainConfig(**json.loads(ckpt.config["train"]))
-        step, epochs_done = int(ckpt.config["step"]), int(ckpt.config["epochs_done"])
-        rng = _rng_from_json(ckpt.config["rng"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"unreadable training state: {exc!r}") from exc
+        train_cfg = TrainConfig(**ckpt.config["train"])
+        train_cfg.validate()
+        step, epochs_done = ckpt.config["step"], ckpt.config["epochs_done"]
+        if not all(type(n) is int and n >= 0 for n in (step, epochs_done)):
+            raise CheckpointError(f"{ckpt.path}: step {step!r} and epochs_done "
+                                  f"{epochs_done!r} must be non-negative integers")
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = ckpt.config["rng"]
+    except _BAD_VALUE as exc:
+        raise CheckpointError(f"{ckpt.path}: unreadable training state: {exc!r}") from exc
+    tensors = ckpt.read()
+    _load_parameters(model, tensors, ["model.", "opt.m.", "opt.v."])
     state = new_train_state(model, train_cfg, rng, step, epochs_done)
-    optimizer = state.optimizer
-    for name in optimizer.m:
-        m_key, v_key = "opt.m." + name, "opt.v." + name
-        if m_key not in tensors or v_key not in tensors:
-            raise CheckpointError(f"optimizer state missing for parameter {name!r}")
-        optimizer.m[name] = tensors[m_key]
-        optimizer.v[name] = tensors[v_key]
+    for name in state.optimizer.m:
+        state.optimizer.m[name] = tensors["opt.m." + name]
+        state.optimizer.v[name] = tensors["opt.v." + name]
     return state, vocab, train_cfg
 
 

@@ -2,8 +2,10 @@
 
 import errno
 import json
+import math
 import os
 import pathlib
+import re
 import tracemalloc
 import zlib
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from avmoe import checkpoint
-from avmoe.checkpoint import load_checkpoint, load_params_into, save_checkpoint
+from avmoe.checkpoint import load_checkpoint, save_checkpoint
 from avmoe.errors import AvmoeError, CheckpointError
 from avmoe.frontend import Waveform, read_waveform, write_f64
 from avmoe.fusion import load_visual_embeddings, save_visual_embeddings
@@ -55,114 +57,186 @@ class TestCheckpoint:
         for (name, p), (_, q) in pairs:
             np.testing.assert_array_equal(q.data, p.data, err_msg=name)
 
-    def test_bad_header_line_names_its_byte_offset(self, tmp_path):
+    def test_every_flipped_header_byte_is_a_checkpoint_error(self, tmp_path):
+        # A flip anywhere in the first line or the JSON header, a tensor name
+        # included, must fail the header step, and with the package's error.
         path = tmp_path / "m.ckpt"
-        write_tiny_checkpoint(path)
+        save_checkpoint(path, HAND_BUILT_CONFIG, hand_built_tensors())
         blob = path.read_bytes()
-        line_start = blob.index(b"\n[tensors]\n") + len(b"\n[tensors]\n")
-        broken = bytearray(blob)
-        broken[blob.index(b" ", line_start) + 1] = ord("q")  # shape field of the first tensor
-        path.write_bytes(bytes(broken))
-        with pytest.raises(CheckpointError, match=f"at byte offset {line_start}:"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("line, field, edit, message", [
-        (0, 0, lambda name: name + b"\xe9", "'ascii' codec can't decode byte 0xe9"),
-        (0, 1, lambda dims: b"0_" + dims, "dims, offset and crc must be ASCII decimal digits"),
-        (0, 2, lambda offset: b"+" + offset, "dims, offset and crc must be ASCII decimal digits"),
-        (0, 3, lambda crc: b"%d" % (int(crc) + 2**32), "crc [0-9]+ does not fit in 32 bits"),
-        (1, 2, lambda offset: b"0", "offset 0 is not [0-9]+, where the tensor before ends"),
-    ], ids=["non-ascii-name", "dim-with-underscore", "offset-with-plus", "crc-of-33-bits",
-            "overlapping-offset"])
-    def test_non_canonical_tensor_line_names_its_byte_offset(
-        self, tmp_path, line, field, edit, message
-    ):
-        # int() reads each edited number, so without the header checks only the
-        # CRC32 check of the payload step would refuse it. The header is decoded
-        # in one pass, and a non-ASCII name must still fail on its own line.
-        path = tmp_path / "m.ckpt"
-        write_tiny_checkpoint(path)
-        blob = path.read_bytes()
-        tensors_at = blob.index(b"\n[tensors]\n") + len(b"\n[tensors]\n")
-        lines = blob[tensors_at:].split(b"\n")
-        line_start = tensors_at + sum(len(raw) + 1 for raw in lines[:line])
-        fields = lines[line].split(b" ")
-        fields[field] = edit(fields[field])
-        lines[line] = b" ".join(fields)
-        path.write_bytes(blob[:tensors_at] + b"\n".join(lines))
-        with pytest.raises(CheckpointError, match=f"at byte offset {line_start}: {message}"):
-            load_checkpoint(path)
+        data_start = load_checkpoint(path).data_start
+        for pos in range(data_start):
+            for mask in (0x01, 0x20, 0xFF):
+                damaged = bytearray(blob)
+                damaged[pos] ^= mask
+                path.write_bytes(bytes(damaged))
+                with pytest.raises(CheckpointError):
+                    load_checkpoint(path)
 
     def test_non_ascii_header_is_a_checkpoint_error(self, tmp_path):
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
-        blob = path.read_bytes()
-        path.write_bytes(blob.replace(b"[config]\nmodel", b"[config]\nmod\xffl", 1))
-        with pytest.raises(CheckpointError, match="byte offset 18:"):
+        header, payload = split_checkpoint(path)
+        damaged = header.replace(b'"model"', b'"mod\xffl"', 1)
+        path.write_bytes(first_line(header) + damaged + payload)
+        with pytest.raises(CheckpointError, match="checksum failure for the header"):
+            load_checkpoint(path)
+        write_with_header(path, damaged, payload)  # its checksum made valid
+        with pytest.raises(CheckpointError, match="unreadable header: 'utf-8' codec"):
             load_checkpoint(path)
 
     def test_tensor_named_twice_is_refused(self, tmp_path):
-        # A second line for the first tensor, pointing at the second tensor's
-        # bytes with its CRC, would otherwise win silently.
+        # The first tensor's name on the second entry, whose extent and CRC are
+        # valid, would otherwise make two parameters one.
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
-        blob = path.read_bytes()
-        first, second = list(load_checkpoint(path).entries)[:2]
-        second_start = blob.index(f"\n{second} ".encode()) + 1
-        insert_at = blob.index(b"\n", second_start) + 1
-        duplicate = first.encode() + blob[second_start + len(second) : insert_at]
-        path.write_bytes(blob[:insert_at] + duplicate + blob[insert_at:])
-        with pytest.raises(
-            CheckpointError, match=f"at byte offset {insert_at}: tensor '{first}' appears twice"
-        ):
+        header, payload = split_checkpoint(path)
+        doc = json.loads(header)
+        first = doc["tensors"][0][0]
+        doc["tensors"][1][0] = first
+        write_with_header(path, json.dumps(doc).encode(), payload)
+        with pytest.raises(CheckpointError, match=f"tensor '{first}' appears twice"):
             load_checkpoint(path)
 
     def test_config_key_named_twice_is_refused(self, tmp_path):
-        # The config CRC is recomputed over the doubled lines, so only the
-        # duplicate check can refuse the file.
+        # JSON keeps the last of two equal keys; the checksum is valid, so only
+        # the duplicate check can refuse the file.
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
-        blob = path.read_bytes()
-        body_start = blob.index(b"[config]\n") + len(b"[config]\n")
-        crc_line = blob.index(b"\ncrc32 ", body_start)
-        lines = blob[body_start:crc_line].split(b"\n")
-        key = lines[0].partition(b"=")[0].decode()
-        body = b"\n".join(lines + [f'{key}="0"'.encode()])
-        crc = str(zlib.crc32(body) & 0xFFFFFFFF).encode()
-        tail = blob[blob.index(b"\n", crc_line + 1) :]
-        path.write_bytes(blob[:body_start] + body + b"\ncrc32 " + crc + tail)
-        offset = body_start + len(body) - len(f'{key}="0"')
-        with pytest.raises(
-            CheckpointError, match=f"at byte offset {offset}: config key '{key}' appears twice"
-        ):
+        header, payload = split_checkpoint(path)
+        doubled = header.replace(b'{"config":{', b'{"config":{"vocab":["z"],', 1)
+        assert doubled != header
+        write_with_header(path, doubled, payload)
+        with pytest.raises(CheckpointError, match="key 'vocab' appears twice"):
             load_checkpoint(path)
 
     def test_edited_config_value_is_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
         blob = path.read_bytes()
-        edited = blob.replace(b'macaron_scale\\": 0.5', b'macaron_scale\\": 0.9', 1)
+        edited = blob.replace(b'"macaron_scale":0.5', b'"macaron_scale":0.9', 1)
         assert edited != blob
         path.write_bytes(edited)
-        with pytest.raises(CheckpointError, match=r"checksum failure for the \[config\] section"):
+        with pytest.raises(CheckpointError, match="checksum failure for the header"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t[1].__setitem__(0, t[0][0]), "tensor '{0}' appears twice"),
+        (lambda t: t[0][1].__setitem__(0, -1), "tensor '{0}': dims must be a list of non-neg"),
+        (lambda t: t[0][1].__setitem__(0, 8.0), "tensor '{0}': dims must be a list of non-neg"),
+        (lambda t: t[0][1].__setitem__(0, True), "tensor '{0}': dims must be a list of non-neg"),
+        (lambda t: t[0].__setitem__(1, 8), "tensor '{0}': dims must be a list of non-neg"),
+        (lambda t: t[0].__setitem__(2, 2**32), "tensor '{0}': crc32 must be an integer in [0"),
+        (lambda t: t[0].__setitem__(2, -1), "tensor '{0}': crc32 must be an integer in [0"),
+        (lambda t: t[0].__setitem__(2, False), "tensor '{0}': crc32 must be an integer in [0"),
+        (lambda t: t.append(["extra", [1], 0]), "payload truncated for tensor 'extra'"),
+        (lambda t: t[0].pop(), "tensor entry 0 is not a [name, dims, crc32] list"),
+        (lambda t: t[0].__setitem__(0, 5), "tensor entry 0 is not a [name, dims, crc32] list"),
+        (lambda t: t.__setitem__(0, "w"), "tensor entry 0 is not a [name, dims, crc32] list"),
+    ], ids=["duplicate-name", "negative-dim", "float-dim", "bool-dim", "dims-not-a-list",
+            "crc-of-2-to-the-32", "negative-crc", "bool-crc", "one-value-past-the-payload",
+            "two-fields", "name-not-a-string", "entry-not-a-list"])
+    def test_malformed_tensor_entry_is_refused(self, tmp_path, edit, message):
+        # The checksum is valid, so only the structure checks can refuse these.
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, HAND_BUILT_CONFIG, hand_built_tensors())
+        header, payload = split_checkpoint(path)
+        doc = json.loads(header)
+        first = doc["tensors"][0][0]
+        edit(doc["tensors"])
+        write_with_header(path, json.dumps(doc).encode(), payload)
+        with pytest.raises(CheckpointError, match=re.escape(message.format(first))):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("doc", [[], {"config": {}}, {"config": [], "tensors": []},
+                                     {"config": {}, "tensors": {}},
+                                     {"config": {}, "tensors": [], "x": 1}],
+                             ids=["list", "no-tensors", "config-list", "tensors-object",
+                                  "extra-key"])
+    def test_header_of_another_shape_is_refused(self, tmp_path, doc):
+        path = tmp_path / "m.ckpt"
+        write_with_header(path, json.dumps(doc).encode(), b"")
+        with pytest.raises(CheckpointError, match="not a config object and a tensors list"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [[0, 10**30], [1] * 65], ids=["huge-beside-zero", "65-dims"])
+    def test_shape_numpy_cannot_hold_fails_the_read(self, tmp_path, dims):
+        # Its size is within the payload, so only numpy can refuse the shape.
+        path = tmp_path / "m.ckpt"
+        payload = bytes(8 * math.prod(dims))
+        tensors = [["t", dims, zlib.crc32(payload)]]
+        write_with_header(path, json.dumps({"config": {}, "tensors": tensors}).encode(), payload)
+        ckpt = load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="tensor 't': "):
+            ckpt.read()
+
+    def test_deeply_nested_header_is_a_checkpoint_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_with_header(path, b"[" * 100_000 + b"]" * 100_000, b"")
+        with pytest.raises(CheckpointError, match="unreadable header"):
+            load_checkpoint(path)
+
+    def test_payload_one_value_longer_than_the_tensors_is_refused(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, HAND_BUILT_CONFIG, hand_built_tensors())
+        last = list(load_checkpoint(path).entries)[-1]
+        path.write_bytes(path.read_bytes() + bytes(8))
+        message = f"8 payload bytes follow the last tensor, {last!r}"
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("first", [
+        b"EVACKPT2\n[config]\n", b"EVACKPT3 12 34", b"EVACKPT3 12\n", b"EVACKPT3 +1 34\n",
+        b"EVACKPT3 1 \xd9\xa3\n", b"EVACKPT3  1 34\n", b"",
+    ], ids=["old-format", "no-newline", "two-fields", "sign", "arabic-digit", "double-space",
+            "empty"])
+    def test_bad_first_line_is_refused(self, tmp_path, first):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(first + b"{}" * 40)
+        with pytest.raises(CheckpointError, match="bad magic|bad first line"):
+            load_checkpoint(path)
+
+    def test_header_longer_than_the_file_is_refused_unread(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, HAND_BUILT_CONFIG, hand_built_tensors())
+        blob = path.read_bytes()
+        rest = blob[blob.index(b"\n") :]
+        for length in (len(blob), 10**40):
+            path.write_bytes(b"EVACKPT3 %d 0" % length + rest)
+            counter = count_file_reads(monkeypatch)
+            with pytest.raises(CheckpointError, match=f"a header of {length} bytes does not fit"):
+                load_checkpoint(path)
+            assert counter[0] <= checkpoint.FIRST_LINE_MAX
+            monkeypatch.undo()
+
+
+def first_line(header: bytes) -> bytes:
+    """The line that a checkpoint with this JSON header starts with."""
+    return b"EVACKPT3 %d %d\n" % (len(header), zlib.crc32(header))
+
+
+def write_with_header(path, header: bytes, payload: bytes) -> None:
+    """A checkpoint file of ``header`` under a valid checksum, then ``payload``."""
+    path.write_bytes(first_line(header) + header + payload)
+
+
+def split_checkpoint(path) -> tuple[bytes, bytes]:
+    """A checkpoint file's JSON header and its payload."""
+    blob = path.read_bytes()
+    data_start = load_checkpoint(path).data_start
+    return blob[blob.index(b"\n") + 1 : data_start], blob[data_start:]
 
 
 def tobytes_writer(config: dict, tensors: dict) -> bytes:
-    """The file the writer made before it streamed: each tensor's tobytes, joined in memory."""
-    entries = [f"{key}={json.dumps(value)}" for key, value in config.items()]
-    config_crc = zlib.crc32("\n".join(entries).encode("ascii")) & 0xFFFFFFFF
-    header = ["EVACKPT2", "[config]", *entries, f"crc32 {config_crc}", "[tensors]"]
-    blobs, offset = [], 0
+    """The file the writer makes, joined in memory from each tensor's tobytes."""
+    listed, blobs = [], []
     for name, array in tensors.items():
         arr = np.asarray(array, dtype=np.float64)
         raw = arr.astype("<f8").tobytes()
-        shape = "x".join(str(d) for d in arr.shape) if arr.ndim else "scalar"
-        header.append(f"{name} {shape} {offset} {zlib.crc32(raw) & 0xFFFFFFFF}")
+        listed.append([name, list(arr.shape), zlib.crc32(raw)])
         blobs.append(raw)
-        offset += len(raw)
-    header.append("[data]")
-    return "\n".join(header).encode("ascii") + b"\n" + b"".join(blobs)
+    header = json.dumps({"config": config, "tensors": listed}, sort_keys=True,
+                        separators=(",", ":")).encode("ascii")
+    return first_line(header) + header + b"".join(blobs)
 
 
 def hand_built_tensors() -> dict:
@@ -175,10 +249,11 @@ def hand_built_tensors() -> dict:
         "scalar": np.array(-0.0),
         "empty": np.zeros((0, 4)),
         "row": rng.normal(size=7),
+        "caf\u00e9 [1, 2] \"x\"\n": rng.normal(size=2),  # JSON escapes every name
     }
 
 
-HAND_BUILT_CONFIG = {"model": json.dumps({"hidden": 4}), "note": "caf\u00e9 = 1", "step": "3"}
+HAND_BUILT_CONFIG = {"model": {"hidden": 4, "moe": None}, "note": "caf\u00e9 = 1\n", "step": 3}
 
 
 def base_buffer(array: np.ndarray):
@@ -248,14 +323,15 @@ class TestInterruptedSave:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
     @pytest.mark.parametrize("config, tensors", [
-        ({"bad key": "1"}, {"t": np.zeros(2)}),
-        ({"k": "1"}, {"t": np.zeros(2), "bad\nname": np.zeros(2)}),
+        ({b"bytes key": "1"}, {"t": np.zeros(2)}),
+        ({"k": "1"}, {"t": np.zeros(2), b"bytes name": np.zeros(2)}),
     ])
     def test_bad_name_opens_no_file(self, tmp_path, config, tensors):
+        # Any str is a valid name, but JSON cannot write a bytes one.
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
         before = path.read_bytes()
-        with pytest.raises(CheckpointError, match="may not contain"):
+        with pytest.raises(TypeError, match="keys must be str|not JSON serializable"):
             save_checkpoint(path, config, tensors)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
@@ -269,19 +345,6 @@ class TestLoad:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CheckpointError, match=f"payload truncated for tensor '{last}'"):
             load_checkpoint(path)
-
-    def test_header_parses_the_same_in_chunks_of_any_size(self, tmp_path, monkeypatch):
-        path = tmp_path / "m.ckpt"
-        write_tiny_checkpoint(path)
-        whole = load_checkpoint(path)
-        marker = whole.data_start - len(checkpoint.DATA_MARKER)
-        # The smallest chunk that holds the magic line, and chunks that end
-        # just before, inside and just after the [data] marker.
-        for chunk in (9, 64, marker, marker + 3, whole.data_start, whole.data_start + 1):
-            monkeypatch.setattr(checkpoint, "HEADER_CHUNK", chunk)
-            ckpt = load_checkpoint(path)
-            assert (ckpt.config, ckpt.entries, ckpt.data_start) == \
-                (whole.config, whole.entries, whole.data_start), chunk
 
     def test_each_read_returns_views_of_a_buffer_of_its_own(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -312,6 +375,30 @@ class TestLoad:
         arrays = [p.data for p in state.model.parameters()]
         arrays += [*state.optimizer.m.values(), *state.optimizer.v.values()]
         assert len({id(base_buffer(a)) for a in arrays}) == 1
+
+    def test_restore_refuses_every_tensor_off_the_layout_before_assigning(self, tmp_path):
+        # A moment of the wrong shape used to load and fail on the first Adam step.
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        saved = load_checkpoint(path)
+        original, tensors = saved.read(), saved.read()
+        name = next(n for n in tensors if n.startswith("opt.m."))
+        tensors[name] = np.zeros(3)
+        tensors["opt.m.nonexistent"] = np.zeros(2)
+        missing = next(n for n in reversed(tensors) if n.startswith("opt.v."))
+        del tensors[missing]
+        save_checkpoint(path, saved.config, tensors)
+        with pytest.raises(CheckpointError) as caught:
+            read_train_state(path)
+        assert str(caught.value) == (
+            f"checkpoint/model mismatch: missing tensor '{missing}'; shape mismatch for "
+            f"'{name}': checkpoint (3,) vs model {saved.entries[name].shape}; "
+            "unexpected tensor 'opt.m.nonexistent'"
+        )
+        restore_model(load_checkpoint(path))  # reads model.* only: the stated trade
+        save_checkpoint(path, saved.config, {**original, "model.extra": np.zeros(1)})
+        with pytest.raises(CheckpointError, match="unexpected tensor 'model.extra'$"):
+            restore_model(load_checkpoint(path))
 
     def test_restored_state_does_not_alias_the_checkpoint(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -347,7 +434,9 @@ class TestModelOnlyLoad:
         write_drawn_checkpoint(path, cfg)
         restored, _ = restore_model(load_checkpoint(path))
         drawn = Model(cfg, np.random.default_rng(0))
-        load_params_into(drawn.named_parameters(), load_checkpoint(path).read(), prefix="model.")
+        every = load_checkpoint(path).read()
+        for name, p in drawn.named_parameters():
+            p.data = every["model." + name]
         mine, theirs = restored.named_parameters(), drawn.named_parameters()
         assert [name for name, _ in mine] == [name for name, _ in theirs]
         for (name, p), (_, q) in zip(mine, theirs):
@@ -457,24 +546,24 @@ def count_file_reads(monkeypatch) -> list[int]:
     return counter
 
 
+def header_step_bytes(path) -> int:
+    """What ``load_checkpoint`` reads: a bounded first read, then the JSON header."""
+    blob = path.read_bytes()
+    return checkpoint.FIRST_LINE_MAX + load_checkpoint(path).data_start - blob.index(b"\n") - 1
+
+
 class TestBytesRead:
-    @pytest.mark.parametrize("cfg, chunk", [
-        (None, 256),  # the tiny checkpoint, its header read in many chunks
-        (ModelConfig(vocab_size=16, moe=MoEConfig()), checkpoint.HEADER_CHUNK),
-    ], ids=["tiny-256-byte-chunks", "default-moe"])
-    def test_restore_model_reads_the_header_and_the_model_range(
-        self, tmp_path, monkeypatch, cfg, chunk
-    ):
+    @pytest.mark.parametrize("cfg", [None, ModelConfig(vocab_size=16, moe=MoEConfig())],
+                             ids=["tiny", "default-moe"])
+    def test_restore_model_reads_the_header_and_the_model_range(self, tmp_path, monkeypatch, cfg):
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path) if cfg is None else write_drawn_checkpoint(path, cfg)
-        monkeypatch.setattr(checkpoint, "HEADER_CHUNK", chunk)
         ckpt = load_checkpoint(path)
         model = [e for n, e in ckpt.entries.items() if n.startswith("model.")]
         model_range = max(e.offset + e.nbytes for e in model) - min(e.offset for e in model)
-        header_chunks = -(-ckpt.data_start // checkpoint.HEADER_CHUNK) * checkpoint.HEADER_CHUNK
         counter = count_file_reads(monkeypatch)
         restore_model(load_checkpoint(path))
-        assert model_range <= counter[0] <= header_chunks + model_range < path.stat().st_size
+        assert counter[0] == header_step_bytes(path) + model_range < path.stat().st_size
 
     def test_train_state_reads_every_payload_byte(self, tmp_path, monkeypatch):
         path = tmp_path / "m.ckpt"
@@ -483,8 +572,7 @@ class TestBytesRead:
         payload = size - load_checkpoint(path).data_start
         counter = count_file_reads(monkeypatch)
         read_train_state(path)
-        # The header step reads one chunk, all of this small file.
-        assert counter[0] == min(size, checkpoint.HEADER_CHUNK) + payload
+        assert counter[0] == header_step_bytes(path) + payload
 
 
 def corrupt_headers(blob: bytes, start: int, stop: int, count: int, seed: int):
@@ -521,13 +609,8 @@ class TestHeaderFuzz:
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
         blob = path.read_bytes()
-        header_len = blob.index(b"\n[data]\n") + len(b"\n[data]\n")
-        assert len(fuzz(path, blob, header_len, read_train_state)) < 200
-        # Every change inside [config], its crc32 line included, is rejected:
-        # only a byte replaced by itself may load.
-        config_start = blob.index(b"[config]\n")
-        config_end = blob.index(b"\n[tensors]\n") + 1
-        accepted = fuzz(path, blob, config_end, read_train_state, start=config_start)
+        # One checksum covers the whole header: only a byte replaced by itself may load.
+        accepted = fuzz(path, blob, load_checkpoint(path).data_start, read_train_state)
         assert all(blob[pos] == value for pos, value in accepted)
 
     def test_vemb(self, tmp_path):

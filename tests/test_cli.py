@@ -150,14 +150,39 @@ def test_checkpoint_naming_a_removed_field_exits_3(run, section, key, value):
     # What a checkpoint from before the special ids became constants, or from
     # before the activation and raw top-k settings were removed, holds.
     saved = load_checkpoint(run / "full" / "final.ckpt")
-    model = json.loads(saved.config["model"])
+    model = {**saved.config["model"], "moe": {**saved.config["model"]["moe"]}}
     (model if section == "model" else model["moe"])[key] = value
     ckpt = run / "old_fields.ckpt"
-    save_checkpoint(ckpt, {**saved.config, "model": json.dumps(model)}, saved.read())
+    save_checkpoint(ckpt, {**saved.config, "model": model}, saved.read())
     manifest = run / "corpus" / "test.jsonl"
     assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt)]) == 3
     assert train(run, "old_fields", write_config(run / "config.json"),
                  "--resume", str(ckpt)) == 3
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "batch_size", 0), ("train", "lr", "fast"), ("model", "heads", 3),
+    (None, "step", -5), (None, "epochs_done", 1.0), (None, "vocab", "ab"),
+    (None, "rng", {"bit_generator": "PCG64", "state": {"state": -1, "inc": 1},
+                   "has_uint32": 0, "uinteger": 0}),
+], ids=["train.batch_size-0", "train.lr-string", "model.heads-3", "step-negative",
+        "epochs_done-float", "vocab-string", "rng-negative-state"])
+def test_checkpoint_with_a_bad_config_value_exits_3(run, section, key, value, capsys):
+    # The header checksum is valid, so only the checks of the restored values can
+    # refuse these, and they must do so before the first step.
+    saved = load_checkpoint(run / "full" / "final.ckpt")
+    config = {**saved.config}
+    if section is None:
+        config[key] = value
+    else:
+        config[section] = {**config[section], key: value}
+    ckpt = run / "bad_value.ckpt"
+    save_checkpoint(ckpt, config, saved.read())
+    capsys.readouterr()
+    assert train(run, "bad_value", write_config(run / "config.json"),
+                 "--resume", str(ckpt)) == 3
+    assert f"data error: {ckpt}: " in capsys.readouterr().err
+    assert not (run / "bad_value" / "metrics.jsonl").exists()
 
 
 @pytest.mark.parametrize("field, value", [("transcript", 5), ("transcript", ["a"]), ("visual", 5)],

@@ -132,7 +132,7 @@ def cached_model(seed: int) -> Model:
 
 def encoded(model: Model, seed: int, visual: bool) -> Tensor:
     rng = np.random.default_rng(seed)
-    mel = LogMelSpectrogram(frames=rng.normal(size=(15, 6)), n_mels=6, sample_rate=16000)
+    mel = LogMelSpectrogram(frames=rng.normal(size=(15, 6)), n_mels=6)
     with no_grad():
         states, _, _ = model.encode_utterance(mel, rng.normal(size=(3, 4)) if visual else None)
     return states

@@ -165,7 +165,7 @@ class TestStacking:
 
     def test_last_group_zero_padded(self):
         frames = np.arange(10.0).reshape(5, 2)
-        mel = LogMelSpectrogram(frames=frames, n_mels=2, sample_rate=16000)
+        mel = LogMelSpectrogram(frames=frames, n_mels=2)
         eye = Tensor(np.eye(6))
         tokens = stack_frames([mel], 3, eye)
         assert tokens.shape == (2, 6)
@@ -173,14 +173,14 @@ class TestStacking:
 
     def test_factor_one_identity_projection_keeps_frames(self):
         frames = np.random.default_rng(2).normal(size=(7, 3))
-        mel = LogMelSpectrogram(frames=frames, n_mels=3, sample_rate=16000)
+        mel = LogMelSpectrogram(frames=frames, n_mels=3)
         tokens = stack_frames([mel], 1, Tensor(np.eye(3)))
         assert tokens.shape == (7, 3)
         np.testing.assert_array_equal(tokens.data, frames)
 
     def test_spectrograms_pack_one_after_another(self):
         rng = np.random.default_rng(4)
-        mels = [LogMelSpectrogram(frames=rng.normal(size=(n, 2)), n_mels=2, sample_rate=16000)
+        mels = [LogMelSpectrogram(frames=rng.normal(size=(n, 2)), n_mels=2)
                 for n in (5, 2, 7)]
         proj = Tensor(rng.normal(size=(6, 4)))
         packed = stack_frames(mels, 3, proj)
@@ -190,18 +190,18 @@ class TestStacking:
         np.testing.assert_allclose(packed.data, np.concatenate(one_by_one), rtol=1e-13)
 
     def test_bad_factor_rejected(self):
-        mel = LogMelSpectrogram(frames=np.zeros((4, 2)), n_mels=2, sample_rate=16000)
+        mel = LogMelSpectrogram(frames=np.zeros((4, 2)), n_mels=2)
         with pytest.raises(ConfigError):
             stack_frames([mel], 0, Tensor(np.eye(2)))
 
     def test_projection_width_checked(self):
-        mel = LogMelSpectrogram(frames=np.zeros((4, 2)), n_mels=2, sample_rate=16000)
+        mel = LogMelSpectrogram(frames=np.zeros((4, 2)), n_mels=2)
         with pytest.raises(DimensionError):
             stack_frames([mel], 2, Tensor(np.eye(3)))
 
     def test_gradient_flows_through_projection(self):
         rng = np.random.default_rng(3)
-        mel = LogMelSpectrogram(frames=rng.normal(size=(5, 3)), n_mels=3, sample_rate=16000)
+        mel = LogMelSpectrogram(frames=rng.normal(size=(5, 3)), n_mels=3)
         proj = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
         weights = Tensor(rng.normal(size=(3, 4)))
         check_grad(lambda: (stack_frames([mel], 2, proj) * weights).sum(), [proj], tol=1e-5)

@@ -23,7 +23,7 @@ def tiny_config(moe: MoEConfig | None = None) -> ModelConfig:
 
 def fixed_utterance() -> Utterance:
     rng = np.random.default_rng(30)
-    mel = LogMelSpectrogram(frames=rng.normal(size=(14, 6)), n_mels=6, sample_rate=16000)
+    mel = LogMelSpectrogram(frames=rng.normal(size=(14, 6)), n_mels=6)
     return Utterance("u0", mel, rng.normal(size=(2, 4)), ["a", "b", "b"], [4, 5, 5])
 
 
@@ -52,8 +52,9 @@ def test_loss_graph_size_is_pinned():
     assert len(ctc_only) == 4
     # One utterance runs the packed code, so fusion gathers the concatenated
     # visual and speech rows into packed order: one node more than a bare concat.
-    # Each dense FFN (here ffn1 and the decoder's) is one node.
-    assert len(graph_nodes(bundle.l_total)) == 78
+    # Each dense FFN (here ffn1 and the decoder's) is one node, and so is the
+    # visual projection.
+    assert len(graph_nodes(bundle.l_total)) == 77
 
 
 def routed_model() -> Model:
@@ -141,7 +142,7 @@ def test_backward_peak_stays_near_the_forward_graph():
     model = Model(cfg, np.random.default_rng(36))
     rng = np.random.default_rng(37)
     batch = [
-        Utterance(f"u{i}", LogMelSpectrogram(rng.normal(size=(40, 6)), 6, 16000),
+        Utterance(f"u{i}", LogMelSpectrogram(rng.normal(size=(40, 6)), 6),
                   rng.normal(size=(2, 4)), ["a", "b", "b"], [4, 5, 5])
         for i in range(4)
     ]

@@ -36,7 +36,7 @@ def ragged_batch(seed: int) -> list[Utterance]:
     for i, (frames, visual_rows, words) in enumerate(
         [(17, 3, 3), (9, 0, 2), (24, 1, 4), (12, 3, 1), (20, 0, 3)]
     ):
-        mel = LogMelSpectrogram(frames=rng.normal(size=(frames, 6)), n_mels=6, sample_rate=16000)
+        mel = LogMelSpectrogram(frames=rng.normal(size=(frames, 6)), n_mels=6)
         visual = rng.normal(size=(visual_rows, 4)) if visual_rows else None
         target = [int(t) for t in rng.integers(4, 9, size=words)]
         batch.append(Utterance(f"u{i}", mel, visual, ["w"] * words, target))
