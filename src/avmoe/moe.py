@@ -16,8 +16,9 @@ once on the rows R_e of its segment, with weights w_e:
     y_e = FFN_e(x[R_e]),   out[R_e] += y_e * w_e
 
 in ascending expert order. Backward, with G the output gradient, runs the
-expert's FFN backward on ``dy_e = G[R_e] * w_e``, which gives
-``dx[R_e] += dx_e`` and the expert's four parameter gradients, and
+expert's FFN backward on ``dy_e = G[R_e] * w_e`` and ``x[R_e]``, gathered
+again rather than kept from the forward, which gives ``dx[R_e] += dx_e``
+and the expert's four parameter gradients, and
 
     dw_e = rowsum(G[R_e] * y_e)
 
@@ -165,7 +166,9 @@ def expert_mixture(
     bounds = np.searchsorted(indices.reshape(-1)[order], np.arange(len(experts) + 1))
     flat_w = weights.data.reshape(-1)
     out = np.zeros(x.shape)
-    saved = []  # per expert: (pair ids, rows, unweighted output, what its FFN backward needs)
+    # Per expert: (pair ids, rows, unweighted output, what its FFN backward needs
+    # besides its input rows). The backward gathers x.data[rows] again.
+    saved = []
     dispatched = 0
     for e, expert in enumerate(experts):
         pairs = order[bounds[e] : bounds[e + 1]]
@@ -189,7 +192,9 @@ def expert_mixture(
             pairs, rows, y, ffn_saved = rec
             gr = g[rows]
             dw[pairs] = (gr * y).sum(axis=1)
-            dxr, *expert_grads = expert.backward(gr * flat_w[pairs][:, None], ffn_saved)
+            dxr, *expert_grads = expert.backward(
+                gr * flat_w[pairs][:, None], x.data[rows], ffn_saved
+            )
             dx[rows] += dxr
             grads.extend(expert_grads)
         return (dx, dw.reshape(weights.shape), *grads)

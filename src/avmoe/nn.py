@@ -15,8 +15,22 @@ hand-written backward passes:
 - ``depthwise3``: the 3-tap depthwise conv along time, zero-padded at both
   ends of every sequence,
   ``y[t] = x[t-1] k0 + x[t] k1 + x[t+1] k2 + b``; backward
-  ``dx[t] = g[t+1] k0 + g[t] k1 + g[t-1] k2``, ``dk_j = sum_t g[t] x[t+j-1]``,
-  ``db = sum_t g[t]``.
+  ``dx[t] = g[t+1] k0 + g[t] k1 + g[t-1] k2``,
+  ``dk_0 = sum_t x[t] g[t+1]``, ``dk_1 = sum_t x[t] g[t]``,
+  ``dk_2 = sum_t x[t] g[t-1]``, ``db = sum_t g[t]``.
+
+A node keeps only what its backward cannot rebuild, at no real cost, from
+its parents' data, which the graph holds anyway:
+
+- ``attend`` keeps ``P``; the backward pads Q, K and V again.
+- ``depthwise3`` keeps nothing: the shifted ``g`` it builds for ``dx``
+  gives ``dk_0`` and ``dk_2``, the products ``g[t] x[t-1]`` and
+  ``g[t] x[t+1]`` added in the same row order as from shifted copies of x.
+- ``tensor.layer_norm`` keeps the row statistics, not the normalized rows.
+- ``tensor.narrow`` returns a view of its input.
+- The FFN kernel keeps ``act`` and ``s``, not its input rows: its
+  backward takes ``x`` from the caller, and ``moe.expert_mixture``
+  gathers an expert's rows again rather than keep the gather.
 
 The position-wise FFN, which is also one MoE expert, runs as one numpy
 kernel pair, ``FeedForward.forward`` and ``FeedForward.backward``.
@@ -125,27 +139,30 @@ class FeedForward(Module):
         return self.lin1.weight, self.lin1.bias, self.lin2.weight, self.lin2.bias
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """The (rows, dim) output for (rows, dim) ``x``, and what ``backward`` needs."""
+        """The (rows, dim) output for (rows, dim) ``x``, and what ``backward``
+        needs besides ``x``: ``(act, s)``."""
         pre = x @ self.lin1.weight.data + self.lin1.bias.data
         s = _sigmoid_stable(pre)
         act = pre * s
-        return act @ self.lin2.weight.data + self.lin2.bias.data, (x, act, s)
+        return act @ self.lin2.weight.data + self.lin2.bias.data, (act, s)
 
-    def backward(self, g: np.ndarray, saved: tuple) -> tuple[np.ndarray, ...]:
-        """``dx, dW1, db1, dW2, db2`` for output gradient ``g`` of a ``forward`` call.
+    def backward(self, g: np.ndarray, x: np.ndarray, saved: tuple) -> tuple[np.ndarray, ...]:
+        """``dx, dW1, db1, dW2, db2`` for output gradient ``g`` of ``forward(x)``.
 
-        ``s`` is the sigmoid of ``pre = x W1 + b1``. ``s + act * (1 - s)``
-        with ``act = pre * s`` is bit-identical to ``s + pre * s * (1 - s)``,
-        which evaluates ``pre * s`` first.
+        The caller passes ``x`` again rather than the forward saving it, since
+        every caller holds it anyway. ``s`` is the sigmoid of
+        ``pre = x W1 + b1``. ``s + act * (1 - s)`` with ``act = pre * s`` is
+        bit-identical to ``s + pre * s * (1 - s)``, which evaluates
+        ``pre * s`` first.
         """
-        x, act, s = saved
+        act, s = saved
         da = (g @ self.lin2.weight.data.T) * (s + act * (1.0 - s))
         return da @ self.lin1.weight.data.T, x.T @ da, da.sum(axis=0), act.T @ g, g.sum(axis=0)
 
     def __call__(self, x: Tensor) -> Tensor:
         """The FFN as one graph node with parents ``(x, W1, b1, W2, b2)``."""
         y, saved = self.forward(x.data)
-        return _record(y, (x, *self.weights), lambda g: self.backward(g, saved))
+        return _record(y, (x, *self.weights), lambda g: self.backward(g, x.data, saved))
 
 
 class Segments:
@@ -296,6 +313,8 @@ def attend(
 
         dV = P^T G,  dP = G V^T,  dS = P * (dP - rowsum(dP * P)) * scale,
         dQ = dS K,   dK = dS^T Q
+
+    The node keeps P; the backward pads Q, K and V again from its parents.
     """
     if q.ndim != 2 or k.ndim != 2 or v.shape != k.shape or q.shape[1] != k.shape[1]:
         raise DimensionError(f"attend got q={q.shape}, k={k.shape}, v={v.shape}")
@@ -319,7 +338,6 @@ def attend(
         key_mask = ks.key_mask()[:, None, None, :] if ks.padded else None
     qh = _split_heads(pad_q(q.data), heads)
     kh = _split_heads(pad_k(k.data), heads)
-    vh = _split_heads(pad_k(v.data), heads)
     scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale
     if mask is not None:
         scores = scores + mask
@@ -327,8 +345,12 @@ def attend(
         scores = scores + key_mask
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
+    out = unpad_q(_merge_heads(np.matmul(probs, _split_heads(pad_k(v.data), heads))))
 
     def backward(g):
+        qh = _split_heads(pad_q(q.data), heads)
+        kh = _split_heads(pad_k(k.data), heads)
+        vh = _split_heads(pad_k(v.data), heads)
         gh = _split_heads(pad_q(g), heads)
         dprobs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
         dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * scale
@@ -337,7 +359,7 @@ def attend(
         dv = np.matmul(probs.transpose(0, 1, 3, 2), gh)
         return unpad_q(_merge_heads(dq)), unpad_k(_merge_heads(dk)), unpad_k(_merge_heads(dv))
 
-    return _record(unpad_q(_merge_heads(np.matmul(probs, vh))), (q, k, v), backward)
+    return _record(out, (q, k, v), backward)
 
 
 def _batch_of_one(a: np.ndarray) -> np.ndarray:
@@ -366,8 +388,11 @@ def depthwise3(
     same way:
 
         dx[t] = gnext[t] k0 + g[t] k1 + gprev[t] k2
-        dk_0 = sum_t g[t] prev[t],  dk_1 = sum_t g[t] x[t],  dk_2 = sum_t g[t] next[t]
+        dk_0 = sum_t x[t] gnext[t],  dk_1 = sum_t x[t] g[t],  dk_2 = sum_t x[t] gprev[t]
         db = sum_t g[t]
+
+    ``sum_t x[t] gnext[t]`` adds the products of ``sum_t g[t] prev[t]`` in the
+    same row order, so the node need not keep ``prev`` or ``next``.
     """
     length, dim = x.shape
     if kernel.shape != (3, dim) or bias.shape != (dim,):
@@ -399,7 +424,7 @@ def depthwise3(
     def backward(g):
         gprev, gnext = shifted(g)
         dx = gnext * taps[0] + g * taps[1] + gprev * taps[2]
-        dk = np.stack([(g * p).sum(axis=0) for p in (prev, x.data, nxt)])
+        dk = np.stack([(x.data * gs).sum(axis=0) for gs in (gnext, g, gprev)])
         return dx, dk, g.sum(axis=0)
 
     return _record(y + bias.data, (x, kernel, bias), backward)

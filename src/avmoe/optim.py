@@ -59,6 +59,10 @@ class Adam:
     Parameters without a gradient for a given step are skipped (their moment
     buffers stay untouched), which happens routinely for experts that saw no
     tokens in a batch.
+
+    ``moments`` hands over the first and second moment arrays, by parameter
+    name, that a restored training state already holds; Adam then updates
+    them in place and allocates none of its own. Without it they start at zero.
     """
 
     def __init__(
@@ -68,6 +72,7 @@ class Adam:
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
+        moments: tuple[dict[str, np.ndarray], dict[str, np.ndarray]] | None = None,
     ):
         self.params = list(named_params)
         self.lr = lr
@@ -75,8 +80,11 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+        if moments is None:
+            self.m = {name: np.zeros_like(p.data) for name, p in self.params}
+            self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+        else:
+            self.m, self.v = moments
         size = max((p.data.size for _, p in self.params), default=0)
         self._scratch = (np.empty(size), np.empty(size))
 

@@ -199,21 +199,30 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product; an operand that needs no gradient, such as a
+    constant scale, gets ``None`` and costs the backward nothing."""
     data = a.data * b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (
+            _unbroadcast(g * b.data, a.shape) if need_a else None,
+            _unbroadcast(g * a.data, b.shape) if need_b else None,
+        )
 
     return _record(data, (a, b), backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise quotient; like ``mul``, no gradient for an operand that needs none."""
     data = a.data / b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
+        return (
+            _unbroadcast(g / b.data, a.shape) if need_a else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if need_b else None,
+        )
 
     return _record(data, (a, b), backward)
 
@@ -326,6 +335,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     row-sized results are scaled and shifted in place. So the forward is
     bit-identical to ``(x - x.mean()) / sqrt(x.var() + eps) * gain + bias``
     with about half the ufunc calls and row-sized temporaries.
+
+    The node keeps only the two (rows, 1) statistics ``mean`` and
+    ``inv = 1 / sqrt(var + eps)`` besides its parents. The backward rebuilds
+    ``xhat = (x - mean) * inv`` from the input with the same two ufuncs as
+    the forward, so it is the forward's ``xhat`` bit for bit.
     """
     dim = a.shape[-1]
     if dim < 2:
@@ -346,6 +360,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     data += bias.data
 
     def backward(g):
+        xhat = a.data - mean
+        xhat *= inv
         dxhat = g * gain.data
         dgain = (g * xhat).reshape(-1, dim).sum(axis=0)
         dbias = g.reshape(-1, dim).sum(axis=0)
@@ -377,7 +393,11 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of ``length`` entries along ``axis`` starting at ``start``."""
+    """``length`` entries along ``axis`` starting at ``start``, as a view of ``a``'s data.
+
+    Views are safe because no op writes into its inputs' ``data``; the node
+    adds nothing to what its parent holds.
+    """
     if not (0 <= start and start + length <= a.shape[axis]):
         raise DimensionError(
             f"narrow [{start}:{start + length}] out of bounds for axis {axis} of shape {a.shape}"
@@ -385,7 +405,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     sl = [slice(None)] * a.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
-    data = a.data[sl].copy()
+    data = a.data[sl]
 
     def backward(g):
         full_grad = np.zeros_like(a.data)

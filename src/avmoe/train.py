@@ -316,14 +316,17 @@ def restore_model(ckpt: Checkpoint) -> tuple[Model, Vocab]:
 def new_train_state(
     model: Model, train_cfg: TrainConfig, rng: np.random.Generator,
     step: int = 0, epochs_done: int = 0,
+    moments: tuple[dict[str, np.ndarray], dict[str, np.ndarray]] | None = None,
 ) -> TrainState:
-    """The training state around ``model``, with an Adam configured by ``train_cfg``."""
+    """The training state around ``model``, with an Adam configured by ``train_cfg``
+    (and holding ``moments``, when a restore passes them)."""
     optimizer = Adam(
         model.named_parameters(),
         lr=train_cfg.lr,
         beta1=train_cfg.adam_beta1,
         beta2=train_cfg.adam_beta2,
         eps=train_cfg.adam_eps,
+        moments=moments,
     )
     optimizer.step_count = step
     return TrainState(model, optimizer, rng, step=step, epochs_done=epochs_done)
@@ -347,11 +350,10 @@ def restore_train_state(ckpt: Checkpoint) -> tuple[TrainState, Vocab, TrainConfi
         raise CheckpointError(f"{ckpt.path}: unreadable training state: {exc!r}") from exc
     tensors = ckpt.read()
     _load_parameters(model, tensors, ["model.", "opt.m.", "opt.v."])
-    state = new_train_state(model, train_cfg, rng, step, epochs_done)
-    for name in state.optimizer.m:
-        state.optimizer.m[name] = tensors["opt.m." + name]
-        state.optimizer.v[name] = tensors["opt.v." + name]
-    return state, vocab, train_cfg
+    names = [name for name, _ in model.named_parameters()]
+    moments = tuple({name: tensors[prefix + name] for name in names}
+                    for prefix in ("opt.m.", "opt.v."))
+    return new_train_state(model, train_cfg, rng, step, epochs_done, moments), vocab, train_cfg
 
 
 # -- top-level entry points ------------------------------------------------------

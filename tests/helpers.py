@@ -1,6 +1,9 @@
-"""Shared test utilities: finite-difference oracles, gradient checks and checkpoint damage."""
+"""Shared test utilities: finite-difference oracles, gradient checks, retained-memory
+measurement and checkpoint damage."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 
@@ -73,6 +76,28 @@ def check_grad(build_loss, params: list[Tensor], tol: float = 1e-4, h: float = 1
         worst = max(worst, err)
         assert err < tol, f"gradient mismatch {err:.3e} on tensor of shape {p.data.shape}"
     return worst
+
+
+# What a graph node's Python objects (tensor, closure, cells, array headers) may
+# add to the arrays it keeps, as a slack for bounds on ``retained_bytes``.
+NODE_OBJECTS = 8 * 1024
+
+
+def retained_bytes(fn) -> int:
+    """Bytes that a call of ``fn`` leaves allocated, less its output Tensor's data.
+
+    For a graph op that is what its node keeps for the backward, plus the
+    node's small Python objects. ``fn`` runs once untraced first, so caches
+    that it fills (such as ``Segments``' lazily built index arrays) do not count.
+    """
+    fn()
+    tracemalloc.start()
+    try:
+        out = fn()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return retained - out.data.nbytes
 
 
 def reference_ffn(ffn, x: Tensor) -> Tensor:

@@ -376,6 +376,24 @@ class TestLoad:
         arrays += [*state.optimizer.m.values(), *state.optimizer.v.values()]
         assert len({id(base_buffer(a)) for a in arrays}) == 1
 
+    def test_restore_train_state_allocates_the_payload_once(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_drawn_checkpoint(path, ModelConfig(vocab_size=16, moe=MoEConfig()))
+        ckpt = load_checkpoint(path)
+        payload = sum(e.nbytes for e in ckpt.entries.values())
+        tracemalloc.start()
+        try:
+            restore_train_state(ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The one buffer of the whole read (36.1 MB), plus 1 MiB for the
+        # parameter objects, Adam's scratch and the read's bookkeeping (0.6 MB
+        # measured). Adam
+        # moments allocated only to be replaced by the read's would add two
+        # copies of the 12.0 MB model.
+        assert peak <= payload + 2**20
+
     def test_restore_refuses_every_tensor_off_the_layout_before_assigning(self, tmp_path):
         # A moment of the wrong shape used to load and fail on the first Adam step.
         path = tmp_path / "m.ckpt"

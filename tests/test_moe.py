@@ -15,7 +15,7 @@ from avmoe.nn import FeedForward
 from avmoe.optim import Adam
 from avmoe.tensor import Tensor, _sigmoid_stable, gather_rows, matmul
 
-from helpers import check_grad, copy_ffn_weights, reference_ffn
+from helpers import NODE_OBJECTS, check_grad, copy_ffn_weights, reference_ffn, retained_bytes
 
 
 def make_layer(num_experts=8, top_k=4, hidden=6, ffn_hidden=12, seed=0):
@@ -204,10 +204,10 @@ class TestExpertMixture:
         def forward_saving_pre(ffn, x):
             pre = x @ ffn.lin1.weight.data + ffn.lin1.bias.data
             act = pre * _sigmoid_stable(pre)
-            return act @ ffn.lin2.weight.data + ffn.lin2.bias.data, (x, act, pre)
+            return act @ ffn.lin2.weight.data + ffn.lin2.bias.data, (act, pre)
 
-        def backward_from_pre(ffn, g, saved):
-            x, act, pre = saved
+        def backward_from_pre(ffn, g, x, saved):
+            act, pre = saved
             s = _sigmoid_stable(pre)
             da = (g @ ffn.lin2.weight.data.T) * (s + pre * s * (1.0 - s))
             return da @ ffn.lin1.weight.data.T, x.T @ da, da.sum(axis=0), act.T @ g, g.sum(axis=0)
@@ -229,6 +229,52 @@ class TestExpertMixture:
             grads.append([p.grad for p in params])
         for got, want in zip(*grads):
             np.testing.assert_array_equal(got, want)
+
+    def test_backward_is_bit_identical_to_keeping_the_gathered_rows(self, monkeypatch):
+        # This is the kernel that kept each expert's x[rows] from the forward.
+        kernel_forward, kernel_backward = FeedForward.forward, FeedForward.backward
+
+        def forward_keeping_rows(ffn, x):
+            y, saved = kernel_forward(ffn, x)
+            return y, (x, saved)
+
+        def backward_from_kept_rows(ffn, g, x_again, saved):
+            x, kernel_saved = saved
+            return kernel_backward(ffn, g, x, kernel_saved)
+
+        layer = make_layer(num_experts=5, top_k=3, hidden=4, ffn_hidden=6)
+        rng = np.random.default_rng(27)
+        layer.router.data = rng.normal(size=(4, 5))
+        x = Tensor(rng.normal(size=(13, 4)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(13, 4)))
+        params = [x] + layer.parameters()
+        grads = []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(FeedForward, "forward", forward_keeping_rows)
+                monkeypatch.setattr(FeedForward, "backward", backward_from_kept_rows)
+            for p in params:
+                p.grad = None
+            (layer(x)[0] * weights).sum().backward()
+            grads.append([p.grad for p in params])
+        for got, want in zip(*grads):
+            np.testing.assert_array_equal(got, want)
+
+    def test_node_keeps_no_gather_of_its_input(self):
+        tokens, top_k, dim, hidden = 128, 2, 64, 32
+        layer = make_layer(num_experts=4, top_k=top_k, hidden=dim, ffn_hidden=hidden)
+        rng = np.random.default_rng(28)
+        layer.router.data = rng.normal(size=(dim, 4))
+        x = Tensor(rng.normal(size=(tokens, dim)), requires_grad=True)
+        decision = layer.route(x)
+        pairs = tokens * top_k
+        # Per (token, expert) pair: the expert's output row, its act and s rows,
+        # the pair id and the row index. x[rows] would add pairs * dim floats.
+        kept = pairs * (dim + 2 * hidden) * 8 + 2 * pairs * 8
+        retained = retained_bytes(
+            lambda: expert_mixture(x, decision.weights, decision.indices, layer.experts)[0]
+        )
+        assert retained <= kept + NODE_OBJECTS
 
     def test_silent_expert_gets_no_gradient_and_no_adam_update(self):
         layer = make_layer(num_experts=4, top_k=2, hidden=4, ffn_hidden=6)

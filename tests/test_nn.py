@@ -5,12 +5,21 @@ import numpy as np
 import pytest
 
 from avmoe.errors import DimensionError
-from avmoe.nn import FeedForward, Segments, attend, causal_mask, depthwise3
-from avmoe.tensor import Tensor, concat, matmul, narrow, softmax_rows, tsum
+from avmoe.nn import (
+    FeedForward,
+    Segments,
+    _merge_heads,
+    _split_heads,
+    attend,
+    causal_mask,
+    depthwise3,
+)
+from avmoe.tensor import Tensor, _record, concat, matmul, narrow, softmax_rows, tsum
 
-from helpers import check_grad, reference_ffn
+from helpers import NODE_OBJECTS, check_grad, reference_ffn, retained_bytes
 
 TOL = 1e-10
+
 
 
 def reference_attend(q, k, v, heads, scale, mask=None):
@@ -41,6 +50,40 @@ def reference_depthwise3(x, kernel, bias):
     y = y + narrow(padded, 0, 1, length) * taps[1]
     y = y + narrow(padded, 0, 2, length) * taps[2]
     return y + bias
+
+
+def attend_keeping_pads(q, k, v, heads, scale, mask, qs, ks):
+    """The attend node over padded segments as it was when it kept the padded
+    Q, K and V for its backward."""
+    qh = _split_heads(qs.pad(q.data), heads)
+    kh = _split_heads(ks.pad(k.data), heads)
+    vh = _split_heads(ks.pad(v.data), heads)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale
+    if mask is not None:
+        scores = scores + mask
+    scores = scores + ks.key_mask()[:, None, None, :]
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gh = _split_heads(qs.pad(g), heads)
+        dprobs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
+        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * scale
+        dq = np.matmul(dscores, kh)
+        dk = np.matmul(dscores.transpose(0, 1, 3, 2), qh)
+        dv = np.matmul(probs.transpose(0, 1, 3, 2), gh)
+        return qs.unpad(_merge_heads(dq)), ks.unpad(_merge_heads(dk)), ks.unpad(_merge_heads(dv))
+
+    return _record(qs.unpad(_merge_heads(np.matmul(probs, vh))), (q, k, v), backward)
+
+
+def shifted_copies(x: np.ndarray, seg: Segments) -> tuple[np.ndarray, np.ndarray]:
+    """The rows before and after each row of ``x``, zero across sequence ends."""
+    prev, nxt = np.zeros_like(x), np.zeros_like(x)
+    for start, n in zip(seg.starts.tolist(), seg.lengths.tolist()):
+        prev[start + 1 : start + n] = x[start : start + n - 1]
+        nxt[start : start + n - 1] = x[start + 1 : start + n]
+    return prev, nxt
 
 
 def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
@@ -275,6 +318,35 @@ class TestSegmentedAttend:
         for got, want in zip(*results):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("q_lengths,k_lengths,causal", [
+        ([3, 5, 2], None, True),
+        ([4, 2], [3, 6], False),
+    ])
+    def test_backward_is_bit_identical_to_keeping_the_pads(self, q_lengths, k_lengths, causal):
+        qs = Segments(q_lengths)
+        ks = Segments(k_lengths) if k_lengths else qs
+        rng = np.random.default_rng(sum(q_lengths))
+        arrays = [rng.normal(size=(n, 8)) for n in (qs.total, ks.total, ks.total)]
+        weights = Tensor(rng.normal(size=(qs.total, 8)))
+        mask = causal_mask(qs.longest) if causal else None
+        results = []
+        for node in (attend, attend_keeping_pads):
+            q, k, v = (leaf(a) for a in arrays)
+            out = node(q, k, v, 2, 0.5, mask, qs, ks)
+            (out * weights).sum().backward()
+            results.append((out.data, q.grad, k.grad, v.grad))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    def test_node_over_padded_segments_keeps_no_padded_copies(self):
+        qs, heads, dim = Segments([30, 50, 20]), 4, 32
+        q, k, v = qkv(np.random.default_rng(6), qs.total, qs.total, dim)
+        probs = qs.count * heads * qs.longest**2 * 8
+        key_mask = qs.count * qs.longest * 8
+        # The padded copies of Q, K and V would add 112.5 KiB.
+        retained = retained_bytes(lambda: attend(q, k, v, heads, 0.5, None, qs, qs))
+        assert retained <= probs + key_mask + NODE_OBJECTS
+
     def test_segments_must_fit_the_rows(self):
         q, k, v = qkv(np.random.default_rng(5), 5, 5, 4)
         with pytest.raises(DimensionError):
@@ -309,6 +381,25 @@ class TestSegmentedDepthwise3:
         np.testing.assert_array_equal(x.grad, np.concatenate(dxs))
         assert relative_gap(kernel.grad, dk) <= 1e-12
         assert relative_gap(bias.grad, db) <= 1e-12
+
+    @pytest.mark.parametrize("lengths", [[1, 4, 2], [3, 3]])
+    def test_kernel_gradient_is_bit_identical_to_the_shifted_copy_formula(self, lengths):
+        seg = Segments(lengths)
+        rng = np.random.default_rng(10 + len(lengths))
+        xa, g = rng.normal(size=(seg.total, 5)), rng.normal(size=(seg.total, 5))
+        x, kernel, bias = leaf(xa), leaf(rng.normal(size=(3, 5))), leaf(rng.normal(size=5))
+        (depthwise3(x, kernel, bias, seg) * Tensor(g)).sum().backward()
+        prev, nxt = shifted_copies(xa, seg)
+        want = np.stack([(g * p).sum(axis=0) for p in (prev, xa, nxt)])  # sum_t g[t] prev[t], ...
+        np.testing.assert_array_equal(kernel.grad, want)
+
+    def test_node_keeps_nothing_but_its_output(self):
+        seg = Segments([200, 1, 311])
+        rng = np.random.default_rng(11)
+        x = leaf(rng.normal(size=(seg.total, 64)))
+        kernel, bias = leaf(rng.normal(size=(3, 64))), leaf(rng.normal(size=64))
+        # Shifted copies of x would add 2 x 256 KiB.
+        assert retained_bytes(lambda: depthwise3(x, kernel, bias, seg)) <= NODE_OBJECTS
 
     def test_segments_must_cover_the_rows(self):
         x = Tensor(np.zeros((4, 3)))

@@ -9,10 +9,12 @@ from avmoe.tensor import (
     _record,
     affine,
     concat,
+    div,
     gather_rows,
     layer_norm,
     log_softmax_rows,
     matmul,
+    mul,
     narrow,
     no_grad,
     silu,
@@ -20,7 +22,8 @@ from avmoe.tensor import (
     take_along_cols,
 )
 
-from helpers import check_grad, numeric_grad, rel_error
+from helpers import NODE_OBJECTS, check_grad, numeric_grad, rel_error, retained_bytes
+
 
 
 class TestMatmul:
@@ -94,6 +97,37 @@ class TestLayerNorm:
         weights = Tensor(rng.normal(size=(3, 5)))
         check_grad(lambda: (layer_norm(x, g, b) * weights).sum(), [x, g, b], tol=1e-5)
 
+    def test_node_keeps_only_its_row_statistics(self):
+        rows, dim = 512, 64
+        x = Tensor(np.random.default_rng(9).normal(size=(rows, dim)), requires_grad=True)
+        gain, bias = Tensor(np.ones(dim), requires_grad=True), Tensor(np.zeros(dim))
+        # mean and inv, (rows, 1) each; the normalized rows would be 256 KiB.
+        assert retained_bytes(lambda: layer_norm(x, gain, bias)) <= 2 * rows * 8 + NODE_OBJECTS
+
+
+def layer_norm_keeping_xhat(a, gain, bias, eps=1e-5):
+    """The layer_norm node as it was when it kept the normalized rows for its backward."""
+    dim = a.shape[-1]
+    mean = np.add.reduce(a.data, axis=-1, keepdims=True)
+    mean /= dim
+    xhat = a.data - mean
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    var /= dim
+    var += eps
+    inv = 1.0 / np.sqrt(var)
+    xhat *= inv
+
+    def backward(g):
+        dxhat = g * gain.data
+        da = inv * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+        return da, (g * xhat).reshape(-1, dim).sum(axis=0), g.reshape(-1, dim).sum(axis=0)
+
+    return _record(xhat * gain.data + bias.data, (a, gain, bias), backward)
+
 
 def old_layer_norm(x, gain, bias, g, eps=1e-5):
     """The two-pass statistics (``mean``, then ``var``) and the backward, in plain numpy."""
@@ -112,8 +146,11 @@ def old_layer_norm(x, gain, bias, g, eps=1e-5):
     return xhat * gain + bias, da, dgain, g.reshape(-1, dim).sum(axis=0)
 
 
-@pytest.mark.parametrize("shape", [(1, 64), (35, 64), (3, 5, 64)])
-def test_layer_norm_is_bit_identical_to_mean_and_var(shape):
+LAYER_NORM_SHAPES = [(1, 64), (35, 64), (3, 5, 64)]
+
+
+def layer_norm_case(shape):
+    """Input, gain, bias and output gradient, with a large offset and constant rows."""
     rng = np.random.default_rng(sum(shape))
     x = rng.normal(scale=3.0, size=shape)
     rows = x.reshape(-1, 64)
@@ -121,14 +158,30 @@ def test_layer_norm_is_bit_identical_to_mean_and_var(shape):
     if rows.shape[0] > 2:
         rows[1] = 1e8  # constant rows: variance 0
         rows[2] = -2.5
-    gain, bias = rng.normal(size=64), rng.normal(size=64)
-    g = rng.normal(size=shape)
+    return x, rng.normal(size=64), rng.normal(size=64), rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("shape", LAYER_NORM_SHAPES)
+def test_layer_norm_is_bit_identical_to_mean_and_var(shape):
+    x, gain, bias, g = layer_norm_case(shape)
     a, tg, tb = (Tensor(v, requires_grad=True) for v in (x, gain, bias))
     out = layer_norm(a, tg, tb)
     (out * Tensor(g)).sum().backward()
     expected = old_layer_norm(x, gain, bias, g)
     for got, want in zip((out.data, a.grad, tg.grad, tb.grad), expected):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", LAYER_NORM_SHAPES)
+def test_layer_norm_backward_is_bit_identical_to_keeping_xhat(shape):
+    x, gain, bias, g = layer_norm_case(shape)
+    grads = []
+    for node in (layer_norm, layer_norm_keeping_xhat):
+        params = [Tensor(v, requires_grad=True) for v in (x, gain, bias)]
+        (node(*params) * Tensor(g)).sum().backward()
+        grads.append([p.grad for p in params])
+    for got, want in zip(*grads):
+        np.testing.assert_array_equal(got, want)
 
 
 class TestBackwardRules:
@@ -235,6 +288,15 @@ class TestPointwiseGradients:
 
             check_grad(build, [x, y] if op in ("add", "mul", "div") else [x])
 
+    @pytest.mark.parametrize("op", [mul, div])
+    def test_operand_that_needs_no_gradient_gets_none(self, op):
+        t = Tensor(np.full((2, 3), 2.0), requires_grad=True)
+        g = np.ones((2, 3))
+        grad_t, grad_c = op(t, Tensor(0.5))._backward(g)
+        assert grad_c is None and grad_t.shape == (2, 3)
+        grad_c, grad_t = op(Tensor(0.5), t)._backward(g)
+        assert grad_c is None and grad_t.shape == (2, 3)
+
     def test_broadcast_bias_gradient(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
@@ -261,6 +323,13 @@ class TestShapeOps:
         np.testing.assert_array_equal(narrow(joined, 0, 2, 3).data, b.data)
         weights = Tensor(rng.normal(size=(5, 4)))
         check_grad(lambda: (concat([a, b], axis=0) * weights).sum(), [a, b])
+
+    @pytest.mark.parametrize("axis,start,length", [(0, 1, 2), (1, 2, 3)])
+    def test_narrow_is_a_view_of_its_input(self, axis, start, length):
+        a = Tensor(np.arange(24.0).reshape(4, 6), requires_grad=True)
+        out = narrow(a, axis, start, length)
+        assert np.shares_memory(out.data, a.data)
+        np.testing.assert_array_equal(out.data, np.take(a.data, range(start, start + length), axis))
 
     def test_narrow_out_of_bounds(self):
         with pytest.raises(DimensionError):
