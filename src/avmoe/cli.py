@@ -19,6 +19,12 @@ the visual width; the MoE widths are the model's ``hidden`` and ``d_ff``; the
 special ids (``ModelConfig``) and the decode cap (``decoding.MAX_DECODE_LEN``)
 are constants. A resumed run takes every setting from its checkpoint except
 ``train.epochs``.
+
+A run writes two files to ``--ckpt-dir``: ``final.ckpt``, replaced at each
+epoch end so that it holds the last complete epoch, and ``metrics.jsonl``,
+one record per saved epoch (a fresh run starts it anew, ``--resume`` appends).
+``--resume`` from a checkpoint that already holds ``train.epochs`` epochs has
+nothing to train and is a configuration error.
 """
 
 from __future__ import annotations
@@ -129,7 +135,7 @@ def _build_train_configs(args) -> tuple[ModelConfig, TrainConfig]:
 
 def _cmd_train(args) -> int:
     model_cfg, train_cfg = _build_train_configs(args)
-    result = train(
+    final = train(
         args.manifest,
         model_cfg,
         train_cfg,
@@ -137,7 +143,7 @@ def _cmd_train(args) -> int:
         dev_manifest_path=args.dev_manifest,
         resume_from=args.resume,
     )
-    print(f"final checkpoint: {result.final_checkpoint}")
+    print(f"final checkpoint: {final}")
     return 0
 
 

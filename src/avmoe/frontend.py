@@ -56,10 +56,6 @@ def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
 
-def mel_to_hz(m):
-    return 700.0 * (np.power(10.0, np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
 def window_sizes(sample_rate: int) -> tuple[int, int]:
     """Samples per window and per hop at ``sample_rate``."""
     win = int(round(sample_rate * FRAME_LENGTH_MS / 1000.0))
@@ -98,11 +94,6 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     bank = np.clip(np.minimum(rising, falling), 0.0, None)
     bank.setflags(write=False)
     return bank
-
-
-def mel_center_frequencies(n_mels: int, sample_rate: int) -> np.ndarray:
-    grid = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2)
-    return mel_to_hz(grid[1:-1])
 
 
 def log_mel(framed: np.ndarray, n_mels: int = 80, sample_rate: int = 16000) -> LogMelSpectrogram:
@@ -168,16 +159,6 @@ def read_wav(path) -> Waveform:
         raise IngestError(f"{path}: sample rate must be positive, got {rate} (byte offset 24)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples=samples, sample_rate=rate)
-
-
-def write_wav(path, waveform: Waveform) -> None:
-    clipped = np.clip(waveform.samples, -1.0, 1.0)
-    pcm = np.round(clipped * 32767.0).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(waveform.sample_rate)
-        wf.writeframes(pcm.tobytes())
 
 
 def _f64le_count(fields: tuple[int, ...]) -> int:

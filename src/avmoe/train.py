@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -196,13 +196,6 @@ class TrainState:
     epochs_done: int = 0
 
 
-@dataclass
-class TrainResult:
-    final_checkpoint: Path
-    metrics: list[dict] = field(default_factory=list)
-    model: Model | None = None
-
-
 def _train_batch(state: TrainState, batch: list[Utterance], cfg: TrainConfig) -> dict:
     att_sum, ctc_sum, stats = batch_losses(state.model, batch)
     scale = 1.0 / len(batch)
@@ -366,8 +359,14 @@ def train(
     ckpt_dir,
     dev_manifest_path=None,
     resume_from=None,
-) -> TrainResult:
-    """Train on a manifest, checkpointing and logging metrics every epoch.
+) -> Path:
+    """Train on a manifest and return the path of the run's one checkpoint.
+
+    A run writes two files to ``ckpt_dir``. ``final.ckpt`` is replaced at each
+    epoch end (through a temp file and ``os.replace``), so it always holds the
+    last complete epoch, and ``--resume`` continues from there. ``metrics.jsonl``
+    gets one record per saved epoch, written after its save; a fresh run's first
+    record starts it anew, and a resumed run appends to it.
 
     A fresh run takes its vocabulary, and so ``model_cfg.vocab_size``, and
     ``model_cfg.visual_dim`` from the task_spec.json next to the manifest.
@@ -375,14 +374,19 @@ def train(
     comes from the checkpoint except ``train_cfg.epochs``; the model,
     optimizer, RNG, and epoch counter continue exactly where the saved run
     stopped, and the combined run is bit-identical to an uninterrupted one.
+    A resume with ``train_cfg.epochs`` at or below the checkpoint's epochs
+    has nothing to train and raises ``ConfigError``.
     """
     train_cfg.validate()
-    ckpt_dir = Path(ckpt_dir)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
     spec = load_task_spec_near(manifest_path)
 
     if resume_from is not None:
         state, vocab, saved_cfg = restore_train_state(load_checkpoint(resume_from))
+        if train_cfg.epochs <= state.epochs_done:
+            raise ConfigError(
+                f"nothing to train: {resume_from} holds {state.epochs_done} epoch(s) "
+                f"and train.epochs is {train_cfg.epochs}"
+            )
         train_cfg = replace(saved_cfg, epochs=train_cfg.epochs)
     else:
         if spec is None:
@@ -403,30 +407,27 @@ def train(
             audio_only=train_cfg.audio_only, spec=spec,
         )
 
-    metrics_path = ckpt_dir / "metrics.jsonl"
-    metrics: list[dict] = []
-    with open(metrics_path, "a") as metrics_file:
-        while state.epochs_done < train_cfg.epochs:
-            epoch_log = run_epoch(state, data, train_cfg)
-            state.epochs_done += 1
-            record = {"epoch": state.epochs_done, **epoch_log, "dev_wer": None}
-            if dev_data is not None:
-                summary, _ = score_dataset(state.model, dev_data, vocab)
-                record["dev_wer"] = summary["wer"]
-            metrics.append(record)
-            metrics_file.write(json.dumps(record) + "\n")
-            metrics_file.flush()
-            log.info(
-                "epoch %d: l_att=%.4f l_ctc=%.4f l_aux=%s dev_wer=%s",
-                record["epoch"], record["l_att"], record["l_ctc"],
-                [f"{a:.4f}" for a in record["l_aux"]], record["dev_wer"],
-            )
-            save_train_state(
-                ckpt_dir / f"epoch{state.epochs_done:03d}.ckpt", state, vocab, train_cfg
-            )
+    ckpt_dir = Path(ckpt_dir)
+    ckpt_dir.mkdir(parents=True, exist_ok=True)
     final = ckpt_dir / "final.ckpt"
-    save_train_state(final, state, vocab, train_cfg)
-    return TrainResult(final_checkpoint=final, metrics=metrics, model=state.model)
+    metrics_mode = "w" if resume_from is None else "a"
+    while state.epochs_done < train_cfg.epochs:
+        epoch_log = run_epoch(state, data, train_cfg)
+        state.epochs_done += 1
+        record = {"epoch": state.epochs_done, **epoch_log, "dev_wer": None}
+        if dev_data is not None:
+            summary, _ = score_dataset(state.model, dev_data, vocab)
+            record["dev_wer"] = summary["wer"]
+        save_train_state(final, state, vocab, train_cfg)
+        with open(ckpt_dir / "metrics.jsonl", metrics_mode) as metrics_file:
+            metrics_file.write(json.dumps(record) + "\n")
+        metrics_mode = "a"
+        log.info(
+            "epoch %d: l_att=%.4f l_ctc=%.4f l_aux=%s dev_wer=%s",
+            record["epoch"], record["l_att"], record["l_ctc"],
+            [f"{a:.4f}" for a in record["l_aux"]], record["dev_wer"],
+        )
+    return final
 
 
 def score_dataset(

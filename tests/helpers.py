@@ -1,13 +1,17 @@
 """Shared test utilities: finite-difference oracles, gradient checks, retained-memory
-measurement and checkpoint damage."""
+measurement, checkpoint damage, and audio helpers the program itself does not need."""
 
 from __future__ import annotations
 
+import errno
+import pathlib
 import tracemalloc
+import wave
 
 import numpy as np
 
 from avmoe.checkpoint import load_checkpoint
+from avmoe.frontend import Waveform, hz_to_mel
 from avmoe.tensor import Tensor, affine, silu
 
 
@@ -120,3 +124,53 @@ def flip_byte_in_tensor(path, prefix: str) -> str:
     blob[ckpt.data_start + entry.offset + entry.nbytes // 2] ^= 0x10
     path.write_bytes(bytes(blob))
     return name
+
+
+def mel_center_frequencies(n_mels: int, sample_rate: int) -> np.ndarray:
+    """The Hz centres of ``mel_filterbank``'s triangles: the inner points of its Mel grid."""
+    grid = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2)
+    return 700.0 * (np.power(10.0, grid[1:-1] / 2595.0) - 1.0)
+
+
+def write_wav(path, waveform: Waveform) -> None:
+    """``waveform`` as mono 16-bit PCM WAV, clipped to [-1, 1]."""
+    clipped = np.clip(waveform.samples, -1.0, 1.0)
+    pcm = np.round(clipped * 32767.0).astype("<i2")
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(waveform.sample_rate)
+        wf.writeframes(pcm.tobytes())
+
+
+def fill_disk_at_open(monkeypatch, nth: int) -> list[str]:
+    """Patch ``Path.open`` so that the ``nth`` file opened for writing (from 1) fails
+    with ENOSPC after its first write, as on a full disk. Returns the names of the
+    files opened for writing, as they are opened."""
+    real_open = pathlib.Path.open
+    opened = []
+
+    class DiskFull:
+        def __init__(self, file):
+            self.file = file
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.file.close()
+
+        def write(self, data):
+            if self.file.tell():
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.file.write(data)
+
+    def open_disk_full(self, mode="r", *args, **kwargs):
+        file = real_open(self, mode, *args, **kwargs)
+        if "w" not in mode:
+            return file
+        opened.append(self.name)
+        return DiskFull(file) if len(opened) == nth else file
+
+    monkeypatch.setattr(pathlib.Path, "open", open_disk_full)
+    return opened

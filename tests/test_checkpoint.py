@@ -1,6 +1,5 @@
 """Checkpoint files, and seeded header fuzzing of every binary reader."""
 
-import errno
 import json
 import math
 import os
@@ -24,7 +23,7 @@ from avmoe.train import (
     TrainConfig, TrainState, Vocab, restore_model, restore_train_state, save_train_state,
 )
 
-from helpers import flip_byte_in_tensor
+from helpers import fill_disk_at_open, flip_byte_in_tensor
 
 
 def write_tiny_checkpoint(path) -> TrainState:
@@ -296,26 +295,7 @@ class TestInterruptedSave:
         state = write_tiny_checkpoint(path)
         before = path.read_bytes()
         state.step += 1
-        real_open = pathlib.Path.open
-
-        class DiskFull:
-            def __init__(self, file):
-                self.file = file
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                self.file.close()
-
-            def write(self, data):
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        def open_disk_full(self, mode="r", *args, **kwargs):
-            file = real_open(self, mode, *args, **kwargs)
-            return DiskFull(file) if "w" in mode else file
-
-        monkeypatch.setattr(pathlib.Path, "open", open_disk_full)
+        fill_disk_at_open(monkeypatch, 1)
         with pytest.raises(OSError, match="No space left"):
             save_train_state(path, state, Vocab(["a", "b"]), TrainConfig())
         monkeypatch.undo()

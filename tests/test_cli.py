@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from avmoe import train as avtrain
 from avmoe.checkpoint import load_checkpoint, save_checkpoint
 from avmoe.cli import _build_parser, _build_train_configs, main
 from avmoe.errors import ConfigError
@@ -16,7 +17,7 @@ from avmoe.moe import MoEConfig
 from avmoe.synth import reference_task_spec
 from avmoe.train import TrainConfig
 
-from helpers import flip_byte_in_tensor
+from helpers import fill_disk_at_open, flip_byte_in_tensor
 
 TINY = {
     "model": {"hidden": 8, "heads": 2, "d_ff": 16, "encoder_blocks": 1, "decoder_blocks": 1,
@@ -269,8 +270,72 @@ def test_resume_is_bit_identical_to_an_uninterrupted_run(run):
     assert train(run, "first", write_config(run / "one_epoch.json", epochs=1)) == 0
     resumed = ["--resume", str(run / "first" / "final.ckpt")]
     assert train(run, "resumed", write_config(run / "config.json"), *resumed) == 0
-    for name in ("epoch002.ckpt", "final.ckpt"):
-        assert (run / "resumed" / name).read_bytes() == (run / "full" / name).read_bytes()
+    final = (run / "full" / "final.ckpt").read_bytes()
+    assert (run / "resumed" / "final.ckpt").read_bytes() == final
+
+
+def test_run_saves_once_per_epoch_into_one_file(run, monkeypatch, capsys):
+    saves = []
+
+    def counting_save(path, *args):
+        saves.append(path.name)
+        real_save(path, *args)
+
+    real_save = avtrain.save_train_state
+    monkeypatch.setattr(avtrain, "save_train_state", counting_save)
+    capsys.readouterr()
+    assert train(run, "counted", write_config(run / "three_epochs.json", epochs=3)) == 0
+    assert capsys.readouterr().out == f"final checkpoint: {run / 'counted' / 'final.ckpt'}\n"
+    assert saves == ["final.ckpt"] * 3
+    assert sorted(p.name for p in (run / "counted").iterdir()) == ["final.ckpt", "metrics.jsonl"]
+    assert load_checkpoint(run / "counted" / "final.ckpt").config["epochs_done"] == 3
+
+
+def logged_epochs(ckpt_dir) -> list[int]:
+    lines = (ckpt_dir / "metrics.jsonl").read_text().splitlines()
+    return [json.loads(line)["epoch"] for line in lines]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fresh_run_into_a_used_directory_logs_only_its_own_epochs(run):
+    config = write_config(run / "config.json")
+    assert train(run, "twice", config) == 0
+    assert train(run, "twice", config) == 0
+    assert logged_epochs(run / "twice") == [1, 2]
+    final = (run / "full" / "final.ckpt").read_bytes()
+    assert (run / "twice" / "final.ckpt").read_bytes() == final
+    # A run that stops before its first save leaves the last run's two files.
+    assert train(run, "twice", write_config(run / "overflow.json", lr=1e300)) == 4
+    assert logged_epochs(run / "twice") == [1, 2]
+    assert (run / "twice" / "final.ckpt").read_bytes() == final
+
+
+def test_run_stopped_in_a_save_resumes_bit_identically(run, monkeypatch):
+    # Epoch 2's save fails after its first write: the disk is full.
+    config = write_config(run / "config.json")
+    opened = fill_disk_at_open(monkeypatch, 2)
+    with pytest.raises(OSError, match="No space left"):
+        train(run, "stopped", config)
+    monkeypatch.undo()
+    stopped = run / "stopped"
+    assert opened == ["final.ckpt.tmp"] * 2
+    assert load_checkpoint(stopped / "final.ckpt").config["epochs_done"] == 1
+    assert sorted(p.name for p in stopped.iterdir()) == ["final.ckpt", "metrics.jsonl"]
+    assert logged_epochs(stopped) == [1]
+    assert train(run, "stopped", config, "--resume", str(stopped / "final.ckpt")) == 0
+    assert logged_epochs(stopped) == [1, 2]
+    assert (stopped / "final.ckpt").read_bytes() == (run / "full" / "final.ckpt").read_bytes()
+
+
+def test_resume_with_nothing_to_train_exits_2(run, capsys):
+    ckpt = run / "full" / "final.ckpt"
+    before = ckpt.read_bytes()
+    capsys.readouterr()
+    assert train(run, "nothing", write_config(run / "config.json"), "--resume", str(ckpt)) == 2
+    err = capsys.readouterr().err
+    assert "holds 2 epoch(s) and train.epochs is 2" in err
+    assert not (run / "nothing").exists()
+    assert ckpt.read_bytes() == before
 
 
 def test_generate_is_byte_identical_on_repeat(run):

@@ -11,7 +11,6 @@ from avmoe.frontend import (
     frame_signal,
     log_mel,
     log_mel_from_waveform,
-    mel_center_frequencies,
     mel_filterbank,
     read_f64,
     read_waveform,
@@ -19,11 +18,10 @@ from avmoe.frontend import (
     stack_frames,
     window_sizes,
     write_f64,
-    write_wav,
 )
 from avmoe.tensor import Tensor
 
-from helpers import check_grad
+from helpers import check_grad, mel_center_frequencies, write_wav
 
 
 def tone(freq: float, seconds: float, rate: int = 16000) -> Waveform:
