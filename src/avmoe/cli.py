@@ -24,7 +24,8 @@ A run writes two files to ``--ckpt-dir``: ``final.ckpt``, replaced at each
 epoch end so that it holds the last complete epoch, and ``metrics.jsonl``,
 one record per saved epoch (a fresh run starts it anew, ``--resume`` appends).
 ``--resume`` from a checkpoint that already holds ``train.epochs`` epochs has
-nothing to train and is a configuration error.
+nothing to train and is a configuration error, and so is a ``--resume`` into a
+``--ckpt-dir`` that holds another run's files.
 """
 
 from __future__ import annotations

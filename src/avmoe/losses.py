@@ -37,10 +37,7 @@ LOG_ZERO = -1.0e30
 class LossBundle:
     l_att: Tensor
     l_ctc: Tensor
-    l_aux: Tensor
     l_total: Tensor
-    alpha: float
-    beta: float
 
 
 def attention_loss(logits: Tensor, targets: list[int]) -> Tensor:
@@ -201,9 +198,7 @@ def total_loss(
     else:
         l_aux = Tensor(0.0)
     l_total = l_att + l_ctc * alpha + l_aux * beta
-    return LossBundle(
-        l_att=l_att, l_ctc=l_ctc, l_aux=l_aux, l_total=l_total, alpha=alpha, beta=beta
-    )
+    return LossBundle(l_att=l_att, l_ctc=l_ctc, l_total=l_total)
 
 
 def batch_balance_losses(per_layer_stats: list[list[LoadStats]], num_experts: int) -> list[Tensor]:

@@ -1,4 +1,9 @@
-"""Adam optimizer acting in place on parameter arrays."""
+"""Adam optimizer acting in place on parameter arrays.
+
+``Adam`` keeps the moments and the base rate; the step count lives in
+``train.TrainState.step``, and ``train._train_batch`` passes it to ``step``
+with the warm-up factor that scales the rate.
+"""
 
 from __future__ import annotations
 
@@ -6,51 +11,6 @@ import numpy as np
 
 from .errors import DimensionError
 from .tensor import Tensor
-
-
-def adam_step(
-    param: np.ndarray,
-    grad: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    step: int,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    scratch: tuple[np.ndarray, np.ndarray] | None = None,
-) -> None:
-    """One bias-corrected Adam update; ``step`` is the 1-based count.
-
-    Runs in place: ``scratch`` holds two flat float64 buffers of at least
-    ``param.size`` values (allocated when omitted). The ufuncs round in the
-    same order as ``p - lr * (m / c1) / (sqrt(v / c2) + eps)``.
-    """
-    if not (param.shape == grad.shape == m.shape == v.shape):
-        raise DimensionError(
-            f"adam_step shape mismatch: param {param.shape}, grad {grad.shape}, "
-            f"m {m.shape}, v {v.shape}"
-        )
-    if step < 1:
-        raise DimensionError(f"adam_step needs a step count >= 1, got {step}")
-    if scratch is None:
-        scratch = (np.empty(param.size), np.empty(param.size))
-    t = scratch[0][: param.size].reshape(param.shape)
-    u = scratch[1][: param.size].reshape(param.shape)
-    m *= beta1
-    np.multiply(grad, 1.0 - beta1, out=t)
-    m += t
-    v *= beta2
-    np.multiply(grad, 1.0 - beta2, out=t)
-    t *= grad
-    v += t
-    np.divide(v, 1.0 - beta2**step, out=t)
-    np.sqrt(t, out=t)
-    t += eps
-    np.divide(m, 1.0 - beta1**step, out=u)
-    u *= lr
-    u /= t
-    param -= u
 
 
 class Adam:
@@ -79,33 +39,51 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.step_count = 0
         if moments is None:
             self.m = {name: np.zeros_like(p.data) for name, p in self.params}
             self.v = {name: np.zeros_like(p.data) for name, p in self.params}
         else:
             self.m, self.v = moments
+            for name, p in self.params:
+                if not p.data.shape == self.m[name].shape == self.v[name].shape:
+                    raise DimensionError(
+                        f"Adam moments of {name} do not fit: param {p.data.shape}, "
+                        f"m {self.m[name].shape}, v {self.v[name].shape}"
+                    )
         size = max((p.data.size for _, p in self.params), default=0)
         self._scratch = (np.empty(size), np.empty(size))
 
-    def step(self, lr: float | None = None) -> None:
-        self.step_count += 1
-        rate = self.lr if lr is None else lr
+    def step(self, t: int, warm: float) -> None:
+        """One bias-corrected update of every parameter that has a gradient.
+
+        ``t`` is the 1-based step count and the rate is ``lr * warm``. Each
+        update runs in place in the preallocated scratch; the ufuncs round in
+        the same order as ``p - rate * (m / c1) / (sqrt(v / c2) + eps)``.
+        """
+        b1, b2, eps = self.beta1, self.beta2, self.eps
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        rate = self.lr * warm
         for name, p in self.params:
-            if p.grad is None:
+            g = p.grad
+            if g is None:
                 continue
-            adam_step(
-                p.data,
-                np.asarray(p.grad, dtype=np.float64),
-                self.m[name],
-                self.v[name],
-                self.step_count,
-                rate,
-                self.beta1,
-                self.beta2,
-                self.eps,
-                self._scratch,
-            )
+            m, v = self.m[name], self.v[name]
+            den = self._scratch[0][: p.data.size].reshape(p.data.shape)
+            num = self._scratch[1][: p.data.size].reshape(p.data.shape)
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=den)
+            m += den
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=den)
+            den *= g
+            v += den
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += eps
+            np.divide(m, c1, out=num)
+            num *= rate
+            num /= den
+            p.data -= num
 
     def zero_grad(self) -> None:
         for _, p in self.params:

@@ -8,12 +8,19 @@ over all the batch's tokens; ``_train_batch`` divides the two sums by the
 batch size, scores each layer's balance on its whole-batch statistics,
 averages those over layers, and takes one Adam step. ``utterance_losses``
 is the batch of one.
+
+``TrainState.step`` is the one step count: ``_train_batch`` increments it
+before each update and hands it to ``Adam.step``, which takes its bias
+corrections from it. The rate is Adam's ``lr`` (``TrainConfig.lr`` wherever
+Adam is built from the config) times the warm-up factor that
+``_train_batch`` computes from that count and ``warmup_steps``.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -209,7 +216,7 @@ def _train_batch(state: TrainState, batch: list[Utterance], cfg: TrainConfig) ->
     bundle.l_total.backward()
     state.step += 1
     warm = min(1.0, state.step / cfg.warmup_steps) if cfg.warmup_steps > 0 else 1.0
-    state.optimizer.step(lr=cfg.lr * warm)
+    state.optimizer.step(state.step, warm)
     state.optimizer.zero_grad()
     return {
         "l_att": bundle.l_att.item(),
@@ -321,7 +328,6 @@ def new_train_state(
         eps=train_cfg.adam_eps,
         moments=moments,
     )
-    optimizer.step_count = step
     return TrainState(model, optimizer, rng, step=step, epochs_done=epochs_done)
 
 
@@ -375,10 +381,14 @@ def train(
     optimizer, RNG, and epoch counter continue exactly where the saved run
     stopped, and the combined run is bit-identical to an uninterrupted one.
     A resume with ``train_cfg.epochs`` at or below the checkpoint's epochs
-    has nothing to train and raises ``ConfigError``.
+    has nothing to train and raises ``ConfigError``. So does a resume into a
+    ``ckpt_dir`` that holds another run: a ``final.ckpt`` that is not the
+    resumed file, or a ``metrics.jsonl`` without a ``final.ckpt``.
     """
     train_cfg.validate()
     spec = load_task_spec_near(manifest_path)
+    ckpt_dir = Path(ckpt_dir)
+    final = ckpt_dir / "final.ckpt"
 
     if resume_from is not None:
         state, vocab, saved_cfg = restore_train_state(load_checkpoint(resume_from))
@@ -386,6 +396,15 @@ def train(
             raise ConfigError(
                 f"nothing to train: {resume_from} holds {state.epochs_done} epoch(s) "
                 f"and train.epochs is {train_cfg.epochs}"
+            )
+        if final.exists():
+            other_run = not os.path.samefile(final, resume_from)
+        else:
+            other_run = (ckpt_dir / "metrics.jsonl").exists()
+        if other_run:
+            raise ConfigError(
+                f"{ckpt_dir} holds another run; resume into the checkpoint's own "
+                f"directory or a new one"
             )
         train_cfg = replace(saved_cfg, epochs=train_cfg.epochs)
     else:
@@ -407,9 +426,7 @@ def train(
             audio_only=train_cfg.audio_only, spec=spec,
         )
 
-    ckpt_dir = Path(ckpt_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    final = ckpt_dir / "final.ckpt"
     metrics_mode = "w" if resume_from is None else "a"
     while state.epochs_done < train_cfg.epochs:
         epoch_log = run_epoch(state, data, train_cfg)
@@ -488,20 +505,21 @@ def evaluate(
     ``audio_only`` drops the visual channel (zero visual rows). Homophone
     statistics appear whenever the corpus task spec is found next to the
     manifest; ``subset="homophone"`` restricts the reported records to
-    utterances containing a homophone word.
+    utterances containing a homophone word. An unusable ``subset`` raises
+    ``ConfigError`` before anything is restored or decoded.
     """
-    model, vocab = restore_model(load_checkpoint(ckpt_path))
+    if subset not in (None, "homophone"):
+        raise ConfigError(f"unknown subset {subset!r}; supported: homophone")
     spec = load_task_spec_near(manifest_path)
     homophones = spec.homophone_words() if spec is not None else None
+    if subset == "homophone" and homophones is None:
+        raise ConfigError("homophone subset requested but no task spec was found")
+    model, vocab = restore_model(load_checkpoint(ckpt_path))
     data = load_dataset(
         manifest_path, vocab, n_mels=model.cfg.n_mels, audio_only=audio_only, spec=spec
     )
     summary, records = score_dataset(model, data, vocab, homophones=homophones)
     summary["mode"] = "audio_only" if audio_only else "audiovisual"
     if subset == "homophone":
-        if homophones is None:
-            raise ConfigError("homophone subset requested but no task spec was found")
         records = [r for r in records if r.get("hom_slots")]
-    elif subset is not None:
-        raise ConfigError(f"unknown subset {subset!r}; supported: homophone")
     return summary, records

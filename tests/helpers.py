@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference oracles, gradient checks, retained-memory
-measurement, checkpoint damage, and audio helpers the program itself does not need."""
+measurement, the written-out Adam update, checkpoint damage, and audio helpers the
+program itself does not need."""
 
 from __future__ import annotations
 
@@ -114,6 +115,15 @@ def copy_ffn_weights(dst, src) -> None:
     """Give FFN ``dst`` copies of the weights of FFN ``src``."""
     for mine, theirs in zip(dst.weights, src.weights):
         mine.data = theirs.data.copy()
+
+
+def expression_adam_step(param, grad, m, v, step, lr, beta1, beta2, eps) -> None:
+    """Adam as one numpy expression per array, allocating its temporaries."""
+    m[...] = beta1 * m + (1.0 - beta1) * grad
+    v[...] = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1**step)
+    v_hat = v / (1.0 - beta2**step)
+    param[...] = param - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def flip_byte_in_tensor(path, prefix: str) -> str:

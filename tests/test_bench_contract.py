@@ -48,7 +48,8 @@ def test_every_traced_model_method_exists(spans):
 
 
 # Called by bench/run.py, bench/prep.py and bench/harness.py; ``FeedForward.__call__``
-# is the traced run's ``nn.ffn1`` span.
+# is the traced run's ``nn.ffn1`` span, and ``Adam.step`` its ``optim.adam`` span,
+# which bench/spans.py wraps by name.
 CALLED = [
     (avtrain, "utterance_losses"), (avtrain, "_train_batch"), (avtrain, "run_epoch"),
     (avtrain, "load_dataset"), (avtrain, "save_train_state"), (avtrain, "restore_model"),
@@ -57,7 +58,7 @@ CALLED = [
     (losses, "batch_balance_losses"), (losses, "total_loss"),
     (Model, "encode_utterance"), (Model, "decode_teacher_forcing"), (Model, "ctc_head"),
     (MoELayer, "route"), (MoELayer, "__call__"), (Model, "parameters"),
-    (FeedForward, "__call__"),
+    (FeedForward, "__call__"), (Adam, "step"), (Adam, "zero_grad"),
 ]
 
 

@@ -4,6 +4,7 @@ and the settings that ``avmoe train`` accepts."""
 import argparse
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -336,6 +337,38 @@ def test_resume_with_nothing_to_train_exits_2(run, capsys):
     assert "holds 2 epoch(s) and train.epochs is 2" in err
     assert not (run / "nothing").exists()
     assert ckpt.read_bytes() == before
+
+
+def test_resume_into_another_runs_directory_exits_2(run, capsys):
+    assert train(run, "short", write_config(run / "one_epoch.json", epochs=1)) == 0
+    resumed = ["--resume", str(run / "short" / "final.ckpt")]
+    orphan = run / "orphan"  # another run's log, without its checkpoint
+    orphan.mkdir()
+    shutil.copy(run / "full" / "metrics.jsonl", orphan)
+    for ckpt_dir in ("full", "orphan"):
+        before = tree(run / ckpt_dir)
+        capsys.readouterr()
+        assert train(run, ckpt_dir, write_config(run / "config.json"), *resumed) == 2
+        assert "holds another run" in capsys.readouterr().err
+        assert tree(run / ckpt_dir) == before
+    assert sorted(tree(run / "full")) == ["final.ckpt", "metrics.jsonl"]
+
+
+def test_unusable_subset_is_refused_before_restoring_or_decoding(run, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("evaluate went past its subset check")
+
+    monkeypatch.setattr(avtrain, "restore_model", never)
+    monkeypatch.setattr(avtrain, "score_dataset", never)
+    bare = run / "bare"  # the corpus without its task_spec.json
+    shutil.copytree(run / "corpus", bare, ignore=shutil.ignore_patterns("task_spec.json"))
+    ckpt = str(run / "full" / "final.ckpt")
+    capsys.readouterr()
+    assert main(["eval", "--manifest", str(bare / "test.jsonl"), "--ckpt", ckpt,
+                 "--subset", "homophone"]) == 2
+    assert "no task spec was found" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="unknown subset 'vowels'"):
+        avtrain.evaluate(run / "corpus" / "test.jsonl", ckpt, subset="vowels")
 
 
 def test_generate_is_byte_identical_on_repeat(run):

@@ -292,7 +292,7 @@ class TestExpertMixture:
         silent = layer.experts[3].parameters()
         before = [p.data.copy() for p in silent]
         opt = Adam(layer.named_parameters(), lr=1e-2)
-        opt.step()
+        opt.step(1, 1.0)
         for name, _ in layer.experts[3].named_parameters():
             assert not opt.m[f"experts.3.{name}"].any()
             assert not opt.v[f"experts.3.{name}"].any()

@@ -4,27 +4,32 @@ import numpy as np
 import pytest
 
 from avmoe.errors import DimensionError
-from avmoe.optim import Adam, adam_step
+from avmoe.optim import Adam
 from avmoe.tensor import Tensor
+
+from helpers import expression_adam_step
+
+
+def one_param_adam(values, lr: float, **hyper) -> tuple[Tensor, Adam]:
+    p = Tensor(np.array(values, dtype=np.float64), requires_grad=True)
+    return p, Adam([("p", p)], lr=lr, **hyper)
 
 
 def test_zero_gradient_leaves_params_unchanged():
-    param = np.array([1.0, -2.0, 3.0])
-    m = np.zeros(3)
-    v = np.zeros(3)
-    adam_step(param, np.zeros(3), m, v, step=1, lr=0.1)
-    np.testing.assert_array_equal(param, [1.0, -2.0, 3.0])
+    p, opt = one_param_adam([1.0, -2.0, 3.0], lr=0.1)
+    p.grad = np.zeros(3)
+    opt.step(1, 1.0)
+    np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
 
 
 def test_first_step_moves_by_about_lr():
     # Bias correction makes m_hat/sqrt(v_hat) = g/|g|, so |delta| ~ lr.
     lr = 0.05
     for g in (0.3, -1.7, 42.0):
-        param = np.array([1.0])
-        m = np.zeros(1)
-        v = np.zeros(1)
-        adam_step(param, np.array([g]), m, v, step=1, lr=lr)
-        delta = param[0] - 1.0
+        p, opt = one_param_adam([1.0], lr=lr)
+        p.grad = np.array([g])
+        opt.step(1, 1.0)
+        delta = p.data[0] - 1.0
         assert np.sign(delta) == -np.sign(g)
         np.testing.assert_allclose(abs(delta), lr, rtol=1e-6)
 
@@ -36,9 +41,9 @@ def test_two_runs_reproduce_identical_state():
     def run():
         p = Tensor(np.ones((2, 3)), requires_grad=True)
         opt = Adam([("p", p)], lr=0.01)
-        for g in grads:
+        for t, g in enumerate(grads, start=1):
             p.grad = g.copy()
-            opt.step()
+            opt.step(t, 1.0)
         return p.data.copy(), opt.m["p"].copy(), opt.v["p"].copy()
 
     first, second = run(), run()
@@ -46,9 +51,12 @@ def test_two_runs_reproduce_identical_state():
         np.testing.assert_array_equal(a, b)
 
 
-def test_shape_mismatch_rejected():
-    with pytest.raises(DimensionError):
-        adam_step(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3), step=1, lr=0.1)
+def test_handed_over_moments_of_another_shape_are_rejected():
+    p = Tensor(np.zeros(3), requires_grad=True)
+    for m_shape, v_shape in [((2,), (3,)), ((3,), (3, 1)), ((1, 3), (1, 3))]:
+        with pytest.raises(DimensionError, match="moments of p"):
+            Adam([("p", p)], lr=0.1,
+                 moments=({"p": np.zeros(m_shape)}, {"p": np.zeros(v_shape)}))
 
 
 def test_none_grad_skipped_and_moments_untouched():
@@ -56,7 +64,7 @@ def test_none_grad_skipped_and_moments_untouched():
     q = Tensor(np.ones(3), requires_grad=True)
     opt = Adam([("p", p), ("q", q)], lr=0.1)
     p.grad = np.ones(3)
-    opt.step()
+    opt.step(1, 1.0)
     np.testing.assert_array_equal(q.data, np.ones(3))
     np.testing.assert_array_equal(opt.m["q"], np.zeros(3))
 
@@ -64,27 +72,17 @@ def test_none_grad_skipped_and_moments_untouched():
 def test_matches_reference_formula_over_steps():
     # Independent recomputation of the textbook update rule.
     rng = np.random.default_rng(1)
-    param = np.array([0.5, -0.25])
-    m = np.zeros(2)
-    v = np.zeros(2)
-    ref_p, ref_m, ref_v = param.copy(), m.copy(), v.copy()
     lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    p, opt = one_param_adam([0.5, -0.25], lr=lr, beta1=b1, beta2=b2, eps=eps)
+    ref_p, ref_m, ref_v = p.data.copy(), np.zeros(2), np.zeros(2)
     for t in range(1, 6):
         g = rng.normal(size=2)
-        adam_step(param, g, m, v, step=t, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        p.grad = g
+        opt.step(t, 1.0)
         ref_m = b1 * ref_m + (1 - b1) * g
         ref_v = b2 * ref_v + (1 - b2) * g * g
         ref_p = ref_p - lr * (ref_m / (1 - b1**t)) / (np.sqrt(ref_v / (1 - b2**t)) + eps)
-        np.testing.assert_allclose(param, ref_p, atol=1e-15)
-
-
-def expression_adam_step(param, grad, m, v, step, lr, beta1, beta2, eps):
-    """Adam as one numpy expression per array, allocating its temporaries."""
-    m[...] = beta1 * m + (1.0 - beta1) * grad
-    v[...] = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**step)
-    v_hat = v / (1.0 - beta2**step)
-    param[...] = param - lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.testing.assert_allclose(p.data, ref_p, atol=1e-15)
 
 
 def test_in_place_update_is_bit_identical_to_the_expression():
@@ -97,7 +95,7 @@ def test_in_place_update_is_bit_identical_to_the_expression():
     ref = {name: (p.data.copy(), np.zeros(p.data.shape), np.zeros(p.data.shape))
            for name, p in params}
     for t in range(1, 7):
-        lr = 1e-2 / t
+        warm = min(1.0, t / 4)  # the warm-up factor ``_train_batch`` passes
         for name, p in params:
             g = rng.normal(size=p.data.shape)
             if t == 2:
@@ -109,8 +107,8 @@ def test_in_place_update_is_bit_identical_to_the_expression():
                 g.flat[1::3] = -0.0
             p.grad = g
             ref_p, ref_m, ref_v = ref[name]
-            expression_adam_step(ref_p, g, ref_m, ref_v, t, lr, 0.8, 0.99, 1e-6)
-        opt.step(lr)
+            expression_adam_step(ref_p, g, ref_m, ref_v, t, 1e-2 * warm, 0.8, 0.99, 1e-6)
+        opt.step(t, warm)
         for name, p in params:
             ref_p, ref_m, ref_v = ref[name]
             assert p.data.tobytes() == ref_p.tobytes(), (t, name)
@@ -118,14 +116,15 @@ def test_in_place_update_is_bit_identical_to_the_expression():
             assert opt.v[name].tobytes() == ref_v.tobytes(), (t, name)
 
 
-def test_adam_step_without_scratch_is_bit_identical_to_the_expression():
+def test_default_hyperparameters_are_bit_identical_to_the_expression():
     rng = np.random.default_rng(4)
-    state = [rng.normal(size=(3, 2)), np.zeros((3, 2)), np.zeros((3, 2))]
-    ref = [a.copy() for a in state]
+    p, opt = one_param_adam(rng.normal(size=(3, 2)), lr=3e-3)
+    ref = [p.data.copy(), np.zeros((3, 2)), np.zeros((3, 2))]
     for t in range(1, 5):
         g = rng.normal(size=(3, 2))
         g[0] = -0.0
-        adam_step(*state[:1], g, *state[1:], step=t, lr=3e-3)
-        expression_adam_step(*ref[:1], g, *ref[1:], t, 3e-3, 0.9, 0.999, 1e-8)
-        for a, b in zip(state, ref):
+        p.grad = g
+        opt.step(t, 1.0)
+        expression_adam_step(ref[0], g, *ref[1:], t, 3e-3, 0.9, 0.999, 1e-8)
+        for a, b in zip((p.data, opt.m["p"], opt.v["p"]), ref):
             assert a.tobytes() == b.tobytes()

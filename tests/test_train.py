@@ -9,9 +9,12 @@ from avmoe.losses import batch_balance_losses, total_loss
 from avmoe.model import Model, ModelConfig
 from avmoe.moe import MoEConfig
 from avmoe.optim import Adam
+from avmoe.tensor import Tensor
 from avmoe.train import (
     TrainConfig, TrainState, Utterance, _train_batch, batch_losses, utterance_losses,
 )
+
+from helpers import expression_adam_step
 
 TOP_K = 2
 
@@ -50,7 +53,7 @@ class GradRecorder:
         self.params = model.named_parameters()
         self.grads: dict = {}
 
-    def step(self, lr: float) -> None:
+    def step(self, t: int, warm: float) -> None:
         self.grads = {n: None if p.grad is None else p.grad.copy() for n, p in self.params}
 
     def zero_grad(self) -> None:
@@ -127,6 +130,39 @@ def test_silent_expert_gets_no_gradient_and_no_adam_update():
     moments = [optimizer.m[f"enc_blocks.0.ffn2.experts.{e}.lin1.weight"] for e in range(4)]
     trained = [e for e, m in enumerate(moments) if m.any()]
     assert len(trained) == TOP_K and 3 not in trained
+
+
+def test_update_after_a_restore_takes_its_bias_correction_from_the_state_step():
+    # A restore builds the state at step k around an Adam holding the read's
+    # moments; the next update is step k + 1, warm-up and bias corrections alike.
+    k, cfg = 7, TrainConfig(lr=2e-3, warmup_steps=10)
+    batch, twin = ragged_batch(89), moe_model(88)
+    recorder = GradRecorder(twin)
+    _train_batch(TrainState(twin, recorder, np.random.default_rng(0)), batch, cfg)
+    model = moe_model(88)
+    unused = Tensor(np.ones((2, 3)), requires_grad=True)  # never gets a gradient
+    named = model.named_parameters() + [("unused", unused)]
+    rng = np.random.default_rng(90)
+    moments = tuple({name: scale * np.abs(rng.normal(size=p.shape)) for name, p in named}
+                    for scale in (1e-3, 1e-6))
+    want = {name: (p.data.copy(), moments[0][name].copy(), moments[1][name].copy())
+            for name, p in named}
+    optimizer = Adam(named, lr=cfg.lr, moments=moments)
+    state = TrainState(model, optimizer, np.random.default_rng(0), step=k)
+    _train_batch(state, batch, cfg)
+
+    assert state.step == k + 1
+    rate = cfg.lr * ((k + 1) / cfg.warmup_steps)
+    for name, g in recorder.grads.items():
+        if g is not None:
+            param, m, v = want[name]
+            expression_adam_step(param, g, m, v, k + 1, rate, 0.9, 0.999, 1e-8)
+    # A parameter without a gradient ("unused") keeps its value and both moments.
+    for name, p in named:
+        param, m, v = want[name]
+        np.testing.assert_array_equal(p.data, param, err_msg=name)
+        np.testing.assert_array_equal(optimizer.m[name], m, err_msg=name)
+        np.testing.assert_array_equal(optimizer.v[name], v, err_msg=name)
 
 
 def test_infeasible_ctc_target_names_its_utterance():
