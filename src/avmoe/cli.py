@@ -13,12 +13,14 @@ keys are all optional; ``"moe": null`` trains a dense model:
      "train": {"epochs", "batch_size", "lr", "warmup_steps", "alpha", "beta",
                "adam_beta1", "adam_beta2", "adam_eps"}}
 
-Any other section or key is a configuration error. Run settings are the flags
-``--seed`` and ``--audio-only``. The task spec fixes the vocabulary size and
-the visual width; the MoE widths are the model's ``hidden`` and ``d_ff``; the
-special ids (``ModelConfig``) and the decode cap (``decoding.MAX_DECODE_LEN``)
-are constants. A resumed run takes every setting from its checkpoint except
-``train.epochs``.
+Any other section or key is a configuration error, and so is a key repeated
+in one object or nesting too deep to parse (the task spec, the manifest
+records and a checkpoint's header refuse these two as data errors). Run
+settings are the flags ``--seed`` and ``--audio-only``. The task spec fixes
+the vocabulary size and the visual width; the MoE widths are the model's
+``hidden`` and ``d_ff``; the special ids (``ModelConfig``) and the decode cap
+(``decoding.MAX_DECODE_LEN``) are constants. A resumed run takes every
+setting from its checkpoint except ``train.epochs``.
 
 A run writes two files to ``--ckpt-dir``: ``final.ckpt``, replaced at each
 epoch end so that it holds the last complete epoch, and ``metrics.jsonl``,
@@ -37,6 +39,7 @@ import sys
 from pathlib import Path
 
 from .errors import AvmoeError, ConfigError, DataError, NumericError
+from .fields import parse_json
 from .frontend import log_mel_from_waveform, read_waveform
 from .fusion import load_visual_embeddings
 from .decoding import transcribe
@@ -110,7 +113,7 @@ def _build_train_configs(args) -> tuple[ModelConfig, TrainConfig]:
         if not path.exists():
             raise DataError(f"config file not found: {path}")
         try:
-            sections = json.loads(path.read_bytes())
+            sections = parse_json(path.read_bytes())
         except ValueError as exc:
             raise ConfigError(f"bad config JSON: {exc}") from exc
         if not isinstance(sections, dict):

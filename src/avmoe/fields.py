@@ -1,4 +1,11 @@
-"""Type and range checks of dataclass fields against their annotations.
+"""Strict JSON parsing, and type and range checks of dataclass fields against their annotations.
+
+Every JSON file the package reads (the ``--config`` file, the task spec, the
+manifest records and the checkpoint header) is parsed by ``parse_json``, which
+refuses what ``json.loads`` lets through: a key repeated in one object, whose
+last value would silently win, and nesting too deep to parse, which would
+escape as ``RecursionError``. Both are a ``ValueError``, as malformed JSON is,
+so each reader turns them into its own error.
 
 The model, MoE and training configurations and the synthetic task spec are
 filled from JSON, so any field may hold any JSON value. Their ``validate``
@@ -11,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import types
 import typing
@@ -18,6 +26,22 @@ import typing
 from .errors import ConfigError
 
 Bounds = dict[str, tuple[float | None, float | None]]
+
+
+def parse_json(text: str | bytes) -> typing.Any:
+    """``json.loads``, refusing a repeated key or nesting too deep to parse with ``ValueError``."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("nesting too deep to parse") from None
+
+
+def _unique_keys(pairs: list[tuple[str, typing.Any]]) -> dict[str, typing.Any]:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"key {next(k for k in obj if keys.count(k) > 1)!r} appears twice")
+    return obj
 
 
 def check_fields(obj, bounds: Bounds | None = None) -> None:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fields import check_fields
+from .fields import check_fields, parse_json
 from .frontend import Waveform, write_f64
 from .fusion import save_visual_embeddings
 
@@ -107,7 +107,7 @@ class SyntheticTaskSpec:
     @staticmethod
     def from_json(text: str | bytes) -> "SyntheticTaskSpec":
         try:
-            payload = json.loads(text)
+            payload = parse_json(text)
             spec = SyntheticTaskSpec(**payload)
         except (ValueError, TypeError) as exc:  # bad JSON or text, or unknown fields
             raise DataError(f"unreadable task spec: {exc}") from exc
@@ -290,16 +290,20 @@ def load_manifest(path) -> list[ManifestEntry]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
+    try:
+        lines = path.read_bytes().splitlines()
+    except OSError as exc:  # a directory, or no permission
+        raise DataError(f"{path}: cannot read the manifest: {exc.strerror}") from exc
     entries: list[ManifestEntry] = []
     base = path.parent
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = parse_json(line.decode())
             entry = ManifestEntry(**record)
             check_fields(entry)
-        except (json.JSONDecodeError, TypeError, ConfigError) as exc:
+        except (ValueError, TypeError, ConfigError) as exc:  # ValueError: bad UTF-8 or JSON
             raise DataError(f"{path}:{lineno}: bad manifest record ({exc})") from exc
         if not entry.transcript.strip():
             raise DataError(f"{path}:{lineno}: empty transcript for {entry.utt_id}")

@@ -235,29 +235,37 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
+    """Matrix product of two rank-2 tensors; like ``mul``, an operand that needs
+    no gradient, such as a constant feature matrix, gets ``None``."""
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     data = a.data @ b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ b.data.T if need_a else None, a.data.T @ g if need_b else None
 
     return _record(data, (a, b), backward)
 
 
 def affine(a: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Fused a @ weight + bias for rank-2 a and rank-1 bias."""
+    """Fused a @ weight + bias for rank-2 a and rank-1 bias; like ``matmul``, no
+    gradient for an operand that needs none."""
     if a.ndim != 2 or weight.ndim != 2 or a.shape[1] != weight.shape[0]:
         raise DimensionError(f"affine inner dimensions disagree: {a.shape} x {weight.shape}")
     if bias.shape != (weight.shape[1],):
         raise DimensionError(f"affine bias {bias.shape} does not match output {weight.shape[1]}")
     data = a.data @ weight.data + bias.data
+    need_a, need_w, need_b = a.requires_grad, weight.requires_grad, bias.requires_grad
 
     def backward(g):
-        return g @ weight.data.T, a.data.T @ g, g.sum(axis=0)
+        return (
+            g @ weight.data.T if need_a else None,
+            a.data.T @ g if need_w else None,
+            g.sum(axis=0) if need_b else None,
+        )
 
     return _record(data, (a, weight, bias), backward)
 

@@ -266,13 +266,13 @@ def save_train_state(path, state: TrainState, vocab: Vocab, train_cfg: TrainConf
         "step": state.step,
         "epochs_done": state.epochs_done,
     }
-    tensors: dict[str, np.ndarray] = {}
-    for name, p in state.model.named_parameters():
-        tensors["model." + name] = p.data
-    for name in state.optimizer.m:
-        tensors["opt.m." + name] = state.optimizer.m[name]
-        tensors["opt.v." + name] = state.optimizer.v[name]
-    save_checkpoint(path, config, tensors)
+    params = state.model.named_parameters()
+    m, v = state.optimizer.m, state.optimizer.v  # in the order of the file it was restored from
+    save_checkpoint(path, config, {
+        "model": {name: p.data for name, p in params},
+        "opt.m": {name: m[name] for name, _ in params},
+        "opt.v": {name: v[name] for name, _ in params},
+    })
 
 
 # What building a config, vocabulary or RNG from a checkpoint's JSON values can raise.
@@ -296,20 +296,22 @@ def _unfilled_model(ckpt: Checkpoint) -> tuple[Model, Vocab]:
     return Model(cfg, rng=None), vocab
 
 
-def _load_parameters(model: Model, tensors: dict[str, np.ndarray], prefixes: list[str]) -> None:
-    """Make the read's ``model.*`` arrays the parameters' data, with no copy, once
-    ``check_layout`` finds exactly each parameter's shape under each of ``prefixes``."""
+def _load_parameters(model: Model, ckpt: Checkpoint, *sections: str) -> dict[str, dict]:
+    """Read ``sections`` and make the ``model`` section's arrays the parameters' data,
+    with no copy, once ``check_layout`` finds exactly the parameters' names and shapes."""
     params = model.named_parameters()
-    check_layout(tensors, {prefix + name: p.shape for prefix in prefixes for name, p in params})
+    check_layout(ckpt, {name: p.shape for name, p in params})
+    read = ckpt.read(*sections)
     for name, param in params:
-        param.data = tensors["model." + name]
+        param.data = read["model"][name]
+    return read
 
 
 def restore_model(ckpt: Checkpoint) -> tuple[Model, Vocab]:
-    """The model and vocabulary; reads and verifies only the ``model.*`` tensors.
+    """The model and vocabulary; reads and verifies only the ``model`` section.
     The parameters are views into the buffer of that read, which the model owns."""
     model, vocab = _unfilled_model(ckpt)
-    _load_parameters(model, ckpt.read("model."), ["model."])
+    _load_parameters(model, ckpt, "model")
     return model, vocab
 
 
@@ -332,9 +334,9 @@ def new_train_state(
 
 
 def restore_train_state(ckpt: Checkpoint) -> tuple[TrainState, Vocab, TrainConfig]:
-    """Everything ``--resume`` needs; reads and verifies every tensor of the file in
-    one read. The parameters and Adam moments are views into its buffer, which the
-    state owns, and Adam updates them there in place."""
+    """Everything ``--resume`` needs; reads and verifies the ``model``, ``opt.m`` and
+    ``opt.v`` sections in one read. The parameters and Adam moments are views into
+    its buffer, which the state owns, and Adam updates them there in place."""
     model, vocab = _unfilled_model(ckpt)
     try:
         train_cfg = TrainConfig(**ckpt.config["train"])
@@ -347,11 +349,8 @@ def restore_train_state(ckpt: Checkpoint) -> tuple[TrainState, Vocab, TrainConfi
         rng.bit_generator.state = ckpt.config["rng"]
     except _BAD_VALUE as exc:
         raise CheckpointError(f"{ckpt.path}: unreadable training state: {exc!r}") from exc
-    tensors = ckpt.read()
-    _load_parameters(model, tensors, ["model.", "opt.m.", "opt.v."])
-    names = [name for name, _ in model.named_parameters()]
-    moments = tuple({name: tensors[prefix + name] for name in names}
-                    for prefix in ("opt.m.", "opt.v."))
+    read = _load_parameters(model, ckpt, "model", "opt.m", "opt.v")
+    moments = (read["opt.m"], read["opt.v"])
     return new_train_state(model, train_cfg, rng, step, epochs_done, moments), vocab, train_cfg
 
 

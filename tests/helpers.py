@@ -5,6 +5,7 @@ program itself does not need."""
 from __future__ import annotations
 
 import errno
+import math
 import pathlib
 import tracemalloc
 import wave
@@ -126,12 +127,23 @@ def expression_adam_step(param, grad, m, v, step, lr, beta1, beta2, eps) -> None
     param[...] = param - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def flip_byte_in_tensor(path, prefix: str) -> str:
-    """Flip one bit in the middle of the first non-empty tensor under ``prefix``; its name."""
+def tensor_offset(ckpt, section: str, name: str) -> tuple[int, int]:
+    """(file offset, size in bytes) of tensor ``name`` in ``section`` of a loaded checkpoint."""
+    offset = ckpt.section_start(section)
+    for other, shape in ckpt.layout.items():
+        if other == name:
+            return offset, 8 * math.prod(shape)
+        offset += 8 * math.prod(shape)
+    raise KeyError(name)
+
+
+def flip_byte_in_tensor(path, section: str) -> str:
+    """Flip one bit in the middle of the first non-empty tensor of ``section``; its name."""
     ckpt = load_checkpoint(path)
-    name, entry = next((n, e) for n, e in ckpt.entries.items() if n.startswith(prefix) and e.nbytes)
+    name = next(n for n, shape in ckpt.layout.items() if math.prod(shape))
+    offset, nbytes = tensor_offset(ckpt, section, name)
     blob = bytearray(path.read_bytes())
-    blob[ckpt.data_start + entry.offset + entry.nbytes // 2] ^= 0x10
+    blob[offset + nbytes // 2] ^= 0x10
     path.write_bytes(bytes(blob))
     return name
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from avmoe import checkpoint
-from avmoe.checkpoint import load_checkpoint, save_checkpoint
+from avmoe.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from avmoe.errors import AvmoeError, CheckpointError
 from avmoe.frontend import Waveform, read_waveform, write_f64
 from avmoe.fusion import load_visual_embeddings, save_visual_embeddings
@@ -56,11 +56,25 @@ class TestCheckpoint:
         for (name, p), (_, q) in pairs:
             np.testing.assert_array_equal(q.data, p.data, err_msg=name)
 
+    def test_default_train_checkpoint_names_each_parameter_once(self, tmp_path):
+        # The three sections share the layout; before, each name was listed
+        # three times, as model.*, opt.m.* and opt.v.*.
+        path = tmp_path / "m.ckpt"
+        cfg = ModelConfig(vocab_size=16, moe=MoEConfig())
+        write_drawn_checkpoint(path, cfg)
+        ckpt = load_checkpoint(path)
+        names = [name for name, _ in Model(cfg, rng=None).named_parameters()]
+        assert len(names) == 314 and list(ckpt.layout) == names
+        assert {s: len(crcs) for s, crcs in ckpt.sections.items()} == {
+            "model": 314, "opt.m": 314, "opt.v": 314}
+        header, _ = split_checkpoint(path)
+        assert all(header.count(json.dumps(name).encode()) == 1 for name in names)
+
     def test_every_flipped_header_byte_is_a_checkpoint_error(self, tmp_path):
         # A flip anywhere in the first line or the JSON header, a tensor name
         # included, must fail the header step, and with the package's error.
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, HAND_BUILT_CONFIG, hand_built_tensors())
+        save_checkpoint(path, HAND_BUILT_CONFIG, hand_built_sections())
         blob = path.read_bytes()
         data_start = load_checkpoint(path).data_start
         for pos in range(data_start):
@@ -84,14 +98,14 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_tensor_named_twice_is_refused(self, tmp_path):
-        # The first tensor's name on the second entry, whose extent and CRC are
-        # valid, would otherwise make two parameters one.
+        # The first tensor's name on the second layout entry, whose extent and
+        # CRCs are valid, would otherwise make two parameters one.
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
         header, payload = split_checkpoint(path)
         doc = json.loads(header)
-        first = doc["tensors"][0][0]
-        doc["tensors"][1][0] = first
+        first = doc["layout"][0][0]
+        doc["layout"][1][0] = first
         write_with_header(path, json.dumps(doc).encode(), payload)
         with pytest.raises(CheckpointError, match=f"tensor '{first}' appears twice"):
             load_checkpoint(path)
@@ -119,42 +133,63 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda t: t[1].__setitem__(0, t[0][0]), "tensor '{0}' appears twice"),
-        (lambda t: t[0][1].__setitem__(0, -1), "tensor '{0}': dims must be a list of non-neg"),
-        (lambda t: t[0][1].__setitem__(0, 8.0), "tensor '{0}': dims must be a list of non-neg"),
-        (lambda t: t[0][1].__setitem__(0, True), "tensor '{0}': dims must be a list of non-neg"),
-        (lambda t: t[0].__setitem__(1, 8), "tensor '{0}': dims must be a list of non-neg"),
-        (lambda t: t[0].__setitem__(2, 2**32), "tensor '{0}': crc32 must be an integer in [0"),
-        (lambda t: t[0].__setitem__(2, -1), "tensor '{0}': crc32 must be an integer in [0"),
-        (lambda t: t[0].__setitem__(2, False), "tensor '{0}': crc32 must be an integer in [0"),
-        (lambda t: t.append(["extra", [1], 0]), "payload truncated for tensor 'extra'"),
-        (lambda t: t[0].pop(), "tensor entry 0 is not a [name, dims, crc32] list"),
-        (lambda t: t[0].__setitem__(0, 5), "tensor entry 0 is not a [name, dims, crc32] list"),
-        (lambda t: t.__setitem__(0, "w"), "tensor entry 0 is not a [name, dims, crc32] list"),
+        (lambda d: d["layout"][1].__setitem__(0, d["layout"][0][0]),
+         "tensor {name!r} appears twice"),
+        (lambda d: d["layout"][0][1].__setitem__(0, -1),
+         "tensor {name!r}: dims must be a list of non-neg"),
+        (lambda d: d["layout"][0][1].__setitem__(0, 8.0),
+         "tensor {name!r}: dims must be a list of non-neg"),
+        (lambda d: d["layout"][0][1].__setitem__(0, True),
+         "tensor {name!r}: dims must be a list of non-neg"),
+        (lambda d: d["layout"][0].__setitem__(1, 8),
+         "tensor {name!r}: dims must be a list of non-neg"),
+        (lambda d: d["sections"][0][1].__setitem__(0, 2**32),
+         "section {section!r}: each crc32 must be an integer in [0"),
+        (lambda d: d["sections"][0][1].__setitem__(0, -1),
+         "section {section!r}: each crc32 must be an integer in [0"),
+        (lambda d: d["sections"][0][1].__setitem__(0, False),
+         "section {section!r}: each crc32 must be an integer in [0"),
+        (lambda d: [d["layout"].append(["extra", [1]])] + [s[1].append(0) for s in d["sections"]],
+         "payload truncated for tensor {last!r} in section {last_section!r}"),
+        (lambda d: d["layout"][0].pop(), "layout entry 0 is not a [name, dims] list"),
+        (lambda d: d["layout"][0].__setitem__(0, 5), "layout entry 0 is not a [name, dims] list"),
+        (lambda d: d["layout"].__setitem__(0, "w"), "layout entry 0 is not a [name, dims] list"),
+        (lambda d: d["sections"][0][1].pop(), "section {section!r} lists 6 CRC32s for 7 tensors"),
+        (lambda d: d["sections"][1].__setitem__(0, d["sections"][0][0]),
+         "section {section!r} appears twice"),
+        (lambda d: d["sections"][0].__setitem__(1, 5),
+         "section entry 0 is not a [section, crc32 list] list"),
+        (lambda d: d["sections"].__setitem__(0, "a"),
+         "section entry 0 is not a [section, crc32 list] list"),
     ], ids=["duplicate-name", "negative-dim", "float-dim", "bool-dim", "dims-not-a-list",
             "crc-of-2-to-the-32", "negative-crc", "bool-crc", "one-value-past-the-payload",
-            "two-fields", "name-not-a-string", "entry-not-a-list"])
+            "two-fields", "name-not-a-string", "entry-not-a-list", "crc-list-one-short",
+            "section-named-twice", "crcs-not-a-list", "section-entry-not-a-list"])
     def test_malformed_tensor_entry_is_refused(self, tmp_path, edit, message):
         # The checksum is valid, so only the structure checks can refuse these.
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, HAND_BUILT_CONFIG, hand_built_tensors())
+        save_checkpoint(path, HAND_BUILT_CONFIG, hand_built_sections())
         header, payload = split_checkpoint(path)
         doc = json.loads(header)
-        first = doc["tensors"][0][0]
-        edit(doc["tensors"])
+        names = {"name": doc["layout"][0][0], "section": doc["sections"][0][0],
+                 "last": doc["layout"][-1][0], "last_section": doc["sections"][-1][0]}
+        edit(doc)
         write_with_header(path, json.dumps(doc).encode(), payload)
-        with pytest.raises(CheckpointError, match=re.escape(message.format(first))):
+        with pytest.raises(CheckpointError, match=re.escape(message.format(**names))):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("doc", [[], {"config": {}}, {"config": [], "tensors": []},
-                                     {"config": {}, "tensors": {}},
-                                     {"config": {}, "tensors": [], "x": 1}],
-                             ids=["list", "no-tensors", "config-list", "tensors-object",
-                                  "extra-key"])
+    @pytest.mark.parametrize("doc", [
+        [], {"config": {}, "sections": []}, {"config": [], "layout": [], "sections": []},
+        {"config": {}, "layout": {}, "sections": []}, {"config": {}, "layout": [], "sections": []
+                                                       , "x": 1},
+        {"config": {}, "layout": [], "sections": {}}, {"config": {}, "layout": []},
+    ], ids=["list", "no-tensors", "config-list", "tensors-object", "extra-key",
+            "sections-object", "no-sections"])
     def test_header_of_another_shape_is_refused(self, tmp_path, doc):
         path = tmp_path / "m.ckpt"
         write_with_header(path, json.dumps(doc).encode(), b"")
-        with pytest.raises(CheckpointError, match="not a config object and a tensors list"):
+        message = "not a config object, a layout list and a sections list"
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("dims", [[0, 10**30], [1] * 65], ids=["huge-beside-zero", "65-dims"])
@@ -162,8 +197,8 @@ class TestCheckpoint:
         # Its size is within the payload, so only numpy can refuse the shape.
         path = tmp_path / "m.ckpt"
         payload = bytes(8 * math.prod(dims))
-        tensors = [["t", dims, zlib.crc32(payload)]]
-        write_with_header(path, json.dumps({"config": {}, "tensors": tensors}).encode(), payload)
+        doc = {"config": {}, "layout": [["t", dims]], "sections": [["s", [zlib.crc32(payload)]]]}
+        write_with_header(path, json.dumps(doc).encode(), payload)
         ckpt = load_checkpoint(path)
         with pytest.raises(CheckpointError, match="tensor 't': "):
             ckpt.read()
@@ -176,16 +211,17 @@ class TestCheckpoint:
 
     def test_payload_one_value_longer_than_the_tensors_is_refused(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, HAND_BUILT_CONFIG, hand_built_tensors())
-        last = list(load_checkpoint(path).entries)[-1]
+        save_checkpoint(path, HAND_BUILT_CONFIG, hand_built_sections())
+        ckpt = load_checkpoint(path)
+        last, section = list(ckpt.layout)[-1], list(ckpt.sections)[-1]
         path.write_bytes(path.read_bytes() + bytes(8))
-        message = f"8 payload bytes follow the last tensor, {last!r}"
+        message = f"8 payload bytes follow the last tensor, {last!r} in section {section!r}"
         with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("first", [
-        b"EVACKPT2\n[config]\n", b"EVACKPT3 12 34", b"EVACKPT3 12\n", b"EVACKPT3 +1 34\n",
-        b"EVACKPT3 1 \xd9\xa3\n", b"EVACKPT3  1 34\n", b"",
+        b"EVACKPT2\n[config]\n", MAGIC + b" 12 34", MAGIC + b" 12\n", MAGIC + b" +1 34\n",
+        MAGIC + b" 1 \xd9\xa3\n", MAGIC + b"  1 34\n", b"",
     ], ids=["old-format", "no-newline", "two-fields", "sign", "arabic-digit", "double-space",
             "empty"])
     def test_bad_first_line_is_refused(self, tmp_path, first):
@@ -196,11 +232,11 @@ class TestCheckpoint:
 
     def test_header_longer_than_the_file_is_refused_unread(self, tmp_path, monkeypatch):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, HAND_BUILT_CONFIG, hand_built_tensors())
+        save_checkpoint(path, HAND_BUILT_CONFIG, hand_built_sections())
         blob = path.read_bytes()
         rest = blob[blob.index(b"\n") :]
         for length in (len(blob), 10**40):
-            path.write_bytes(b"EVACKPT3 %d 0" % length + rest)
+            path.write_bytes(b"%s %d 0" % (MAGIC, length) + rest)
             counter = count_file_reads(monkeypatch)
             with pytest.raises(CheckpointError, match=f"a header of {length} bytes does not fit"):
                 load_checkpoint(path)
@@ -210,7 +246,7 @@ class TestCheckpoint:
 
 def first_line(header: bytes) -> bytes:
     """The line that a checkpoint with this JSON header starts with."""
-    return b"EVACKPT3 %d %d\n" % (len(header), zlib.crc32(header))
+    return b"%s %d %d\n" % (MAGIC, len(header), zlib.crc32(header))
 
 
 def write_with_header(path, header: bytes, payload: bytes) -> None:
@@ -225,16 +261,17 @@ def split_checkpoint(path) -> tuple[bytes, bytes]:
     return blob[blob.index(b"\n") + 1 : data_start], blob[data_start:]
 
 
-def tobytes_writer(config: dict, tensors: dict) -> bytes:
+def tobytes_writer(config: dict, sections: dict) -> bytes:
     """The file the writer makes, joined in memory from each tensor's tobytes."""
-    listed, blobs = [], []
-    for name, array in tensors.items():
-        arr = np.asarray(array, dtype=np.float64)
-        raw = arr.astype("<f8").tobytes()
-        listed.append([name, list(arr.shape), zlib.crc32(raw)])
-        blobs.append(raw)
-    header = json.dumps({"config": config, "tensors": listed}, sort_keys=True,
-                        separators=(",", ":")).encode("ascii")
+    layout, listed, blobs = [], [], []
+    for section, tensors in sections.items():
+        arrays = [np.asarray(array, dtype=np.float64) for array in tensors.values()]
+        layout = [[name, list(arr.shape)] for name, arr in zip(tensors, arrays)]
+        raws = [arr.astype("<f8").tobytes() for arr in arrays]
+        listed.append([section, [zlib.crc32(raw) for raw in raws]])
+        blobs += raws
+    header = json.dumps({"config": config, "layout": layout, "sections": listed},
+                        sort_keys=True, separators=(",", ":")).encode("ascii")
     return first_line(header) + header + b"".join(blobs)
 
 
@@ -252,6 +289,12 @@ def hand_built_tensors() -> dict:
     }
 
 
+def hand_built_sections() -> dict:
+    """Two sections of one layout, the first of ``hand_built_tensors``' arrays."""
+    first = hand_built_tensors()
+    return {"a": first, "b \u00e9": {name: np.asarray(arr) * 2 + 1 for name, arr in first.items()}}
+
+
 HAND_BUILT_CONFIG = {"model": {"hidden": 4, "moe": None}, "note": "caf\u00e9 = 1\n", "step": 3}
 
 
@@ -265,9 +308,9 @@ def base_buffer(array: np.ndarray):
 class TestWriterBytes:
     def test_file_equals_the_tobytes_formula(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        tensors = hand_built_tensors()
-        save_checkpoint(path, HAND_BUILT_CONFIG, tensors)
-        assert path.read_bytes() == tobytes_writer(HAND_BUILT_CONFIG, tensors)
+        sections = hand_built_sections()
+        save_checkpoint(path, HAND_BUILT_CONFIG, sections)
+        assert path.read_bytes() == tobytes_writer(HAND_BUILT_CONFIG, sections)
 
     def test_train_state_file_equals_the_tobytes_formula(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -277,16 +320,18 @@ class TestWriterBytes:
 
     def test_file_of_the_tobytes_formula_loads_unchanged(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        tensors = hand_built_tensors()
-        path.write_bytes(tobytes_writer(HAND_BUILT_CONFIG, tensors))
+        sections = hand_built_sections()
+        path.write_bytes(tobytes_writer(HAND_BUILT_CONFIG, sections))
         ckpt = load_checkpoint(path)
         assert ckpt.config == HAND_BUILT_CONFIG
         every = ckpt.read()
-        assert list(every) == list(tensors)
-        for name, array in tensors.items():
-            loaded = every[name]
-            assert loaded.dtype == np.float64 and loaded.shape == array.shape, name
-            assert loaded.tobytes() == np.asarray(array, dtype=np.float64).tobytes(), name
+        assert list(every) == list(sections)
+        for section, tensors in sections.items():
+            assert list(every[section]) == list(tensors)
+            for name, array in tensors.items():
+                loaded = every[section][name]
+                assert loaded.dtype == np.float64 and loaded.shape == array.shape, name
+                assert loaded.tobytes() == np.asarray(array, dtype=np.float64).tobytes(), name
 
 
 class TestInterruptedSave:
@@ -303,8 +348,9 @@ class TestInterruptedSave:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
     @pytest.mark.parametrize("config, tensors", [
-        ({b"bytes key": "1"}, {"t": np.zeros(2)}),
-        ({"k": "1"}, {"t": np.zeros(2), b"bytes name": np.zeros(2)}),
+        ({b"bytes key": "1"}, {"s": {"t": np.zeros(2)}}),
+        ({"k": "1"}, {"s": {"t": np.zeros(2), b"bytes name": np.zeros(2)}}),
+        ({"k": "1"}, {b"bytes section": {"t": np.zeros(2)}}),
     ])
     def test_bad_name_opens_no_file(self, tmp_path, config, tensors):
         # Any str is a valid name, but JSON cannot write a bytes one.
@@ -316,14 +362,37 @@ class TestInterruptedSave:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
+    @pytest.mark.parametrize("second", [
+        {"t": np.zeros(2), "u": np.zeros((2, 3))},
+        {"t": np.zeros(2)},
+        {"t": np.zeros(2), "u": np.zeros((3, 2)), "w": np.zeros(1)},
+        {"t": np.zeros(3), "u": np.zeros((3, 2))},
+        {"u": np.zeros((3, 2)), "t": np.zeros(2)},
+        {"t": np.zeros(2), "w": np.zeros((3, 2))},
+    ], ids=["shape", "missing", "extra", "first-shape", "order", "name"])
+    def test_sections_of_different_layouts_are_refused_unopened(self, tmp_path, monkeypatch,
+                                                                second):
+        path = tmp_path / "m.ckpt"
+        write_tiny_checkpoint(path)
+        before = path.read_bytes()
+        opened = fill_disk_at_open(monkeypatch, 0)  # records the files opened for writing
+        sections = {"a": {"t": np.zeros(2), "u": np.zeros((3, 2))}, "b": second}
+        with pytest.raises(CheckpointError, match="section 'b' does not have the names and"):
+            save_checkpoint(path, {}, sections)
+        assert opened == []
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
 
 class TestLoad:
     def test_payload_short_by_8_bytes_names_the_last_tensor(self, tmp_path):
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
-        last = list(load_checkpoint(path).entries)[-1]
+        ckpt = load_checkpoint(path)
+        last, section = list(ckpt.layout)[-1], list(ckpt.sections)[-1]
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(CheckpointError, match=f"payload truncated for tensor '{last}'"):
+        message = f"payload truncated for tensor '{last}' in section '{section}'"
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
     def test_each_read_returns_views_of_a_buffer_of_its_own(self, tmp_path):
@@ -331,13 +400,15 @@ class TestLoad:
         write_tiny_checkpoint(path)
         ckpt = load_checkpoint(path)
         first, second = ckpt.read(), ckpt.read()
-        for tensors in (first, second):
-            assert len({id(base_buffer(t)) for t in tensors.values()}) == 1
-            assert next(iter(tensors.values())).ctypes.data % 64 == 0
+        for read in (first, second):
+            tensors = [t for section in read.values() for t in section.values()]
+            assert len({id(base_buffer(t)) for t in tensors}) == 1
+            assert tensors[0].ctypes.data % 64 == 0
+            for t in tensors:
+                assert t.flags.writeable and t.flags.c_contiguous and t.flags.aligned
+        for section, tensors in first.items():
             for name, t in tensors.items():
-                assert t.flags.writeable and t.flags.c_contiguous and t.flags.aligned, name
-        for name, t in first.items():
-            assert not np.shares_memory(t, second[name]), name
+                assert not np.shares_memory(t, second[section][name]), (section, name)
 
     def test_two_restores_share_no_memory(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -360,7 +431,7 @@ class TestLoad:
         path = tmp_path / "m.ckpt"
         write_drawn_checkpoint(path, ModelConfig(vocab_size=16, moe=MoEConfig()))
         ckpt = load_checkpoint(path)
-        payload = sum(e.nbytes for e in ckpt.entries.values())
+        payload = ckpt.section_nbytes * len(ckpt.sections)
         tracemalloc.start()
         try:
             restore_train_state(ckpt)
@@ -375,28 +446,27 @@ class TestLoad:
         assert peak <= payload + 2**20
 
     def test_restore_refuses_every_tensor_off_the_layout_before_assigning(self, tmp_path):
-        # A moment of the wrong shape used to load and fail on the first Adam step.
+        # A moment of the wrong shape used to load and fail on the first Adam
+        # step. The three sections share one layout, so a restore of the model
+        # alone refuses the same file.
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
         saved = load_checkpoint(path)
-        original, tensors = saved.read(), saved.read()
-        name = next(n for n in tensors if n.startswith("opt.m."))
-        tensors[name] = np.zeros(3)
-        tensors["opt.m.nonexistent"] = np.zeros(2)
-        missing = next(n for n in reversed(tensors) if n.startswith("opt.v."))
-        del tensors[missing]
-        save_checkpoint(path, saved.config, tensors)
-        with pytest.raises(CheckpointError) as caught:
-            read_train_state(path)
-        assert str(caught.value) == (
-            f"checkpoint/model mismatch: missing tensor '{missing}'; shape mismatch for "
-            f"'{name}': checkpoint (3,) vs model {saved.entries[name].shape}; "
-            "unexpected tensor 'opt.m.nonexistent'"
-        )
-        restore_model(load_checkpoint(path))  # reads model.* only: the stated trade
-        save_checkpoint(path, saved.config, {**original, "model.extra": np.zeros(1)})
-        with pytest.raises(CheckpointError, match="unexpected tensor 'model.extra'$"):
-            restore_model(load_checkpoint(path))
+        sections = saved.read()
+        name, missing = list(saved.layout)[0], list(saved.layout)[-1]
+        for tensors in sections.values():
+            tensors[name] = np.zeros(3)
+            tensors["nonexistent"] = np.zeros(2)
+            del tensors[missing]
+        save_checkpoint(path, saved.config, sections)
+        for restore in (read_train_state, lambda p: restore_model(load_checkpoint(p))):
+            with pytest.raises(CheckpointError) as caught:
+                restore(path)
+            assert str(caught.value) == (
+                f"checkpoint/model mismatch: missing tensor '{missing}'; shape mismatch for "
+                f"'{name}': checkpoint (3,) vs model {saved.layout[name]}; "
+                "unexpected tensor 'nonexistent'"
+            )
 
     def test_restored_state_does_not_alias_the_checkpoint(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -408,8 +478,9 @@ class TestLoad:
             p.data += 1.0
             state.optimizer.m[name][...] = 7.0
             state.optimizer.v[name] *= 3.0
-        for name, t in ckpt.read().items():
-            np.testing.assert_array_equal(t, before[name], err_msg=name)
+        for section, tensors in ckpt.read().items():
+            for name, t in tensors.items():
+                np.testing.assert_array_equal(t, before[section][name], err_msg=name)
 
 
 def write_drawn_checkpoint(path, cfg: ModelConfig) -> None:
@@ -434,7 +505,7 @@ class TestModelOnlyLoad:
         drawn = Model(cfg, np.random.default_rng(0))
         every = load_checkpoint(path).read()
         for name, p in drawn.named_parameters():
-            p.data = every["model." + name]
+            p.data = every["model"][name]
         mine, theirs = restored.named_parameters(), drawn.named_parameters()
         assert [name for name, _ in mine] == [name for name, _ in theirs]
         for (name, p), (_, q) in zip(mine, theirs):
@@ -445,7 +516,7 @@ class TestModelOnlyLoad:
         path = tmp_path / "m.ckpt"
         write_drawn_checkpoint(path, ModelConfig(vocab_size=16, moe=MoEConfig()))
         ckpt = load_checkpoint(path)
-        payload = sum(e.nbytes for name, e in ckpt.entries.items() if name.startswith("model."))
+        payload = ckpt.section_nbytes
         tracemalloc.start()
         try:
             restore_model(ckpt)
@@ -461,19 +532,21 @@ class TestModelOnlyLoad:
     def test_flipped_byte_in_a_model_tensor_fails_restore_model(self, tmp_path):
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
-        name = flip_byte_in_tensor(path, "model.")
+        name = flip_byte_in_tensor(path, "model")
         ckpt = load_checkpoint(path)  # the header is intact
-        with pytest.raises(CheckpointError, match=f"checksum failure for tensor '{name}'"):
+        message = f"checksum failure for tensor '{name}' in section 'model'"
+        with pytest.raises(CheckpointError, match=message):
             restore_model(ckpt)
 
     def test_flipped_byte_in_an_adam_moment_fails_only_the_train_state(self, tmp_path):
         path = tmp_path / "m.ckpt"
         saved = write_tiny_checkpoint(path)
-        name = flip_byte_in_tensor(path, "opt.")
+        name = flip_byte_in_tensor(path, "opt.m")
         model, _ = restore_model(load_checkpoint(path))  # the stated trade
         for (key, p), (_, q) in zip(model.named_parameters(), saved.model.named_parameters()):
             np.testing.assert_array_equal(p.data, q.data, err_msg=key)
-        with pytest.raises(CheckpointError, match=f"checksum failure for tensor '{name}'"):
+        message = f"checksum failure for tensor '{name}' in section 'opt.m'"
+        with pytest.raises(CheckpointError, match=message):
             read_train_state(path)
 
     def test_file_replaced_after_the_header_fails_the_read(self, tmp_path):
@@ -486,7 +559,7 @@ class TestModelOnlyLoad:
         with pytest.raises(CheckpointError, match="changed after its header was read"):
             restore_model(ckpt)
         with pytest.raises(CheckpointError, match="changed after its header was read"):
-            ckpt.read("opt.")
+            ckpt.read("opt.m", "opt.v")
 
     def test_file_removed_after_the_header_fails_the_read(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -494,19 +567,26 @@ class TestModelOnlyLoad:
         ckpt = load_checkpoint(path)
         path.unlink()
         with pytest.raises(CheckpointError, match="cannot read the checkpoint"):
-            ckpt.read("model.")
+            ckpt.read("model")
 
     def test_read_of_a_prefix_is_the_matching_part_of_every_tensor(self, tmp_path):
+        # A read of some sections is the same part of a read of every section.
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
         ckpt = load_checkpoint(path)
         every = ckpt.read()
-        for prefix in ("model.", "opt.m.", "opt.", "model.dec_embed", "nothing"):
-            part = ckpt.read(prefix)
-            assert list(part) == [n for n in every if n.startswith(prefix)], prefix
-            for name, t in part.items():
-                assert t.tobytes() == every[name].tobytes(), name
-            assert len({id(base_buffer(t)) for t in part.values()}) <= 1
+        assert list(every) == ["model", "opt.m", "opt.v"]
+        for sections in (("model",), ("opt.m",), ("opt.v", "model"), ("model", "opt.v")):
+            part = ckpt.read(*sections)
+            assert list(part) == list(sections)
+            for section, tensors in part.items():
+                assert list(tensors) == list(every[section]), section
+                for name, t in tensors.items():
+                    assert t.tobytes() == every[section][name].tobytes(), (section, name)
+            views = [t for tensors in part.values() for t in tensors.values()]
+            assert len({id(base_buffer(t)) for t in views}) == 1
+        with pytest.raises(CheckpointError, match="no section 'opt'; it holds"):
+            ckpt.read("model", "opt")
 
 
 def count_file_reads(monkeypatch) -> list[int]:
@@ -556,9 +636,7 @@ class TestBytesRead:
     def test_restore_model_reads_the_header_and_the_model_range(self, tmp_path, monkeypatch, cfg):
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path) if cfg is None else write_drawn_checkpoint(path, cfg)
-        ckpt = load_checkpoint(path)
-        model = [e for n, e in ckpt.entries.items() if n.startswith("model.")]
-        model_range = max(e.offset + e.nbytes for e in model) - min(e.offset for e in model)
+        model_range = load_checkpoint(path).section_nbytes
         counter = count_file_reads(monkeypatch)
         restore_model(load_checkpoint(path))
         assert counter[0] == header_step_bytes(path) + model_range < path.stat().st_size

@@ -5,12 +5,13 @@ import argparse
 import dataclasses
 import json
 import shutil
+import zlib
 
 import numpy as np
 import pytest
 
 from avmoe import train as avtrain
-from avmoe.checkpoint import load_checkpoint, save_checkpoint
+from avmoe.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from avmoe.cli import _build_parser, _build_train_configs, main
 from avmoe.errors import ConfigError
 from avmoe.model import ModelConfig
@@ -79,6 +80,65 @@ def test_config_that_is_not_json_exits_2(run):
     assert train(run, "not_json", str(bad)) == 2
 
 
+def run_reader(run, tmp_path, reader: str, text: str) -> int:
+    """Exit code of the command that parses ``text`` as the ``reader`` file."""
+    path = tmp_path / f"{reader}.json"
+    path.write_text(text + "\n")
+    if reader == "config":
+        return train(run, tmp_path / "ckpt", str(path))
+    if reader == "spec":
+        return generate(tmp_path / "out", spec=path)
+    manifest = run / "corpus" / "test.jsonl"
+    if reader == "checkpoint":  # ``text`` is the header, under a valid checksum
+        header = text.encode()
+        path.write_bytes(b"%s %d %d\n" % (MAGIC, len(header), zlib.crc32(header)) + header)
+        return main(["eval", "--manifest", str(manifest), "--ckpt", str(path)])
+    return main(["eval", "--manifest", str(path), "--ckpt", str(run / "full" / "final.ckpt")])
+
+
+READERS = [("config", 2), ("spec", 3), ("manifest", 3), ("checkpoint", 3)]
+
+# json.loads keeps the last of two equal keys: this config trained 50 epochs.
+REPEATED_KEY = {
+    "config": '{"train": {"epochs": 5, "epochs": 50}}',
+    "spec": '{"vocab": ["a"], "vocab": ["b"]}',
+    "manifest": '{"utt_id": "u0", "utt_id": "u1", "audio": "a.f64", "visual": "none", '
+                '"transcript": "red"}',
+    "checkpoint": '{"config": {}, "config": {}, "layout": [], "sections": []}',
+}
+
+
+@pytest.mark.parametrize("reader, code", READERS, ids=[r for r, _ in READERS])
+def test_json_key_named_twice_is_refused(run, tmp_path, capsys, reader, code):
+    capsys.readouterr()
+    assert run_reader(run, tmp_path, reader, REPEATED_KEY[reader]) == code
+    assert "appears twice" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{reader}.json"]
+
+
+@pytest.mark.parametrize("reader, code", READERS, ids=[r for r, _ in READERS])
+def test_json_nested_too_deep_is_refused(run, tmp_path, capsys, reader, code):
+    # json.loads raises RecursionError; a --config file of this exited 1 with a traceback.
+    capsys.readouterr()
+    assert run_reader(run, tmp_path, reader, "[" * 200_000 + "]" * 200_000) == code
+    assert "nesting too deep to parse" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{reader}.json"]
+
+
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_manifest_it_cannot_read_exits_3(run, tmp_path, capsys, kind):
+    # Both escaped as a traceback (UnicodeDecodeError, IsADirectoryError), exit 1.
+    manifest = tmp_path / "test.jsonl"
+    if kind == "directory":
+        manifest.mkdir()
+    else:
+        manifest.write_bytes(b'{"utt_id": "caf\xe9"}\n')
+    ckpt = run / "full" / "final.ckpt"
+    capsys.readouterr()
+    assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt)]) == 3
+    assert str(manifest) in capsys.readouterr().err
+
+
 # Each is refused before training starts. The error message quotes the
 # offending name, or says what a config file must hold.
 REJECTED_CONFIGS = {
@@ -143,6 +203,16 @@ def test_checkpoint_with_bad_magic_exits_3(run):
     ckpt.write_bytes(b"EVACKPT0\n" + (run / "full" / "final.ckpt").read_bytes()[9:])
     manifest = run / "corpus" / "test.jsonl"
     assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt)]) == 3
+
+
+def test_checkpoint_of_the_previous_format_exits_3(run, capsys):
+    header = b'{"config":{},"tensors":[]}'  # an empty EVACKPT3 file
+    ckpt = run / "evackpt3.ckpt"
+    ckpt.write_bytes(b"EVACKPT3 %d %d\n" % (len(header), zlib.crc32(header)) + header)
+    manifest = run / "corpus" / "test.jsonl"
+    capsys.readouterr()
+    assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt)]) == 3
+    assert "bad magic b'EVACKPT3'; this reader understands EVACKPT4 only" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -238,11 +308,11 @@ def test_decode_of_a_checkpoint_with_a_flipped_model_byte_exits_3(run, capsys):
     entry = json.loads((run / "corpus" / "test.jsonl").read_text().splitlines()[0])
     ckpt = run / "flipped.ckpt"
     ckpt.write_bytes((run / "full" / "final.ckpt").read_bytes())
-    name = flip_byte_in_tensor(ckpt, "model.")
+    name = flip_byte_in_tensor(ckpt, "model")
     capsys.readouterr()
     assert main(["decode", "--ckpt", str(ckpt), "--audio", str(run / "corpus" / entry["audio"]),
                  "--visual", str(run / "corpus" / entry["visual"])]) == 3
-    assert f"checksum failure for tensor '{name}'" in capsys.readouterr().err
+    assert f"checksum failure for tensor '{name}' in section 'model'" in capsys.readouterr().err
 
 
 def test_spec_that_is_not_utf8_exits_3(tmp_path):

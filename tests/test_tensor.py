@@ -288,14 +288,19 @@ class TestPointwiseGradients:
 
             check_grad(build, [x, y] if op in ("add", "mul", "div") else [x])
 
-    @pytest.mark.parametrize("op", [mul, div])
+    @pytest.mark.parametrize("op", [mul, div, matmul, affine],
+                             ids=["mul", "div", "matmul", "affine"])
     def test_operand_that_needs_no_gradient_gets_none(self, op):
-        t = Tensor(np.full((2, 3), 2.0), requires_grad=True)
-        g = np.ones((2, 3))
-        grad_t, grad_c = op(t, Tensor(0.5))._backward(g)
-        assert grad_c is None and grad_t.shape == (2, 3)
-        grad_c, grad_t = op(Tensor(0.5), t)._backward(g)
-        assert grad_c is None and grad_t.shape == (2, 3)
+        # Operand shapes of a (2, 3) output; each operand in turn is the one
+        # that needs a gradient, and every other one is a constant.
+        shapes = {mul: [(2, 3), ()], div: [(2, 3), ()], matmul: [(2, 4), (4, 3)],
+                  affine: [(2, 4), (4, 3), (3,)]}[op]
+        for needed in range(len(shapes)):
+            operands = [Tensor(np.full(shape, 2.0), requires_grad=i == needed)
+                        for i, shape in enumerate(shapes)]
+            grads = op(*operands)._backward(np.ones((2, 3)))
+            assert [g is None for g in grads] == [i != needed for i in range(len(shapes))]
+            assert grads[needed].shape == shapes[needed]
 
     def test_broadcast_bias_gradient(self):
         rng = np.random.default_rng(7)
