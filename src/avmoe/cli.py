@@ -8,18 +8,19 @@ Each setting of ``avmoe train`` has one home. Hyperparameters come from the
 keys are all optional; ``"moe": null`` trains a dense model:
 
     {"model": {"hidden", "heads", "d_ff", "encoder_blocks", "decoder_blocks",
-               "n_mels", "stack_factor", "macaron_scale"},
+               "n_mels", "stack_factor"},
      "moe": {"num_experts", "top_k"},
-     "train": {"epochs", "batch_size", "lr", "warmup_steps", "alpha", "beta",
-               "adam_beta1", "adam_beta2", "adam_eps"}}
+     "train": {"epochs", "batch_size", "lr", "warmup_steps"}}
 
 Any other section or key is a configuration error, and so is a key repeated
 in one object or nesting too deep to parse (the task spec, the manifest
 records and a checkpoint's header refuse these two as data errors). Run
 settings are the flags ``--seed`` and ``--audio-only``. The task spec fixes
 the vocabulary size and the visual width; the MoE widths are the model's
-``hidden`` and ``d_ff``; the special ids (``ModelConfig``) and the decode cap
-(``decoding.MAX_DECODE_LEN``) are constants. A resumed run takes every
+``hidden`` and ``d_ff``. These are constants: the special ids and the
+macaron scale (``ModelConfig``), the loss weights ``alpha`` and ``beta`` and
+Adam's ``adam_beta1``, ``adam_beta2`` and ``adam_eps`` (``TrainConfig``), and
+the decode cap (``decoding.MAX_DECODE_LEN``). A resumed run takes every
 setting from its checkpoint except ``train.epochs``.
 
 A run writes two files to ``--ckpt-dir``: ``final.ckpt``, replaced at each
@@ -66,8 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n-train", type=int, default=500)
     gen.add_argument("--n-dev", type=int, default=50)
     gen.add_argument("--n-test", type=int, default=100)
-    gen.add_argument("--audio-only", action="store_true",
-                     help="write manifests with visual='none'")
 
     tr = sub.add_parser("train", help="train a model on a manifest")
     tr.add_argument("--manifest", required=True)
@@ -98,8 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_generate(args) -> int:
     spec = reference_task_spec() if args.spec == "reference" else read_task_spec(args.spec)
     manifests = generate_corpus(
-        spec, args.n_train, args.n_dev, args.n_test, args.out,
-        seed=args.seed, audio_only=args.audio_only,
+        spec, args.n_train, args.n_dev, args.n_test, args.out, seed=args.seed
     )
     for split, path in manifests.items():
         print(f"{split}: {path}")

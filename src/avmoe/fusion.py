@@ -49,14 +49,9 @@ def save_visual_embeddings(path, z: np.ndarray) -> None:
     write_f64_file(path, "VEMB", z.shape, z)
 
 
-def project_visual(z, proj: Tensor, bias: Tensor) -> Tensor:
+def project_visual(z: np.ndarray, proj: Tensor, bias: Tensor) -> Tensor:
     """Map raw visual rows (M, C) into model width: z @ proj + bias."""
-    zt = z if isinstance(z, Tensor) else Tensor(np.asarray(z, dtype=np.float64))
-    if zt.ndim != 2 or zt.shape[1] != proj.shape[0]:
-        raise DimensionError(
-            f"visual width mismatch: embeddings {zt.shape} vs projection {proj.shape}"
-        )
-    return affine(zt, proj, bias)
+    return affine(Tensor(z), proj, bias)
 
 
 def fuse_concat(

@@ -51,6 +51,8 @@ class ModelConfig:
     eos_id: ClassVar[int] = 2
     pad_id: ClassVar[int] = 3
     num_specials: ClassVar[int] = 4
+    # The residual weight of both FFN slots of an encoder block.
+    macaron_scale: ClassVar[float] = 0.5
 
     vocab_size: int
     hidden: int = 64
@@ -61,7 +63,6 @@ class ModelConfig:
     visual_dim: int = 16
     n_mels: int = 80
     stack_factor: int = 4
-    macaron_scale: float = 0.5
     moe: MoEConfig | None = None
 
     def __post_init__(self):
@@ -101,10 +102,9 @@ class EncoderBlock(Module):
         else:
             self.ffn2 = FeedForward(rng, d, cfg.d_ff)
         self.final_norm = LayerNorm(d)
-        self.scale = cfg.macaron_scale
 
     def __call__(self, x: Tensor, segments: Segments) -> tuple[Tensor, LoadStats | None]:
-        h = x + self.ffn1(self.ffn1_norm(x)) * self.scale
+        h = x + self.ffn1(self.ffn1_norm(x)) * ModelConfig.macaron_scale
         attn_in = self.attn_norm(h)
         global_branch = self.attn(attn_in, attn_in, None, segments, segments)
         local_branch = self.local(self.local_norm(h), segments)
@@ -114,7 +114,7 @@ class EncoderBlock(Module):
             ffn2_out, stats = self.ffn2(self.ffn2_norm(merged))
         else:
             ffn2_out = self.ffn2(self.ffn2_norm(merged))
-        return self.final_norm(merged + ffn2_out * self.scale), stats
+        return self.final_norm(merged + ffn2_out * ModelConfig.macaron_scale), stats
 
 
 class DecoderBlock(Module):
@@ -196,7 +196,7 @@ class Model(Module):
         present = [z for z in visuals if z is not None]
         for z in present:
             if z.ndim != 2 or z.shape[1] != self.cfg.visual_dim:
-                raise DimensionError(
+                raise DataError(
                     f"visual width mismatch: embeddings {z.shape} vs projection "
                     f"{self.visual_proj.shape}"
                 )

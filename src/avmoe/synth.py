@@ -5,6 +5,10 @@ share a tone, so their clean audio is identical by construction and only the
 visual channel can tell them apart. Every spoken homophone word contributes
 its fixed code vector to the utterance's visual embedding file (in spoken
 order, zero-padded to the configured slot count).
+
+A corpus is a function of its task spec and the ``generate_corpus`` seed
+alone. The spec holds no seed of its own: the built-in task draws its
+visual codes from a fixed seed inside ``reference_task_spec``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ class SyntheticTaskSpec:
     sample_rate: int = 16000
     min_words: int = 3
     max_words: int = 6
-    seed: int = 101
 
     def validate(self) -> None:
         check_fields(self, {
@@ -126,8 +129,7 @@ def reference_task_spec() -> SyntheticTaskSpec:
     tone_map["sea"] = tone_map["see"] = float(tones[1])
     for word, tone in zip(others, tones[2:]):
         tone_map[word] = float(tone)
-    seed = 101
-    basis, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(16, 4)))
+    basis, _ = np.linalg.qr(np.random.default_rng(101).normal(size=(16, 4)))
     codes = {
         word: [float(v) for v in basis[:, i]]
         for i, word in enumerate(["red", "read", "sea", "see"])
@@ -137,7 +139,6 @@ def reference_task_spec() -> SyntheticTaskSpec:
         homophone_groups=pairs,
         tone_map=tone_map,
         visual_codes=codes,
-        seed=seed,
     )
     spec.validate()
     return spec
@@ -229,7 +230,6 @@ def generate_corpus(
     n_test: int,
     out_dir,
     seed: int,
-    audio_only: bool = False,
 ) -> dict[str, Path]:
     """Write audio, visual files, task spec, and split manifests under out_dir.
 
@@ -244,8 +244,7 @@ def generate_corpus(
     spec.validate()
     out = Path(out_dir)
     (out / "audio").mkdir(parents=True, exist_ok=True)
-    if not audio_only:
-        (out / "vemb").mkdir(parents=True, exist_ok=True)
+    (out / "vemb").mkdir(parents=True, exist_ok=True)
     (out / "task_spec.json").write_text(spec.to_json())
 
     rng = np.random.default_rng(seed)
@@ -267,11 +266,8 @@ def generate_corpus(
             wave = synth_waveform(list(words), spec, np.random.default_rng(noise_seed))
             audio_rel = f"audio/{utt_id}.f64"
             write_f64(out / audio_rel, wave)
-            if audio_only:
-                visual_rel = "none"
-            else:
-                visual_rel = f"vemb/{utt_id}.vemb"
-                save_visual_embeddings(out / visual_rel, visual_matrix(list(words), spec))
+            visual_rel = f"vemb/{utt_id}.vemb"
+            save_visual_embeddings(out / visual_rel, visual_matrix(list(words), spec))
             entry = {
                 "utt_id": utt_id,
                 "audio": audio_rel,

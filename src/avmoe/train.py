@@ -14,6 +14,10 @@ before each update and hands it to ``Adam.step``, which takes its bias
 corrections from it. The rate is Adam's ``lr`` (``TrainConfig.lr`` wherever
 Adam is built from the config) times the warm-up factor that
 ``_train_batch`` computes from that count and ``warmup_steps``.
+
+The loss weights ``alpha`` and ``beta`` and Adam's decay rates and ``eps``
+are ``TrainConfig`` class constants, not settings: no config file or
+checkpoint sets them.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import logging
 import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,30 +57,29 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class TrainConfig:
+    # Constants of the recipe: the CTC weight of hybrid CTC/attention training
+    # (Kim et al., arXiv 1609.06773), Switch's balance-loss weight (Fedus et
+    # al., arXiv 2101.03961), and Adam's decay rates and denominator floor.
+    alpha: ClassVar[float] = 0.3
+    beta: ClassVar[float] = 0.01
+    adam_beta1: ClassVar[float] = 0.9
+    adam_beta2: ClassVar[float] = 0.999
+    adam_eps: ClassVar[float] = 1e-8
+
     epochs: int = 20
     batch_size: int = 16
     lr: float = 3e-4
     warmup_steps: int = 100
-    alpha: float = 0.3
-    beta: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     audio_only: bool = False
 
     def validate(self) -> None:
         check_fields(self, {
             "epochs": (1, None), "batch_size": (1, None), "warmup_steps": (0, None),
-            "alpha": (0, None), "beta": (0, None), "adam_beta1": (0, 1), "adam_beta2": (0, 1),
             "seed": (0, None),
         })
-        if self.lr <= 0 or self.adam_eps <= 0:
-            raise ConfigError(
-                f"learning rate and adam_eps must be positive, got {self.lr} and {self.adam_eps}"
-            )
-        if self.adam_beta1 == 1 or self.adam_beta2 == 1:
-            raise ConfigError("Adam decay rates must be below 1")
+        if self.lr <= 0:
+            raise ConfigError(f"learning rate must be positive, got {self.lr}")
 
 
 class Vocab:

@@ -126,7 +126,7 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         write_tiny_checkpoint(path)
         blob = path.read_bytes()
-        edited = blob.replace(b'"macaron_scale":0.5', b'"macaron_scale":0.9', 1)
+        edited = blob.replace(b'"lr":0.0003', b'"lr":0.0009', 1)
         assert edited != blob
         path.write_bytes(edited)
         with pytest.raises(CheckpointError, match="checksum failure for the header"):

@@ -14,9 +14,10 @@ from avmoe import train as avtrain
 from avmoe.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from avmoe.cli import _build_parser, _build_train_configs, main
 from avmoe.errors import ConfigError
+from avmoe.fusion import save_visual_embeddings
 from avmoe.model import ModelConfig
 from avmoe.moe import MoEConfig
-from avmoe.synth import reference_task_spec
+from avmoe.synth import SyntheticTaskSpec, reference_task_spec
 from avmoe.train import TrainConfig
 
 from helpers import fill_disk_at_open, flip_byte_in_tensor
@@ -156,6 +157,12 @@ REJECTED_CONFIGS = {
     "sos_id": {"model": {"sos_id": 7}},
     "activation": {"model": {"activation": "silu"}},
     "renormalize_topk": {"moe": {"renormalize_topk": True}},
+    "macaron_scale": {"model": {"macaron_scale": 0.5}},
+    "alpha": {"train": {"alpha": 0.3}},
+    "beta": {"train": {"beta": 0.01}},
+    "adam_beta1": {"train": {"adam_beta1": 0.9}},
+    "adam_beta2": {"train": {"adam_beta2": 0.999}},
+    "adam_eps": {"train": {"adam_eps": 1e-8}},
 }
 
 
@@ -169,15 +176,26 @@ def test_config_that_sets_what_it_cannot_exits_2(run, name, capsys):
 
 
 def test_settable_surface_is_pinned(tmp_path):
-    # A new flag or config key must update these lists.
-    train_parser = _build_parser()._subparsers._group_actions[0].choices["train"]
-    flags = {opt for action in train_parser._actions for opt in action.option_strings}
-    assert flags == {"-h", "--help", "--manifest", "--config", "--ckpt-dir", "--seed",
-                     "--audio-only", "--dev-manifest", "--resume"}
+    # A new flag, config key or task-spec field must update these lists.
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    flags = {name: {opt for action in parser._actions for opt in action.option_strings}
+             - {"-h", "--help"} for name, parser in commands.items()}
+    assert flags == {
+        "generate": {"--spec", "--out", "--seed", "--n-train", "--n-dev", "--n-test"},
+        "train": {"--manifest", "--config", "--ckpt-dir", "--seed", "--audio-only",
+                  "--dev-manifest", "--resume"},
+        "eval": {"--manifest", "--ckpt", "--audio-only", "--subset"},
+        "decode": {"--ckpt", "--audio", "--visual"},
+    }
+    assert {f.name for f in dataclasses.fields(SyntheticTaskSpec)} == {
+        "vocab", "homophone_groups", "tone_map", "visual_codes", "visual_slots", "visual_dim",
+        "symbol_duration_ms", "noise_std", "amplitude", "sample_rate", "min_words", "max_words",
+    }
     probes = {f.name: 1 if f.default is dataclasses.MISSING else f.default
               for cls in (ModelConfig, MoEConfig, TrainConfig) for f in dataclasses.fields(cls)}
     probes.update(blank_id=0, sos_id=1, eos_id=2, pad_id=3, max_decode_len=32,  # removed
-                  activation="silu", renormalize_topk=True)
+                  activation="silu", renormalize_topk=True, macaron_scale=0.5, alpha=0.3,
+                  beta=0.01, adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8)
     accepted = {}
     path = tmp_path / "probe.json"
     for section in ("model", "moe", "train"):
@@ -191,10 +209,9 @@ def test_settable_surface_is_pinned(tmp_path):
             accepted[section].add(key)
     assert accepted == {
         "model": {"hidden", "heads", "d_ff", "encoder_blocks", "decoder_blocks", "n_mels",
-                  "stack_factor", "macaron_scale"},
+                  "stack_factor"},
         "moe": {"num_experts", "top_k"},
-        "train": {"epochs", "batch_size", "lr", "warmup_steps", "alpha", "beta",
-                  "adam_beta1", "adam_beta2", "adam_eps"},
+        "train": {"epochs", "batch_size", "lr", "warmup_steps"},
     }
 
 
@@ -215,21 +232,32 @@ def test_checkpoint_of_the_previous_format_exits_3(run, capsys):
     assert "bad magic b'EVACKPT3'; this reader understands EVACKPT4 only" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("model", "blank_id", 0), ("model", "activation", "silu"), ("moe", "renormalize_topk", True),
-], ids=["model.blank_id", "model.activation", "moe.renormalize_topk"])
-def test_checkpoint_naming_a_removed_field_exits_3(run, section, key, value):
-    # What a checkpoint from before the special ids became constants, or from
-    # before the activation and raw top-k settings were removed, holds.
+REMOVED_FIELDS = [("model", "blank_id", 0), ("model", "activation", "silu"),
+                  ("model", "macaron_scale", 0.5), ("moe", "renormalize_topk", True),
+                  ("train", "alpha", 0.3)]
+
+
+@pytest.mark.parametrize("section, key, value", REMOVED_FIELDS,
+                         ids=[f"{section}.{key}" for section, key, _ in REMOVED_FIELDS])
+def test_checkpoint_naming_a_removed_field_exits_3(run, section, key, value, capsys):
+    # What a checkpoint from before the special ids, the macaron scale, the loss
+    # weights and the Adam constants became constants, or from before the
+    # activation and raw top-k settings were removed, holds. ``eval`` reads the
+    # model section and the vocabulary only, so only ``--resume`` reads a
+    # ``train`` key, and ``eval`` still scores that checkpoint.
     saved = load_checkpoint(run / "full" / "final.ckpt")
     model = {**saved.config["model"], "moe": {**saved.config["model"]["moe"]}}
-    (model if section == "model" else model["moe"])[key] = value
+    config = {**saved.config, "model": model, "train": {**saved.config["train"]}}
+    {"model": model, "moe": model["moe"], "train": config["train"]}[section][key] = value
     ckpt = run / "old_fields.ckpt"
-    save_checkpoint(ckpt, {**saved.config, "model": model}, saved.read())
+    save_checkpoint(ckpt, config, saved.read())
     manifest = run / "corpus" / "test.jsonl"
-    assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt)]) == 3
+    assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt)]) == (
+        0 if section == "train" else 3)
+    capsys.readouterr()
     assert train(run, "old_fields", write_config(run / "config.json"),
                  "--resume", str(ckpt)) == 3
+    assert repr(key) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -304,6 +332,25 @@ def test_decode_of_a_path_it_cannot_read_exits_3(run, flag, kind, capsys):
     assert str(paths[flag]) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["decode", "eval"])
+def test_visual_file_of_the_wrong_width_exits_3(run, tmp_path, command, capsys):
+    # The model's visual_dim is 16; this file has 7 columns. It exited 2 as a
+    # config error, though only the data is wrong.
+    entry = json.loads((run / "corpus" / "test.jsonl").read_text().splitlines()[0])
+    audio, visual = str(run / "corpus" / entry["audio"]), str(tmp_path / "wide.vemb")
+    save_visual_embeddings(visual, np.zeros((4, 7)))
+    ckpt = str(run / "full" / "final.ckpt")
+    capsys.readouterr()
+    if command == "decode":
+        argv = ["decode", "--ckpt", ckpt, "--audio", audio, "--visual", visual]
+    else:
+        manifest = tmp_path / "test.jsonl"
+        manifest.write_text(json.dumps({**entry, "audio": audio, "visual": visual}) + "\n")
+        argv = ["eval", "--manifest", str(manifest), "--ckpt", ckpt]
+    assert main(argv) == 3
+    assert "data error: visual width mismatch: embeddings (4, 7)" in capsys.readouterr().err
+
+
 def test_decode_of_a_checkpoint_with_a_flipped_model_byte_exits_3(run, capsys):
     entry = json.loads((run / "corpus" / "test.jsonl").read_text().splitlines()[0])
     ckpt = run / "flipped.ckpt"
@@ -319,6 +366,19 @@ def test_spec_that_is_not_utf8_exits_3(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_bytes(b"\xff\xfe")
     assert generate(tmp_path / "out", spec=spec) == 3
+
+
+def test_spec_naming_the_removed_seed_field_exits_3(run, tmp_path, capsys):
+    # What a task spec written before its unused ``seed`` field was removed holds.
+    corpus = tmp_path / "corpus"
+    shutil.copytree(run / "corpus", corpus)
+    spec = json.loads((corpus / "task_spec.json").read_text())
+    (corpus / "task_spec.json").write_text(json.dumps({**spec, "seed": 101}))
+    capsys.readouterr()
+    assert generate(tmp_path / "out", spec=corpus / "task_spec.json") == 3
+    assert train(tmp_path, "ckpt", write_config(tmp_path / "config.json")) == 3
+    assert capsys.readouterr().err.count("unexpected keyword argument 'seed'") == 2
+    assert not (tmp_path / "out").exists() and not (tmp_path / "ckpt").exists()
 
 
 def test_spec_group_word_without_a_tone_exits_2(tmp_path):
@@ -360,6 +420,21 @@ def test_run_saves_once_per_epoch_into_one_file(run, monkeypatch, capsys):
     assert saves == ["final.ckpt"] * 3
     assert sorted(p.name for p in (run / "counted").iterdir()) == ["final.ckpt", "metrics.jsonl"]
     assert load_checkpoint(run / "counted" / "final.ckpt").config["epochs_done"] == 3
+
+
+def test_dev_wer_of_the_last_epoch_is_the_eval_wer(run, capsys):
+    def dev_wers(ckpt_dir) -> list:
+        lines = (run / ckpt_dir / "metrics.jsonl").read_text().splitlines()
+        return [json.loads(line)["dev_wer"] for line in lines]
+
+    dev = run / "corpus" / "dev.jsonl"
+    assert train(run, "dev", write_config(run / "config.json"), "--dev-manifest", str(dev)) == 0
+    assert [type(w) for w in dev_wers("dev")] == [float, float]
+    capsys.readouterr()
+    assert main(["eval", "--manifest", str(dev), "--ckpt", str(run / "dev" / "final.ckpt")]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])["corpus"]
+    assert dev_wers("dev")[-1] == summary["wer"]
+    assert dev_wers("full") == [None, None]  # trained without --dev-manifest
 
 
 def logged_epochs(ckpt_dir) -> list[int]:
@@ -459,8 +534,7 @@ def test_config_value_fuzz_never_exits_1(run):
     # runs (exit 0) or the config is refused (exit 2), never a traceback.
     rng = np.random.default_rng(90)
     keys = [(section, key) for section, values in TINY.items() for key in values]
-    keys += [("model", k) for k in ("stack_factor", "macaron_scale")]
-    keys += [("train", k) for k in ("alpha", "beta", "adam_beta1", "adam_beta2", "adam_eps")]
+    keys += [("model", "stack_factor")]
     codes = []
     for case in range(100):
         section, key = keys[int(rng.integers(len(keys)))]

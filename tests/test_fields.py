@@ -65,8 +65,8 @@ def test_bounds_are_inclusive():
         ModelConfig(vocab_size=8, stack_factor=1.5),
         MoEConfig(top_k="2"),
         TrainConfig(lr="x"),
-        TrainConfig(adam_beta2=1.0),
-        TrainConfig(adam_eps=0.0),
+        TrainConfig(lr=0.0),
+        TrainConfig(warmup_steps=-1),
         TrainConfig(seed=-1),
     ],
 )
