@@ -10,7 +10,6 @@ from .errors import (
     GraphError,
     IngestError,
     NumericError,
-    ScoringError,
 )
 from .model import Model, ModelConfig
 from .moe import LoadStats, MoEConfig, MoELayer, RoutingDecision
@@ -32,7 +31,6 @@ __all__ = [
     "ModelConfig",
     "NumericError",
     "RoutingDecision",
-    "ScoringError",
     "Tensor",
     "no_grad",
 ]

@@ -21,7 +21,9 @@ the vocabulary size and the visual width; the MoE widths are the model's
 macaron scale (``ModelConfig``), the loss weights ``alpha`` and ``beta`` and
 Adam's ``adam_beta1``, ``adam_beta2`` and ``adam_eps`` (``TrainConfig``), and
 the decode cap (``decoding.MAX_DECODE_LEN``). A resumed run takes every
-setting from its checkpoint except ``train.epochs``.
+setting from its checkpoint except ``train.epochs``: any other key that the
+``--config`` file sets, ``--seed``, and a given ``--audio-only`` that differ
+from the checkpoint's values are a configuration error, before any epoch.
 
 A run writes two files to ``--ckpt-dir``: ``final.ckpt``, replaced at each
 epoch end so that it holds the last complete epoch, and ``metrics.jsonl``,
@@ -29,6 +31,11 @@ one record per saved epoch (a fresh run starts it anew, ``--resume`` appends).
 ``--resume`` from a checkpoint that already holds ``train.epochs`` epochs has
 nothing to train and is a configuration error, and so is a ``--resume`` into a
 ``--ckpt-dir`` that holds another run's files.
+
+``avmoe eval --manifest --ckpt [--audio-only]`` prints one JSON record per
+utterance, then the corpus summary. With the task spec next to the manifest,
+each record counts its homophone slots, and the summary gives their accuracy
+and ``subset_wer``, the WER of the utterances that hold one.
 """
 
 from __future__ import annotations
@@ -79,13 +86,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="optional manifest for per-epoch dev WER")
     tr.add_argument("--resume", default=None,
                     help="checkpoint to continue from; every setting comes from it "
-                    "except train.epochs")
+                    "except train.epochs, and a setting given here must equal its own")
 
     ev = sub.add_parser("eval", help="score a manifest with a checkpoint")
     ev.add_argument("--manifest", required=True)
     ev.add_argument("--ckpt", required=True)
     ev.add_argument("--audio-only", action="store_true")
-    ev.add_argument("--subset", choices=["homophone"], default=None)
 
     dec = sub.add_parser("decode", help="transcribe one utterance")
     dec.add_argument("--ckpt", required=True)
@@ -104,7 +110,8 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _build_train_configs(args) -> tuple[ModelConfig, TrainConfig]:
+def _build_train_configs(args) -> tuple[ModelConfig, TrainConfig, list[str]]:
+    """The run's configs, and the settings that its config file and flags name."""
     sections: dict = {}
     if args.config != "default":
         path = Path(args.config)
@@ -132,11 +139,14 @@ def _build_train_configs(args) -> tuple[ModelConfig, TrainConfig]:
             model_cfg.moe = MoEConfig(hidden=model_cfg.hidden, ffn_hidden=model_cfg.d_ff, **moe)
     except TypeError as exc:
         raise ConfigError(f"config file: {exc}") from exc
-    return model_cfg, train_cfg
+    chosen = {"train.seed"} | ({"train.audio_only"} if args.audio_only else set())
+    for name, section in sections.items():
+        chosen |= {name} if section is None else {f"{name}.{key}" for key in section}
+    return model_cfg, train_cfg, sorted(chosen - {"train.epochs"})
 
 
 def _cmd_train(args) -> int:
-    model_cfg, train_cfg = _build_train_configs(args)
+    model_cfg, train_cfg, chosen = _build_train_configs(args)
     final = train(
         args.manifest,
         model_cfg,
@@ -144,15 +154,14 @@ def _cmd_train(args) -> int:
         args.ckpt_dir,
         dev_manifest_path=args.dev_manifest,
         resume_from=args.resume,
+        chosen=chosen,
     )
     print(f"final checkpoint: {final}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    summary, records = evaluate(
-        args.manifest, args.ckpt, audio_only=args.audio_only, subset=args.subset
-    )
+    summary, records = evaluate(args.manifest, args.ckpt, audio_only=args.audio_only)
     for record in records:
         print(json.dumps(record, sort_keys=True))
     print(json.dumps({"corpus": summary}, sort_keys=True))

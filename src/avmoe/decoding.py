@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontend import LogMelSpectrogram
 from .model import DecodeCache, Model
 from .tensor import Tensor, log_softmax_rows, no_grad
 
@@ -69,9 +68,9 @@ def attention_greedy_decode(model: Model, states: Tensor, max_len: int) -> Hypot
 
 
 def transcribe(
-    model: Model, mel: LogMelSpectrogram, visual: np.ndarray | None
+    model: Model, mel: np.ndarray, visual: np.ndarray | None
 ) -> tuple[Hypothesis, Hypothesis]:
-    """Encode one utterance and greedy-decode both heads: (attention, CTC).
+    """Encode one utterance's log-Mel features and greedy-decode both heads: (attention, CTC).
 
     Runs under ``no_grad``, so no graph is recorded. Attention stops at ``MAX_DECODE_LEN``.
     """

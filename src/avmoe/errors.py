@@ -25,10 +25,6 @@ class IngestError(DataError):
     """Malformed binary input; the message identifies the byte offset."""
 
 
-class ScoringError(DataError):
-    """Invalid scoring request (e.g. empty reference)."""
-
-
 class CtcInfeasibleError(DataError):
     """Target cannot be aligned to the available frames; ``index`` is its place in the batch."""
 

@@ -42,16 +42,6 @@ class Waveform:
             raise ConfigError(f"sample rate must be positive, got {self.sample_rate}")
 
 
-@dataclass
-class LogMelSpectrogram:
-    frames: np.ndarray  # (num_frames, n_mels)
-    n_mels: int
-
-    @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
-
-
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
@@ -96,27 +86,29 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return bank
 
 
-def log_mel(framed: np.ndarray, n_mels: int = 80, sample_rate: int = 16000) -> LogMelSpectrogram:
-    """Windowed frames -> power spectrum -> Mel energies -> floored natural log."""
+def log_mel(framed: np.ndarray, n_mels: int = 80, sample_rate: int = 16000) -> np.ndarray:
+    """Windowed frames -> power spectrum -> Mel energies -> floored natural log.
+
+    The features are a float64 array of shape (num_frames, n_mels).
+    """
     win = framed.shape[1]
     n_fft = 1 << (win - 1).bit_length()
     spectrum = np.fft.rfft(framed, n=n_fft, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
     bank = mel_filterbank(n_mels, n_fft, sample_rate)
     energies = power @ bank.T
-    frames = np.log(np.maximum(energies, MEL_FLOOR))
-    return LogMelSpectrogram(frames=frames, n_mels=n_mels)
+    return np.log(np.maximum(energies, MEL_FLOOR))
 
 
-def log_mel_from_waveform(waveform: Waveform, n_mels: int = 80) -> LogMelSpectrogram:
+def log_mel_from_waveform(waveform: Waveform, n_mels: int = 80) -> np.ndarray:
     return log_mel(frame_signal(waveform), n_mels=n_mels, sample_rate=waveform.sample_rate)
 
 
-def stack_frames(mels: Sequence[LogMelSpectrogram], stack_factor: int, proj: Tensor) -> Tensor:
+def stack_frames(mels: Sequence[np.ndarray], stack_factor: int, proj: Tensor) -> Tensor:
     """Group ``stack_factor`` consecutive frames and project to model width.
 
-    Each spectrogram's last group is zero-padded, so it gives
-    ceil(num_frames / stack_factor) rows; the rows of all spectrograms are
+    Each (num_frames, n_mels) feature array's last group is zero-padded, so
+    it gives ceil(num_frames / stack_factor) rows; the rows of all arrays are
     packed one after another and projected by one product. Gradients flow
     into ``proj`` only (features are constants).
     """
@@ -124,16 +116,16 @@ def stack_frames(mels: Sequence[LogMelSpectrogram], stack_factor: int, proj: Ten
         raise ConfigError(f"stack factor must be >= 1, got {stack_factor}")
     blocks = []
     for mel in mels:
-        expected_in = stack_factor * mel.n_mels
+        count, n_mels = mel.shape
+        expected_in = stack_factor * n_mels
         if proj.shape[0] != expected_in:
             raise DimensionError(
                 f"stack projection expects {expected_in} input columns "
-                f"({stack_factor} x {mel.n_mels}), got {proj.shape}"
+                f"({stack_factor} x {n_mels}), got {proj.shape}"
             )
-        count = mel.num_frames
         groups = -(-count // stack_factor)
-        padded = np.zeros((groups * stack_factor, mel.n_mels), dtype=np.float64)
-        padded[:count] = mel.frames
+        padded = np.zeros((groups * stack_factor, n_mels), dtype=np.float64)
+        padded[:count] = mel
         blocks.append(padded.reshape(groups, expected_in))
     return matmul(Tensor(np.concatenate(blocks)), proj)
 

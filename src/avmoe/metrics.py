@@ -1,22 +1,8 @@
-"""Word error rate and alignment utilities."""
+"""Word alignment and the scores read from it: edit count and homophone-slot accuracy."""
 
 from __future__ import annotations
 
 from typing import Sequence
-
-from .errors import ScoringError
-
-
-def edit_distance(ref: Sequence, hyp: Sequence) -> int:
-    """Levenshtein distance with unit costs: the non-match ops of ``align_words``."""
-    return sum(op != "match" for op, _, _ in align_words(ref, hyp))
-
-
-def wer(ref: Sequence[str], hyp: Sequence[str]) -> float:
-    """Edit distance divided by reference length; insertions can push it past 1."""
-    if len(ref) == 0:
-        raise ScoringError("WER needs a non-empty reference")
-    return edit_distance(ref, hyp) / len(ref)
 
 
 def align_words(ref: Sequence, hyp: Sequence) -> list[tuple[str, int | None, int | None]]:
@@ -55,18 +41,17 @@ def align_words(ref: Sequence, hyp: Sequence) -> list[tuple[str, int | None, int
     return ops
 
 
-def slot_accuracy(
-    ref: Sequence[str], hyp: Sequence[str], slot_words: set[str]
-) -> tuple[int, int]:
-    """(correct, total) over reference positions whose word is in slot_words.
+def score_words(
+    ref: Sequence[str], hyp: Sequence[str], slot_words: set[str] | None = None
+) -> tuple[int, int, int]:
+    """(edits, correct slots, slots) from one alignment of ``hyp`` to ``ref``.
 
-    A slot counts as correct only when the alignment matches it to an equal
-    hypothesis word.
+    ``edits`` is the Levenshtein distance with unit costs: the alignment's
+    non-match ops. Slots are the reference positions whose word is in
+    ``slot_words``; one is correct only when the alignment matches it to an
+    equal hypothesis word.
     """
-    matched = {r for op, r, _ in align_words(ref, hyp) if op == "match"}
-    total = correct = 0
-    for i, word in enumerate(ref):
-        if word in slot_words:
-            total += 1
-            correct += i in matched
-    return correct, total
+    ops = align_words(ref, hyp)
+    matched = {r for op, r, _ in ops if op == "match"}
+    slots = [i for i, word in enumerate(ref) if word in (slot_words or ())]
+    return len(ops) - len(matched), sum(i in matched for i in slots), len(slots)

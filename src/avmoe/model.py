@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, GraphError
 from .fields import check_fields
-from .frontend import LogMelSpectrogram, stack_frames
+from .frontend import stack_frames
 from .fusion import FusedSequence, fuse_concat, project_visual
 from .moe import LoadStats, MoEConfig, MoELayer
 from .nn import (
@@ -185,9 +185,7 @@ class Model(Module):
 
     # -- encoder side ------------------------------------------------------
 
-    def fuse(
-        self, mels: list[LogMelSpectrogram], visuals: list[np.ndarray | None]
-    ) -> FusedSequence:
+    def fuse(self, mels: list[np.ndarray], visuals: list[np.ndarray | None]) -> FusedSequence:
         """Pack utterances for the encoder: each one's visual rows, then its speech tokens."""
         if len(mels) != len(visuals) or not mels:
             raise DataError(f"fuse got {len(mels)} spectrograms and {len(visuals)} visual inputs")
@@ -204,7 +202,7 @@ class Model(Module):
         if present:
             v = project_visual(np.concatenate(present), self.visual_proj, self.visual_bias)
         visual_counts = [0 if z is None else z.shape[0] for z in visuals]
-        speech_counts = [-(-mel.num_frames // sf) for mel in mels]
+        speech_counts = [-(-mel.shape[0] // sf) for mel in mels]
         return fuse_concat(v, s, visual_counts, speech_counts)
 
     def encode(self, fused: FusedSequence) -> tuple[Tensor, list[LoadStats]]:
@@ -219,7 +217,7 @@ class Model(Module):
         return x, stats
 
     def encode_utterance(
-        self, mel: LogMelSpectrogram, visual: np.ndarray | None
+        self, mel: np.ndarray, visual: np.ndarray | None
     ) -> tuple[Tensor, list[LoadStats], int]:
         fused = self.fuse([mel], [visual])
         states, stats = self.encode(fused)
@@ -243,11 +241,12 @@ class Model(Module):
         utterance.
 
         With ``cache`` the call is one step of an incremental decode of one
-        utterance, under ``no_grad``: ``target_in`` is the newest token
-        alone, fed at position ``cache.fed``. Its row attends to the keys and
-        values the cache holds for every token fed before it and for the
-        encoder states, so it needs no mask, and its logits equal the last
-        row of an uncached call over the whole prefix, to rounding.
+        utterance, under ``no_grad`` and without ``inputs`` or ``sources``:
+        ``target_in`` is the newest token alone, fed at position ``cache.fed``.
+        Its row attends to the keys and values the cache holds for every token
+        fed before it and for the encoder states, so it needs no mask, and its
+        logits equal the last row of an uncached call over the whole prefix,
+        to rounding.
         """
         ids = np.asarray(target_in, dtype=np.int64)
         if ids.size == 0:
@@ -268,13 +267,13 @@ class Model(Module):
         else:
             if grad_enabled():
                 raise GraphError("a decode cache keeps no graph; use it under no_grad only")
-            if ids.size != 1 or any(s is not None and s.count != 1 for s in (inputs, sources)):
+            if ids.size != 1 or inputs is not None or sources is not None:
                 raise ConfigError(
-                    "a decode cache takes one token of one utterance per call, got "
-                    f"{ids.size} tokens"
+                    "a decode cache takes one token of one utterance per call and no "
+                    f"segments, got {ids.size} tokens"
                 )
             positions = sinusoidal_positions(cache.fed + 1, d)[cache.fed :]
-            mask = inputs = None
+            mask = None
             block_caches = cache.blocks
             cache.fed += 1
         x = gather_rows(self.dec_embed, ids) * math.sqrt(d)

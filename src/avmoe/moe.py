@@ -69,7 +69,7 @@ class RoutingDecision:
 class LoadStats:
     """Per-layer, per-batch routing load summary.
 
-    ``hard_counts`` tallies argmax assignments over the full probability row;
+    ``hard_counts`` tallies each token's argmax expert, its first selection;
     ``prob_sum`` is the graph-connected column sum of the probabilities, so
     the balancing loss stays differentiable through it.
     """
@@ -133,8 +133,10 @@ class MoELayer(Module):
         decision = self.route(x)
         out, dispatched = expert_mixture(x, decision.weights, decision.indices, self.experts)
         stats = LoadStats(
+            # The first selected expert is each row's argmax: the stable sort in
+            # ``route`` puts the lowest-index maximum first, as argmax picks it.
             hard_counts=np.bincount(
-                np.argmax(decision.probs.data, axis=1), minlength=self.cfg.num_experts
+                decision.indices[:, 0], minlength=self.cfg.num_experts
             ).astype(np.float64),
             prob_sum=tsum(decision.probs, axis=0),
             tokens=x.shape[0],

@@ -301,8 +301,8 @@ def attend(
     ``q`` is (T_q, D), ``k`` and ``v`` are (T_k, D), with D = heads * d_h and
     head h reading columns h*d_h .. (h+1)*d_h of each. Query sequence b,
     rows ``q_segments`` b, attends only to key sequence b, rows
-    ``k_segments`` b; each defaults to one sequence over all rows. Per head
-    and sequence, on a zero-padded (B, H, T_max, d_h) view:
+    ``k_segments`` b; given neither, each side is one sequence over all rows.
+    Per head and sequence, on a zero-padded (B, H, T_max, d_h) view:
 
         S = (Q K^T) * scale (+ mask),  P = softmax_rows(S),  O = P V
 
@@ -320,15 +320,16 @@ def attend(
         raise DimensionError(f"attend got q={q.shape}, k={k.shape}, v={v.shape}")
     if q.shape[1] % heads != 0:
         raise DimensionError(f"width {q.shape[1]} not divisible by {heads} heads")
-    if q_segments is None and k_segments is None:
+    if (q_segments is None) != (k_segments is None):
+        raise DimensionError("attend takes both segment arguments or neither")
+    if q_segments is None:
         # One sequence on each side, as in every cached decode step: a batch of
         # one is a reshape, and needs no Segments, padding or key mask.
         pad_q = pad_k = _batch_of_one
         unpad_q = unpad_k = _unbatch_one
         key_mask = None
     else:
-        qs = q_segments if q_segments is not None else Segments([q.shape[0]])
-        ks = k_segments if k_segments is not None else Segments([k.shape[0]])
+        qs, ks = q_segments, k_segments
         if qs.total != q.shape[0] or ks.total != k.shape[0] or qs.count != ks.count:
             raise DimensionError(
                 f"attend: {qs.count} query segments over {qs.total} rows and {ks.count} key "

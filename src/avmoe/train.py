@@ -27,7 +27,7 @@ import logging
 import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -35,10 +35,10 @@ from .checkpoint import Checkpoint, check_layout, load_checkpoint, save_checkpoi
 from .decoding import transcribe
 from .errors import CheckpointError, ConfigError, CtcInfeasibleError, DataError, NumericError
 from .fields import check_fields
-from .frontend import LogMelSpectrogram, log_mel_from_waveform, read_waveform
+from .frontend import log_mel_from_waveform, read_waveform
 from .fusion import load_visual_embeddings
 from .losses import attention_loss, ctc_loss, total_loss
-from .metrics import edit_distance, slot_accuracy, wer
+from .metrics import score_words
 from .model import Model, ModelConfig
 from .moe import LoadStats, MoEConfig, load_balance_loss
 from .nn import Segments
@@ -113,7 +113,7 @@ class Vocab:
 @dataclass
 class Utterance:
     utt_id: str
-    mel: LogMelSpectrogram
+    mel: np.ndarray  # (num_frames, n_mels) log-Mel features
     visual: np.ndarray | None
     words: list[str]
     target_ids: list[int]
@@ -361,6 +361,15 @@ def restore_train_state(ckpt: Checkpoint) -> tuple[TrainState, Vocab, TrainConfi
 # -- top-level entry points ------------------------------------------------------
 
 
+def _setting(name: str, model_cfg: ModelConfig, train_cfg: TrainConfig):
+    """The value of setting ``name`` of ``train``'s ``chosen`` in these configs."""
+    section, _, key = name.partition(".")
+    if section == "moe":
+        moe = model_cfg.moe
+        return getattr(moe, key) if key and moe is not None else moe
+    return getattr(model_cfg if section == "model" else train_cfg, key)
+
+
 def train(
     manifest_path,
     model_cfg: ModelConfig,
@@ -368,6 +377,7 @@ def train(
     ckpt_dir,
     dev_manifest_path=None,
     resume_from=None,
+    chosen: Iterable[str] = (),
 ) -> Path:
     """Train on a manifest and return the path of the run's one checkpoint.
 
@@ -383,8 +393,12 @@ def train(
     comes from the checkpoint except ``train_cfg.epochs``; the model,
     optimizer, RNG, and epoch counter continue exactly where the saved run
     stopped, and the combined run is bit-identical to an uninterrupted one.
-    A resume with ``train_cfg.epochs`` at or below the checkpoint's epochs
-    has nothing to train and raises ``ConfigError``. So does a resume into a
+    ``chosen`` names the settings the caller set, as ``"model.hidden"``,
+    ``"moe.top_k"``, ``"moe"`` (the section) or ``"train.seed"``; a resume
+    would ignore them, so one whose value in ``model_cfg`` or ``train_cfg``
+    differs from the checkpoint's raises ``ConfigError``. A resume with
+    ``train_cfg.epochs`` at or below the checkpoint's epochs has nothing to
+    train and raises ``ConfigError``. So does a resume into a
     ``ckpt_dir`` that holds another run: a ``final.ckpt`` that is not the
     resumed file, or a ``metrics.jsonl`` without a ``final.ckpt``.
     """
@@ -395,6 +409,15 @@ def train(
 
     if resume_from is not None:
         state, vocab, saved_cfg = restore_train_state(load_checkpoint(resume_from))
+        ignored = []
+        for name in chosen:
+            mine = _setting(name, model_cfg, train_cfg)
+            saved = _setting(name, state.model.cfg, saved_cfg)
+            if mine != saved:
+                ignored.append(f"{name} is {saved!r} there, not {mine!r}")
+        if ignored:
+            raise ConfigError(f"a resumed run takes its settings from {resume_from}: "
+                              + "; ".join(ignored))
         if train_cfg.epochs <= state.epochs_done:
             raise ConfigError(
                 f"nothing to train: {resume_from} holds {state.epochs_done} epoch(s) "
@@ -453,7 +476,8 @@ def train(
 def score_dataset(
     model: Model, data: list[Utterance], vocab: Vocab, homophones: set[str] | None = None
 ) -> tuple[dict, list[dict]]:
-    """Decode every utterance and aggregate corpus-level scores."""
+    """Decode every utterance and aggregate corpus-level scores. Each head's
+    hypothesis is aligned once; the attention one gives edits, ``wer`` and slots."""
     records = []
     total_edits = total_words = 0
     ctc_edits = 0
@@ -465,20 +489,19 @@ def score_dataset(
         ctc_words = vocab.decode(
             [t for t in ctc_hyp.token_ids if t >= ModelConfig.num_specials]
         )
-        edits = edit_distance(utt.words, hyp_words)
+        edits, correct, total = score_words(utt.words, hyp_words, homophones)
         total_edits += edits
         total_words += len(utt.words)
-        ctc_edits += edit_distance(utt.words, ctc_words)
+        ctc_edits += score_words(utt.words, ctc_words)[0]
         record = {
             "utt_id": utt.utt_id,
             "ref": " ".join(utt.words),
             "hyp": " ".join(hyp_words),
             "hyp_ctc": " ".join(ctc_words),
-            "wer": wer(utt.words, hyp_words),
+            "wer": edits / len(utt.words),
             "score": att_hyp.score,
         }
         if homophones:
-            correct, total = slot_accuracy(utt.words, hyp_words, homophones)
             record["hom_slots"] = total
             record["hom_correct"] = correct
             hom_correct += correct
@@ -500,29 +523,19 @@ def score_dataset(
     return summary, records
 
 
-def evaluate(
-    manifest_path, ckpt_path, audio_only: bool = False, subset: str | None = None
-) -> tuple[dict, list[dict]]:
+def evaluate(manifest_path, ckpt_path, audio_only: bool = False) -> tuple[dict, list[dict]]:
     """Score a manifest with a trained checkpoint.
 
     ``audio_only`` drops the visual channel (zero visual rows). Homophone
     statistics appear whenever the corpus task spec is found next to the
-    manifest; ``subset="homophone"`` restricts the reported records to
-    utterances containing a homophone word. An unusable ``subset`` raises
-    ``ConfigError`` before anything is restored or decoded.
+    manifest.
     """
-    if subset not in (None, "homophone"):
-        raise ConfigError(f"unknown subset {subset!r}; supported: homophone")
     spec = load_task_spec_near(manifest_path)
     homophones = spec.homophone_words() if spec is not None else None
-    if subset == "homophone" and homophones is None:
-        raise ConfigError("homophone subset requested but no task spec was found")
     model, vocab = restore_model(load_checkpoint(ckpt_path))
     data = load_dataset(
         manifest_path, vocab, n_mels=model.cfg.n_mels, audio_only=audio_only, spec=spec
     )
     summary, records = score_dataset(model, data, vocab, homophones=homophones)
     summary["mode"] = "audio_only" if audio_only else "audiovisual"
-    if subset == "homophone":
-        records = [r for r in records if r.get("hom_slots")]
     return summary, records

@@ -168,11 +168,13 @@ REJECTED_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(REJECTED_CONFIGS))
 def test_config_that_sets_what_it_cannot_exits_2(run, name, capsys):
-    path = run / "rejected.json"
+    # Each case has its own directory, so a config that wrongly trains fails only its own case.
+    ckpt_dir = f"rejected-{name}"
+    path = run / f"{ckpt_dir}.json"
     path.write_text(json.dumps(REJECTED_CONFIGS[name]))
-    assert train(run, "rejected", str(path)) == 2
+    assert train(run, ckpt_dir, str(path)) == 2
     assert (name if name == "JSON object" else repr(name)) in capsys.readouterr().err
-    assert not (run / "rejected" / "metrics.jsonl").exists()
+    assert not (run / ckpt_dir / "metrics.jsonl").exists()
 
 
 def test_settable_surface_is_pinned(tmp_path):
@@ -184,7 +186,7 @@ def test_settable_surface_is_pinned(tmp_path):
         "generate": {"--spec", "--out", "--seed", "--n-train", "--n-dev", "--n-test"},
         "train": {"--manifest", "--config", "--ckpt-dir", "--seed", "--audio-only",
                   "--dev-manifest", "--resume"},
-        "eval": {"--manifest", "--ckpt", "--audio-only", "--subset"},
+        "eval": {"--manifest", "--ckpt", "--audio-only"},
         "decode": {"--ckpt", "--audio", "--visual"},
     }
     assert {f.name for f in dataclasses.fields(SyntheticTaskSpec)} == {
@@ -484,6 +486,36 @@ def test_resume_with_nothing_to_train_exits_2(run, capsys):
     assert ckpt.read_bytes() == before
 
 
+# Settings that a resume of the one-epoch run would ignore: each differs from the
+# checkpoint's. ``--seed`` is given on every run, and 1 is the checkpoint's.
+IGNORED_ON_RESUME = {
+    "model.hidden": ({"model": {**TINY["model"], "hidden": 32}}, ()),
+    "moe.num_experts": ({"moe": {"num_experts": 4, "top_k": 1}}, ()),
+    "moe": ({"moe": None}, ()),
+    "train.lr": ({"train": {"epochs": 2, "lr": 0.5}}, ()),
+    "train.seed": ({"train": {"epochs": 2}}, ("--seed", "77")),
+    "train.audio_only": ({"train": {"epochs": 2}}, ("--audio-only",)),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(IGNORED_ON_RESUME))
+def test_resume_that_would_ignore_a_setting_exits_2(run, setting, capsys):
+    ckpt = run / "resumable" / "final.ckpt"
+    if not ckpt.exists():
+        assert train(run, "resumable", write_config(run / "one_epoch.json", epochs=1)) == 0
+    config, flags = IGNORED_ON_RESUME[setting]
+    path = run / "ignored.json"
+    path.write_text(json.dumps(config))
+    before = tree(run / "resumable")
+    capsys.readouterr()
+    # argparse keeps the last --seed given.
+    assert train(run, "resumable", str(path), "--resume", str(ckpt), *flags) == 2
+    err = capsys.readouterr().err
+    assert f"config error: a resumed run takes its settings from {ckpt}: {setting} is " in err
+    assert err.count(" is ") == 1  # the one setting that differs, and only it
+    assert tree(run / "resumable") == before
+
+
 def test_resume_into_another_runs_directory_exits_2(run, capsys):
     assert train(run, "short", write_config(run / "one_epoch.json", epochs=1)) == 0
     resumed = ["--resume", str(run / "short" / "final.ckpt")]
@@ -497,23 +529,6 @@ def test_resume_into_another_runs_directory_exits_2(run, capsys):
         assert "holds another run" in capsys.readouterr().err
         assert tree(run / ckpt_dir) == before
     assert sorted(tree(run / "full")) == ["final.ckpt", "metrics.jsonl"]
-
-
-def test_unusable_subset_is_refused_before_restoring_or_decoding(run, monkeypatch, capsys):
-    def never(*args, **kwargs):
-        raise AssertionError("evaluate went past its subset check")
-
-    monkeypatch.setattr(avtrain, "restore_model", never)
-    monkeypatch.setattr(avtrain, "score_dataset", never)
-    bare = run / "bare"  # the corpus without its task_spec.json
-    shutil.copytree(run / "corpus", bare, ignore=shutil.ignore_patterns("task_spec.json"))
-    ckpt = str(run / "full" / "final.ckpt")
-    capsys.readouterr()
-    assert main(["eval", "--manifest", str(bare / "test.jsonl"), "--ckpt", ckpt,
-                 "--subset", "homophone"]) == 2
-    assert "no task spec was found" in capsys.readouterr().err
-    with pytest.raises(ConfigError, match="unknown subset 'vowels'"):
-        avtrain.evaluate(run / "corpus" / "test.jsonl", ckpt, subset="vowels")
 
 
 def test_generate_is_byte_identical_on_repeat(run):

@@ -14,7 +14,6 @@ from avmoe.decoding import (
     ctc_greedy_decode,
 )
 from avmoe.errors import ConfigError, GraphError
-from avmoe.frontend import LogMelSpectrogram
 from avmoe.model import DecodeCache, Model, ModelConfig
 from avmoe.nn import Segments
 from avmoe.tensor import Tensor, log_softmax_rows, no_grad
@@ -132,7 +131,7 @@ def cached_model(seed: int) -> Model:
 
 def encoded(model: Model, seed: int, visual: bool) -> Tensor:
     rng = np.random.default_rng(seed)
-    mel = LogMelSpectrogram(frames=rng.normal(size=(15, 6)), n_mels=6)
+    mel = rng.normal(size=(15, 6))
     with no_grad():
         states, _, _ = model.encode_utterance(mel, rng.normal(size=(3, 4)) if visual else None)
     return states
@@ -206,3 +205,8 @@ class TestDecodeCache:
                 model.decode_teacher_forcing(
                     states, [sos], inputs=Segments([1, 1]), cache=DecodeCache(2)
                 )
+            # One sequence given as segments: a cached step takes none.
+            for segments in ({"sources": Segments([states.shape[0]])},
+                             {"inputs": Segments([1])}):
+                with pytest.raises(ConfigError):
+                    model.decode_teacher_forcing(states, [sos], **segments, cache=DecodeCache(2))

@@ -6,7 +6,6 @@ import pytest
 from avmoe.errors import ConfigError, DataError, DimensionError, IngestError
 from avmoe.frontend import (
     MEL_FLOOR,
-    LogMelSpectrogram,
     Waveform,
     frame_signal,
     log_mel,
@@ -74,13 +73,13 @@ class TestLogMel:
     def test_silence_hits_the_floor_everywhere(self):
         w = Waveform(samples=np.zeros(1600), sample_rate=16000)
         mel = log_mel_from_waveform(w)
-        np.testing.assert_array_equal(mel.frames, np.log(MEL_FLOOR))
+        np.testing.assert_array_equal(mel, np.log(MEL_FLOOR))
 
     def test_pure_tone_peaks_at_nearest_center(self):
         mel = log_mel_from_waveform(tone(1000.0, 1.0))
         centers = mel_center_frequencies(80, 16000)
         expected_bin = int(np.argmin(np.abs(centers - 1000.0)))
-        peaks = mel.frames.argmax(axis=1)
+        peaks = mel.argmax(axis=1)
         assert (peaks == expected_bin).all()
 
     def test_fft_power_matches_naive_dft_oracle(self):
@@ -103,8 +102,8 @@ class TestLogMel:
     def test_doubling_amplitude_adds_log4(self):
         w = tone(700.0, 0.5)
         loud = Waveform(samples=2.0 * w.samples, sample_rate=w.sample_rate)
-        quiet_mel = log_mel_from_waveform(w).frames
-        loud_mel = log_mel_from_waveform(loud).frames
+        quiet_mel = log_mel_from_waveform(w)
+        loud_mel = log_mel_from_waveform(loud)
         above = quiet_mel > np.log(MEL_FLOOR) + 1.0
         np.testing.assert_allclose(
             loud_mel[above] - quiet_mel[above], np.log(4.0), atol=1e-6
@@ -118,8 +117,8 @@ class TestLogMel:
         base = log_mel_from_waveform(Waveform(samples=samples, sample_rate=16000))
         extended = np.concatenate([samples, rng.uniform(-0.5, 0.5, hop - 1)])
         grown = log_mel_from_waveform(Waveform(samples=extended, sample_rate=16000))
-        assert grown.num_frames == base.num_frames
-        np.testing.assert_array_equal(grown.frames, base.frames)
+        assert grown.shape == base.shape
+        np.testing.assert_array_equal(grown, base)
 
     def test_filterbank_rows_nonnegative_and_bin_weights_bounded(self):
         bank = mel_filterbank(80, 512, 16000)
@@ -156,30 +155,27 @@ class TestLogMel:
 class TestStacking:
     def test_98_frames_stack_to_25_tokens(self):
         mel = log_mel_from_waveform(tone(500.0, 1.0))
-        assert mel.num_frames == 98
+        assert mel.shape == (98, 80)
         proj = Tensor(np.random.default_rng(0).normal(size=(4 * 80, 16)))
         tokens = stack_frames([mel], 4, proj)
         assert tokens.shape == (25, 16)
 
     def test_last_group_zero_padded(self):
-        frames = np.arange(10.0).reshape(5, 2)
-        mel = LogMelSpectrogram(frames=frames, n_mels=2)
+        mel = np.arange(10.0).reshape(5, 2)
         eye = Tensor(np.eye(6))
         tokens = stack_frames([mel], 3, eye)
         assert tokens.shape == (2, 6)
         np.testing.assert_array_equal(tokens.data[1], [6.0, 7.0, 8.0, 9.0, 0.0, 0.0])
 
     def test_factor_one_identity_projection_keeps_frames(self):
-        frames = np.random.default_rng(2).normal(size=(7, 3))
-        mel = LogMelSpectrogram(frames=frames, n_mels=3)
+        mel = np.random.default_rng(2).normal(size=(7, 3))
         tokens = stack_frames([mel], 1, Tensor(np.eye(3)))
         assert tokens.shape == (7, 3)
-        np.testing.assert_array_equal(tokens.data, frames)
+        np.testing.assert_array_equal(tokens.data, mel)
 
     def test_spectrograms_pack_one_after_another(self):
         rng = np.random.default_rng(4)
-        mels = [LogMelSpectrogram(frames=rng.normal(size=(n, 2)), n_mels=2)
-                for n in (5, 2, 7)]
+        mels = [rng.normal(size=(n, 2)) for n in (5, 2, 7)]
         proj = Tensor(rng.normal(size=(6, 4)))
         packed = stack_frames(mels, 3, proj)
         one_by_one = [stack_frames([mel], 3, proj).data for mel in mels]
@@ -188,18 +184,18 @@ class TestStacking:
         np.testing.assert_allclose(packed.data, np.concatenate(one_by_one), rtol=1e-13)
 
     def test_bad_factor_rejected(self):
-        mel = LogMelSpectrogram(frames=np.zeros((4, 2)), n_mels=2)
+        mel = np.zeros((4, 2))
         with pytest.raises(ConfigError):
             stack_frames([mel], 0, Tensor(np.eye(2)))
 
     def test_projection_width_checked(self):
-        mel = LogMelSpectrogram(frames=np.zeros((4, 2)), n_mels=2)
+        mel = np.zeros((4, 2))
         with pytest.raises(DimensionError):
             stack_frames([mel], 2, Tensor(np.eye(3)))
 
     def test_gradient_flows_through_projection(self):
         rng = np.random.default_rng(3)
-        mel = LogMelSpectrogram(frames=rng.normal(size=(5, 3)), n_mels=3)
+        mel = rng.normal(size=(5, 3))
         proj = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
         weights = Tensor(rng.normal(size=(3, 4)))
         check_grad(lambda: (stack_frames([mel], 2, proj) * weights).sum(), [proj], tol=1e-5)

@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 
-from avmoe.frontend import LogMelSpectrogram
 from avmoe.losses import batch_balance_losses, total_loss
 from avmoe.model import Model, ModelConfig
 from avmoe.moe import MoEConfig
@@ -23,7 +22,7 @@ def tiny_config(moe: MoEConfig | None = None) -> ModelConfig:
 
 def fixed_utterance() -> Utterance:
     rng = np.random.default_rng(30)
-    mel = LogMelSpectrogram(frames=rng.normal(size=(14, 6)), n_mels=6)
+    mel = rng.normal(size=(14, 6))
     return Utterance("u0", mel, rng.normal(size=(2, 4)), ["a", "b", "b"], [4, 5, 5])
 
 
@@ -142,7 +141,7 @@ def test_backward_peak_stays_near_the_forward_graph():
     model = Model(cfg, np.random.default_rng(36))
     rng = np.random.default_rng(37)
     batch = [
-        Utterance(f"u{i}", LogMelSpectrogram(rng.normal(size=(40, 6)), 6),
+        Utterance(f"u{i}", rng.normal(size=(40, 6)),
                   rng.normal(size=(2, 4)), ["a", "b", "b"], [4, 5, 5])
         for i in range(4)
     ]

@@ -95,6 +95,20 @@ class TestRouting:
         np.testing.assert_allclose(decision.probs.data.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(decision.weights.data.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_hard_counts_are_the_argmax_counts_on_tied_rows(self):
+        # Each x row picks router rows, so its logits tie at the maximum: experts
+        # 2 and 5, all eight, 6 and 7, and 0, 3 and 7. The count goes to the
+        # lowest tied index, as argmax gives it.
+        layer = make_layer(top_k=3, hidden=4, ffn_hidden=8)
+        layer.router.data = np.array([
+            [0, 0, 1, 0, 0, 1, 0, 0], [0] * 8, [0, 0, 0, 0, 0, 0, 2, 2], [3, 0, 0, 3, 0, 0, 0, 3],
+        ], dtype=np.float64)
+        x = Tensor(np.vstack([np.eye(4), [[1.0, 1.0, 0.0, 0.0]]]))
+        _, stats = layer(x)
+        argmax = np.bincount(layer.route(x).probs.data.argmax(axis=1), minlength=8)
+        np.testing.assert_array_equal(stats.hard_counts, argmax)
+        np.testing.assert_array_equal(stats.hard_counts, [2, 0, 2, 0, 0, 0, 1, 0])
+
     def test_matches_sort_oracle(self):
         for seed in range(30):
             rng = np.random.default_rng(seed)

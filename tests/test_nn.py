@@ -353,6 +353,8 @@ class TestSegmentedAttend:
             attend(q, k, v, 2, 0.5, None, Segments([2, 2]), Segments([2, 3]))
         with pytest.raises(DimensionError):
             attend(q, k, v, 2, 0.5, None, Segments([5]), Segments([2, 3]))
+        with pytest.raises(DimensionError, match="both segment arguments or neither"):
+            attend(q, k, v, 2, 0.5, None, Segments([5]), None)
 
 
 class TestSegmentedDepthwise3:

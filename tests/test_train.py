@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from avmoe.errors import DataError
-from avmoe.frontend import LogMelSpectrogram
 from avmoe.losses import batch_balance_losses, total_loss
 from avmoe.model import Model, ModelConfig
 from avmoe.moe import MoEConfig
@@ -39,7 +38,7 @@ def ragged_batch(seed: int) -> list[Utterance]:
     for i, (frames, visual_rows, words) in enumerate(
         [(17, 3, 3), (9, 0, 2), (24, 1, 4), (12, 3, 1), (20, 0, 3)]
     ):
-        mel = LogMelSpectrogram(frames=rng.normal(size=(frames, 6)), n_mels=6)
+        mel = rng.normal(size=(frames, 6))
         visual = rng.normal(size=(visual_rows, 4)) if visual_rows else None
         target = [int(t) for t in rng.integers(4, 9, size=words)]
         batch.append(Utterance(f"u{i}", mel, visual, ["w"] * words, target))
