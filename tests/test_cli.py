@@ -75,6 +75,86 @@ def test_decode_prints_the_eval_hypothesis(run, capsys):
     assert len(records) == 3
 
 
+# What the ``run`` fixture's training and its scoring of test.jsonl print. A change
+# that moves the arithmetic on purpose records them anew and says so in CHANGES.md.
+GOLDEN_EPOCHS = [
+    {"epoch": 1, "l_att": 18.07146973841051, "l_ctc": 55.926276641267165,
+     "l_aux": [1.0013516578742516], "dev_wer": None},
+    {"epoch": 2, "l_att": 16.02864248749691, "l_ctc": 42.900810496568525,
+     "l_aux": [1.0073253945449185], "dev_wer": None},
+]
+LOOPING_HYP = "sea sea sea sea read" + " teal" * 27
+GOLDEN_EVAL = {
+    "audiovisual": [
+        {"hom_correct": 0, "hom_slots": 1, "hyp": LOOPING_HYP, "hyp_ctc": "green sea sea",
+         "ref": "red blue gray gold", "score": -50.28984855917088, "utt_id": "utt00010",
+         "wer": 8.0},
+        {"hom_correct": 0, "hom_slots": 2, "hyp": LOOPING_HYP,
+         "hyp_ctc": "see green see green gray pink gray", "ref": "see red pink gray",
+         "score": -49.81254971811458, "utt_id": "utt00011", "wer": 8.0},
+        {"hom_correct": 1, "hom_slots": 1, "hyp": "sea sea sea sea",
+         "hyp_ctc": "moss see green see pink", "ref": "moss moss sea pink pink",
+         "score": -7.9350801615708075, "utt_id": "utt00012", "wer": 0.8},
+        {"corpus": {"ctc_wer": 0.8461538461538461, "hom_accuracy": 0.25, "hom_correct": 1,
+                    "hom_slots": 4, "mode": "audiovisual", "subset_wer": 5.230769230769231,
+                    "utterances": 3, "wer": 5.230769230769231}},
+    ],
+    "audio_only": [
+        {"hom_correct": 0, "hom_slots": 1,
+         "hyp": "sea " * 9 + "green read" + " see" * 15, "hyp_ctc": "green sea",
+         "ref": "red blue gray gold", "score": -56.98203736473895, "utt_id": "utt00010",
+         "wer": 6.5},
+        {"hom_correct": 0, "hom_slots": 2,
+         "hyp": "sea sea sea black black sea sea sea" + " black" * 10
+                + " sea sea sea black black black" + " sea" * 8,
+         "hyp_ctc": "see green see green gray pink gray", "ref": "see red pink gray",
+         "score": -53.67719963347712, "utt_id": "utt00011", "wer": 8.0},
+        {"hom_correct": 1, "hom_slots": 1,
+         "hyp": "sea " * 9 + "black black black sea sea sea black black black sea sea sea "
+                "black black black" + " sea" * 8,
+         "hyp_ctc": "moss see green see green see pink", "ref": "moss moss sea pink pink",
+         "score": -50.387025059783745, "utt_id": "utt00012", "wer": 6.2},
+        {"corpus": {"ctc_wer": 1.0, "hom_accuracy": 0.25, "hom_correct": 1, "hom_slots": 4,
+                    "mode": "audio_only", "subset_wer": 6.846153846153846, "utterances": 3,
+                    "wer": 6.846153846153846}},
+    ],
+}
+
+
+def assert_golden(got, want):
+    """Equal in structure, strings and ints; floats to rel 1e-9, as bench/reference.json."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert_golden(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_golden(g, w)
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-9)
+    else:
+        assert got == want
+
+
+def test_golden_run_reproduces_the_recorded_losses_and_outputs(run, capsys):
+    lines = (run / "full" / "metrics.jsonl").read_text().splitlines()
+    assert_golden([json.loads(line) for line in lines], GOLDEN_EPOCHS)
+    manifest, ckpt = run / "corpus" / "test.jsonl", run / "full" / "final.ckpt"
+    for mode, extra in [("audiovisual", []), ("audio_only", ["--audio-only"])]:
+        capsys.readouterr()
+        assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt), *extra]) == 0
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert_golden(printed, GOLDEN_EVAL[mode])
+    for entry, record in zip(map(json.loads, manifest.read_text().splitlines()),
+                             GOLDEN_EVAL["audiovisual"]):
+        assert main(["decode", "--ckpt", str(ckpt),
+                     "--audio", str(run / "corpus" / entry["audio"]),
+                     "--visual", str(run / "corpus" / entry["visual"])]) == 0
+        assert capsys.readouterr().out == record["hyp"] + "\n"
+
+
 def test_config_that_is_not_json_exits_2(run):
     bad = run / "not_json.json"
     bad.write_text("{epochs: 2")
