@@ -3,8 +3,8 @@
 Frame geometry: 25 ms Hann windows every 10 ms. Features are
 magnitude-squared spectra pushed through a triangular Mel filterbank
 (HTK scale, 0 Hz to Nyquist) and floored at 1e-10 before the natural log.
-Frames are then stacked in groups and linearly projected into the model
-width to form speech tokens.
+The features are plain float64 arrays; ``model.Model.fuse`` turns them into
+speech tokens.
 
 Two audio file formats are read, sniffed by their leading bytes:
   * single-channel 16-bit PCM WAV
@@ -18,13 +18,11 @@ from __future__ import annotations
 import functools
 import wave
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, IngestError
+from .errors import ConfigError, DataError, IngestError
 from .f64file import read_f64_file, write_f64_file
-from .tensor import Tensor, matmul
 
 MEL_FLOOR = 1e-10
 FRAME_LENGTH_MS = 25.0
@@ -102,32 +100,6 @@ def log_mel(framed: np.ndarray, n_mels: int = 80, sample_rate: int = 16000) -> n
 
 def log_mel_from_waveform(waveform: Waveform, n_mels: int = 80) -> np.ndarray:
     return log_mel(frame_signal(waveform), n_mels=n_mels, sample_rate=waveform.sample_rate)
-
-
-def stack_frames(mels: Sequence[np.ndarray], stack_factor: int, proj: Tensor) -> Tensor:
-    """Group ``stack_factor`` consecutive frames and project to model width.
-
-    Each (num_frames, n_mels) feature array's last group is zero-padded, so
-    it gives ceil(num_frames / stack_factor) rows; the rows of all arrays are
-    packed one after another and projected by one product. Gradients flow
-    into ``proj`` only (features are constants).
-    """
-    if stack_factor < 1:
-        raise ConfigError(f"stack factor must be >= 1, got {stack_factor}")
-    blocks = []
-    for mel in mels:
-        count, n_mels = mel.shape
-        expected_in = stack_factor * n_mels
-        if proj.shape[0] != expected_in:
-            raise DimensionError(
-                f"stack projection expects {expected_in} input columns "
-                f"({stack_factor} x {n_mels}), got {proj.shape}"
-            )
-        groups = -(-count // stack_factor)
-        padded = np.zeros((groups * stack_factor, n_mels), dtype=np.float64)
-        padded[:count] = mel
-        blocks.append(padded.reshape(groups, expected_in))
-    return matmul(Tensor(np.concatenate(blocks)), proj)
 
 
 # -- audio file IO -----------------------------------------------------------

@@ -72,14 +72,14 @@ def extended_labels(target: list[int], blank_id: int) -> list[int]:
 def ctc_loss(
     frame_logits: Tensor,
     targets: list[list[int]],
+    frames: Sequence[int],
     blank_id: int = 0,
-    frames: Sequence[int] | None = None,
 ) -> Tensor:
     """Summed negative log-probability of B targets, each under its own CTC lattice.
 
     ``frame_logits`` holds the frames of B utterances one after another,
-    ``frames[b]`` of them for utterance b (by default one utterance over all
-    rows), and ``targets[b]`` is that utterance's label sequence.
+    ``frames[b]`` of them for utterance b, and ``targets[b]`` is that
+    utterance's label sequence.
 
     Alpha-beta forward-backward (Graves et al., 2006, section 4). With
     ``y[t, s]`` the log-probability at frame t of the label of state s of the
@@ -108,7 +108,7 @@ def ctc_loss(
     frames) raises instead of returning infinity: it means the data is bad.
     """
     rows, vocab = frame_logits.shape
-    counts = np.asarray([rows] if frames is None else frames, dtype=np.int64)
+    counts = np.asarray(frames, dtype=np.int64)
     if counts.shape != (len(targets),) or counts.sum() != rows or (counts < 1).any():
         raise DataError(
             f"CTC: frame counts {counts.tolist()} do not split {rows} frames "
@@ -186,8 +186,8 @@ def total_loss(
     l_att: Tensor,
     l_ctc: Tensor,
     aux_per_layer: list[Tensor],
-    alpha: float = 0.3,
-    beta: float = 0.01,
+    alpha: float,
+    beta: float,
 ) -> LossBundle:
     """Compose the weighted objective: att + alpha*ctc + beta*mean(aux)."""
     if aux_per_layer:

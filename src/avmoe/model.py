@@ -7,10 +7,15 @@ FFN slots use half-scaled residuals; all sublayers are pre-norm. The decoder
 is a standard pre-norm Transformer with cross-attention. A linear CTC head
 reads the encoder states at speech positions only.
 
+The encoder input is built by ``Model.fuse`` alone: each utterance's
+visual rows, projected into model width, ahead of its speech tokens, which
+are stacked Mel frames projected by one product.
+
 Every method runs on a batch packed along axis 0 (``nn.Segments``): the
 rows of utterance b follow those of utterance b - 1, positions restart at
 each utterance, and attention and the convolution stay inside it. One
-utterance is the batch of one, the default of every method.
+utterance is the batch of one: ``encode_utterance`` packs it, and
+``decode_teacher_forcing`` and ``ctc_head`` take it as their default.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, GraphError
 from .fields import check_fields
-from .frontend import stack_frames
-from .fusion import FusedSequence, fuse_concat, project_visual
 from .moe import LoadStats, MoEConfig, MoELayer
 from .nn import (
     ConvGatedMLP,
@@ -40,7 +43,7 @@ from .nn import (
     sinusoidal_positions,
     unfilled,
 )
-from .tensor import Tensor, concat, gather_rows, grad_enabled
+from .tensor import Tensor, affine, concat, gather_rows, grad_enabled, matmul
 
 
 @dataclass
@@ -144,6 +147,15 @@ class DecoderBlock(Module):
         return x + self.ffn(self.ffn_norm(x))
 
 
+@dataclass
+class FusedSequence:
+    """A batch of utterances packed along axis 0, each its visual rows then its speech tokens."""
+
+    x: Tensor  # (total rows, width)
+    segments: Segments  # the rows of each utterance
+    boundary: np.ndarray  # per utterance, the position of its first speech row within its rows
+
+
 class DecodeCache:
     """What an incremental decode of one utterance keeps between its steps.
 
@@ -186,24 +198,48 @@ class Model(Module):
     # -- encoder side ------------------------------------------------------
 
     def fuse(self, mels: list[np.ndarray], visuals: list[np.ndarray | None]) -> FusedSequence:
-        """Pack utterances for the encoder: each one's visual rows, then its speech tokens."""
+        """Pack utterances for the encoder: each one's visual rows, then its speech tokens.
+
+        Speech tokens are groups of ``stack_factor`` consecutive Mel frames,
+        each utterance's last group zero-padded, all projected by one product
+        with ``input_proj``. Visual rows (``None`` for none) are mapped into
+        model width by one ``z @ visual_proj + visual_bias``. Gradients reach
+        these three parameters only: the features are constants.
+        """
+        cfg = self.cfg
         if len(mels) != len(visuals) or not mels:
             raise DataError(f"fuse got {len(mels)} spectrograms and {len(visuals)} visual inputs")
-        sf = self.cfg.stack_factor
-        s = stack_frames(mels, sf, self.input_proj)
+        sf, n_mels = cfg.stack_factor, cfg.n_mels
+        for mel in mels:
+            if mel.shape[1:] != (n_mels,):
+                raise DimensionError(
+                    f"features {mel.shape} do not fit the stack projection "
+                    f"{self.input_proj.shape} ({sf} x {n_mels} Mel bins)"
+                )
         present = [z for z in visuals if z is not None]
         for z in present:
-            if z.ndim != 2 or z.shape[1] != self.cfg.visual_dim:
+            if z.ndim != 2 or z.shape[1] != cfg.visual_dim:
                 raise DataError(
                     f"visual width mismatch: embeddings {z.shape} vs projection "
                     f"{self.visual_proj.shape}"
                 )
-        v = None
-        if present:
-            v = project_visual(np.concatenate(present), self.visual_proj, self.visual_bias)
-        visual_counts = [0 if z is None else z.shape[0] for z in visuals]
-        speech_counts = [-(-mel.shape[0] // sf) for mel in mels]
-        return fuse_concat(v, s, visual_counts, speech_counts)
+        speech_counts = np.array([-(-mel.shape[0] // sf) for mel in mels])
+        visual_counts = np.array([0 if z is None else z.shape[0] for z in visuals])
+        frames = np.zeros((speech_counts.sum() * sf, n_mels))
+        for mel, start in zip(mels, sf * (np.cumsum(speech_counts) - speech_counts)):
+            frames[start : start + mel.shape[0]] = mel
+        s = matmul(Tensor(frames.reshape(-1, sf * n_mels)), self.input_proj)
+        segments = Segments(visual_counts + speech_counts)
+        if not visual_counts.any():
+            return FusedSequence(x=s, segments=segments, boundary=visual_counts)
+        v = affine(Tensor(np.concatenate(present)), self.visual_proj, self.visual_bias)
+        # Visual rows take their slots in order, and speech rows the rest.
+        is_visual = segments.positions < visual_counts[segments.index]
+        order = np.empty(segments.total, dtype=np.int64)
+        order[is_visual] = np.arange(v.shape[0])
+        order[~is_visual] = v.shape[0] + np.arange(s.shape[0])
+        x = gather_rows(concat([v, s], axis=0), order)
+        return FusedSequence(x=x, segments=segments, boundary=visual_counts)
 
     def encode(self, fused: FusedSequence) -> tuple[Tensor, list[LoadStats]]:
         seg = fused.segments

@@ -373,13 +373,11 @@ def _unbatch_one(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[1:])
 
 
-def depthwise3(
-    x: Tensor, kernel: Tensor, bias: Tensor, segments: Segments | None = None
-) -> Tensor:
+def depthwise3(x: Tensor, kernel: Tensor, bias: Tensor, segments: Segments) -> Tensor:
     """3-tap depthwise convolution along time of B packed sequences, as one graph node.
 
     ``x`` is (T, D), ``kernel`` (3, D), ``bias`` (D,); ``segments`` splits
-    the rows into sequences and defaults to one. With ``prev[t]`` and
+    the rows into sequences. With ``prev[t]`` and
     ``next[t]`` the rows before and after t, zero where t starts or ends its
     sequence:
 
@@ -400,11 +398,10 @@ def depthwise3(
         raise DimensionError(
             f"depthwise3 got x={x.shape}, kernel={kernel.shape}, bias={bias.shape}"
         )
-    seg = segments if segments is not None else Segments([length])
-    if seg.total != length:
-        raise DimensionError(f"depthwise3: segments cover {seg.total} rows, x has {length}")
+    if segments.total != length:
+        raise DimensionError(f"depthwise3: segments cover {segments.total} rows, x has {length}")
     zero = np.zeros((1, dim))
-    inner = seg.starts[1:]  # first rows of the sequences after the first
+    inner = segments.starts[1:]  # first rows of the sequences after the first
 
     def shifted(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(row before, row after) each row of ``a``, zero across sequence ends."""
@@ -443,7 +440,7 @@ class ConvGatedMLP(Module):
         self.down = Linear(rng, dim, dim)
         self.dim = dim
 
-    def __call__(self, x: Tensor, segments: Segments | None = None) -> Tensor:
+    def __call__(self, x: Tensor, segments: Segments) -> Tensor:
         u = silu(self.up(x))
         gate = narrow(u, 1, 0, self.dim)
         conv_in = narrow(u, 1, self.dim, self.dim)

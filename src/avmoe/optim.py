@@ -29,9 +29,9 @@ class Adam:
         self,
         named_params: list[tuple[str, Tensor]],
         lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
+        beta1: float,
+        beta2: float,
+        eps: float,
         moments: tuple[dict[str, np.ndarray], dict[str, np.ndarray]] | None = None,
     ):
         self.params = list(named_params)

@@ -185,9 +185,7 @@ def batch_losses(model: Model, batch: list[Utterance]) -> tuple[Tensor, Tensor, 
     frame_logits = model.ctc_head(states, fused.boundary, fused.segments)
     frames = fused.segments.lengths - fused.boundary
     try:
-        l_ctc = ctc_loss(
-            frame_logits, [u.target_ids for u in batch], blank_id=cfg.blank_id, frames=frames
-        )
+        l_ctc = ctc_loss(frame_logits, [u.target_ids for u in batch], frames, cfg.blank_id)
     except CtcInfeasibleError as exc:
         raise DataError(f"utterance {batch[exc.index].utt_id}: {exc}") from exc
     return l_att, l_ctc, stats
@@ -297,6 +295,11 @@ def _unfilled_model(ckpt: Checkpoint) -> tuple[Model, Vocab]:
         raise CheckpointError(
             f"{ckpt.path}: unreadable model config or vocabulary: {exc!r}"
         ) from exc
+    if cfg.vocab_size != vocab.size:
+        raise CheckpointError(
+            f"{ckpt.path}: {len(words)} words and {ModelConfig.num_specials} reserved ids "
+            f"do not make the model's vocab_size {cfg.vocab_size}"
+        )
     return Model(cfg, rng=None), vocab
 
 

@@ -14,7 +14,20 @@ import numpy as np
 
 from avmoe.checkpoint import load_checkpoint
 from avmoe.frontend import Waveform, hz_to_mel
+from avmoe.model import Model, ModelConfig
 from avmoe.tensor import Tensor, affine, silu
+from avmoe.train import TrainConfig
+
+# Adam's decay rates and floor, as training passes them.
+ADAM_CONSTANTS = {"beta1": TrainConfig.adam_beta1, "beta2": TrainConfig.adam_beta2,
+                  "eps": TrainConfig.adam_eps}
+
+
+def fuse_model(n_mels: int, stack_factor: int, visual_dim: int, hidden: int) -> Model:
+    """A model without blocks, whose ``fuse`` packs the encoder input."""
+    cfg = ModelConfig(vocab_size=5, hidden=hidden, heads=1, encoder_blocks=0, decoder_blocks=0,
+                      visual_dim=visual_dim, n_mels=n_mels, stack_factor=stack_factor)
+    return Model(cfg, np.random.default_rng(0))
 
 
 def numeric_grad(func, array: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -23,7 +23,7 @@ from avmoe.train import (
     TrainConfig, TrainState, Vocab, restore_model, restore_train_state, save_train_state,
 )
 
-from helpers import fill_disk_at_open, flip_byte_in_tensor
+from helpers import ADAM_CONSTANTS, fill_disk_at_open, flip_byte_in_tensor
 
 
 def write_tiny_checkpoint(path) -> TrainState:
@@ -33,7 +33,7 @@ def write_tiny_checkpoint(path) -> TrainState:
         moe=MoEConfig(num_experts=2, top_k=1, hidden=4, ffn_hidden=8),
     )
     model = Model(cfg, np.random.default_rng(40))
-    optimizer = Adam(model.named_parameters(), lr=1e-3)
+    optimizer = Adam(model.named_parameters(), lr=1e-3, **ADAM_CONSTANTS)
     state = TrainState(model, optimizer, np.random.default_rng(41), step=3, epochs_done=1)
     save_train_state(path, state, Vocab(["a", "b"]), TrainConfig())
     return state
@@ -486,13 +486,14 @@ class TestLoad:
 def write_drawn_checkpoint(path, cfg: ModelConfig) -> None:
     """A training checkpoint of ``cfg`` with drawn weights and non-zero Adam moments."""
     model = Model(cfg, np.random.default_rng(50))
-    optimizer = Adam(model.named_parameters(), lr=1e-3)
+    optimizer = Adam(model.named_parameters(), lr=1e-3, **ADAM_CONSTANTS)
     rng = np.random.default_rng(51)
     for name in optimizer.m:
         optimizer.m[name] = rng.normal(size=optimizer.m[name].shape)
         optimizer.v[name] = rng.random(size=optimizer.v[name].shape)
     state = TrainState(model, optimizer, np.random.default_rng(52), step=2)
-    save_train_state(path, state, Vocab(["a", "b"]), TrainConfig())
+    words = [f"w{i}" for i in range(cfg.vocab_size - ModelConfig.num_specials)]
+    save_train_state(path, state, Vocab(words), TrainConfig())
 
 
 class TestModelOnlyLoad:

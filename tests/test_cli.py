@@ -342,6 +342,28 @@ def test_checkpoint_naming_a_removed_field_exits_3(run, section, key, value, cap
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "decode"])
+def test_checkpoint_whose_vocabulary_contradicts_its_vocab_size_exits_3(run, command, capsys):
+    # One word short of the model's output ids, under a valid checksum: before
+    # this was refused, decode printed words off by one and eval blamed a
+    # manifest word.
+    saved = load_checkpoint(run / "full" / "final.ckpt")
+    ckpt = run / "short_vocab.ckpt"
+    save_checkpoint(ckpt, {**saved.config, "vocab": saved.config["vocab"][1:]}, saved.read())
+    entry = json.loads((run / "corpus" / "test.jsonl").read_text().splitlines()[0])
+    capsys.readouterr()
+    if command == "eval":
+        code = main(["eval", "--manifest", str(run / "corpus" / "test.jsonl"), "--ckpt", str(ckpt)])
+    else:
+        code = main(["decode", "--ckpt", str(ckpt), "--audio", str(run / "corpus" / entry["audio"]),
+                     "--visual", str(run / "corpus" / entry["visual"])])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{len(saved.config['vocab']) - 1} words and 4 reserved ids do not make the model's " \
+           f"vocab_size {saved.config['model']['vocab_size']}" in captured.err
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("train", "batch_size", 0), ("train", "lr", "fast"), ("model", "heads", 3),
     (None, "step", -5), (None, "epochs_done", 1.0), (None, "vocab", "ab"),

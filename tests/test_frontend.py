@@ -1,4 +1,7 @@
-"""Frame geometry, log-Mel features, frame stacking, and audio file IO."""
+"""Frame geometry, log-Mel features, frame stacking by ``Model.fuse``, and audio file IO."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +17,12 @@ from avmoe.frontend import (
     read_f64,
     read_waveform,
     read_wav,
-    stack_frames,
     window_sizes,
     write_f64,
 )
 from avmoe.tensor import Tensor
 
-from helpers import check_grad, mel_center_frequencies, write_wav
+from helpers import check_grad, fuse_model, mel_center_frequencies, write_wav
 
 
 def tone(freq: float, seconds: float, rate: int = 16000) -> Waveform:
@@ -153,52 +155,55 @@ class TestLogMel:
 
 
 class TestStacking:
+    """Features to speech tokens: ``Model.fuse`` stacks the frames and projects them."""
+
     def test_98_frames_stack_to_25_tokens(self):
         mel = log_mel_from_waveform(tone(500.0, 1.0))
         assert mel.shape == (98, 80)
-        proj = Tensor(np.random.default_rng(0).normal(size=(4 * 80, 16)))
-        tokens = stack_frames([mel], 4, proj)
-        assert tokens.shape == (25, 16)
+        fused = fuse_model(80, 4, 16, 64).fuse([mel], [None])
+        assert fused.x.shape == (25, 64)
+        assert fused.boundary.tolist() == [0]
 
     def test_last_group_zero_padded(self):
-        mel = np.arange(10.0).reshape(5, 2)
-        eye = Tensor(np.eye(6))
-        tokens = stack_frames([mel], 3, eye)
+        model = fuse_model(2, 3, 1, 6)
+        model.input_proj.data = np.eye(6)
+        tokens = model.fuse([np.arange(10.0).reshape(5, 2)], [None]).x
         assert tokens.shape == (2, 6)
         np.testing.assert_array_equal(tokens.data[1], [6.0, 7.0, 8.0, 9.0, 0.0, 0.0])
 
     def test_factor_one_identity_projection_keeps_frames(self):
         mel = np.random.default_rng(2).normal(size=(7, 3))
-        tokens = stack_frames([mel], 1, Tensor(np.eye(3)))
-        assert tokens.shape == (7, 3)
-        np.testing.assert_array_equal(tokens.data, mel)
+        model = fuse_model(3, 1, 1, 3)
+        model.input_proj.data = np.eye(3)
+        np.testing.assert_array_equal(model.fuse([mel], [None]).x.data, mel)
 
     def test_spectrograms_pack_one_after_another(self):
         rng = np.random.default_rng(4)
         mels = [rng.normal(size=(n, 2)) for n in (5, 2, 7)]
-        proj = Tensor(rng.normal(size=(6, 4)))
-        packed = stack_frames(mels, 3, proj)
-        one_by_one = [stack_frames([mel], 3, proj).data for mel in mels]
-        assert packed.shape == (2 + 1 + 3, 4)
+        model = fuse_model(2, 3, 1, 4)
+        packed = model.fuse(mels, [None] * 3)
+        one_by_one = [model.fuse([mel], [None]).x.data for mel in mels]
+        assert packed.x.shape == (2 + 1 + 3, 4)
+        np.testing.assert_array_equal(packed.segments.lengths, [2, 1, 3])
         # One product instead of three: BLAS may round the rows differently.
-        np.testing.assert_allclose(packed.data, np.concatenate(one_by_one), rtol=1e-13)
+        np.testing.assert_allclose(packed.x.data, np.concatenate(one_by_one), rtol=1e-13)
 
     def test_bad_factor_rejected(self):
-        mel = np.zeros((4, 2))
-        with pytest.raises(ConfigError):
-            stack_frames([mel], 0, Tensor(np.eye(2)))
+        with pytest.raises(ConfigError, match="stack_factor"):
+            fuse_model(2, 0, 1, 4)
 
     def test_projection_width_checked(self):
-        mel = np.zeros((4, 2))
-        with pytest.raises(DimensionError):
-            stack_frames([mel], 2, Tensor(np.eye(3)))
+        # A DimensionError is a ConfigError: the CLI exits 2.
+        with pytest.raises(DimensionError, match=r"features \(4, 3\) do not fit"):
+            fuse_model(2, 2, 1, 4).fuse([np.zeros((4, 3))], [None])
 
     def test_gradient_flows_through_projection(self):
         rng = np.random.default_rng(3)
-        mel = rng.normal(size=(5, 3))
-        proj = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-        weights = Tensor(rng.normal(size=(3, 4)))
-        check_grad(lambda: (stack_frames([mel], 2, proj) * weights).sum(), [proj], tol=1e-5)
+        mels = [rng.normal(size=(5, 3)), rng.normal(size=(2, 3))]
+        model = fuse_model(3, 2, 1, 4)
+        weights = Tensor(rng.normal(size=(4, 4)))
+        check_grad(lambda: (model.fuse(mels, [None, None]).x * weights).sum(),
+                   [model.input_proj], tol=1e-5)
 
 
 class TestAudioIO:
@@ -278,3 +283,20 @@ class TestAudioIO:
         path.write_bytes(header + samples.astype("<f8").tobytes())
         with pytest.raises(IngestError, match=f"byte offset {len(header) + 16}"):
             read_f64(path)
+
+
+@pytest.mark.parametrize("module", ["frontend", "fusion", "f64file"])
+def test_file_readers_import_no_engine_module(module):
+    # The audio and VEMB readers hand plain arrays to the model; the autograd
+    # engine and the layers are the model's business.
+    path = Path(__file__).resolve().parent.parent / "src" / "avmoe" / f"{module}.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            imported.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("avmoe"):
+            imported.add(node.module.removeprefix("avmoe").lstrip(".") or "avmoe")
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.removeprefix("avmoe.") for a in node.names
+                         if a.name.startswith("avmoe")}
+    assert imported <= {"errors", "f64file"}

@@ -1,19 +1,13 @@
-"""Visual embedding IO, projection, and sequence fusion."""
+"""Visual embedding IO, and the projection and packing that ``Model.fuse`` does."""
 
 import numpy as np
 import pytest
 
-from avmoe.errors import DimensionError, IngestError
-from avmoe.fusion import (
-    FusedSequence,
-    fuse_concat,
-    load_visual_embeddings,
-    project_visual,
-    save_visual_embeddings,
-)
+from avmoe.errors import DataError, IngestError
+from avmoe.fusion import load_visual_embeddings, save_visual_embeddings
 from avmoe.tensor import Tensor
 
-from helpers import check_grad
+from helpers import check_grad, fuse_model
 
 
 class TestVembIO:
@@ -66,62 +60,91 @@ class TestVembIO:
 
 
 class TestProjection:
+    """Visual rows to model width: ``Model.fuse`` maps them by z @ visual_proj + visual_bias."""
+
     def test_identity_projection_keeps_rows(self):
         z = np.random.default_rng(1).normal(size=(4, 5))
-        v = project_visual(z, Tensor(np.eye(5)), Tensor(np.zeros(5)))
-        np.testing.assert_array_equal(v.data, z)
+        model = fuse_model(2, 1, 5, 5)
+        model.visual_proj.data = np.eye(5)
+        fused = model.fuse([np.zeros((3, 2))], [z])
+        np.testing.assert_array_equal(fused.x.data[:4], z)
 
     def test_zero_input_gives_bias_rows(self):
         bias = np.array([1.0, -2.0, 0.5])
-        v = project_visual(np.zeros((3, 4)), Tensor(np.zeros((4, 3))), Tensor(bias))
-        np.testing.assert_array_equal(v.data, np.tile(bias, (3, 1)))
+        model = fuse_model(2, 1, 4, 3)
+        model.visual_bias.data = bias
+        fused = model.fuse([np.zeros((3, 2))], [np.zeros((3, 4))])
+        np.testing.assert_array_equal(fused.x.data[:3], np.tile(bias, (3, 1)))
 
     def test_width_mismatch(self):
-        with pytest.raises(DimensionError):
-            project_visual(np.zeros((2, 4)), Tensor(np.zeros((5, 3))), Tensor(np.zeros(3)))
+        # A data error: the CLI exits 3.
+        with pytest.raises(DataError, match=r"visual width mismatch: embeddings \(2, 5\)"):
+            fuse_model(2, 1, 4, 3).fuse([np.zeros((3, 2))], [np.zeros((2, 5))])
 
     def test_gradient_wrt_projection(self):
         rng = np.random.default_rng(2)
-        z = rng.normal(size=(3, 4))
-        proj = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        bias = Tensor(rng.normal(size=6), requires_grad=True)
-        weights = Tensor(rng.normal(size=(3, 6)))
-        check_grad(lambda: (project_visual(z, proj, bias) * weights).sum(), [proj, bias], tol=1e-5)
+        mels = [rng.normal(size=(3, 2)), rng.normal(size=(2, 2))]
+        visuals = [rng.normal(size=(3, 4)), None]
+        model = fuse_model(2, 2, 4, 6)
+        weights = Tensor(rng.normal(size=(3 + 2 + 1, 6)))
+        params = [model.input_proj, model.visual_proj, model.visual_bias]
+        check_grad(lambda: (model.fuse(mels, visuals).x * weights).sum(), params, tol=1e-5)
 
 
 class TestFusion:
+    """``Model.fuse`` packs each utterance's visual rows ahead of its speech tokens."""
+
     def test_visual_first_with_boundary(self):
-        v = Tensor(np.ones((4, 8)))
-        s = Tensor(np.zeros((10, 8)))
-        fused = fuse_concat(v, s)
+        fused = fuse_model(2, 1, 3, 8).fuse([np.zeros((10, 2))], [np.ones((4, 3))])
         assert fused.x.shape == (14, 8)
         assert fused.boundary.tolist() == [4]
+        assert fused.segments.lengths.tolist() == [14]
 
     def test_empty_visual_is_identity_on_speech(self):
-        s = Tensor(np.random.default_rng(3).normal(size=(6, 8)))
-        for v in (None, Tensor(np.zeros((0, 8)))):
-            fused = fuse_concat(v, s)
+        mel = np.random.default_rng(3).normal(size=(6, 2))
+        model = fuse_model(2, 1, 3, 8)
+        for visual in (None, np.zeros((0, 3))):
+            fused = model.fuse([mel], [visual])
             assert fused.boundary.tolist() == [0]
-            np.testing.assert_array_equal(fused.x.data, s.data)
+            np.testing.assert_array_equal(fused.x.data, mel @ model.input_proj.data)
 
     def test_packs_each_utterance_visual_rows_first(self):
-        # Three utterances: 2 visual + 3 speech rows, 0 + 2, 1 + 1.
-        v = Tensor(np.array([[1.0], [2.0], [3.0]]), requires_grad=True)
-        s = Tensor(np.array([[10.0], [11.0], [12.0], [20.0], [21.0], [30.0]]), requires_grad=True)
-        fused = fuse_concat(v, s, [2, 0, 1], [3, 2, 1])
-        np.testing.assert_array_equal(
-            fused.x.data[:, 0], [1.0, 2.0, 10.0, 11.0, 12.0, 20.0, 21.0, 3.0, 30.0]
-        )
-        np.testing.assert_array_equal(fused.segments.lengths, [5, 2, 2])
-        np.testing.assert_array_equal(fused.boundary, [2, 0, 1])
-        (fused.x * Tensor(np.arange(9.0)[:, None])).sum().backward()
-        np.testing.assert_array_equal(v.grad[:, 0], [0.0, 1.0, 7.0])
-        np.testing.assert_array_equal(s.grad[:, 0], [2.0, 3.0, 4.0, 5.0, 6.0, 8.0])
+        # Four utterances: 2 visual rows, none, 0 rows and 1 row, ahead of 2, 1, 1 and
+        # 2 speech tokens. A speech token is two frames; a visual row is [z, 100].
+        model = fuse_model(1, 2, 1, 2)
+        model.input_proj.data = np.eye(2)
+        model.visual_proj.data = np.array([[1.0, 0.0]])
+        model.visual_bias.data = np.array([0.0, 100.0])
+        mels = [np.array([[10.0], [11.0], [12.0]]), np.array([[20.0], [21.0]]),
+                np.array([[30.0]]), np.array([[40.0], [41.0], [42.0], [43.0]])]
+        visuals = [np.array([[1.0], [2.0]]), None, np.zeros((0, 1)), np.array([[3.0]])]
+        fused = model.fuse(mels, visuals)
+        np.testing.assert_array_equal(fused.x.data, [
+            [1, 100], [2, 100], [10, 11], [12, 0],
+            [20, 21],
+            [30, 0],
+            [3, 100], [40, 41], [42, 43],
+        ])
+        np.testing.assert_array_equal(fused.segments.lengths, [4, 1, 1, 3])
+        np.testing.assert_array_equal(fused.boundary, [2, 0, 0, 1])
+        # Each row's gradient reaches the projection of its own source row.
+        (fused.x * Tensor(np.arange(9.0)[:, None] * [1.0, 0.0])).sum().backward()
+        np.testing.assert_array_equal(model.visual_bias.grad, [0 + 1 + 6, 0])
+        np.testing.assert_array_equal(model.visual_proj.grad, [[1 * 0 + 2 * 1 + 3 * 6, 0]])
+        np.testing.assert_array_equal(model.input_proj.grad, [
+            [10 * 2 + 12 * 3 + 20 * 4 + 30 * 5 + 40 * 7 + 42 * 8, 0],
+            [11 * 2 + 0 * 3 + 21 * 4 + 0 * 5 + 41 * 7 + 43 * 8, 0],
+        ])
 
     def test_counts_must_split_the_rows(self):
-        with pytest.raises(DimensionError):
-            fuse_concat(Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 2))), [1, 1], [2, 2])
+        # One visual input per spectrogram.
+        model = fuse_model(2, 1, 3, 4)
+        with pytest.raises(DataError, match="2 spectrograms and 1 visual inputs"):
+            model.fuse([np.zeros((3, 2))] * 2, [None])
+        with pytest.raises(DataError, match="0 spectrograms and 0 visual inputs"):
+            model.fuse([], [])
 
     def test_width_mismatch(self):
-        with pytest.raises(DimensionError):
-            fuse_concat(Tensor(np.zeros((2, 4))), Tensor(np.zeros((5, 8))))
+        # Visual rows must be a 2-d (rows, visual_dim) array.
+        with pytest.raises(DataError, match=r"visual width mismatch: embeddings \(3,\)"):
+            fuse_model(2, 1, 3, 4).fuse([np.zeros((3, 2))], [np.zeros(3)])

@@ -52,7 +52,7 @@ class TestCtcOracle:
         rng = np.random.default_rng(20)
         for _ in range(60):
             logits, target = random_case(rng)
-            got = ctc_loss(Tensor(logits), [target], blank_id=BLANK).item()
+            got = ctc_loss(Tensor(logits), [target], [len(logits)], blank_id=BLANK).item()
             np.testing.assert_allclose(got, brute_force_nll(logits, target), rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -69,15 +69,15 @@ class TestCtcOracle:
     def test_hand_picked_lattices_match_enumeration(self, target, frames):
         assert frames >= min_frames_for(target)
         logits = np.random.default_rng(frames).normal(size=(frames, 4))
-        got = ctc_loss(Tensor(logits), [target], blank_id=BLANK).item()
+        got = ctc_loss(Tensor(logits), [target], [len(logits)], blank_id=BLANK).item()
         np.testing.assert_allclose(got, brute_force_nll(logits, target), rtol=1e-12)
 
     def test_blank_id_other_than_zero(self):
         logits = np.random.default_rng(21).normal(size=(5, 4))
         # Relabel so that id 3 plays the blank: swap columns 0 and 3.
         swapped = logits[:, [3, 1, 2, 0]]
-        want = ctc_loss(Tensor(logits), [[1, 2, 2]], blank_id=0).item()
-        got = ctc_loss(Tensor(swapped), [[1, 2, 2]], blank_id=3).item()
+        want = ctc_loss(Tensor(logits), [[1, 2, 2]], [5], blank_id=0).item()
+        got = ctc_loss(Tensor(swapped), [[1, 2, 2]], [5], blank_id=3).item()
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
@@ -86,27 +86,27 @@ class TestCtcGradient:
         rng = np.random.default_rng(22)
         for target, frames in (([1, 2, 2], 6), ([3], 1), ([2, 1, 3, 1], 9)):
             x = Tensor(rng.normal(size=(frames, 4)), requires_grad=True)
-            check_grad(lambda: ctc_loss(x, [target], blank_id=BLANK), [x], tol=1e-6)
+            check_grad(lambda: ctc_loss(x, [target], [frames], blank_id=BLANK), [x], tol=1e-6)
 
 
 class TestCtcInputChecks:
     def test_empty_target(self):
         with pytest.raises(DataError, match="non-empty"):
-            ctc_loss(Tensor(np.zeros((3, 4))), [[]])
+            ctc_loss(Tensor(np.zeros((3, 4))), [[]], [3])
 
     def test_blank_in_target(self):
         with pytest.raises(DataError, match="blank"):
-            ctc_loss(Tensor(np.zeros((3, 4))), [[1, 0, 2]])
+            ctc_loss(Tensor(np.zeros((3, 4))), [[1, 0, 2]], [3])
 
     def test_id_out_of_range(self):
         for target in ([1, 4], [-1]):
             with pytest.raises(DataError, match="out of range"):
-                ctc_loss(Tensor(np.zeros((3, 4))), [target])
+                ctc_loss(Tensor(np.zeros((3, 4))), [target], [3])
 
     def test_infeasible_target(self):
         # [1, 1] needs a separating blank: 3 frames.
         with pytest.raises(CtcInfeasibleError, match="at least 3 frames"):
-            ctc_loss(Tensor(np.zeros((2, 4))), [[1, 1]])
+            ctc_loss(Tensor(np.zeros((2, 4))), [[1, 1]], [2])
 
 
 class TestBatchedCtc:
@@ -127,7 +127,7 @@ class TestBatchedCtc:
         want_loss, want_grad = 0.0, []
         for case_logits, target in cases:
             xb = Tensor(case_logits, requires_grad=True)
-            lb = ctc_loss(xb, [target], blank_id=BLANK)
+            lb = ctc_loss(xb, [target], [len(case_logits)], blank_id=BLANK)
             lb.backward()
             np.testing.assert_allclose(lb.item(), brute_force_nll(case_logits, target), rtol=1e-12)
             want_loss += lb.item()

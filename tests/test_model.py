@@ -8,7 +8,7 @@ import numpy as np
 from avmoe.losses import batch_balance_losses, total_loss
 from avmoe.model import Model, ModelConfig
 from avmoe.moe import MoEConfig
-from avmoe.train import Utterance, batch_losses, utterance_losses
+from avmoe.train import TrainConfig, Utterance, batch_losses, utterance_losses
 
 from helpers import numeric_grad_at, rel_error
 
@@ -45,7 +45,7 @@ def test_loss_graph_size_is_pinned():
     model = Model(tiny_config(cfg), np.random.default_rng(32))
     l_att, l_ctc, stats = utterance_losses(model, fixed_utterance())
     aux = batch_balance_losses([[s] for s in stats], cfg.num_experts)
-    bundle = total_loss(l_att, l_ctc, aux)
+    bundle = total_loss(l_att, l_ctc, aux, TrainConfig.alpha, TrainConfig.beta)
     ctc_only = graph_nodes(l_ctc).keys() - graph_nodes(l_att).keys()
     # The CTC head's row gather and affine, the log-softmax, and the lattice node.
     assert len(ctc_only) == 4
@@ -66,7 +66,8 @@ def routed_model() -> Model:
 
 def routed_total_loss(model: Model, utt: Utterance):
     l_att, l_ctc, stats = utterance_losses(model, utt)
-    return total_loss(l_att, l_ctc, batch_balance_losses([[s] for s in stats], 2)).l_total
+    aux = batch_balance_losses([[s] for s in stats], 2)
+    return total_loss(l_att, l_ctc, aux, TrainConfig.alpha, TrainConfig.beta).l_total
 
 
 def test_total_loss_gradient_matches_finite_differences():
@@ -148,7 +149,8 @@ def test_backward_peak_stays_near_the_forward_graph():
 
     def loss():
         l_att, l_ctc, stats = batch_losses(model, batch)
-        return total_loss(l_att, l_ctc, batch_balance_losses([[s] for s in stats], 4)).l_total
+        aux = batch_balance_losses([[s] for s in stats], 4)
+        return total_loss(l_att, l_ctc, aux, TrainConfig.alpha, TrainConfig.beta).l_total
 
     loss().backward()  # fills the lazy caches before anything is measured
     for p in model.parameters():

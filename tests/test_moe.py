@@ -15,7 +15,9 @@ from avmoe.nn import FeedForward
 from avmoe.optim import Adam
 from avmoe.tensor import Tensor, _sigmoid_stable, gather_rows, matmul
 
-from helpers import NODE_OBJECTS, check_grad, copy_ffn_weights, reference_ffn, retained_bytes
+from helpers import (
+    ADAM_CONSTANTS, NODE_OBJECTS, check_grad, copy_ffn_weights, reference_ffn, retained_bytes,
+)
 
 
 def make_layer(num_experts=8, top_k=4, hidden=6, ffn_hidden=12, seed=0):
@@ -305,7 +307,7 @@ class TestExpertMixture:
             assert all((p.grad is not None) == (e in used) for p in expert.parameters())
         silent = layer.experts[3].parameters()
         before = [p.data.copy() for p in silent]
-        opt = Adam(layer.named_parameters(), lr=1e-2)
+        opt = Adam(layer.named_parameters(), lr=1e-2, **ADAM_CONSTANTS)
         opt.step(1, 1.0)
         for name, _ in layer.experts[3].named_parameters():
             assert not opt.m[f"experts.3.{name}"].any()

@@ -169,7 +169,7 @@ class TestDepthwise3:
         kernel = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         bias = Tensor(rng.normal(size=5), requires_grad=True)
         assert_same_loss_and_grads(
-            lambda: depthwise3(x, kernel, bias),
+            lambda: depthwise3(x, kernel, bias, Segments([length])),
             lambda: reference_depthwise3(x, kernel, bias),
             [x, kernel, bias],
             (length, 5),
@@ -180,7 +180,8 @@ class TestDepthwise3:
         rng = np.random.default_rng(3)
         x, kernel, bias = (Tensor(rng.normal(size=s)) for s in ((11, 4), (3, 4), (4,)))
         np.testing.assert_array_equal(
-            depthwise3(x, kernel, bias).data, reference_depthwise3(x, kernel, bias).data
+            depthwise3(x, kernel, bias, Segments([11])).data,
+            reference_depthwise3(x, kernel, bias).data,
         )
 
     def test_gradient_matches_finite_differences(self):
@@ -189,14 +190,15 @@ class TestDepthwise3:
         kernel = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         bias = Tensor(rng.normal(size=3), requires_grad=True)
         weights = Tensor(rng.normal(size=(6, 3)))
-        check_grad(lambda: (depthwise3(x, kernel, bias) * weights).sum(), [x, kernel, bias])
+        check_grad(lambda: (depthwise3(x, kernel, bias, Segments([6])) * weights).sum(),
+                   [x, kernel, bias])
 
     def test_shape_errors(self):
         x = Tensor(np.zeros((4, 3)))
         with pytest.raises(DimensionError):
-            depthwise3(x, Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+            depthwise3(x, Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), Segments([4]))
         with pytest.raises(DimensionError):
-            depthwise3(x, Tensor(np.zeros((3, 3))), Tensor(np.zeros(4)))
+            depthwise3(x, Tensor(np.zeros((3, 3))), Tensor(np.zeros(4)), Segments([4]))
 
 
 def ffn_and_input(seed: int) -> tuple[FeedForward, Tensor]:
@@ -371,7 +373,7 @@ class TestSegmentedDepthwise3:
         outs, dxs, dk, db = [], [], np.zeros_like(ka), np.zeros_like(ba)
         for xb, wb in zip(split_rows(xa, seg), split_rows(weights, seg)):
             xt, kt, bt = leaf(xb), leaf(ka), leaf(ba)
-            out_b = depthwise3(xt, kt, bt)
+            out_b = depthwise3(xt, kt, bt, Segments([len(xb)]))
             (out_b * Tensor(wb)).sum().backward()
             outs.append(out_b.data)
             dxs.append(xt.grad)

@@ -7,12 +7,12 @@ from avmoe.errors import DimensionError
 from avmoe.optim import Adam
 from avmoe.tensor import Tensor
 
-from helpers import expression_adam_step
+from helpers import ADAM_CONSTANTS, expression_adam_step
 
 
 def one_param_adam(values, lr: float, **hyper) -> tuple[Tensor, Adam]:
     p = Tensor(np.array(values, dtype=np.float64), requires_grad=True)
-    return p, Adam([("p", p)], lr=lr, **hyper)
+    return p, Adam([("p", p)], lr=lr, **{**ADAM_CONSTANTS, **hyper})
 
 
 def test_zero_gradient_leaves_params_unchanged():
@@ -40,7 +40,7 @@ def test_two_runs_reproduce_identical_state():
 
     def run():
         p = Tensor(np.ones((2, 3)), requires_grad=True)
-        opt = Adam([("p", p)], lr=0.01)
+        opt = Adam([("p", p)], lr=0.01, **ADAM_CONSTANTS)
         for t, g in enumerate(grads, start=1):
             p.grad = g.copy()
             opt.step(t, 1.0)
@@ -55,14 +55,14 @@ def test_handed_over_moments_of_another_shape_are_rejected():
     p = Tensor(np.zeros(3), requires_grad=True)
     for m_shape, v_shape in [((2,), (3,)), ((3,), (3, 1)), ((1, 3), (1, 3))]:
         with pytest.raises(DimensionError, match="moments of p"):
-            Adam([("p", p)], lr=0.1,
+            Adam([("p", p)], lr=0.1, **ADAM_CONSTANTS,
                  moments=({"p": np.zeros(m_shape)}, {"p": np.zeros(v_shape)}))
 
 
 def test_none_grad_skipped_and_moments_untouched():
     p = Tensor(np.ones(3), requires_grad=True)
     q = Tensor(np.ones(3), requires_grad=True)
-    opt = Adam([("p", p), ("q", q)], lr=0.1)
+    opt = Adam([("p", p), ("q", q)], lr=0.1, **ADAM_CONSTANTS)
     p.grad = np.ones(3)
     opt.step(1, 1.0)
     np.testing.assert_array_equal(q.data, np.ones(3))

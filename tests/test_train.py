@@ -13,7 +13,7 @@ from avmoe.train import (
     TrainConfig, TrainState, Utterance, _train_batch, batch_losses, utterance_losses,
 )
 
-from helpers import expression_adam_step
+from helpers import ADAM_CONSTANTS, expression_adam_step
 
 TOP_K = 2
 
@@ -119,7 +119,7 @@ def test_silent_expert_gets_no_gradient_and_no_adam_update():
     layer.router.data[:, 3] = -5.0
     silent = [p for _, p in layer.experts[3].named_parameters()]
     before = [p.data.copy() for p in silent]
-    optimizer = Adam(model.named_parameters(), lr=1e-2)
+    optimizer = Adam(model.named_parameters(), lr=1e-2, **ADAM_CONSTANTS)
     _train_batch(TrainState(model, optimizer, np.random.default_rng(0)), batch,
                  TrainConfig(warmup_steps=0))
     for p, keep in zip(silent, before):
@@ -146,7 +146,7 @@ def test_update_after_a_restore_takes_its_bias_correction_from_the_state_step():
                     for scale in (1e-3, 1e-6))
     want = {name: (p.data.copy(), moments[0][name].copy(), moments[1][name].copy())
             for name, p in named}
-    optimizer = Adam(named, lr=cfg.lr, moments=moments)
+    optimizer = Adam(named, lr=cfg.lr, **ADAM_CONSTANTS, moments=moments)
     state = TrainState(model, optimizer, np.random.default_rng(0), step=k)
     _train_batch(state, batch, cfg)
 
