@@ -377,9 +377,8 @@ def depthwise3(x: Tensor, kernel: Tensor, bias: Tensor, segments: Segments) -> T
     """3-tap depthwise convolution along time of B packed sequences, as one graph node.
 
     ``x`` is (T, D), ``kernel`` (3, D), ``bias`` (D,); ``segments`` splits
-    the rows into sequences. With ``prev[t]`` and
-    ``next[t]`` the rows before and after t, zero where t starts or ends its
-    sequence:
+    the rows into sequences. With ``prev[t]`` and ``next[t]`` the rows
+    before and after t, zero where t starts or ends its sequence:
 
         y[t] = prev[t] k0 + x[t] k1 + next[t] k2 + b      (summed in that order)
 
