@@ -44,16 +44,17 @@ def attention_greedy_decode(model: Model, states: Tensor, max_len: int) -> Hypot
 
     Incremental: each step feeds only the newest token through
     ``Model.decode_teacher_forcing`` with one ``DecodeCache`` per request,
-    which keeps every decoder block's keys and values. A step therefore
-    projects one new self-attention row and reuses the cross-attention keys
-    and values of ``states``, instead of rerunning the whole prefix.
+    which binds to ``model`` and ``states`` and keeps every decoder block's
+    keys and values as arrays. A step projects one new self-attention row,
+    reuses the cross-attention keys and values of ``states`` and builds no
+    graph, where a teacher-forced call would rerun the whole prefix.
     """
     cfg = model.cfg
     token = cfg.sos_id
     score = 0.0
     emitted: list[int] = []
     with no_grad():
-        cache = DecodeCache(cfg.decoder_blocks)
+        cache = DecodeCache()
         for _ in range(max_len):
             logits = model.decode_teacher_forcing(states, [token], cache=cache)
             log_probs = log_softmax_rows(logits).data[-1]

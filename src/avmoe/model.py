@@ -32,7 +32,6 @@ from .moe import LoadStats, MoEConfig, MoELayer
 from .nn import (
     ConvGatedMLP,
     FeedForward,
-    KVCache,
     LayerNorm,
     Linear,
     Module,
@@ -131,19 +130,11 @@ class DecoderBlock(Module):
         self.ffn = FeedForward(rng, d, cfg.d_ff)
 
     def __call__(
-        self,
-        x: Tensor,
-        memory: Tensor,
-        mask: np.ndarray | None,
-        inputs: Segments | None,
-        sources: Segments | None,
-        cache: tuple[KVCache, KVCache] | None = None,
+        self, x: Tensor, memory: Tensor, mask: np.ndarray, inputs: Segments, sources: Segments
     ) -> Tensor:
-        """``cache`` holds this block's (self-attention, cross-attention) keys and values."""
-        self_kv, memory_kv = cache if cache is not None else (None, None)
         a = self.self_norm(x)
-        x = x + self.self_attn(a, a, mask, inputs, inputs, self_kv)
-        x = x + self.cross_attn(self.cross_norm(x), memory, None, inputs, sources, memory_kv)
+        x = x + self.self_attn(a, a, mask, inputs, inputs)
+        x = x + self.cross_attn(self.cross_norm(x), memory, None, inputs, sources)
         return x + self.ffn(self.ffn_norm(x))
 
 
@@ -157,18 +148,21 @@ class FusedSequence:
 
 
 class DecodeCache:
-    """What an incremental decode of one utterance keeps between its steps.
+    """What an incremental decode of one utterance keeps between its steps, as plain arrays.
 
-    ``fed`` counts the tokens fed so far, so it is the position of the next
-    one. Each decoder block has a pair of ``KVCache``: self-attention keys
-    and values, which grow by one row per step, and the cross-attention keys
-    and values of the encoder states, projected on the first step. A cache
-    serves one request, with one ``states``.
+    The first step binds the cache to its model and ``states``; a later step
+    with another model or other states raises ``ConfigError``. ``fed``
+    counts the tokens fed so far, so it is the position of the next one.
+    Per decoder block, ``self_kv`` holds the self-attention keys and values
+    of every token fed, one row more per step, and ``cross_kv`` the
+    cross-attention keys and values of ``states``, projected on the first step.
     """
 
-    def __init__(self, decoder_blocks: int):
+    def __init__(self):
         self.fed = 0
-        self.blocks = [(KVCache(grow=True), KVCache(grow=False)) for _ in range(decoder_blocks)]
+        self.model = self.states = None
+        self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
+        self.cross_kv: list[tuple[np.ndarray, np.ndarray]] = []
 
 
 class Model(Module):
@@ -279,10 +273,10 @@ class Model(Module):
         With ``cache`` the call is one step of an incremental decode of one
         utterance, under ``no_grad`` and without ``inputs`` or ``sources``:
         ``target_in`` is the newest token alone, fed at position ``cache.fed``.
-        Its row attends to the keys and values the cache holds for every token
-        fed before it and for the encoder states, so it needs no mask, and its
-        logits equal the last row of an uncached call over the whole prefix,
-        to rounding.
+        The step runs on arrays and builds no graph. Its row attends to the
+        keys and values the cache holds for every token fed before it and for
+        the encoder states, so it needs no mask, and its logits equal the last
+        row of an uncached call over the whole prefix, to rounding.
         """
         ids = np.asarray(target_in, dtype=np.int64)
         if ids.size == 0:
@@ -291,16 +285,7 @@ class Model(Module):
             raise DataError(
                 f"token id out of range: {int(ids.max())} >= vocab {self.cfg.vocab_size}"
             )
-        d = self.cfg.hidden
-        if cache is None:
-            inputs = inputs if inputs is not None else Segments([ids.size])
-            sources = sources if sources is not None else Segments([states.shape[0]])
-            if inputs.total != ids.size:
-                raise DataError(f"decoder input lengths cover {inputs.total} of {ids.size} tokens")
-            positions = sinusoidal_positions(inputs.longest, d)[inputs.positions]
-            mask = causal_mask(inputs.longest)
-            block_caches = [None] * len(self.dec_blocks)
-        else:
+        if cache is not None:
             if grad_enabled():
                 raise GraphError("a decode cache keeps no graph; use it under no_grad only")
             if ids.size != 1 or inputs is not None or sources is not None:
@@ -308,15 +293,44 @@ class Model(Module):
                     "a decode cache takes one token of one utterance per call and no "
                     f"segments, got {ids.size} tokens"
                 )
-            positions = sinusoidal_positions(cache.fed + 1, d)[cache.fed :]
-            mask = None
-            block_caches = cache.blocks
-            cache.fed += 1
+            if cache.model is None:
+                cache.model, cache.states = self, states
+            elif cache.model is not self or cache.states is not states:
+                raise ConfigError("a decode cache serves the model and states of its first step")
+            return Tensor(self._decode_step(int(ids[0]), cache))
+        d = self.cfg.hidden
+        inputs = inputs if inputs is not None else Segments([ids.size])
+        sources = sources if sources is not None else Segments([states.shape[0]])
+        if inputs.total != ids.size:
+            raise DataError(f"decoder input lengths cover {inputs.total} of {ids.size} tokens")
         x = gather_rows(self.dec_embed, ids) * math.sqrt(d)
-        x = x + Tensor(positions)
-        for block, kv in zip(self.dec_blocks, block_caches):
-            x = block(x, states, mask, inputs, sources, kv)
+        x = x + Tensor(sinusoidal_positions(inputs.longest, d)[inputs.positions])
+        mask = causal_mask(inputs.longest)
+        for block in self.dec_blocks:
+            x = block(x, states, mask, inputs, sources)
         return self.out_proj(self.dec_norm(x))
+
+    def _decode_step(self, token: int, cache: DecodeCache) -> np.ndarray:
+        """The (1, vocab) logits of ``token`` fed at position ``cache.fed``: each decoder
+        block's ``__call__`` for one row, on arrays, through the graph ops' own kernels."""
+        d = self.cfg.hidden
+        if cache.fed == 0:
+            memory, attns = cache.states.data, [block.cross_attn for block in self.dec_blocks]
+            cache.cross_kv = [(a.k_proj.forward(memory), a.v_proj.forward(memory)) for a in attns]
+            cache.self_kv = [(np.empty((0, d)),) * 2] * len(attns)
+        x = self.dec_embed.data[[token]] * math.sqrt(d)
+        x = x + sinusoidal_positions(cache.fed + 1, d)[cache.fed :]
+        cache.fed += 1
+        for b, block in enumerate(self.dec_blocks):
+            a = block.self_norm.forward(x)
+            attn, (keys, values) = block.self_attn, cache.self_kv[b]
+            keys = np.concatenate([keys, attn.k_proj.forward(a)])
+            values = np.concatenate([values, attn.v_proj.forward(a)])
+            cache.self_kv[b] = keys, values
+            x = x + attn.forward(a, keys, values)
+            x = x + block.cross_attn.forward(block.cross_norm.forward(x), *cache.cross_kv[b])
+            x = x + block.ffn.forward(block.ffn_norm.forward(x))[0]
+        return self.out_proj.forward(self.dec_norm.forward(x))
 
     def ctc_head(
         self, states: Tensor, boundary, segments: Segments | None = None

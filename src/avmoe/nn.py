@@ -47,6 +47,10 @@ Backward, with G the output gradient:
 
 ``silu'`` comes from what the forward saved besides ``a``: with s the
 sigmoid of ``x W1 + b1``, it is ``s + a * (1 - s)``.
+
+``Linear``, ``LayerNorm`` and ``MultiHeadAttention`` also have a ``forward``
+on arrays that does their graph op's arithmetic (``softmax_attention`` is
+``attend``'s). A cached decode step, ``Model._decode_step``, runs on them.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from .tensor import (
     _sigmoid_stable,
     affine,
     layer_norm,
+    layer_norm_forward,
     narrow,
     silu,
 )
@@ -112,6 +117,9 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return affine(x, self.weight, self.bias)
 
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.weight.data + self.bias.data
+
 
 class LayerNorm(Module):
     def __init__(self, dim: int, eps: float = 1e-5):
@@ -121,6 +129,9 @@ class LayerNorm(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gain, self.shift, eps=self.eps)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return layer_norm_forward(x, self.gain.data, self.shift.data, self.eps)[0]
 
 
 class FeedForward(Module):
@@ -227,53 +238,27 @@ class MultiHeadAttention(Module):
         if dim % heads != 0:
             raise ConfigError(f"hidden width {dim} not divisible by {heads} heads")
         self.heads = heads
-        self.head_dim = dim // heads
-        self.scale = 1.0 / math.sqrt(self.head_dim)
+        self.scale = 1.0 / math.sqrt(dim // heads)
         self.q_proj = Linear(rng, dim, dim)
         self.k_proj = Linear(rng, dim, dim)
         self.v_proj = Linear(rng, dim, dim)
         self.out_proj = Linear(rng, dim, dim)
 
     def __call__(
-        self,
-        query: Tensor,
-        memory: Tensor,
-        mask: np.ndarray | None = None,
-        query_segments: Segments | None = None,
-        memory_segments: Segments | None = None,
-        cache: "KVCache | None" = None,
+        self, query: Tensor, memory: Tensor, mask: np.ndarray | None,
+        query_segments: Segments, memory_segments: Segments,
     ) -> Tensor:
-        """Attention of ``query`` over ``memory``; with ``cache``, over the keys it holds."""
-        q = self.q_proj(query)
-        if cache is None:
-            k, v = self.k_proj(memory), self.v_proj(memory)
-        else:
-            k, v = cache.keys_values(self, memory)
+        """Attention of ``query`` over ``memory``, each split into sequences by its segments."""
+        q, k, v = self.q_proj(query), self.k_proj(memory), self.v_proj(memory)
         out = attend(q, k, v, self.heads, self.scale, mask, query_segments, memory_segments)
         return self.out_proj(out)
 
-
-class KVCache:
-    """Projected keys and values that one attention layer keeps across decode steps.
-
-    With ``grow`` (decoder self-attention) every call projects only its new
-    rows of ``memory`` and appends them. Without it (cross-attention) the
-    memory is projected on the first call and reused by every later one. A
-    cache serves one sequence under ``no_grad``: it holds arrays, not graph.
-    """
-
-    def __init__(self, grow: bool):
-        self.grow = grow
-        self.k: np.ndarray | None = None
-        self.v: np.ndarray | None = None
-
-    def keys_values(self, attn: MultiHeadAttention, memory: Tensor) -> tuple[Tensor, Tensor]:
-        if self.k is None or self.grow:
-            k, v = attn.k_proj(memory).data, attn.v_proj(memory).data
-            if self.k is not None:
-                k, v = np.concatenate([self.k, k]), np.concatenate([self.v, v])
-            self.k, self.v = k, v
-        return Tensor(self.k), Tensor(self.v)
+    def forward(self, query: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Unmasked attention of one sequence's ``query`` rows on arrays, over ``keys``
+        and ``values`` that ``k_proj.forward`` and ``v_proj.forward`` projected."""
+        q = self.q_proj.forward(query)
+        out, _ = softmax_attention(q[None], keys[None], values[None], self.heads, self.scale, None)
+        return self.out_proj.forward(out[0])
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
@@ -286,23 +271,37 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], -1)
 
 
+def softmax_attention(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, scale: float, mask: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The forward of ``attend`` on zero-padded (B, T_q, D) queries and (B, T_k, D)
+    keys and values: the (B, T_q, D) output and P, with ``mask`` added to S."""
+    qh, kh = _split_heads(q, heads), _split_heads(k, heads)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    return _merge_heads(np.matmul(probs, _split_heads(v, heads))), probs
+
+
 def attend(
     q: Tensor,
     k: Tensor,
     v: Tensor,
     heads: int,
     scale: float,
-    mask: np.ndarray | None = None,
-    q_segments: Segments | None = None,
-    k_segments: Segments | None = None,
+    mask: np.ndarray | None,
+    q_segments: Segments,
+    k_segments: Segments,
 ) -> Tensor:
     """Multi-head scaled dot-product attention of B packed sequences, as one graph node.
 
     ``q`` is (T_q, D), ``k`` and ``v`` are (T_k, D), with D = heads * d_h and
     head h reading columns h*d_h .. (h+1)*d_h of each. Query sequence b,
     rows ``q_segments`` b, attends only to key sequence b, rows
-    ``k_segments`` b; given neither, each side is one sequence over all rows.
-    Per head and sequence, on a zero-padded (B, H, T_max, d_h) view:
+    ``k_segments`` b. Per head and sequence, on a zero-padded
+    (B, H, T_max, d_h) view, the forward is ``softmax_attention``:
 
         S = (Q K^T) * scale (+ mask),  P = softmax_rows(S),  O = P V
 
@@ -320,57 +319,32 @@ def attend(
         raise DimensionError(f"attend got q={q.shape}, k={k.shape}, v={v.shape}")
     if q.shape[1] % heads != 0:
         raise DimensionError(f"width {q.shape[1]} not divisible by {heads} heads")
-    if (q_segments is None) != (k_segments is None):
-        raise DimensionError("attend takes both segment arguments or neither")
-    if q_segments is None:
-        # One sequence on each side, as in every cached decode step: a batch of
-        # one is a reshape, and needs no Segments, padding or key mask.
-        pad_q = pad_k = _batch_of_one
-        unpad_q = unpad_k = _unbatch_one
-        key_mask = None
-    else:
-        qs, ks = q_segments, k_segments
-        if qs.total != q.shape[0] or ks.total != k.shape[0] or qs.count != ks.count:
-            raise DimensionError(
-                f"attend: {qs.count} query segments over {qs.total} rows and {ks.count} key "
-                f"segments over {ks.total} rows do not fit q={q.shape}, k={k.shape}"
-            )
-        pad_q, unpad_q, pad_k, unpad_k = qs.pad, qs.unpad, ks.pad, ks.unpad
-        key_mask = ks.key_mask()[:, None, None, :] if ks.padded else None
-    qh = _split_heads(pad_q(q.data), heads)
-    kh = _split_heads(pad_k(k.data), heads)
-    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale
-    if mask is not None:
-        scores = scores + mask
-    if key_mask is not None:
-        scores = scores + key_mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
-    out = unpad_q(_merge_heads(np.matmul(probs, _split_heads(pad_k(v.data), heads))))
+    qs, ks = q_segments, k_segments
+    if qs.total != q.shape[0] or ks.total != k.shape[0] or qs.count != ks.count:
+        raise DimensionError(
+            f"attend: {qs.count} query segments over {qs.total} rows and {ks.count} key "
+            f"segments over {ks.total} rows do not fit q={q.shape}, k={k.shape}"
+        )
+    if ks.padded:
+        # A masked score stays masked under a second MASK_VALUE: exp of either is 0.
+        key_mask = ks.key_mask()[:, None, None, :]
+        mask = key_mask if mask is None else mask + key_mask
+    padded = qs.pad(q.data), ks.pad(k.data), ks.pad(v.data)
+    out, probs = softmax_attention(*padded, heads, scale, mask)
 
     def backward(g):
-        qh = _split_heads(pad_q(q.data), heads)
-        kh = _split_heads(pad_k(k.data), heads)
-        vh = _split_heads(pad_k(v.data), heads)
-        gh = _split_heads(pad_q(g), heads)
+        qh = _split_heads(qs.pad(q.data), heads)
+        kh = _split_heads(ks.pad(k.data), heads)
+        vh = _split_heads(ks.pad(v.data), heads)
+        gh = _split_heads(qs.pad(g), heads)
         dprobs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
         dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * scale
         dq = np.matmul(dscores, kh)
         dk = np.matmul(dscores.transpose(0, 1, 3, 2), qh)
         dv = np.matmul(probs.transpose(0, 1, 3, 2), gh)
-        return unpad_q(_merge_heads(dq)), unpad_k(_merge_heads(dk)), unpad_k(_merge_heads(dv))
+        return qs.unpad(_merge_heads(dq)), ks.unpad(_merge_heads(dk)), ks.unpad(_merge_heads(dv))
 
-    return _record(out, (q, k, v), backward)
-
-
-def _batch_of_one(a: np.ndarray) -> np.ndarray:
-    """(T, ...) -> (1, T, ...): ``Segments([T]).pad``, without building the Segments."""
-    return a.reshape(1, *a.shape)
-
-
-def _unbatch_one(a: np.ndarray) -> np.ndarray:
-    """(1, T, ...) -> (T, ...): ``Segments([T]).unpad``, without building the Segments."""
-    return a.reshape(a.shape[1:])
+    return _record(qs.unpad(out), (q, k, v), backward)
 
 
 def depthwise3(x: Tensor, kernel: Tensor, bias: Tensor, segments: Segments) -> Tensor:

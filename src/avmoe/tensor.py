@@ -334,20 +334,39 @@ def log_softmax_rows(a: Tensor) -> Tensor:
 # -- normalization --------------------------------------------------------------
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Zero-mean/unit-variance over the last axis, then affine gain and bias.
+def layer_norm_forward(
+    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``layer_norm`` on arrays: the output and the row statistics ``mean`` and ``inv``.
 
     The statistics take numpy's own steps for ``mean`` and ``var`` (an
     ``add.reduce``, then a division; ``var`` squares the centred rows as
     ``c * c``), but the rows are centred once instead of twice, and the
-    row-sized results are scaled and shifted in place. So the forward is
+    row-sized results are scaled and shifted in place. So the output is
     bit-identical to ``(x - x.mean()) / sqrt(x.var() + eps) * gain + bias``
     with about half the ufunc calls and row-sized temporaries.
+    """
+    dim = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= dim
+    xhat = x - mean
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    var /= dim
+    var += eps
+    inv = 1.0 / np.sqrt(var)
+    xhat *= inv
+    data = xhat * gain
+    data += bias
+    return data, mean, inv
 
-    The node keeps only the two (rows, 1) statistics ``mean`` and
-    ``inv = 1 / sqrt(var + eps)`` besides its parents. The backward rebuilds
-    ``xhat = (x - mean) * inv`` from the input with the same two ufuncs as
-    the forward, so it is the forward's ``xhat`` bit for bit.
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Zero-mean/unit-variance over the last axis, then affine gain and bias.
+
+    The forward is ``layer_norm_forward``, and the node keeps only its two
+    (rows, 1) statistics ``mean`` and ``inv = 1 / sqrt(var + eps)`` besides
+    its parents. The backward rebuilds ``xhat = (x - mean) * inv`` from the
+    input with the forward's two ufuncs, so it is the forward's ``xhat`` bit for bit.
     """
     dim = a.shape[-1]
     if dim < 2:
@@ -356,16 +375,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise DimensionError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width ({dim},)"
         )
-    mean = np.add.reduce(a.data, axis=-1, keepdims=True)
-    mean /= dim
-    xhat = a.data - mean
-    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
-    var /= dim
-    var += eps
-    inv = 1.0 / np.sqrt(var)
-    xhat *= inv
-    data = xhat * gain.data
-    data += bias.data
+    data, mean, inv = layer_norm_forward(a.data, gain.data, bias.data, eps)
 
     def backward(g):
         xhat = a.data - mean

@@ -3,6 +3,7 @@ against one teacher-forced pass over its own hypothesis, and the decode
 cache against teacher forcing over the whole prefix at every step."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ class TestDecodeCache:
         states = encoded(model, 50 + seed, visual)
         assert states.shape[0] == 8 + 3 * visual
         prefix = [ModelConfig.sos_id]
-        cache = DecodeCache(model.cfg.decoder_blocks)
+        cache = DecodeCache()
         with no_grad():
             for step in range(MAX_DECODE_LEN):
                 row = model.decode_teacher_forcing(states, prefix[-1:], cache=cache).data
@@ -185,21 +186,21 @@ class TestDecodeCache:
         rows = {}
 
         class Counted:
-            """Records the rows of every call, then runs the projection."""
+            """Records the rows of every call, then runs the projection's array forward."""
 
-            def __init__(self, name, proj):
-                self.name, self.proj = name, proj
+            def __init__(self, name, forward):
+                self.name, self.forward = name, forward
                 rows[name] = []
 
             def __call__(self, x):
                 rows[self.name].append(x.shape[0])
-                return self.proj(x)
+                return self.forward(x)
 
         for b, block in enumerate(model.dec_blocks):
             for kind in ("self_attn", "cross_attn"):
-                attn = getattr(block, kind)
                 for proj in ("k_proj", "v_proj"):
-                    setattr(attn, proj, Counted((b, kind, proj), getattr(attn, proj)))
+                    linear = getattr(getattr(block, kind), proj)
+                    linear.forward = Counted((b, kind, proj), linear.forward)
         hyp = attention_greedy_decode(model, states, MAX_DECODE_LEN)
         assert len(hyp.token_ids) == MAX_DECODE_LEN
         for (b, kind, proj), seen in rows.items():
@@ -213,20 +214,67 @@ class TestDecodeCache:
         states = encoded(model, 54, visual=True)
         sos = ModelConfig.sos_id
         with pytest.raises(GraphError):
-            model.decode_teacher_forcing(states, [sos], cache=DecodeCache(2))
+            model.decode_teacher_forcing(states, [sos], cache=DecodeCache())
         with no_grad():
             with pytest.raises(ConfigError):
-                model.decode_teacher_forcing(states, [sos, 5], cache=DecodeCache(2))
+                model.decode_teacher_forcing(states, [sos, 5], cache=DecodeCache())
+            with pytest.raises(ConfigError):
+                model.decode_teacher_forcing(states, [sos], Segments([5, 6]), cache=DecodeCache())
             with pytest.raises(ConfigError):
                 model.decode_teacher_forcing(
-                    states, [sos], Segments([5, 6]), cache=DecodeCache(2)
-                )
-            with pytest.raises(ConfigError):
-                model.decode_teacher_forcing(
-                    states, [sos], inputs=Segments([1, 1]), cache=DecodeCache(2)
+                    states, [sos], inputs=Segments([1, 1]), cache=DecodeCache()
                 )
             # One sequence given as segments: a cached step takes none.
             for segments in ({"sources": Segments([states.shape[0]])},
                              {"inputs": Segments([1])}):
                 with pytest.raises(ConfigError):
-                    model.decode_teacher_forcing(states, [sos], **segments, cache=DecodeCache(2))
+                    model.decode_teacher_forcing(states, [sos], **segments, cache=DecodeCache())
+
+    def test_cache_binds_to_the_model_of_its_first_step(self):
+        # A cache sized by its caller could skip blocks of a deeper model; the
+        # model of the first step now sets its blocks, and no other model may use it.
+        model = cached_model(6)
+        shallow = Model(replace(model.cfg, decoder_blocks=1), np.random.default_rng(6))
+        states = encoded(model, 56, visual=True)
+        with pytest.raises(TypeError):
+            DecodeCache(1)
+        cache = DecodeCache()
+        with no_grad():
+            model.decode_teacher_forcing(states, [ModelConfig.sos_id], cache=cache)
+            assert len(cache.self_kv) == len(cache.cross_kv) == model.cfg.decoder_blocks
+            for other in (shallow, cached_model(6)):  # the second has the same weights
+                with pytest.raises(ConfigError, match="model and states of its first step"):
+                    other.decode_teacher_forcing(states, [5], cache=cache)
+        assert cache.fed == 1 and cache.model is model
+
+    def test_cache_binds_to_the_states_of_its_first_step(self):
+        # A cache reused with new states would attend to the first ones.
+        model = cached_model(7)
+        first, second = encoded(model, 57, visual=True), encoded(model, 58, visual=True)
+        cache = DecodeCache()
+        with no_grad():
+            model.decode_teacher_forcing(first, [ModelConfig.sos_id], cache=cache)
+            with pytest.raises(ConfigError, match="model and states of its first step"):
+                model.decode_teacher_forcing(second, [5], cache=cache)
+            model.decode_teacher_forcing(first, [5], cache=cache)
+        assert cache.fed == 2 and cache.states is first
+
+    def test_a_cached_step_constructs_one_tensor_its_logits(self, monkeypatch):
+        # The step runs on arrays: no graph-engine object besides the result.
+        model = cached_model(8)
+        states = encoded(model, 58, visual=True)
+        cache = DecodeCache()
+        built = []
+        init = Tensor.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        with no_grad():
+            for token in (ModelConfig.sos_id, 5, 7):  # the first step also projects the memory
+                built.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(Tensor, "__init__", counted)
+                    logits = model.decode_teacher_forcing(states, [token], cache=cache)
+                assert built == [logits]

@@ -13,6 +13,7 @@ from avmoe.nn import (
     attend,
     causal_mask,
     depthwise3,
+    softmax_attention,
 )
 from avmoe.tensor import Tensor, _record, concat, matmul, narrow, softmax_rows, tsum
 
@@ -38,6 +39,11 @@ def reference_attend(q, k, v, heads, scale, mask=None):
             scores = scores + Tensor(mask)
         outs.append(matmul(softmax_rows(scores), vh))
     return concat(outs, axis=1)
+
+
+def whole(q, k):
+    """Query and key rows as one sequence each."""
+    return Segments([q.shape[0]]), Segments([k.shape[0]])
 
 
 def reference_depthwise3(x, kernel, bias):
@@ -131,7 +137,7 @@ class TestAttend:
         scale = 1.0 / np.sqrt(dim // heads)
         mask = causal_mask(t_q) if causal else None
         assert_same_loss_and_grads(
-            lambda: attend(q, k, v, heads, scale, mask),
+            lambda: attend(q, k, v, heads, scale, mask, *whole(q, k)),
             lambda: reference_attend(q, k, v, heads, scale, mask),
             [q, k, v],
             (t_q, dim),
@@ -144,21 +150,24 @@ class TestAttend:
         q, k, v = qkv(rng, t_q, t_k, dim)
         weights = Tensor(rng.normal(size=(t_q, dim)))
         mask = causal_mask(t_q) if causal else None
-        check_grad(lambda: (attend(q, k, v, heads, 0.5, mask) * weights).sum(), [q, k, v])
+        check_grad(
+            lambda: (attend(q, k, v, heads, 0.5, mask, *whole(q, k)) * weights).sum(), [q, k, v]
+        )
 
     def test_causal_mask_hides_the_future(self):
         q, k, v = qkv(np.random.default_rng(1), 5, 5, 4)
-        full = attend(q, k, v, 2, 0.5, causal_mask(5)).data
+        full = attend(q, k, v, 2, 0.5, causal_mask(5), *whole(q, k)).data
         v.data[3:] = 0.0  # later values must not reach earlier rows
         k.data[3:] = 7.0
-        np.testing.assert_array_equal(attend(q, k, v, 2, 0.5, causal_mask(5)).data[:3], full[:3])
+        out = attend(q, k, v, 2, 0.5, causal_mask(5), *whole(q, k)).data
+        np.testing.assert_array_equal(out[:3], full[:3])
 
     def test_shape_errors(self):
         q, k, v = qkv(np.random.default_rng(2), 3, 4, 6)
         with pytest.raises(DimensionError):
-            attend(q, k, v, 4, 1.0)  # 6 columns do not split into 4 heads
+            attend(q, k, v, 4, 1.0, None, *whole(q, k))  # 6 columns do not split into 4 heads
         with pytest.raises(DimensionError):
-            attend(q, k, Tensor(np.zeros((3, 6))), 2, 1.0)
+            attend(q, k, Tensor(np.zeros((3, 6))), 2, 1.0, None, *whole(q, k))
 
 
 class TestDepthwise3:
@@ -294,7 +303,7 @@ class TestSegmentedAttend:
         ):
             parts = [leaf(a) for a in (qb, kb, vb)]
             mask_b = causal_mask(qb.shape[0]) if causal else None
-            out_b = attend(*parts, heads, scale, mask_b)
+            out_b = attend(*parts, heads, scale, mask_b, *whole(*parts[:2]))
             (out_b * Tensor(wb)).sum().backward()
             outs.append(out_b.data)
             for acc, t in zip(grads, parts):
@@ -305,20 +314,15 @@ class TestSegmentedAttend:
 
     @pytest.mark.parametrize("t_q,t_k,causal", [(1, 4, False), (1, 48, False), (6, 6, True)])
     def test_no_segments_is_bit_identical_to_one_segment(self, t_q, t_k, causal):
-        # Without segments attend builds none; Segments([n]) on each side is
-        # the general path over the same single sequences.
+        # ``softmax_attention`` on a batch of one, as a cached decode step runs it
+        # through ``MultiHeadAttention.forward``, builds no Segments; ``attend``
+        # over one segment on each side is the graph op on the same sequences.
         rng = np.random.default_rng(t_q * t_k)
-        arrays = [rng.normal(size=(n, 8)) for n in (t_q, t_k, t_k)]
-        weights = Tensor(rng.normal(size=(t_q, 8)))
+        q, k, v = (rng.normal(size=(n, 8)) for n in (t_q, t_k, t_k))
         mask = causal_mask(t_q) if causal else None
-        results = []
-        for segments in ((None, None), (Segments([t_q]), Segments([t_k]))):
-            q, k, v = (leaf(a) for a in arrays)
-            out = attend(q, k, v, 2, 0.5, mask, *segments)
-            (out * weights).sum().backward()
-            results.append((out.data, q.grad, k.grad, v.grad))
-        for got, want in zip(*results):
-            np.testing.assert_array_equal(got, want)
+        out, _ = softmax_attention(q[None], k[None], v[None], 2, 0.5, mask)
+        node = attend(Tensor(q), Tensor(k), Tensor(v), 2, 0.5, mask, Segments([t_q]), Segments([t_k]))
+        np.testing.assert_array_equal(out[0], node.data)
 
     @pytest.mark.parametrize("q_lengths,k_lengths,causal", [
         ([3, 5, 2], None, True),
@@ -355,8 +359,6 @@ class TestSegmentedAttend:
             attend(q, k, v, 2, 0.5, None, Segments([2, 2]), Segments([2, 3]))
         with pytest.raises(DimensionError):
             attend(q, k, v, 2, 0.5, None, Segments([5]), Segments([2, 3]))
-        with pytest.raises(DimensionError, match="both segment arguments or neither"):
-            attend(q, k, v, 2, 0.5, None, Segments([5]), None)
 
 
 class TestSegmentedDepthwise3:
