@@ -30,7 +30,7 @@ def collapse_ctc_path(path: list[int], blank_id: int) -> list[int]:
     return [t for t in out if t != blank_id]
 
 
-def ctc_greedy_decode(frame_logits: Tensor | np.ndarray, blank_id: int = 0) -> Hypothesis:
+def ctc_greedy_decode(frame_logits: Tensor | np.ndarray, blank_id: int) -> Hypothesis:
     """Best per-frame path, collapsed. Score is that single path's log-prob."""
     logits = frame_logits if isinstance(frame_logits, Tensor) else Tensor(frame_logits)
     log_probs = log_softmax_rows(logits).data

@@ -15,7 +15,9 @@ Every method runs on a batch packed along axis 0 (``nn.Segments``): the
 rows of utterance b follow those of utterance b - 1, positions restart at
 each utterance, and attention and the convolution stay inside it. One
 utterance is the batch of one: ``encode_utterance`` packs it, and
-``decode_teacher_forcing`` and ``ctc_head`` take it as their default.
+``decode_teacher_forcing`` and ``ctc_head`` take it as their default. Under
+``no_grad``, ``encode`` and a cached decode step run on arrays, through the
+graph ops' own kernels, and build no graph.
 """
 
 from __future__ import annotations
@@ -117,6 +119,18 @@ class EncoderBlock(Module):
         else:
             ffn2_out = self.ffn2(self.ffn2_norm(merged))
         return self.final_norm(merged + ffn2_out * ModelConfig.macaron_scale), stats
+
+    def forward(self, x: np.ndarray, segments: Segments) -> tuple[np.ndarray, LoadStats | None]:
+        """``__call__`` on arrays, through each sublayer's ``forward``."""
+        h = x + self.ffn1.forward(self.ffn1_norm.forward(x))[0] * ModelConfig.macaron_scale
+        a, attn = self.attn_norm.forward(h), self.attn
+        keys, values = attn.k_proj.forward(a), attn.v_proj.forward(a)
+        global_branch = attn.forward(a, keys, values, segments, segments)
+        local_branch = self.local.forward(self.local_norm.forward(h), segments)
+        merged = h + self.merge.forward(np.concatenate([global_branch, local_branch], axis=1))
+        ffn2_out, saved_or_stats = self.ffn2.forward(self.ffn2_norm.forward(merged))
+        stats = saved_or_stats if isinstance(self.ffn2, MoELayer) else None
+        return self.final_norm.forward(merged + ffn2_out * ModelConfig.macaron_scale), stats
 
 
 class DecoderBlock(Module):
@@ -236,15 +250,16 @@ class Model(Module):
         return FusedSequence(x=x, segments=segments, boundary=visual_counts)
 
     def encode(self, fused: FusedSequence) -> tuple[Tensor, list[LoadStats]]:
-        seg = fused.segments
-        table = sinusoidal_positions(seg.longest, self.cfg.hidden)
-        x = fused.x + Tensor(table[seg.positions])
+        """Encoder states and per-MoE-layer load stats; with grad off, the blocks run on arrays."""
+        seg, grad = fused.segments, grad_enabled()
+        positions = sinusoidal_positions(seg.longest, self.cfg.hidden)[seg.positions]
+        x = fused.x + Tensor(positions) if grad else fused.x.data + positions
         stats: list[LoadStats] = []
         for block in self.enc_blocks:
-            x, block_stats = block(x, seg)
+            x, block_stats = block(x, seg) if grad else block.forward(x, seg)
             if block_stats is not None:
                 stats.append(block_stats)
-        return x, stats
+        return (x if grad else Tensor(x)), stats
 
     def encode_utterance(
         self, mel: np.ndarray, visual: np.ndarray | None
@@ -314,6 +329,7 @@ class Model(Module):
         """The (1, vocab) logits of ``token`` fed at position ``cache.fed``: each decoder
         block's ``__call__`` for one row, on arrays, through the graph ops' own kernels."""
         d = self.cfg.hidden
+        row, prefix, sources = (Segments([n]) for n in (1, cache.fed + 1, len(cache.states.data)))
         if cache.fed == 0:
             memory, attns = cache.states.data, [block.cross_attn for block in self.dec_blocks]
             cache.cross_kv = [(a.k_proj.forward(memory), a.v_proj.forward(memory)) for a in attns]
@@ -323,12 +339,12 @@ class Model(Module):
         cache.fed += 1
         for b, block in enumerate(self.dec_blocks):
             a = block.self_norm.forward(x)
-            attn, (keys, values) = block.self_attn, cache.self_kv[b]
+            attn, cross, (keys, values) = block.self_attn, block.cross_attn, cache.self_kv[b]
             keys = np.concatenate([keys, attn.k_proj.forward(a)])
             values = np.concatenate([values, attn.v_proj.forward(a)])
             cache.self_kv[b] = keys, values
-            x = x + attn.forward(a, keys, values)
-            x = x + block.cross_attn.forward(block.cross_norm.forward(x), *cache.cross_kv[b])
+            x = x + attn.forward(a, keys, values, row, prefix)
+            x = x + cross.forward(block.cross_norm.forward(x), *cache.cross_kv[b], row, sources)
             x = x + block.ffn.forward(block.ffn_norm.forward(x))[0]
         return self.out_proj.forward(self.dec_norm.forward(x))
 

@@ -15,10 +15,12 @@ once on the rows R_e of its segment, with weights w_e:
 
     y_e = FFN_e(x[R_e]),   out[R_e] += y_e * w_e
 
-in ascending expert order. Backward, with G the output gradient, runs the
-expert's FFN backward on ``dy_e = G[R_e] * w_e`` and ``x[R_e]``, gathered
-again rather than kept from the forward, which gives ``dx[R_e] += dx_e``
-and the expert's four parameter gradients, and
+in ascending expert order: ``expert_mixture_forward``, which inference runs
+on arrays with the router's arithmetic in ``MoELayer.forward``. Backward,
+with G the output gradient, runs the expert's FFN backward on
+``dy_e = G[R_e] * w_e`` and ``x[R_e]``, gathered again rather than kept
+from the forward, which gives ``dx[R_e] += dx_e`` and the expert's four
+parameter gradients, and
 
     dw_e = rowsum(G[R_e] * y_e)
 
@@ -38,7 +40,9 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .fields import check_fields
 from .nn import FeedForward, Module
-from .tensor import Tensor, _record, matmul, softmax_rows, take_along_cols, tsum
+from .tensor import (
+    Tensor, _record, matmul, softmax_rows, softmax_rows_forward, take_along_cols, tsum,
+)
 
 
 @dataclass
@@ -122,27 +126,36 @@ class MoELayer(Module):
                 f"router expects (tokens, {self.cfg.hidden}), got {x.shape}"
             )
         probs = softmax_rows(matmul(x, self.router))
-        # A stable sort of the negated rows keeps equal entries in index order.
-        indices = np.argsort(-probs.data, axis=1, kind="stable")[:, : self.cfg.top_k]
-        weights = take_along_cols(probs, indices)
-        weights = weights / tsum(weights, axis=1, keepdims=True)
-        return RoutingDecision(indices=indices, weights=weights, probs=probs)
+        indices = self.top_k(probs.data)
+        return RoutingDecision(indices, renormalised(take_along_cols(probs, indices)), probs)
+
+    def top_k(self, probs: np.ndarray) -> np.ndarray:
+        """Each row's k most probable experts; a stable sort keeps ties in index order."""
+        return np.argsort(-probs, axis=1, kind="stable")[:, : self.cfg.top_k]
+
+    def load_stats(self, indices: np.ndarray, prob_sum: Tensor, dispatched: int) -> LoadStats:
+        """Each row's first selection, its argmax given ``top_k``'s ties, is its hard count."""
+        counts = np.bincount(indices[:, 0], minlength=self.cfg.num_experts)
+        return LoadStats(counts.astype(np.float64), prob_sum, indices.shape[0], dispatched)
 
     def __call__(self, x: Tensor) -> tuple[Tensor, LoadStats]:
         """Dispatch tokens to their selected experts and combine the outputs."""
         decision = self.route(x)
         out, dispatched = expert_mixture(x, decision.weights, decision.indices, self.experts)
-        stats = LoadStats(
-            # The first selected expert is each row's argmax: the stable sort in
-            # ``route`` puts the lowest-index maximum first, as argmax picks it.
-            hard_counts=np.bincount(
-                decision.indices[:, 0], minlength=self.cfg.num_experts
-            ).astype(np.float64),
-            prob_sum=tsum(decision.probs, axis=0),
-            tokens=x.shape[0],
-            dispatched=dispatched,
-        )
-        return out, stats
+        return out, self.load_stats(decision.indices, tsum(decision.probs, axis=0), dispatched)
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, LoadStats]:
+        """``__call__`` on arrays, through ``route``'s and ``expert_mixture``'s kernels."""
+        probs = softmax_rows_forward(x @ self.router.data)
+        indices = self.top_k(probs)
+        weights = renormalised(np.take_along_axis(probs, indices, axis=1))
+        out, _, dispatched = expert_mixture_forward(x, weights, indices, self.experts)
+        return out, self.load_stats(indices, Tensor(probs.sum(axis=0)), dispatched)
+
+
+def renormalised(weights):
+    """Each row of ``weights`` over its sum; graph nodes for a ``Tensor``."""
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 def expert_mixture(
@@ -159,29 +172,12 @@ def expert_mixture(
     summed segment lengths. Experts with an empty segment are not run and
     get ``None`` gradients.
     """
-    tokens, k = indices.shape
-    if x.ndim != 2 or x.shape[0] != tokens or weights.shape != indices.shape:
+    if x.ndim != 2 or x.shape[0] != indices.shape[0] or weights.shape != indices.shape:
         raise DimensionError(
             f"expert_mixture got x={x.shape}, weights={weights.shape}, indices={indices.shape}"
         )
-    order = np.argsort(indices.reshape(-1), kind="stable")  # flat (token, slot) ids
-    bounds = np.searchsorted(indices.reshape(-1)[order], np.arange(len(experts) + 1))
+    out, saved, dispatched = expert_mixture_forward(x.data, weights.data, indices, experts)
     flat_w = weights.data.reshape(-1)
-    out = np.zeros(x.shape)
-    # Per expert: (pair ids, rows, unweighted output, what its FFN backward needs
-    # besides its input rows). The backward gathers x.data[rows] again.
-    saved = []
-    dispatched = 0
-    for e, expert in enumerate(experts):
-        pairs = order[bounds[e] : bounds[e + 1]]
-        if pairs.size == 0:
-            saved.append(None)  # silent expert: never evaluated for this batch
-            continue
-        dispatched += pairs.size
-        rows = pairs // k
-        y, ffn_saved = expert.forward(x.data[rows])
-        out[rows] += y * flat_w[pairs][:, None]
-        saved.append((pairs, rows, y, ffn_saved))
 
     def backward(g):
         dx = np.zeros(x.shape)
@@ -203,6 +199,31 @@ def expert_mixture(
 
     params = tuple(p for expert in experts for p in expert.weights)
     return _record(out, (x, weights) + params, backward), dispatched
+
+
+def expert_mixture_forward(
+    x: np.ndarray, weights: np.ndarray, indices: np.ndarray, experts: list[FeedForward]
+) -> tuple[np.ndarray, list, int]:
+    """The forward of ``expert_mixture`` on arrays: the output, what the backward
+    needs per expert, and the number of (token, expert) evaluations."""
+    order = np.argsort(indices.reshape(-1), kind="stable")  # flat (token, slot) ids
+    bounds = np.searchsorted(indices.reshape(-1)[order], np.arange(len(experts) + 1))
+    flat_w = weights.reshape(-1)
+    out = np.zeros(x.shape)
+    # Per expert: (pair ids, rows, unweighted output, what its FFN backward needs
+    # besides its input rows). The backward gathers x[rows] again.
+    saved, dispatched = [], 0
+    for e, expert in enumerate(experts):
+        pairs = order[bounds[e] : bounds[e + 1]]
+        if pairs.size == 0:
+            saved.append(None)  # silent expert: never evaluated for this batch
+            continue
+        dispatched += pairs.size
+        rows = pairs // indices.shape[1]
+        y, ffn_saved = expert.forward(x[rows])
+        out[rows] += y * flat_w[pairs][:, None]
+        saved.append((pairs, rows, y, ffn_saved))
+    return out, saved, dispatched
 
 
 def load_balance_loss(stats: LoadStats, num_experts: int) -> Tensor:

@@ -48,9 +48,9 @@ Backward, with G the output gradient:
 ``silu'`` comes from what the forward saved besides ``a``: with s the
 sigmoid of ``x W1 + b1``, it is ``s + a * (1 - s)``.
 
-``Linear``, ``LayerNorm`` and ``MultiHeadAttention`` also have a ``forward``
-on arrays that does their graph op's arithmetic (``softmax_attention`` is
-``attend``'s). A cached decode step, ``Model._decode_step``, runs on them.
+``Linear``, ``LayerNorm``, ``MultiHeadAttention`` and ``ConvGatedMLP`` have a
+``forward`` on arrays through their graph ops' kernels, such as ``attend_forward``:
+inference (``EncoderBlock.forward``, ``Model._decode_step``) runs on them.
 """
 
 from __future__ import annotations
@@ -65,12 +65,13 @@ from .tensor import (
     MASK_VALUE,
     Tensor,
     _record,
-    _sigmoid_stable,
     affine,
     layer_norm,
     layer_norm_forward,
     narrow,
     silu,
+    silu_forward,
+    softmax_rows_forward,
 )
 
 
@@ -122,16 +123,15 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.shift = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.shift, eps=self.eps)
+        return layer_norm(x, self.gain, self.shift)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return layer_norm_forward(x, self.gain.data, self.shift.data, self.eps)[0]
+        return layer_norm_forward(x, self.gain.data, self.shift.data)[0]
 
 
 class FeedForward(Module):
@@ -152,9 +152,7 @@ class FeedForward(Module):
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         """The (rows, dim) output for (rows, dim) ``x``, and what ``backward``
         needs besides ``x``: ``(act, s)``."""
-        pre = x @ self.lin1.weight.data + self.lin1.bias.data
-        s = _sigmoid_stable(pre)
-        act = pre * s
+        act, s = silu_forward(x @ self.lin1.weight.data + self.lin1.bias.data)
         return act @ self.lin2.weight.data + self.lin2.bias.data, (act, s)
 
     def backward(self, g: np.ndarray, x: np.ndarray, saved: tuple) -> tuple[np.ndarray, ...]:
@@ -226,6 +224,18 @@ class Segments:
         flat = a.reshape(self.count * self.longest, *a.shape[2:])
         return flat[self._slots] if self.padded else flat
 
+    def shift(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row before, row after) each row of packed ``a``, zero across sequence ends."""
+        zero = np.zeros((1, a.shape[1]))
+        padded = np.concatenate([zero, a, zero])
+        before, after = padded[:-2], padded[2:]
+        inner = self.starts[1:]  # first rows of the sequences after the first
+        if inner.size:
+            before, after = before.copy(), after.copy()
+            before[inner] = 0.0
+            after[inner - 1] = 0.0
+        return before, after
+
     def key_mask(self) -> np.ndarray:
         """(count, longest) additive mask: 0 on each sequence's rows, MASK_VALUE on padding."""
         mask = np.full((self.count, self.longest), MASK_VALUE)
@@ -253,12 +263,15 @@ class MultiHeadAttention(Module):
         out = attend(q, k, v, self.heads, self.scale, mask, query_segments, memory_segments)
         return self.out_proj(out)
 
-    def forward(self, query: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Unmasked attention of one sequence's ``query`` rows on arrays, over ``keys``
-        and ``values`` that ``k_proj.forward`` and ``v_proj.forward`` projected."""
+    def forward(
+        self, query: np.ndarray, k: np.ndarray, v: np.ndarray,
+        q_segments: Segments, k_segments: Segments,
+    ) -> np.ndarray:
+        """Unmasked ``__call__`` on arrays, over keys ``k`` and values ``v`` that
+        ``k_proj.forward`` and ``v_proj.forward`` projected."""
         q = self.q_proj.forward(query)
-        out, _ = softmax_attention(q[None], keys[None], values[None], self.heads, self.scale, None)
-        return self.out_proj.forward(out[0])
+        out, _ = attend_forward(q, k, v, self.heads, self.scale, None, q_segments, k_segments)
+        return self.out_proj.forward(out)
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
@@ -271,18 +284,22 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], -1)
 
 
-def softmax_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, scale: float, mask: np.ndarray | None
+def attend_forward(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, scale: float,
+    mask: np.ndarray | None, q_segments: Segments, k_segments: Segments,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The forward of ``attend`` on zero-padded (B, T_q, D) queries and (B, T_k, D)
-    keys and values: the (B, T_q, D) output and P, with ``mask`` added to S."""
-    qh, kh = _split_heads(q, heads), _split_heads(k, heads)
+    """The forward of ``attend`` on packed arrays: the (T_q, D) output and P."""
+    if k_segments.padded:
+        # A masked score stays masked under a second MASK_VALUE: exp of either is 0.
+        key_mask = k_segments.key_mask()[:, None, None, :]
+        mask = key_mask if mask is None else mask + key_mask
+    qh, kh = _split_heads(q_segments.pad(q), heads), _split_heads(k_segments.pad(k), heads)
     scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale
     if mask is not None:
         scores = scores + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
-    return _merge_heads(np.matmul(probs, _split_heads(v, heads))), probs
+    probs = softmax_rows_forward(scores)
+    out = np.matmul(probs, _split_heads(k_segments.pad(v), heads))
+    return q_segments.unpad(_merge_heads(out)), probs
 
 
 def attend(
@@ -300,8 +317,8 @@ def attend(
     ``q`` is (T_q, D), ``k`` and ``v`` are (T_k, D), with D = heads * d_h and
     head h reading columns h*d_h .. (h+1)*d_h of each. Query sequence b,
     rows ``q_segments`` b, attends only to key sequence b, rows
-    ``k_segments`` b. Per head and sequence, on a zero-padded
-    (B, H, T_max, d_h) view, the forward is ``softmax_attention``:
+    ``k_segments`` b. The forward is ``attend_forward``: per head and
+    sequence, on a zero-padded (B, H, T_max, d_h) view,
 
         S = (Q K^T) * scale (+ mask),  P = softmax_rows(S),  O = P V
 
@@ -325,12 +342,7 @@ def attend(
             f"attend: {qs.count} query segments over {qs.total} rows and {ks.count} key "
             f"segments over {ks.total} rows do not fit q={q.shape}, k={k.shape}"
         )
-    if ks.padded:
-        # A masked score stays masked under a second MASK_VALUE: exp of either is 0.
-        key_mask = ks.key_mask()[:, None, None, :]
-        mask = key_mask if mask is None else mask + key_mask
-    padded = qs.pad(q.data), ks.pad(k.data), ks.pad(v.data)
-    out, probs = softmax_attention(*padded, heads, scale, mask)
+    out, probs = attend_forward(q.data, k.data, v.data, heads, scale, mask, qs, ks)
 
     def backward(g):
         qh = _split_heads(qs.pad(q.data), heads)
@@ -344,7 +356,7 @@ def attend(
         dv = np.matmul(probs.transpose(0, 1, 3, 2), gh)
         return qs.unpad(_merge_heads(dq)), ks.unpad(_merge_heads(dk)), ks.unpad(_merge_heads(dv))
 
-    return _record(qs.unpad(out), (q, k, v), backward)
+    return _record(out, (q, k, v), backward)
 
 
 def depthwise3(x: Tensor, kernel: Tensor, bias: Tensor, segments: Segments) -> Tensor:
@@ -373,32 +385,27 @@ def depthwise3(x: Tensor, kernel: Tensor, bias: Tensor, segments: Segments) -> T
         )
     if segments.total != length:
         raise DimensionError(f"depthwise3: segments cover {segments.total} rows, x has {length}")
-    zero = np.zeros((1, dim))
-    inner = segments.starts[1:]  # first rows of the sequences after the first
-
-    def shifted(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(row before, row after) each row of ``a``, zero across sequence ends."""
-        padded = np.concatenate([zero, a, zero])
-        before, after = padded[:-2], padded[2:]
-        if inner.size:
-            before, after = before.copy(), after.copy()
-            before[inner] = 0.0
-            after[inner - 1] = 0.0
-        return before, after
-
-    prev, nxt = shifted(x.data)
     taps = kernel.data
-    y = prev * taps[0]
-    y = y + x.data * taps[1]
-    y = y + nxt * taps[2]
 
     def backward(g):
-        gprev, gnext = shifted(g)
+        gprev, gnext = segments.shift(g)
         dx = gnext * taps[0] + g * taps[1] + gprev * taps[2]
         dk = np.stack([(x.data * gs).sum(axis=0) for gs in (gnext, g, gprev)])
         return dx, dk, g.sum(axis=0)
 
-    return _record(y + bias.data, (x, kernel, bias), backward)
+    y = depthwise3_forward(x.data, taps, bias.data, segments)
+    return _record(y, (x, kernel, bias), backward)
+
+
+def depthwise3_forward(
+    x: np.ndarray, taps: np.ndarray, bias: np.ndarray, segments: Segments
+) -> np.ndarray:
+    """The forward of ``depthwise3`` on arrays."""
+    prev, nxt = segments.shift(x)
+    y = prev * taps[0]
+    y = y + x * taps[1]
+    y = y + nxt * taps[2]
+    return y + bias
 
 
 class ConvGatedMLP(Module):
@@ -418,6 +425,12 @@ class ConvGatedMLP(Module):
         gate = narrow(u, 1, 0, self.dim)
         conv_in = narrow(u, 1, self.dim, self.dim)
         return self.down(gate * depthwise3(conv_in, self.kernel, self.kernel_bias, segments))
+
+    def forward(self, x: np.ndarray, segments: Segments) -> np.ndarray:
+        u = silu_forward(self.up.forward(x))[0]
+        taps, bias = self.kernel.data, self.kernel_bias.data
+        conv = depthwise3_forward(u[:, self.dim :], taps, bias, segments)
+        return self.down.forward(u[:, : self.dim] * conv)
 
 
 @functools.lru_cache(maxsize=64)

@@ -27,6 +27,7 @@ from .errors import ConfigError, DataError, DimensionError, GraphError
 
 # Additive attention-mask value; exp(MASK_VALUE - rowmax) is exactly 0.0.
 MASK_VALUE = -1.0e30
+LAYER_NORM_EPS = 1e-5  # the variance floor of every layer norm
 
 _grad_enabled = True
 
@@ -298,20 +299,29 @@ def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
+def silu_forward(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``silu`` on arrays: ``a * s`` and the sigmoid ``s`` of ``a``."""
+    s = _sigmoid_stable(a)
+    return a * s, s
+
+
 def silu(a: Tensor) -> Tensor:
-    s = _sigmoid_stable(a.data)
-    data = a.data * s
+    data, s = silu_forward(a.data)
     return _record(data, (a,), lambda g: (g * (s + a.data * s * (1.0 - s)),))
 
 
 # -- row-wise softmax family ---------------------------------------------------
 
 
+def softmax_rows_forward(a: np.ndarray) -> np.ndarray:
+    """``softmax_rows`` on arrays."""
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax along the last axis, stabilized by per-row max subtraction."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = softmax_rows_forward(a.data)
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -335,7 +345,7 @@ def log_softmax_rows(a: Tensor) -> Tensor:
 
 
 def layer_norm_forward(
-    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
+    x: np.ndarray, gain: np.ndarray, bias: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``layer_norm`` on arrays: the output and the row statistics ``mean`` and ``inv``.
 
@@ -343,8 +353,8 @@ def layer_norm_forward(
     ``add.reduce``, then a division; ``var`` squares the centred rows as
     ``c * c``), but the rows are centred once instead of twice, and the
     row-sized results are scaled and shifted in place. So the output is
-    bit-identical to ``(x - x.mean()) / sqrt(x.var() + eps) * gain + bias``
-    with about half the ufunc calls and row-sized temporaries.
+    bit-identical to ``(x - x.mean()) / sqrt(x.var() + LAYER_NORM_EPS) * gain
+    + bias`` with about half the ufunc calls and row-sized temporaries.
     """
     dim = x.shape[-1]
     mean = np.add.reduce(x, axis=-1, keepdims=True)
@@ -352,7 +362,7 @@ def layer_norm_forward(
     xhat = x - mean
     var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
     var /= dim
-    var += eps
+    var += LAYER_NORM_EPS
     inv = 1.0 / np.sqrt(var)
     xhat *= inv
     data = xhat * gain
@@ -360,12 +370,12 @@ def layer_norm_forward(
     return data, mean, inv
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Zero-mean/unit-variance over the last axis, then affine gain and bias.
 
     The forward is ``layer_norm_forward``, and the node keeps only its two
-    (rows, 1) statistics ``mean`` and ``inv = 1 / sqrt(var + eps)`` besides
-    its parents. The backward rebuilds ``xhat = (x - mean) * inv`` from the
+    (rows, 1) statistics ``mean`` and ``inv = 1 / sqrt(var + LAYER_NORM_EPS)``
+    besides its parents. The backward rebuilds ``xhat = (x - mean) * inv`` from the
     input with the forward's two ufuncs, so it is the forward's ``xhat`` bit for bit.
     """
     dim = a.shape[-1]
@@ -375,7 +385,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise DimensionError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width ({dim},)"
         )
-    data, mean, inv = layer_norm_forward(a.data, gain.data, bias.data, eps)
+    data, mean, inv = layer_norm_forward(a.data, gain.data, bias.data)
 
     def backward(g):
         xhat = a.data - mean

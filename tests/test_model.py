@@ -1,13 +1,15 @@
-"""Whole-model checks: the size of the loss graph, a sampled gradcheck, and what
-a backward pass frees."""
+"""Whole-model checks: the size of the loss graph, a sampled gradcheck, what
+a backward pass frees, and the no-grad encoder on arrays against the graph."""
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from avmoe.losses import batch_balance_losses, total_loss
 from avmoe.model import Model, ModelConfig
 from avmoe.moe import MoEConfig
+from avmoe.tensor import Tensor, no_grad
 from avmoe.train import TrainConfig, Utterance, batch_losses, utterance_losses
 
 from helpers import numeric_grad_at, rel_error
@@ -168,3 +170,71 @@ def test_backward_peak_stays_near_the_forward_graph():
     graph = forward_end - start
     assert graph > 0
     assert backward_peak - forward_end <= 0.25 * graph, (backward_peak - forward_end) / graph
+
+
+def encoder_model(moe: bool) -> Model:
+    """Two encoder blocks; with ``moe``, routers drawn so that the experts' loads differ."""
+    cfg = tiny_config(MoEConfig(num_experts=4, top_k=2, hidden=8, ffn_hidden=16) if moe else None)
+    cfg.encoder_blocks = 2
+    model = Model(cfg, np.random.default_rng(38))
+    if moe:
+        rng = np.random.default_rng(39)
+        for block in model.enc_blocks:
+            block.ffn2.router.data = rng.normal(size=(8, 4))
+    return model
+
+
+ENCODER_BATCHES = {
+    # Three lengths, so two utterances are padded in attention: with visual rows
+    # in two of them, and with none.
+    "three_av": ([14, 9, 21], [2, None, 3]),
+    "three_audio_only": ([14, 9, 21], [None, None, None]),
+    "one": ([14], [2]),
+}
+
+
+def encoder_input(model: Model, batch: str):
+    rng = np.random.default_rng(40)
+    frames, visual_rows = ENCODER_BATCHES[batch]
+    mels = [rng.normal(size=(n, 6)) for n in frames]
+    visuals = [None if n is None else rng.normal(size=(n, 4)) for n in visual_rows]
+    return model.fuse(mels, visuals)
+
+
+@pytest.mark.parametrize("moe", [True, False], ids=["moe", "dense"])
+@pytest.mark.parametrize("batch", sorted(ENCODER_BATCHES))
+def test_array_encoder_equals_the_graph_encoder_to_the_bit(batch, moe):
+    model = encoder_model(moe)
+    fused = encoder_input(model, batch)
+    graph_states, graph_stats = model.encode(fused)
+    with no_grad():
+        states, stats = model.encode(fused)
+    assert graph_states.requires_grad and not states.requires_grad
+    np.testing.assert_array_equal(states.data, graph_states.data)
+    assert len(stats) == len(graph_stats) == (2 if moe else 0)
+    for got, want in zip(stats, graph_stats):
+        np.testing.assert_array_equal(got.hard_counts, want.hard_counts)
+        np.testing.assert_array_equal(got.prob_sum.data, want.prob_sum.data)
+        assert (got.tokens, got.dispatched) == (want.tokens, want.dispatched)
+        assert got.tokens == fused.segments.total
+        assert got.dispatched == model.cfg.moe.top_k * got.tokens
+
+
+@pytest.mark.parametrize("moe", [True, False], ids=["moe", "dense"])
+def test_a_no_grad_encode_constructs_only_its_states_and_prob_sums(monkeypatch, moe):
+    # The blocks run on arrays: no graph-engine object besides the results.
+    model = encoder_model(moe)
+    fused = encoder_input(model, "three_av")
+    built = []
+    init = Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    with no_grad():
+        monkeypatch.setattr(Tensor, "__init__", counted)
+        states, stats = model.encode(fused)
+        monkeypatch.undo()
+    assert built == [s.prob_sum for s in stats] + [states]
+    assert len(built) == 1 + (2 if moe else 0)

@@ -13,7 +13,6 @@ from avmoe.nn import (
     attend,
     causal_mask,
     depthwise3,
-    softmax_attention,
 )
 from avmoe.tensor import Tensor, _record, concat, matmul, narrow, softmax_rows, tsum
 
@@ -81,6 +80,17 @@ def attend_keeping_pads(q, k, v, heads, scale, mask, qs, ks):
         return qs.unpad(_merge_heads(dq)), ks.unpad(_merge_heads(dk)), ks.unpad(_merge_heads(dv))
 
     return _record(qs.unpad(_merge_heads(np.matmul(probs, vh))), (q, k, v), backward)
+
+
+def attention_without_segments(q, k, v, heads, scale, mask):
+    """All heads of one sequence on a batch of one with no ``Segments``, as the
+    cached decode step computed it before it passed segments."""
+    qh, kh, vh = (_split_heads(a[None], heads) for a in (q, k, v))
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return _merge_heads(np.matmul(e / e.sum(axis=-1, keepdims=True), vh))[0]
 
 
 def shifted_copies(x: np.ndarray, seg: Segments) -> tuple[np.ndarray, np.ndarray]:
@@ -314,15 +324,15 @@ class TestSegmentedAttend:
 
     @pytest.mark.parametrize("t_q,t_k,causal", [(1, 4, False), (1, 48, False), (6, 6, True)])
     def test_no_segments_is_bit_identical_to_one_segment(self, t_q, t_k, causal):
-        # ``softmax_attention`` on a batch of one, as a cached decode step runs it
-        # through ``MultiHeadAttention.forward``, builds no Segments; ``attend``
-        # over one segment on each side is the graph op on the same sequences.
+        # One segment on each side, as the cached decode step and the array
+        # encoder of one utterance pass them, pads and unpads nothing: ``attend``
+        # equals attention computed with no segments at all, to the bit.
         rng = np.random.default_rng(t_q * t_k)
         q, k, v = (rng.normal(size=(n, 8)) for n in (t_q, t_k, t_k))
         mask = causal_mask(t_q) if causal else None
-        out, _ = softmax_attention(q[None], k[None], v[None], 2, 0.5, mask)
+        out = attention_without_segments(q, k, v, 2, 0.5, mask)
         node = attend(Tensor(q), Tensor(k), Tensor(v), 2, 0.5, mask, Segments([t_q]), Segments([t_k]))
-        np.testing.assert_array_equal(out[0], node.data)
+        np.testing.assert_array_equal(out, node.data)
 
     @pytest.mark.parametrize("q_lengths,k_lengths,causal", [
         ([3, 5, 2], None, True),
