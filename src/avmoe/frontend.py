@@ -84,7 +84,7 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return bank
 
 
-def log_mel(framed: np.ndarray, n_mels: int = 80, sample_rate: int = 16000) -> np.ndarray:
+def log_mel(framed: np.ndarray, n_mels: int, sample_rate: int) -> np.ndarray:
     """Windowed frames -> power spectrum -> Mel energies -> floored natural log.
 
     The features are a float64 array of shape (num_frames, n_mels).

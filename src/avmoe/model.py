@@ -126,7 +126,7 @@ class EncoderBlock(Module):
         a, attn = self.attn_norm.forward(h), self.attn
         keys, values = attn.k_proj.forward(a), attn.v_proj.forward(a)
         global_branch = attn.forward(a, keys, values, segments, segments)
-        local_branch = self.local.forward(self.local_norm.forward(h), segments)
+        local_branch = self.local.forward(self.local_norm.forward(h), segments)[0]
         merged = h + self.merge.forward(np.concatenate([global_branch, local_branch], axis=1))
         ffn2_out, saved_or_stats = self.ffn2.forward(self.ffn2_norm.forward(merged))
         stats = saved_or_stats if isinstance(self.ffn2, MoELayer) else None
@@ -169,12 +169,13 @@ class DecodeCache:
     counts the tokens fed so far, so it is the position of the next one.
     Per decoder block, ``self_kv`` holds the self-attention keys and values
     of every token fed, one row more per step, and ``cross_kv`` the
-    cross-attention keys and values of ``states``, projected on the first step.
+    cross-attention keys and values of ``states``, projected on the first step,
+    when ``row`` and ``sources`` get the segments of one row and of ``states``.
     """
 
     def __init__(self):
         self.fed = 0
-        self.model = self.states = None
+        self.model = self.states = self.row = self.sources = None
         self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
         self.cross_kv: list[tuple[np.ndarray, np.ndarray]] = []
 
@@ -329,11 +330,12 @@ class Model(Module):
         """The (1, vocab) logits of ``token`` fed at position ``cache.fed``: each decoder
         block's ``__call__`` for one row, on arrays, through the graph ops' own kernels."""
         d = self.cfg.hidden
-        row, prefix, sources = (Segments([n]) for n in (1, cache.fed + 1, len(cache.states.data)))
         if cache.fed == 0:
             memory, attns = cache.states.data, [block.cross_attn for block in self.dec_blocks]
             cache.cross_kv = [(a.k_proj.forward(memory), a.v_proj.forward(memory)) for a in attns]
             cache.self_kv = [(np.empty((0, d)),) * 2] * len(attns)
+            cache.row, cache.sources = Segments([1]), Segments([len(memory)])
+        row, prefix, sources = cache.row, Segments([cache.fed + 1]), cache.sources
         x = self.dec_embed.data[[token]] * math.sqrt(d)
         x = x + sinusoidal_positions(cache.fed + 1, d)[cache.fed :]
         cache.fed += 1

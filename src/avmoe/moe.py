@@ -9,7 +9,9 @@ fractions are treated as constants, so its gradient reaches the router only
 through the mean probabilities.
 
 Dispatch is one graph node, ``expert_mixture``, in the grouped (sort by
-expert) form of MegaBlocks (Gale et al., arXiv 2211.15841). The (token, slot)
+expert) form of MegaBlocks (Gale et al., arXiv 2211.15841). It takes the
+probability rows P and renormalises each token's chosen k of them,
+``w = p / rowsum(p)`` with ``p = P[i, indices[i]]``. The (token, slot)
 pairs are stable-sorted by expert into contiguous segments; expert e runs
 once on the rows R_e of its segment, with weights w_e:
 
@@ -23,6 +25,10 @@ from the forward, which gives ``dx[R_e] += dx_e`` and the expert's four
 parameter gradients, and
 
     dw_e = rowsum(G[R_e] * y_e)
+    dp = dw / rowsum(p) + rowsum(-dw * p / (rowsum(p) * rowsum(p)))
+
+added into zeros at ``P[i, indices[i]]``: the backward of a gather, a row
+sum and a quotient, in that order.
 
 The FFN kernel and its formulas are in ``nn``: ``FeedForward.forward`` and
 ``FeedForward.backward``.
@@ -40,9 +46,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .fields import check_fields
 from .nn import FeedForward, Module
-from .tensor import (
-    Tensor, _record, matmul, softmax_rows, softmax_rows_forward, take_along_cols, tsum,
-)
+from .tensor import Tensor, _record, matmul, softmax_rows, softmax_rows_forward, tsum
 
 
 @dataclass
@@ -65,7 +69,6 @@ class RoutingDecision:
     """Per-token expert selection for one forward pass."""
 
     indices: np.ndarray  # (tokens, k) selected experts, descending probability
-    weights: Tensor  # (tokens, k) combination weights
     probs: Tensor  # (tokens, num_experts) full probability rows
 
 
@@ -126,8 +129,7 @@ class MoELayer(Module):
                 f"router expects (tokens, {self.cfg.hidden}), got {x.shape}"
             )
         probs = softmax_rows(matmul(x, self.router))
-        indices = self.top_k(probs.data)
-        return RoutingDecision(indices, renormalised(take_along_cols(probs, indices)), probs)
+        return RoutingDecision(self.top_k(probs.data), probs)
 
     def top_k(self, probs: np.ndarray) -> np.ndarray:
         """Each row's k most probable experts; a stable sort keeps ties in index order."""
@@ -141,43 +143,39 @@ class MoELayer(Module):
     def __call__(self, x: Tensor) -> tuple[Tensor, LoadStats]:
         """Dispatch tokens to their selected experts and combine the outputs."""
         decision = self.route(x)
-        out, dispatched = expert_mixture(x, decision.weights, decision.indices, self.experts)
+        out, dispatched = expert_mixture(x, decision.probs, decision.indices, self.experts)
         return out, self.load_stats(decision.indices, tsum(decision.probs, axis=0), dispatched)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, LoadStats]:
         """``__call__`` on arrays, through ``route``'s and ``expert_mixture``'s kernels."""
         probs = softmax_rows_forward(x @ self.router.data)
         indices = self.top_k(probs)
-        weights = renormalised(np.take_along_axis(probs, indices, axis=1))
-        out, _, dispatched = expert_mixture_forward(x, weights, indices, self.experts)
+        out, _, dispatched = expert_mixture_forward(x, probs, indices, self.experts)
         return out, self.load_stats(indices, Tensor(probs.sum(axis=0)), dispatched)
 
 
-def renormalised(weights):
-    """Each row of ``weights`` over its sum; graph nodes for a ``Tensor``."""
-    return weights / weights.sum(axis=1, keepdims=True)
-
-
 def expert_mixture(
-    x: Tensor, weights: Tensor, indices: np.ndarray, experts: list[FeedForward]
+    x: Tensor, probs: Tensor, indices: np.ndarray, experts: list[FeedForward]
 ) -> tuple[Tensor, int]:
     """Weighted sum of each token's selected experts, as one graph node.
 
-    ``x`` is (tokens, D); ``weights`` and ``indices`` are (tokens, k): token
-    i adds ``weights[i, j] * experts[indices[i, j]](x[i])``. The (token,
-    slot) pairs are stable-sorted by expert, so each expert runs once on a
-    contiguous segment, and each token's terms are summed in ascending
+    ``x`` is (tokens, D), ``probs`` (tokens, num_experts) and ``indices``
+    (tokens, k): token i adds ``w[i, j] * experts[indices[i, j]](x[i])``,
+    where row i of ``w`` is ``probs[i, indices[i]]`` over its sum. The
+    (token, slot) pairs are stable-sorted by expert, so each expert runs once
+    on a contiguous segment, and each token's terms are summed in ascending
     expert order. The formulas are in the module docstring. Returns the
     (tokens, D) output and the number of (token, expert) evaluations, the
     summed segment lengths. Experts with an empty segment are not run and
     get ``None`` gradients.
     """
-    if x.ndim != 2 or x.shape[0] != indices.shape[0] or weights.shape != indices.shape:
+    ranks_fit = x.ndim == probs.ndim == indices.ndim == 2
+    if not (ranks_fit and x.shape[0] == probs.shape[0] == indices.shape[0]):
         raise DimensionError(
-            f"expert_mixture got x={x.shape}, weights={weights.shape}, indices={indices.shape}"
+            f"expert_mixture got x={x.shape}, probs={probs.shape}, indices={indices.shape}"
         )
-    out, saved, dispatched = expert_mixture_forward(x.data, weights.data, indices, experts)
-    flat_w = weights.data.reshape(-1)
+    out, kept, dispatched = expert_mixture_forward(x.data, probs.data, indices, experts)
+    picked, total, flat_w, saved = kept
 
     def backward(g):
         dx = np.zeros(x.shape)
@@ -195,20 +193,26 @@ def expert_mixture(
             )
             dx[rows] += dxr
             grads.extend(expert_grads)
-        return (dx, dw.reshape(weights.shape), *grads)
+        dw = dw.reshape(indices.shape)
+        dpicked = dw / total + (-dw * picked / (total * total)).sum(axis=1, keepdims=True)
+        dprobs = np.zeros(probs.shape)
+        np.add.at(dprobs, (np.arange(indices.shape[0])[:, None], indices), dpicked)
+        return (dx, dprobs, *grads)
 
     params = tuple(p for expert in experts for p in expert.weights)
-    return _record(out, (x, weights) + params, backward), dispatched
+    return _record(out, (x, probs) + params, backward), dispatched
 
 
 def expert_mixture_forward(
-    x: np.ndarray, weights: np.ndarray, indices: np.ndarray, experts: list[FeedForward]
-) -> tuple[np.ndarray, list, int]:
+    x: np.ndarray, probs: np.ndarray, indices: np.ndarray, experts: list[FeedForward]
+) -> tuple[np.ndarray, tuple, int]:
     """The forward of ``expert_mixture`` on arrays: the output, what the backward
-    needs per expert, and the number of (token, expert) evaluations."""
+    needs, and the number of (token, expert) evaluations."""
+    picked = np.take_along_axis(probs, indices, axis=1)
+    total = picked.sum(axis=1, keepdims=True)
+    flat_w = (picked / total).reshape(-1)
     order = np.argsort(indices.reshape(-1), kind="stable")  # flat (token, slot) ids
     bounds = np.searchsorted(indices.reshape(-1)[order], np.arange(len(experts) + 1))
-    flat_w = weights.reshape(-1)
     out = np.zeros(x.shape)
     # Per expert: (pair ids, rows, unweighted output, what its FFN backward needs
     # besides its input rows). The backward gathers x[rows] again.
@@ -223,7 +227,7 @@ def expert_mixture_forward(
         y, ffn_saved = expert.forward(x[rows])
         out[rows] += y * flat_w[pairs][:, None]
         saved.append((pairs, rows, y, ffn_saved))
-    return out, saved, dispatched
+    return out, (picked, total, flat_w, saved), dispatched
 
 
 def load_balance_loss(stats: LoadStats, num_experts: int) -> Tensor:

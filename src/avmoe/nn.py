@@ -2,9 +2,9 @@
 
 A batch of B sequences is packed along axis 0, one after another, and
 ``Segments`` records their lengths. Row-wise layers run once on all rows;
-the two computations that read across rows know the segments, so no row
-ever sees a row of another sequence. Both are single graph nodes with
-hand-written backward passes:
+the two computations that read across rows, ``attend`` and the cgMLP,
+know the segments, so no row ever sees a row of another sequence. Both are
+single graph nodes with hand-written backward passes:
 
 - ``attend``: all heads of scaled dot-product attention at once, on a
   zero-padded (B, H, T_max, T_max) batch whose padding keys are masked.
@@ -12,22 +12,23 @@ hand-written backward passes:
   ``P = softmax_rows(S)``, ``O = P V``; backward ``dV = P^T G``,
   ``dP = G V^T``, ``dS = P * (dP - rowsum(dP * P)) * scale``, ``dQ = dS K``,
   ``dK = dS^T Q``.
-- ``depthwise3``: the 3-tap depthwise conv along time, zero-padded at both
-  ends of every sequence,
-  ``y[t] = x[t-1] k0 + x[t] k1 + x[t+1] k2 + b``; backward
-  ``dx[t] = g[t+1] k0 + g[t] k1 + g[t-1] k2``,
-  ``dk_0 = sum_t x[t] g[t+1]``, ``dk_1 = sum_t x[t] g[t]``,
-  ``dk_2 = sum_t x[t] g[t-1]``, ``db = sum_t g[t]``.
+- ``ConvGatedMLP``: E-Branchformer's convolution-gated MLP. The first half
+  of ``u = silu(pre)``, ``pre = x U + c``, gates a 3-tap depthwise conv
+  along time of its second half v, zero-padded at both ends of every
+  sequence: ``conv[t] = v[t-1] k0 + v[t] k1 + v[t+1] k2 + b``,
+  ``y = (u[:, :D] * conv) W + e``. Backward, with s the sigmoid of ``pre``
+  and ``dconv = (G W^T) * u[:, :D]``: ``dv[t] = dconv[t+1] k0 + dconv[t] k1
+  + dconv[t-1] k2``, ``dk_j = sum_t v[t] dconv[t+1-j]``, ``db = colsum(dconv)``,
+  ``dpre = [(G W^T) * conv, dv] * (s + pre * s * (1 - s))``, and the two
+  affines' gradients as in the FFN below.
 
 A node keeps only what its backward cannot rebuild, at no real cost, from
 its parents' data, which the graph holds anyway:
 
 - ``attend`` keeps ``P``; the backward pads Q, K and V again.
-- ``depthwise3`` keeps nothing: the shifted ``g`` it builds for ``dx``
-  gives ``dk_0`` and ``dk_2``, the products ``g[t] x[t-1]`` and
-  ``g[t] x[t+1]`` added in the same row order as from shifted copies of x.
+- ``ConvGatedMLP`` keeps no shifted copies of v: the shifted ``dconv`` built
+  for ``dv`` gives ``dk_0`` and ``dk_2``, in the row order of the copies' sums.
 - ``tensor.layer_norm`` keeps the row statistics, not the normalized rows.
-- ``tensor.narrow`` returns a view of its input.
 - The FFN kernel keeps ``act`` and ``s``, not its input rows: its
   backward takes ``x`` from the caller, and ``moe.expert_mixture``
   gathers an expert's rows again rather than keep the gather.
@@ -68,8 +69,6 @@ from .tensor import (
     affine,
     layer_norm,
     layer_norm_forward,
-    narrow,
-    silu,
     silu_forward,
     softmax_rows_forward,
 )
@@ -359,48 +358,10 @@ def attend(
     return _record(out, (q, k, v), backward)
 
 
-def depthwise3(x: Tensor, kernel: Tensor, bias: Tensor, segments: Segments) -> Tensor:
-    """3-tap depthwise convolution along time of B packed sequences, as one graph node.
-
-    ``x`` is (T, D), ``kernel`` (3, D), ``bias`` (D,); ``segments`` splits
-    the rows into sequences. With ``prev[t]`` and ``next[t]`` the rows
-    before and after t, zero where t starts or ends its sequence:
-
-        y[t] = prev[t] k0 + x[t] k1 + next[t] k2 + b      (summed in that order)
-
-    Backward, with ``gprev`` and ``gnext`` the output gradient shifted the
-    same way:
-
-        dx[t] = gnext[t] k0 + g[t] k1 + gprev[t] k2
-        dk_0 = sum_t x[t] gnext[t],  dk_1 = sum_t x[t] g[t],  dk_2 = sum_t x[t] gprev[t]
-        db = sum_t g[t]
-
-    ``sum_t x[t] gnext[t]`` adds the products of ``sum_t g[t] prev[t]`` in the
-    same row order, so the node need not keep ``prev`` or ``next``.
-    """
-    length, dim = x.shape
-    if kernel.shape != (3, dim) or bias.shape != (dim,):
-        raise DimensionError(
-            f"depthwise3 got x={x.shape}, kernel={kernel.shape}, bias={bias.shape}"
-        )
-    if segments.total != length:
-        raise DimensionError(f"depthwise3: segments cover {segments.total} rows, x has {length}")
-    taps = kernel.data
-
-    def backward(g):
-        gprev, gnext = segments.shift(g)
-        dx = gnext * taps[0] + g * taps[1] + gprev * taps[2]
-        dk = np.stack([(x.data * gs).sum(axis=0) for gs in (gnext, g, gprev)])
-        return dx, dk, g.sum(axis=0)
-
-    y = depthwise3_forward(x.data, taps, bias.data, segments)
-    return _record(y, (x, kernel, bias), backward)
-
-
 def depthwise3_forward(
     x: np.ndarray, taps: np.ndarray, bias: np.ndarray, segments: Segments
 ) -> np.ndarray:
-    """The forward of ``depthwise3`` on arrays."""
+    """The 3-tap depthwise conv along time of ``ConvGatedMLP``, on arrays."""
     prev, nxt = segments.shift(x)
     y = prev * taps[0]
     y = y + x * taps[1]
@@ -420,17 +381,45 @@ class ConvGatedMLP(Module):
         self.down = Linear(rng, dim, dim)
         self.dim = dim
 
-    def __call__(self, x: Tensor, segments: Segments) -> Tensor:
-        u = silu(self.up(x))
-        gate = narrow(u, 1, 0, self.dim)
-        conv_in = narrow(u, 1, self.dim, self.dim)
-        return self.down(gate * depthwise3(conv_in, self.kernel, self.kernel_bias, segments))
+    @property
+    def weights(self) -> tuple[Tensor, ...]:
+        """Up W and b, kernel and bias, down W and b, in ``backward``'s order."""
+        return (self.up.weight, self.up.bias, self.kernel, self.kernel_bias,
+                self.down.weight, self.down.bias)
 
-    def forward(self, x: np.ndarray, segments: Segments) -> np.ndarray:
-        u = silu_forward(self.up.forward(x))[0]
-        taps, bias = self.kernel.data, self.kernel_bias.data
-        conv = depthwise3_forward(u[:, self.dim :], taps, bias, segments)
-        return self.down.forward(u[:, : self.dim] * conv)
+    def forward(self, x: np.ndarray, segments: Segments) -> tuple[np.ndarray, tuple]:
+        """The (rows, dim) output for packed (rows, dim) ``x``, and what ``backward``
+        needs besides ``x``: ``(pre, s, u, conv, gated)``."""
+        pre = self.up.forward(x)
+        u, s = silu_forward(pre)
+        conv = depthwise3_forward(u[:, self.dim :], self.kernel.data, self.kernel_bias.data,
+                                  segments)
+        gated = u[:, : self.dim] * conv
+        return self.down.forward(gated), (pre, s, u, conv, gated)
+
+    def backward(
+        self, g: np.ndarray, x: np.ndarray, saved: tuple, segments: Segments
+    ) -> tuple[np.ndarray, ...]:
+        """``dx`` and the gradients of ``weights`` for output gradient ``g``, by the ufuncs
+        of the affine, silu, narrow, conv, product and affine nodes, in their order."""
+        pre, s, u, conv, gated = saved
+        d, taps = self.dim, self.kernel.data
+        dgated = g @ self.down.weight.data.T
+        dconv = dgated * u[:, :d]
+        gprev, gnext = segments.shift(dconv)
+        dconv_in = gnext * taps[0] + dconv * taps[1] + gprev * taps[2]
+        dk = np.stack([(u[:, d:] * gs).sum(axis=0) for gs in (gnext, dconv, gprev)])
+        du = np.concatenate([dgated * conv, dconv_in], axis=1)
+        dpre = du * (s + pre * s * (1.0 - s))
+        return (dpre @ self.up.weight.data.T, x.T @ dpre, dpre.sum(axis=0), dk,
+                dconv.sum(axis=0), gated.T @ g, g.sum(axis=0))
+
+    def __call__(self, x: Tensor, segments: Segments) -> Tensor:
+        """The branch as one graph node with parents ``(x, *weights)``."""
+        if segments.total != x.shape[0]:
+            raise DimensionError(f"cgMLP: segments cover {segments.total} rows of {x.shape[0]}")
+        y, saved = self.forward(x.data, segments)
+        return _record(y, (x, *self.weights), lambda g: self.backward(g, x.data, saved, segments))
 
 
 @functools.lru_cache(maxsize=64)

@@ -145,9 +145,9 @@ def reference_task_spec() -> SyntheticTaskSpec:
 
 
 def synth_waveform(
-    words: list[str], spec: SyntheticTaskSpec, noise_rng: np.random.Generator | None = None
+    words: list[str], spec: SyntheticTaskSpec, noise_rng: np.random.Generator
 ) -> Waveform:
-    """Concatenated tone segments, one per word, plus optional white noise."""
+    """Concatenated tone segments, one per word, plus white noise if ``spec.noise_std`` > 0."""
     unknown = [w for w in words if w not in spec.tone_map]
     if unknown:
         raise DataError(f"unknown word(s) {unknown}; vocabulary is {spec.vocab}")
@@ -158,8 +158,6 @@ def synth_waveform(
         segments.append(spec.amplitude * np.sin(2.0 * np.pi * spec.tone_map[word] * t))
     samples = np.concatenate(segments)
     if spec.noise_std > 0.0:
-        if noise_rng is None:
-            raise ConfigError("noise_std > 0 requires a noise RNG")
         samples = samples + noise_rng.normal(0.0, spec.noise_std, size=samples.shape)
     return Waveform(samples=np.clip(samples, -1.0, 1.0), sample_rate=spec.sample_rate)
 

@@ -146,9 +146,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
     def __neg__(self):
         return neg(self)
 
@@ -209,20 +206,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return (
             _unbroadcast(g * b.data, a.shape) if need_a else None,
             _unbroadcast(g * a.data, b.shape) if need_b else None,
-        )
-
-    return _record(data, (a, b), backward)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise quotient; like ``mul``, no gradient for an operand that needs none."""
-    data = a.data / b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def backward(g):
-        return (
-            _unbroadcast(g / b.data, a.shape) if need_a else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if need_b else None,
         )
 
     return _record(data, (a, b), backward)
@@ -300,14 +283,9 @@ def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
 
 
 def silu_forward(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``silu`` on arrays: ``a * s`` and the sigmoid ``s`` of ``a``."""
+    """SiLU on arrays: ``a * s`` and the sigmoid ``s`` of ``a``."""
     s = _sigmoid_stable(a)
     return a * s, s
-
-
-def silu(a: Tensor) -> Tensor:
-    data, s = silu_forward(a.data)
-    return _record(data, (a,), lambda g: (g * (s + a.data * s * (1.0 - s)),))
 
 
 # -- row-wise softmax family ---------------------------------------------------
@@ -418,29 +396,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.split(g, bounds, axis=axis))
 
     return _record(data, tuple(parts), backward)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """``length`` entries along ``axis`` starting at ``start``, as a view of ``a``'s data.
-
-    Views are safe because no op writes into its inputs' ``data``; the node
-    adds nothing to what its parent holds.
-    """
-    if not (0 <= start and start + length <= a.shape[axis]):
-        raise DimensionError(
-            f"narrow [{start}:{start + length}] out of bounds for axis {axis} of shape {a.shape}"
-        )
-    sl = [slice(None)] * a.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-    data = a.data[sl]
-
-    def backward(g):
-        full_grad = np.zeros_like(a.data)
-        full_grad[sl] = g
-        return (full_grad,)
-
-    return _record(data, (a,), backward)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:

@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference oracles, gradient checks, retained-memory
-measurement, the written-out Adam update, checkpoint damage, and audio helpers the
-program itself does not need."""
+measurement, the graph ops that only reference compositions use, the written-out Adam
+update, checkpoint damage, and audio helpers the program itself does not need."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 from avmoe.checkpoint import load_checkpoint
 from avmoe.frontend import Waveform, hz_to_mel
 from avmoe.model import Model, ModelConfig
-from avmoe.tensor import Tensor, affine, silu
+from avmoe.tensor import Tensor, _record, _unbroadcast, affine, silu_forward
 from avmoe.train import TrainConfig
 
 # Adam's decay rates and floor, as training passes them.
@@ -117,6 +117,37 @@ def retained_bytes(fn) -> int:
     finally:
         tracemalloc.stop()
     return retained - out.data.nbytes
+
+
+def silu(a: Tensor) -> Tensor:
+    """SiLU as a graph node of its own, with backward ``g * (s + a * s * (1 - s))``."""
+    data, s = silu_forward(a.data)
+    return _record(data, (a,), lambda g: (g * (s + a.data * s * (1.0 - s)),))
+
+
+def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """``length`` entries along ``axis`` from ``start``, as a graph node whose
+    backward puts ``g`` into zeros of ``a``'s shape."""
+    sl = [slice(None)] * a.ndim
+    sl[axis] = slice(start, start + length)
+    sl = tuple(sl)
+
+    def backward(g):
+        full_grad = np.zeros_like(a.data)
+        full_grad[sl] = g
+        return (full_grad,)
+
+    return _record(a.data[sl], (a,), backward)
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise quotient as a graph node, ``b`` broadcast against ``a``."""
+
+    def backward(g):
+        return (_unbroadcast(g / b.data, a.shape),
+                _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+
+    return _record(a.data / b.data, (a, b), backward)
 
 
 def reference_ffn(ffn, x: Tensor) -> Tensor:

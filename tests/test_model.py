@@ -53,9 +53,10 @@ def test_loss_graph_size_is_pinned():
     assert len(ctc_only) == 4
     # One utterance runs the packed code, so fusion gathers the concatenated
     # visual and speech rows into packed order: one node more than a bare concat.
-    # Each dense FFN (here ffn1 and the decoder's) is one node, and so is the
-    # visual projection.
-    assert len(graph_nodes(bundle.l_total)) == 77
+    # Each dense FFN (here ffn1 and the decoder's) is one node, and so are the
+    # visual projection and the cgMLP branch; the MoE routing weights are part
+    # of the dispatch node.
+    assert len(graph_nodes(bundle.l_total)) == 68
 
 
 def routed_model() -> Model:

@@ -13,10 +13,11 @@ from avmoe.moe import (
 )
 from avmoe.nn import FeedForward
 from avmoe.optim import Adam
-from avmoe.tensor import Tensor, _sigmoid_stable, gather_rows, matmul
+from avmoe.tensor import Tensor, _record, _sigmoid_stable, gather_rows, matmul, take_along_cols
 
 from helpers import (
-    ADAM_CONSTANTS, NODE_OBJECTS, check_grad, copy_ffn_weights, reference_ffn, retained_bytes,
+    ADAM_CONSTANTS, NODE_OBJECTS, check_grad, copy_ffn_weights, div, reference_ffn,
+    retained_bytes,
 )
 
 
@@ -47,6 +48,50 @@ def reference_mixture(x, weights, indices, experts):
     return out
 
 
+def renormalised_weights(probs, indices):
+    """Each row's chosen probabilities over their sum, from the gather, row-sum and
+    quotient nodes that ``expert_mixture`` took in."""
+    picked = take_along_cols(probs, indices)
+    return div(picked, picked.sum(axis=1, keepdims=True))
+
+
+def mixture_of_weights(x, weights, indices, experts):
+    """The ``expert_mixture`` node as it was when its parent was the renormalised
+    ``weights``, not the probabilities: its backward ends at their gradient."""
+    order = np.argsort(indices.reshape(-1), kind="stable")
+    bounds = np.searchsorted(indices.reshape(-1)[order], np.arange(len(experts) + 1))
+    flat_w = weights.data.reshape(-1)
+    out, saved = np.zeros(x.shape), []
+    for e, expert in enumerate(experts):
+        pairs = order[bounds[e] : bounds[e + 1]]
+        if pairs.size == 0:
+            saved.append(None)
+            continue
+        rows = pairs // indices.shape[1]
+        y, ffn_saved = expert.forward(x.data[rows])
+        out[rows] += y * flat_w[pairs][:, None]
+        saved.append((pairs, rows, y, ffn_saved))
+
+    def backward(g):
+        dx, dw, grads = np.zeros(x.shape), np.zeros(flat_w.shape), []
+        for expert, rec in zip(experts, saved):
+            if rec is None:
+                grads.extend([None] * 4)
+                continue
+            pairs, rows, y, ffn_saved = rec
+            gr = g[rows]
+            dw[pairs] = (gr * y).sum(axis=1)
+            dxr, *expert_grads = expert.backward(
+                gr * flat_w[pairs][:, None], x.data[rows], ffn_saved
+            )
+            dx[rows] += dxr
+            grads.extend(expert_grads)
+        return (dx, dw.reshape(weights.shape), *grads)
+
+    params = tuple(p for expert in experts for p in expert.weights)
+    return _record(out, (x, weights) + params, backward)
+
+
 def stats_from_probs(probs: np.ndarray) -> LoadStats:
     tokens, num_experts = probs.shape
     counts = np.bincount(probs.argmax(axis=1), minlength=num_experts).astype(np.float64)
@@ -70,10 +115,12 @@ class TestRouting:
         layer = make_layer(num_experts=2, top_k=1, hidden=2, ffn_hidden=4)
         # logits = x @ router = (0, ln 3) for x = (1, 0)
         layer.router.data = np.array([[0.0, np.log(3.0)], [0.0, 0.0]])
-        decision = layer.route(Tensor([[1.0, 0.0]]))
+        x = Tensor([[1.0, 0.0]])
+        decision = layer.route(x)
         np.testing.assert_allclose(decision.probs.data, [[0.25, 0.75]], atol=1e-12)
         assert decision.indices.tolist() == [[1]]
-        np.testing.assert_allclose(decision.weights.data, [[1.0]], atol=1e-12)
+        # The one chosen expert's renormalised weight is 1.
+        np.testing.assert_allclose(layer(x)[0].data, layer.experts[1](x).data, atol=1e-12)
 
     def test_router_logit_shift_invariance(self):
         layer = make_layer(hidden=4, ffn_hidden=8)
@@ -87,7 +134,8 @@ class TestRouting:
         shifted = shifted_layer.route(x)
         np.testing.assert_allclose(shifted.probs.data, base.probs.data, atol=1e-12)
         np.testing.assert_array_equal(shifted.indices, base.indices)
-        np.testing.assert_allclose(shifted.weights.data, base.weights.data, atol=1e-12)
+        # Same experts (seed 0 for both layers), so the same weights give the same output.
+        np.testing.assert_allclose(shifted_layer(x)[0].data, layer(x)[0].data, atol=1e-12)
 
     def test_probability_rows_sum_to_one(self):
         layer = make_layer(hidden=4, ffn_hidden=8)
@@ -95,7 +143,12 @@ class TestRouting:
         x = Tensor(np.random.default_rng(4).normal(size=(9, 4)))
         decision = layer.route(x)
         np.testing.assert_allclose(decision.probs.data.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(decision.weights.data.sum(axis=1), 1.0, atol=1e-12)
+        # With every expert the same FFN, the layer is that FFN exactly when each
+        # token's renormalised weights sum to one.
+        donor = layer.experts[0]
+        for expert in layer.experts:
+            copy_ffn_weights(expert, donor)
+        np.testing.assert_allclose(layer(x)[0].data, donor(x).data, atol=1e-12)
 
     def test_hard_counts_are_the_argmax_counts_on_tied_rows(self):
         # Each x row picks router rows, so its logits tie at the maximum: experts
@@ -184,11 +237,16 @@ class TestExpertMixture:
         weights = Tensor(rng.normal(size=(9, 4)))
         params = [x] + layer.parameters()
         results = []
-        for mixture in (expert_mixture, lambda *a: (reference_mixture(*a), None)):
+        for mixture in (
+            expert_mixture,
+            lambda x, probs, indices, experts: (
+                reference_mixture(x, renormalised_weights(probs, indices), indices, experts), None
+            ),
+        ):
             for p in params:
                 p.grad = None
             decision = layer.route(x)
-            out, _ = mixture(x, decision.weights, decision.indices, layer.experts)
+            out, _ = mixture(x, decision.probs, decision.indices, layer.experts)
             loss = (out * weights).sum()
             loss.backward()
             results.append((loss.item(), [p.grad for p in params]))
@@ -204,13 +262,42 @@ class TestExpertMixture:
         layer = make_layer(num_experts=3, top_k=2, hidden=3, ffn_hidden=4)
         rng = np.random.default_rng(24)
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        mix = Tensor(rng.uniform(0.1, 1.0, size=(5, 2)), requires_grad=True)
+        probs = Tensor(rng.uniform(0.1, 1.0, size=(5, 3)), requires_grad=True)
         indices = np.array([[0, 1], [2, 0], [1, 2], [0, 2], [1, 0]])
         weights = Tensor(rng.normal(size=(5, 3)))
         check_grad(
-            lambda: (expert_mixture(x, mix, indices, layer.experts)[0] * weights).sum(),
-            [x, mix] + layer.parameters()[1:],
+            lambda: (expert_mixture(x, probs, indices, layer.experts)[0] * weights).sum(),
+            [x, probs] + layer.parameters()[1:],
         )
+
+    @pytest.mark.parametrize("top_k", [1, 2, 5])
+    def test_probability_gradient_is_bit_identical_to_renormalising_nodes(self, top_k):
+        layer = make_layer(num_experts=5, top_k=top_k, hidden=4, ffn_hidden=6)
+        rng = np.random.default_rng(30 + top_k)
+        layer.router.data = rng.normal(size=(4, 5))
+        x = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(9, 4)))
+        params = [x] + layer.parameters()  # the router's gradient comes through dprobs
+        results = []
+        for mixture in (
+            lambda probs, indices: expert_mixture(x, probs, indices, layer.experts)[0],
+            lambda probs, indices: mixture_of_weights(
+                x, renormalised_weights(probs, indices), indices, layer.experts
+            ),
+        ):
+            for p in params:
+                p.grad = None
+            decision = layer.route(x)
+            out = mixture(decision.probs, decision.indices)
+            (out * weights).sum().backward()
+            results.append((out.data, [p.grad for p in params]))
+        (out_k, grads_k), (out_r, grads_r) = results
+        np.testing.assert_array_equal(out_k, out_r)
+        for got, want in zip(grads_k, grads_r):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
 
     def test_backward_is_bit_identical_to_recomputing_from_the_pre_activation(
         self, monkeypatch
@@ -285,10 +372,11 @@ class TestExpertMixture:
         decision = layer.route(x)
         pairs = tokens * top_k
         # Per (token, expert) pair: the expert's output row, its act and s rows,
-        # the pair id and the row index. x[rows] would add pairs * dim floats.
-        kept = pairs * (dim + 2 * hidden) * 8 + 2 * pairs * 8
+        # the pair id, the row index, and the chosen probability and its weight;
+        # per token, the chosen probabilities' sum. x[rows] would add pairs * dim floats.
+        kept = pairs * (dim + 2 * hidden) * 8 + 4 * pairs * 8 + tokens * 8
         retained = retained_bytes(
-            lambda: expert_mixture(x, decision.weights, decision.indices, layer.experts)[0]
+            lambda: expert_mixture(x, decision.probs, decision.indices, layer.experts)[0]
         )
         assert retained <= kept + NODE_OBJECTS
 

@@ -1,4 +1,4 @@
-"""The single-node attention, depthwise-conv and FFN kernels against the compositions they
+"""The single-node attention, cgMLP and FFN kernels against the compositions they
 replace, and the packed (segmented) forms against one call per segment."""
 
 import numpy as np
@@ -6,17 +6,18 @@ import pytest
 
 from avmoe.errors import DimensionError
 from avmoe.nn import (
+    ConvGatedMLP,
     FeedForward,
     Segments,
     _merge_heads,
     _split_heads,
     attend,
     causal_mask,
-    depthwise3,
+    depthwise3_forward,
 )
-from avmoe.tensor import Tensor, _record, concat, matmul, narrow, softmax_rows, tsum
+from avmoe.tensor import Tensor, _record, affine, concat, matmul, softmax_rows, tsum
 
-from helpers import NODE_OBJECTS, check_grad, reference_ffn, retained_bytes
+from helpers import NODE_OBJECTS, check_grad, narrow, reference_ffn, retained_bytes, silu
 
 TOL = 1e-10
 
@@ -55,6 +56,53 @@ def reference_depthwise3(x, kernel, bias):
     y = y + narrow(padded, 0, 1, length) * taps[1]
     y = y + narrow(padded, 0, 2, length) * taps[2]
     return y + bias
+
+
+def depthwise3_node(x, kernel, bias, segments):
+    """The depthwise conv as the graph node it was before the cgMLP node took it in."""
+    taps = kernel.data
+
+    def backward(g):
+        gprev, gnext = segments.shift(g)
+        dx = gnext * taps[0] + g * taps[1] + gprev * taps[2]
+        dk = np.stack([(x.data * gs).sum(axis=0) for gs in (gnext, g, gprev)])
+        return dx, dk, g.sum(axis=0)
+
+    return _record(depthwise3_forward(x.data, taps, bias.data, segments), (x, kernel, bias),
+                   backward)
+
+
+def conv_per_segment(seg):
+    """A ``conv`` for ``cgmlp_of_nodes`` that runs ``depthwise3_node`` once per
+    sequence of ``seg`` and concatenates the results."""
+    def conv(v, kernel, bias):
+        return concat([depthwise3_node(narrow(v, 0, start, n), kernel, bias, Segments([n]))
+                       for start, n in zip(seg.starts.tolist(), seg.lengths.tolist())])
+
+    return conv
+
+
+def cgmlp_of_nodes(mlp, x, conv):
+    """``mlp`` on ``x`` from the affine, silu, two narrows, conv, product and affine
+    nodes that its one node replaced; ``conv(v, kernel, bias)`` is the depthwise conv."""
+    u = silu(affine(x, mlp.up.weight, mlp.up.bias))
+    d = mlp.dim
+    gated = narrow(u, 1, 0, d) * conv(narrow(u, 1, d, d), mlp.kernel, mlp.kernel_bias)
+    return affine(gated, mlp.down.weight, mlp.down.bias)
+
+
+def cgmlp_and_input(seed: int, rows: int, dim: int = 5) -> tuple[ConvGatedMLP, Tensor]:
+    """A cgMLP with random biases (zero at init) and an input that gives it a gradient."""
+    rng = np.random.default_rng(seed)
+    mlp = ConvGatedMLP(rng, dim)
+    for bias in (mlp.up.bias, mlp.kernel_bias, mlp.down.bias):
+        bias.data = rng.normal(size=bias.shape)
+    return mlp, Tensor(rng.normal(size=(rows, dim)), requires_grad=True)
+
+
+# A packed batch of three sequences of different lengths, so that attention
+# would pad and the conv meets two inner sequence ends.
+PADDED = Segments([3, 7, 5])
 
 
 def attend_keeping_pads(q, k, v, heads, scale, mask, qs, ks):
@@ -181,43 +229,53 @@ class TestAttend:
 
 
 class TestDepthwise3:
+    """The depthwise conv, inside the cgMLP node since that node took it in, against
+    the zero-pad, concat and narrow composition."""
+
     @pytest.mark.parametrize("length", [1, 2, 9])
     def test_matches_padded_composition(self, length):
-        rng = np.random.default_rng(length)
-        x = Tensor(rng.normal(size=(length, 5)), requires_grad=True)
-        kernel = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        bias = Tensor(rng.normal(size=5), requires_grad=True)
+        mlp, x = cgmlp_and_input(length, length)
         assert_same_loss_and_grads(
-            lambda: depthwise3(x, kernel, bias, Segments([length])),
-            lambda: reference_depthwise3(x, kernel, bias),
-            [x, kernel, bias],
+            lambda: mlp(x, Segments([length])),
+            lambda: cgmlp_of_nodes(mlp, x, reference_depthwise3),
+            [x] + mlp.parameters(),
             (length, 5),
             seed=length + 1,
         )
 
     def test_forward_is_bit_identical_to_the_composition(self):
-        rng = np.random.default_rng(3)
-        x, kernel, bias = (Tensor(rng.normal(size=s)) for s in ((11, 4), (3, 4), (4,)))
+        mlp, x = cgmlp_and_input(3, 11, dim=4)
         np.testing.assert_array_equal(
-            depthwise3(x, kernel, bias, Segments([11])).data,
-            reference_depthwise3(x, kernel, bias).data,
+            mlp(x, Segments([11])).data, cgmlp_of_nodes(mlp, x, reference_depthwise3).data
         )
 
     def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(4)
-        x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-        kernel = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        bias = Tensor(rng.normal(size=3), requires_grad=True)
-        weights = Tensor(rng.normal(size=(6, 3)))
-        check_grad(lambda: (depthwise3(x, kernel, bias, Segments([6])) * weights).sum(),
-                   [x, kernel, bias])
+        mlp, x = cgmlp_and_input(4, PADDED.total, dim=3)
+        weights = Tensor(np.random.default_rng(5).normal(size=(PADDED.total, 3)))
+        check_grad(lambda: (mlp(x, PADDED) * weights).sum(), [x] + mlp.parameters())
 
-    def test_shape_errors(self):
-        x = Tensor(np.zeros((4, 3)))
-        with pytest.raises(DimensionError):
-            depthwise3(x, Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), Segments([4]))
-        with pytest.raises(DimensionError):
-            depthwise3(x, Tensor(np.zeros((3, 3))), Tensor(np.zeros(4)), Segments([4]))
+
+class TestConvGatedMLP:
+    # The padded batch, equal lengths, and sequences of one row, whose conv
+    # sees zeros on both sides.
+    @pytest.mark.parametrize("lengths", [PADDED.lengths.tolist(), [4, 4], [1, 6, 1]])
+    def test_node_is_bit_identical_to_the_nodes_it_replaced(self, lengths):
+        seg = Segments(lengths)
+        mlp, x = cgmlp_and_input(12, seg.total)
+        params = [x] + mlp.parameters()
+        weights = Tensor(np.random.default_rng(13).normal(size=(seg.total, 5)))
+        conv = lambda v, kernel, bias: depthwise3_node(v, kernel, bias, seg)  # noqa: E731
+        results = []
+        for build in (lambda: mlp(x, seg), lambda: cgmlp_of_nodes(mlp, x, conv)):
+            for p in params:
+                p.grad = None
+            out = build()
+            (out * weights).sum().backward()
+            results.append((out.data, [p.grad for p in params]))
+        (out_k, grads_k), (out_r, grads_r) = results
+        np.testing.assert_array_equal(out_k, out_r)
+        for got, want in zip(grads_k, grads_r):
+            np.testing.assert_array_equal(got, want)
 
 
 def ffn_and_input(seed: int) -> tuple[FeedForward, Tensor]:
@@ -372,52 +430,59 @@ class TestSegmentedAttend:
 
 
 class TestSegmentedDepthwise3:
+    """The cgMLP node's depthwise conv over packed sequences against one conv per sequence."""
+
     @pytest.mark.parametrize("lengths", [[1, 4, 2], [3, 3], [5]])
     def test_matches_one_call_per_segment(self, lengths):
         seg = Segments(lengths)
-        rng = np.random.default_rng(len(lengths))
-        xa, ka, ba = rng.normal(size=(seg.total, 5)), rng.normal(size=(3, 5)), rng.normal(size=5)
-        weights = rng.normal(size=(seg.total, 5))
-        x, kernel, bias = leaf(xa), leaf(ka), leaf(ba)
-        out = depthwise3(x, kernel, bias, seg)
-        (out * Tensor(weights)).sum().backward()
-
-        outs, dxs, dk, db = [], [], np.zeros_like(ka), np.zeros_like(ba)
-        for xb, wb in zip(split_rows(xa, seg), split_rows(weights, seg)):
-            xt, kt, bt = leaf(xb), leaf(ka), leaf(ba)
-            out_b = depthwise3(xt, kt, bt, Segments([len(xb)]))
-            (out_b * Tensor(wb)).sum().backward()
-            outs.append(out_b.data)
-            dxs.append(xt.grad)
-            dk += kt.grad
-            db += bt.grad
-        # Output and input gradient are the same sums in the same order; the
-        # parameter gradients sum the rows in one pass instead of per segment.
-        np.testing.assert_array_equal(out.data, np.concatenate(outs))
-        np.testing.assert_array_equal(x.grad, np.concatenate(dxs))
-        assert relative_gap(kernel.grad, dk) <= 1e-12
-        assert relative_gap(bias.grad, db) <= 1e-12
+        mlp, x = cgmlp_and_input(len(lengths), seg.total)
+        weights = Tensor(np.random.default_rng(len(lengths)).normal(size=(seg.total, 5)))
+        per_segment = conv_per_segment(seg)
+        results = []
+        for build in (lambda t: mlp(t, seg), lambda t: cgmlp_of_nodes(mlp, t, per_segment)):
+            xt = leaf(x.data)
+            for p in mlp.parameters():
+                p.grad = None
+            out = build(xt)
+            (out * weights).sum().backward()
+            results.append((out.data, xt.grad, [p.grad for p in mlp.parameters()]))
+        (out, dx, grads), (out_r, dx_r, grads_r) = results
+        # The conv's output and input gradient are the same sums in the same
+        # order, and the other layers see the same rows; the conv's parameter
+        # gradients sum the rows in one pass instead of per segment.
+        np.testing.assert_array_equal(out, out_r)
+        np.testing.assert_array_equal(dx, dx_r)
+        for name, got, want in zip(("up W", "up b", "kernel", "kernel bias", "down W", "down b"),
+                                   grads, grads_r):
+            if name.startswith("kernel"):
+                assert relative_gap(got, want) <= 1e-12
+            else:
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("lengths", [[1, 4, 2], [3, 3]])
     def test_kernel_gradient_is_bit_identical_to_the_shifted_copy_formula(self, lengths):
         seg = Segments(lengths)
-        rng = np.random.default_rng(10 + len(lengths))
-        xa, g = rng.normal(size=(seg.total, 5)), rng.normal(size=(seg.total, 5))
-        x, kernel, bias = leaf(xa), leaf(rng.normal(size=(3, 5))), leaf(rng.normal(size=5))
-        (depthwise3(x, kernel, bias, seg) * Tensor(g)).sum().backward()
-        prev, nxt = shifted_copies(xa, seg)
-        want = np.stack([(g * p).sum(axis=0) for p in (prev, xa, nxt)])  # sum_t g[t] prev[t], ...
-        np.testing.assert_array_equal(kernel.grad, want)
+        mlp, x = cgmlp_and_input(10 + len(lengths), seg.total)
+        g = np.random.default_rng(len(lengths)).normal(size=(seg.total, 5))
+        (mlp(x, seg) * Tensor(g)).sum().backward()
+        _pre, _s, u, _conv, _gated = mlp.forward(x.data, seg)[1]
+        gate, conv_in = u[:, : mlp.dim], u[:, mlp.dim :]
+        dconv = (g @ mlp.down.weight.data.T) * gate  # the gradient at the conv's output
+        prev, nxt = shifted_copies(conv_in, seg)
+        # sum_t dconv[t] prev[t], ...
+        want = np.stack([(dconv * p).sum(axis=0) for p in (prev, conv_in, nxt)])
+        np.testing.assert_array_equal(mlp.kernel.grad, want)
 
     def test_node_keeps_nothing_but_its_output(self):
         seg = Segments([200, 1, 311])
-        rng = np.random.default_rng(11)
-        x = leaf(rng.normal(size=(seg.total, 64)))
-        kernel, bias = leaf(rng.normal(size=(3, 64))), leaf(rng.normal(size=64))
-        # Shifted copies of x would add 2 x 256 KiB.
-        assert retained_bytes(lambda: depthwise3(x, kernel, bias, seg)) <= NODE_OBJECTS
+        mlp, x = cgmlp_and_input(11, seg.total, dim=64)
+        # The conv keeps only its output, which the gate's product needs anyway.
+        # The node keeps pre, s and u (2 widths each), conv and gated: 8 widths a
+        # row. Shifted copies of the conv's input would add 2 x 256 KiB.
+        kept = 8 * seg.total * 64 * 8
+        assert retained_bytes(lambda: mlp(x, seg)) <= kept + NODE_OBJECTS
 
     def test_segments_must_cover_the_rows(self):
-        x = Tensor(np.zeros((4, 3)))
+        mlp = ConvGatedMLP(np.random.default_rng(0), 3)
         with pytest.raises(DimensionError):
-            depthwise3(x, Tensor(np.zeros((3, 3))), Tensor(np.zeros(3)), Segments([2, 3]))
+            mlp(Tensor(np.zeros((4, 3))), Segments([2, 3]))
