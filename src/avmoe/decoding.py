@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DecodeCache, Model
-from .tensor import Tensor, log_softmax_rows, no_grad
+from .tensor import Tensor, log_softmax_rows_forward, no_grad
 
 # Longest attention hypothesis, in tokens, for every decode the package runs.
 MAX_DECODE_LEN = 32
@@ -32,8 +32,8 @@ def collapse_ctc_path(path: list[int], blank_id: int) -> list[int]:
 
 def ctc_greedy_decode(frame_logits: Tensor | np.ndarray, blank_id: int) -> Hypothesis:
     """Best per-frame path, collapsed. Score is that single path's log-prob."""
-    logits = frame_logits if isinstance(frame_logits, Tensor) else Tensor(frame_logits)
-    log_probs = log_softmax_rows(logits).data
+    logits = frame_logits.data if isinstance(frame_logits, Tensor) else frame_logits
+    log_probs = log_softmax_rows_forward(logits)
     path = log_probs.argmax(axis=1)
     score = float(log_probs[np.arange(path.size), path].sum())
     return Hypothesis(token_ids=collapse_ctc_path(path.tolist(), blank_id), score=score)
@@ -57,7 +57,7 @@ def attention_greedy_decode(model: Model, states: Tensor, max_len: int) -> Hypot
         cache = DecodeCache()
         for _ in range(max_len):
             logits = model.decode_teacher_forcing(states, [token], cache=cache)
-            log_probs = log_softmax_rows(logits).data[-1]
+            log_probs = log_softmax_rows_forward(logits.data)[-1]
             best = int(np.argmax(log_probs))
             score += float(log_probs[best])
             if best == cfg.eos_id:

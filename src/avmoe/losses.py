@@ -1,10 +1,15 @@
 """Training objectives: attention cross-entropy, CTC, and their weighted total.
 
-CTC is one graph node over the B lattices of a batch. A numpy alpha-beta
-pass (recursion in ``ctc_loss``) gives the loss and its gradient
-d loss / d log_probs[t, v] = -occupancy[t, v], the posterior weight of label
-v at frame t; through the log-softmax this is softmax - occupancy on the
-logits.
+Each of the two objectives is one graph node whose parent is the logits. Its
+forward takes ``tensor.log_softmax_rows_forward`` of the logit rows; its
+backward forms the gradient ``G`` on those log-probabilities and replays the
+log-softmax backward on it, ``G - exp(log_probs) * G.sum(axis=-1,
+keepdims=True)``, as the separate log-softmax node did:
+
+- attention: ``G`` is ``-g`` at each row's target id and 0 elsewhere;
+- CTC: a numpy alpha-beta pass (recursion in ``ctc_loss``) gives the loss
+  and ``G = -g * occupancy``, where ``occupancy[t, v]`` is the posterior
+  weight of label v at frame t.
 
 Reductions: a batch is packed (see ``model``), so both terms are sums over
 all of its utterances: the attention term over every target position, the
@@ -25,7 +30,7 @@ import numpy as np
 
 from .errors import CtcInfeasibleError, DataError
 from .moe import LoadStats, load_balance_loss
-from .tensor import Tensor, _record, log_softmax_rows, take_along_cols, tsum
+from .tensor import Tensor, _record, log_softmax_rows_forward
 
 # Finite stand-in for log(0) in the CTC lattice. Adding ordinary
 # log-probabilities to it keeps values far below any reachable score while
@@ -41,7 +46,10 @@ class LossBundle:
 
 
 def attention_loss(logits: Tensor, targets: list[int]) -> Tensor:
-    """Summed negative log-likelihood of the targets, one per logit row (packed, no padding)."""
+    """Summed negative log-likelihood of the targets, one per logit row (packed, no padding).
+
+    One graph node on ``logits``: see the module docstring for its backward.
+    """
     ids = np.asarray(targets, dtype=np.int64)
     if ids.shape[0] != logits.shape[0]:
         raise DataError(
@@ -49,9 +57,15 @@ def attention_loss(logits: Tensor, targets: list[int]) -> Tensor:
         )
     if ids.min() < 0 or ids.max() >= logits.shape[1]:
         raise DataError(f"target id out of range for vocab {logits.shape[1]}")
-    log_probs = log_softmax_rows(logits)
-    picked = take_along_cols(log_probs, ids[:, None]).reshape(ids.shape[0])
-    return -tsum(picked)
+    log_probs = log_softmax_rows_forward(logits.data)
+    at_target = (np.arange(ids.shape[0]), ids)
+
+    def backward(g):
+        full = np.zeros_like(log_probs)
+        np.add.at(full, at_target, -g)
+        return (full - np.exp(log_probs) * full.sum(axis=-1, keepdims=True),)
+
+    return _record(-np.asarray(log_probs[at_target].sum()), (logits,), backward)
 
 
 def min_frames_for(target: list[int]) -> int:
@@ -98,11 +112,14 @@ def ctc_loss(
     longest T and S with ``LOG_ZERO`` (which stands in for log 0, so no -inf
     is ever formed) and the recursion steps all of them at once; padding
     lies after each lattice in time and in state, so it never reaches a
-    real state. The loss is one graph node on top of the log-softmax, with
-    gradient ``-occupancy``: ``occupancy[t, v]`` sums
-    ``exp(alpha + beta - y + loss)`` over the states that carry label v. Its
-    rows sum to one, so the log-softmax backward turns this into
-    ``softmax - occupancy`` on the logits.
+    real state. The loss is one graph node on ``frame_logits``. Its gradient
+    on the log-probabilities is ``go = -g * occupancy``, where
+    ``occupancy[t, v]`` sums ``exp(alpha + beta - y + loss)`` over the states
+    that carry label v, and the log-softmax backward maps it to the logits:
+    ``go - exp(log_probs) * go.sum(axis=-1, keepdims=True)``. The occupancy
+    rows sum to one, so in exact arithmetic this is ``g * (softmax -
+    occupancy)``; it is not written so, because in floating point the rows
+    sum to one only up to rounding.
 
     An infeasible target (more symbols plus required separating blanks than
     frames) raises instead of returning infinity: it means the data is bad.
@@ -140,8 +157,8 @@ def ctc_loss(
     # Packed row of frame t of utterance b (clipped into the utterance past its end).
     frame_row = (np.cumsum(counts) - counts)[:, None] + np.minimum(t_pos, counts[:, None] - 1)
 
-    log_probs = log_softmax_rows(frame_logits)
-    lattice = np.where(valid, log_probs.data[frame_row[:, :, None], ext[:, None, :]], LOG_ZERO)
+    log_probs = log_softmax_rows_forward(frame_logits.data)
+    lattice = np.where(valid, log_probs[frame_row[:, :, None], ext[:, None, :]], LOG_ZERO)
     alpha = _ctc_alpha(lattice, ext, blank_id)
     end = (np.arange(batch), counts - 1)
     log_like = np.logaddexp(alpha[(*end, states - 2)], alpha[(*end, states - 1)])
@@ -158,9 +175,10 @@ def ctc_loss(
         # lattice would take.
         cell = frame_row[:, :, None] * vocab + ext[:, None, :]
         occupancy = np.bincount(cell[valid], weights=posterior, minlength=rows * vocab)
-        return (-g * occupancy.reshape(rows, vocab),)
+        go = -g * occupancy.reshape(rows, vocab)
+        return (go - np.exp(log_probs) * go.sum(axis=-1, keepdims=True),)
 
-    return _record(np.asarray(-log_like.sum()), (log_probs,), backward)
+    return _record(np.asarray(-log_like.sum()), (frame_logits,), backward)
 
 
 def _ctc_alpha(lattice: np.ndarray, ext: np.ndarray, blank_id: int) -> np.ndarray:

@@ -14,6 +14,14 @@ gradient. So after ``backward`` only the loss and the leaves hold a
 ``grad``; every forward ``data`` stays. A walked node keeps a sentinel in
 place of its closure, and a later ``backward`` that reaches it raises
 ``GraphError``: rebuild the graph for another pass.
+
+The engine keeps nine generic ops: ``add``, ``mul``, ``matmul``, ``affine``,
+``tsum``, ``softmax_rows``, ``layer_norm``, ``concat`` and ``gather_rows``.
+A computation whose backward is written out records one node of its own
+through ``_record`` instead: attention (``nn.attend``), the FFN and cgMLP
+branches, MoE dispatch and both training objectives (``losses``). Their
+array forwards, such as ``softmax_rows_forward`` and
+``log_softmax_rows_forward`` here, also serve inference under ``no_grad``.
 """
 
 from __future__ import annotations
@@ -146,19 +154,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
-    def __neg__(self):
-        return neg(self)
-
-    # -- method-style ops -------------------------------------------------
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
 
 def _spent(g):
     """The closure of a node that a backward pass has walked."""
@@ -211,10 +206,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(data, (a, b), backward)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _record(-a.data, (a,), lambda g: (-g,))
-
-
 # -- linear algebra ----------------------------------------------------------
 
 
@@ -254,22 +245,16 @@ def affine(a: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _record(data, (a, weight, bias), backward)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    data = a.data.reshape(shape)
-    return _record(data, (a,), lambda g: (g.reshape(a.shape),))
-
-
 # -- reductions --------------------------------------------------------------
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    data = a.data.sum(axis=axis)
 
     def backward(g):
         if axis is None:
             return (np.broadcast_to(g, a.shape),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis), a.shape),)
 
     return _record(data, (a,), backward)
 
@@ -308,15 +293,13 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _record(y, (a,), backward)
 
 
-def log_softmax_rows(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+def log_softmax_rows_forward(a: np.ndarray) -> np.ndarray:
+    """Log-softmax along the last axis of an array, stabilized by per-row max
+    subtraction. Its backward, which both loss nodes of ``losses`` replay, is
+    ``g - exp(out) * g.sum(axis=-1, keepdims=True)``."""
+    shifted = a - a.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
-
-    def backward(g):
-        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
-
-    return _record(out, (a,), backward)
+    return shifted - lse
 
 
 # -- normalization --------------------------------------------------------------
@@ -408,24 +391,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     def backward(g):
         full_grad = np.zeros_like(a.data)
         np.add.at(full_grad, idx, g)
-        return (full_grad,)
-
-    return _record(data, (a,), backward)
-
-
-def take_along_cols(a: Tensor, indices) -> Tensor:
-    """Per-row column gather: out[i, k] = a[i, indices[i, k]]."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if a.ndim != 2 or idx.ndim != 2 or idx.shape[0] != a.shape[0]:
-        raise DimensionError(f"take_along_cols got a={a.shape}, indices={idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
-        raise DataError(f"column index out of range for {a.shape[1]} columns")
-    data = np.take_along_axis(a.data, idx, axis=1)
-    rows = np.arange(a.shape[0])[:, None]
-
-    def backward(g):
-        full_grad = np.zeros_like(a.data)
-        np.add.at(full_grad, (rows, idx), g)
         return (full_grad,)
 
     return _record(data, (a,), backward)

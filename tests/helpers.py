@@ -15,7 +15,9 @@ import numpy as np
 from avmoe.checkpoint import load_checkpoint
 from avmoe.frontend import Waveform, hz_to_mel
 from avmoe.model import Model, ModelConfig
-from avmoe.tensor import Tensor, _record, _unbroadcast, affine, silu_forward
+from avmoe.tensor import (
+    Tensor, _record, _unbroadcast, affine, log_softmax_rows_forward, silu_forward,
+)
 from avmoe.train import TrainConfig
 
 # Adam's decay rates and floor, as training passes them.
@@ -148,6 +150,43 @@ def div(a: Tensor, b: Tensor) -> Tensor:
                 _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _record(a.data / b.data, (a, b), backward)
+
+
+def log_softmax_rows(a: Tensor) -> Tensor:
+    """Log-softmax over the last axis as a graph node of its own, with backward
+    ``g - exp(out) * g.sum(axis=-1, keepdims=True)``."""
+    out = log_softmax_rows_forward(a.data)
+    return _record(out, (a,), lambda g: (g - np.exp(out) * g.sum(axis=-1, keepdims=True),))
+
+
+def take_along_cols(a: Tensor, indices) -> Tensor:
+    """Per-row column gather, ``out[i, k] = a[i, indices[i, k]]``, as a graph node
+    whose backward adds ``g`` at those places into zeros of ``a``'s shape."""
+    idx = np.asarray(indices, dtype=np.int64)
+    rows = np.arange(a.shape[0])[:, None]
+
+    def backward(g):
+        full_grad = np.zeros_like(a.data)
+        np.add.at(full_grad, (rows, idx), g)
+        return (full_grad,)
+
+    return _record(np.take_along_axis(a.data, idx, axis=1), (a,), backward)
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """``a`` in another shape, as a graph node."""
+    return _record(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+
+
+def neg(a: Tensor) -> Tensor:
+    """``-a`` as a graph node."""
+    return _record(-a.data, (a,), lambda g: (-g,))
+
+
+def row_sum(a: Tensor) -> Tensor:
+    """Sum over the last axis, kept as a width-1 axis, as a graph node."""
+    return _record(a.data.sum(axis=-1, keepdims=True), (a,),
+                   lambda g: (np.broadcast_to(g, a.shape),))
 
 
 def reference_ffn(ffn, x: Tensor) -> Tensor:

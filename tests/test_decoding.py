@@ -17,7 +17,7 @@ from avmoe.decoding import (
 from avmoe.errors import ConfigError, GraphError
 from avmoe.model import DecodeCache, Model, ModelConfig
 from avmoe.nn import Segments
-from avmoe.tensor import Tensor, log_softmax_rows, no_grad
+from avmoe.tensor import Tensor, log_softmax_rows_forward, no_grad
 
 
 def loop_ctc_greedy(logits: np.ndarray, blank_id: int):
@@ -74,9 +74,9 @@ def test_attention_hypothesis_is_the_teacher_forced_argmax_chain(eos_bias):
         model.out_proj.bias.data[ModelConfig.eos_id] += eos_bias
         states = Tensor(np.random.default_rng(100 + seed).normal(size=(5, 8)))
         hyp = attention_greedy_decode(model, states, MAX_DECODE_LEN)
-        log_probs = log_softmax_rows(
-            model.decode_teacher_forcing(states, [ModelConfig.sos_id] + hyp.token_ids)
-        ).data
+        log_probs = log_softmax_rows_forward(
+            model.decode_teacher_forcing(states, [ModelConfig.sos_id] + hyp.token_ids).data
+        )
         chain = [int(i) for i in log_probs.argmax(axis=1)]
         n = len(hyp.token_ids)
         at_eos = n < MAX_DECODE_LEN

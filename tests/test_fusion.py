@@ -5,7 +5,7 @@ import pytest
 
 from avmoe.errors import DataError, IngestError
 from avmoe.fusion import load_visual_embeddings, save_visual_embeddings
-from avmoe.tensor import Tensor
+from avmoe.tensor import Tensor, tsum
 
 from helpers import check_grad, fuse_model
 
@@ -88,7 +88,7 @@ class TestProjection:
         model = fuse_model(2, 2, 4, 6)
         weights = Tensor(rng.normal(size=(3 + 2 + 1, 6)))
         params = [model.input_proj, model.visual_proj, model.visual_bias]
-        check_grad(lambda: (model.fuse(mels, visuals).x * weights).sum(), params, tol=1e-5)
+        check_grad(lambda: tsum(model.fuse(mels, visuals).x * weights), params, tol=1e-5)
 
 
 class TestFusion:
@@ -128,7 +128,7 @@ class TestFusion:
         np.testing.assert_array_equal(fused.segments.lengths, [4, 1, 1, 3])
         np.testing.assert_array_equal(fused.boundary, [2, 0, 0, 1])
         # Each row's gradient reaches the projection of its own source row.
-        (fused.x * Tensor(np.arange(9.0)[:, None] * [1.0, 0.0])).sum().backward()
+        tsum(fused.x * Tensor(np.arange(9.0)[:, None] * [1.0, 0.0])).backward()
         np.testing.assert_array_equal(model.visual_bias.grad, [0 + 1 + 6, 0])
         np.testing.assert_array_equal(model.visual_proj.grad, [[1 * 0 + 2 * 1 + 3 * 6, 0]])
         np.testing.assert_array_equal(model.input_proj.grad, [

@@ -1,4 +1,6 @@
-"""CTC loss against brute-force path enumeration, its gradient, and its input checks."""
+"""Both training objectives: the attention loss against a per-row numpy NLL and CTC
+against brute-force path enumeration, their gradients and input checks, and each
+loss node against the graph nodes it replaced."""
 
 import itertools
 
@@ -6,12 +8,95 @@ import numpy as np
 import pytest
 
 from avmoe.errors import CtcInfeasibleError, DataError
-from avmoe.losses import ctc_loss, min_frames_for
-from avmoe.tensor import Tensor
+from avmoe.losses import (
+    LOG_ZERO, _ctc_alpha, attention_loss, ctc_loss, extended_labels, min_frames_for,
+)
+from avmoe.tensor import Tensor, _record, tsum
 
-from helpers import check_grad
+from helpers import check_grad, log_softmax_rows, neg, reshape, take_along_cols
 
 BLANK = 0
+
+
+def numpy_nll(logits: np.ndarray, targets: list[int]) -> float:
+    """Summed -log softmax(row)[target] over the rows, one row at a time."""
+    return sum(float(np.logaddexp.reduce(row) - row[t]) for row, t in zip(logits, targets))
+
+
+def attention_loss_of_nodes(logits: Tensor, targets: list[int]) -> Tensor:
+    """The attention loss as the five nodes it was before it became one: log-softmax,
+    column gather, reshape, sum and negation."""
+    ids = np.asarray(targets, dtype=np.int64)
+    picked = take_along_cols(log_softmax_rows(logits), ids[:, None])
+    return neg(tsum(reshape(picked, (ids.shape[0],))))
+
+
+def lattice_node(log_probs: Tensor, targets, frames, blank_id: int) -> Tensor:
+    """The CTC node as it was when it sat on a separate log-softmax node: its parent
+    is the log-probabilities, and its backward ends at their gradient, ``-g * occupancy``."""
+    rows, vocab = log_probs.shape
+    counts = np.asarray(frames, dtype=np.int64)
+    batch = len(targets)
+    states = np.asarray([2 * len(t) + 1 for t in targets])
+    ext = np.full((batch, states.max()), blank_id, dtype=np.int64)
+    for b, target in enumerate(targets):
+        ext[b, : states[b]] = extended_labels(target, blank_id)
+    t_pos, s_pos = np.arange(counts.max()), np.arange(states.max())
+    valid = (t_pos[None, :, None] < counts[:, None, None]) & (s_pos < states[:, None])[:, None]
+    frame_row = (np.cumsum(counts) - counts)[:, None] + np.minimum(t_pos, counts[:, None] - 1)
+    lattice = np.where(valid, log_probs.data[frame_row[:, :, None], ext[:, None, :]], LOG_ZERO)
+    alpha = _ctc_alpha(lattice, ext, blank_id)
+    end = (np.arange(batch), counts - 1)
+    log_like = np.logaddexp(alpha[(*end, states - 2)], alpha[(*end, states - 1)])
+
+    def backward(g):
+        t_rev = np.where(t_pos < counts[:, None], counts[:, None] - 1 - t_pos, t_pos)
+        s_rev = np.where(s_pos < states[:, None], states[:, None] - 1 - s_pos, s_pos)
+        flip = (np.arange(batch)[:, None, None], t_rev[:, :, None], s_rev[:, None, :])
+        ext_rev = np.take_along_axis(ext, s_rev, axis=1)
+        beta = _ctc_alpha(lattice[flip], ext_rev, blank_id)[flip]
+        posterior = np.exp(alpha + beta - lattice - log_like[:, None, None])[valid]
+        cell = frame_row[:, :, None] * vocab + ext[:, None, :]
+        occupancy = np.bincount(cell[valid], weights=posterior, minlength=rows * vocab)
+        return (-g * occupancy.reshape(rows, vocab),)
+
+    return _record(np.asarray(-log_like.sum()), (log_probs,), backward)
+
+
+def value_and_logits_grad(loss_fn, logits: np.ndarray, scale: float):
+    """A loss's value, and the gradient on its logits of ``scale`` times the loss."""
+    x = Tensor(logits, requires_grad=True)
+    loss = loss_fn(x)
+    (loss * scale).backward()
+    return loss.data, x.grad
+
+
+class TestAttentionLoss:
+    @pytest.mark.parametrize("rows, vocab", [(1, 5), (6, 2), (1, 2), (23, 9)])
+    def test_matches_per_row_nll(self, rows, vocab):
+        rng = np.random.default_rng(rows * 10 + vocab)
+        for _ in range(10):
+            logits = rng.normal(scale=3.0, size=(rows, vocab))
+            targets = [int(t) for t in rng.integers(0, vocab, size=rows)]
+            got = attention_loss(Tensor(logits), targets).item()
+            np.testing.assert_allclose(got, numpy_nll(logits, targets), rtol=1e-12)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(40)
+        for rows, vocab in ((1, 2), (5, 4), (9, 7)):
+            x = Tensor(rng.normal(scale=2.0, size=(rows, vocab)), requires_grad=True)
+            targets = [int(t) for t in rng.integers(0, vocab, size=rows)]
+            check_grad(lambda: attention_loss(x, targets), [x], tol=1e-6)
+
+    def test_target_count_must_match_the_rows(self):
+        for targets in ([1, 2], [1, 2, 3, 0]):
+            with pytest.raises(DataError, match="targets for 3 decoder positions"):
+                attention_loss(Tensor(np.zeros((3, 4))), targets)
+
+    @pytest.mark.parametrize("bad", [-1, 4, 9])
+    def test_target_id_out_of_range(self, bad):
+        with pytest.raises(DataError, match="out of range for vocab 4"):
+            attention_loss(Tensor(np.zeros((3, 4))), [1, bad, 2])
 
 
 def collapse(path, blank):
@@ -169,3 +254,34 @@ class TestBatchedCtc:
     def test_frame_counts_must_split_the_rows(self, targets, frames):
         with pytest.raises(DataError, match="frame counts"):
             ctc_loss(Tensor(np.zeros((4, 4))), targets, frames=frames)
+
+
+class TestLossNodesAreBitIdenticalToTheNodesTheyReplaced:
+    """Each objective is one node on its logits. On a packed batch of 3 utterances
+    its value and its logits gradient are the same bits as those of the nodes it
+    replaced, at a unit and at a non-unit upstream gradient."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.3])
+    def test_attention_loss(self, scale):
+        rng = np.random.default_rng(80)
+        lengths, vocab = [4, 1, 6], 7  # target positions of the 3 utterances, packed
+        logits = rng.normal(scale=3.0, size=(sum(lengths), vocab))
+        targets = [int(t) for t in rng.integers(0, vocab, size=sum(lengths))]
+        got = value_and_logits_grad(lambda x: attention_loss(x, targets), logits, scale)
+        want = value_and_logits_grad(lambda x: attention_loss_of_nodes(x, targets), logits, scale)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.3])
+    def test_ctc_loss(self, scale):
+        rng = np.random.default_rng(81)
+        targets, frames = [[2, 2, 5], [1], [3, 4, 1, 4]], [7, 2, 9]
+        logits = rng.normal(scale=2.0, size=(sum(frames), 6))
+        got = value_and_logits_grad(
+            lambda x: ctc_loss(x, targets, frames, blank_id=BLANK), logits, scale
+        )
+        want = value_and_logits_grad(
+            lambda x: lattice_node(log_softmax_rows(x), targets, frames, BLANK), logits, scale
+        )
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)

@@ -49,14 +49,14 @@ def test_loss_graph_size_is_pinned():
     aux = batch_balance_losses([[s] for s in stats], cfg.num_experts)
     bundle = total_loss(l_att, l_ctc, aux, TrainConfig.alpha, TrainConfig.beta)
     ctc_only = graph_nodes(l_ctc).keys() - graph_nodes(l_att).keys()
-    # The CTC head's row gather and affine, the log-softmax, and the lattice node.
-    assert len(ctc_only) == 4
+    # The CTC head's row gather and affine, and the CTC node on its logits.
+    assert len(ctc_only) == 3
     # One utterance runs the packed code, so fusion gathers the concatenated
     # visual and speech rows into packed order: one node more than a bare concat.
     # Each dense FFN (here ffn1 and the decoder's) is one node, and so are the
     # visual projection and the cgMLP branch; the MoE routing weights are part
-    # of the dispatch node.
-    assert len(graph_nodes(bundle.l_total)) == 68
+    # of the dispatch node. Each training objective is one node on its logits.
+    assert len(graph_nodes(bundle.l_total)) == 63
 
 
 def routed_model() -> Model:

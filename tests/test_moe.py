@@ -13,11 +13,11 @@ from avmoe.moe import (
 )
 from avmoe.nn import FeedForward
 from avmoe.optim import Adam
-from avmoe.tensor import Tensor, _record, _sigmoid_stable, gather_rows, matmul, take_along_cols
+from avmoe.tensor import Tensor, _record, _sigmoid_stable, gather_rows, matmul, tsum
 
 from helpers import (
     ADAM_CONSTANTS, NODE_OBJECTS, check_grad, copy_ffn_weights, div, reference_ffn,
-    retained_bytes,
+    reshape, retained_bytes, row_sum, take_along_cols,
 )
 
 
@@ -34,13 +34,13 @@ def reference_mixture(x, weights, indices, experts):
     each expert's rows back in token order.
     """
     tokens, k = indices.shape
-    flat_weights = weights.reshape(tokens * k)
+    flat_weights = reshape(weights, (tokens * k,))
     out = None
     for e, expert in enumerate(experts):
         rows, slots = np.nonzero(indices == e)
         if rows.size == 0:
             continue
-        w = gather_rows(flat_weights, rows * k + slots).reshape(rows.size, 1)
+        w = reshape(gather_rows(flat_weights, rows * k + slots), (rows.size, 1))
         place = np.zeros((tokens, rows.size))
         place[rows, np.arange(rows.size)] = 1.0
         part = matmul(Tensor(place), reference_ffn(expert, gather_rows(x, rows)) * w)
@@ -52,7 +52,7 @@ def renormalised_weights(probs, indices):
     """Each row's chosen probabilities over their sum, from the gather, row-sum and
     quotient nodes that ``expert_mixture`` took in."""
     picked = take_along_cols(probs, indices)
-    return div(picked, picked.sum(axis=1, keepdims=True))
+    return div(picked, row_sum(picked))
 
 
 def mixture_of_weights(x, weights, indices, experts):
@@ -224,7 +224,7 @@ class TestForward:
         layer.router.data = rng.normal(size=(4, 3))
         x = Tensor(rng.uniform(-1, 1, (5, 4)))
         weights = Tensor(rng.normal(size=(5, 4)))
-        check_grad(lambda: (layer(x)[0] * weights).sum(), layer.parameters(), tol=1e-4)
+        check_grad(lambda: tsum(layer(x)[0] * weights), layer.parameters(), tol=1e-4)
 
 
 class TestExpertMixture:
@@ -247,14 +247,19 @@ class TestExpertMixture:
                 p.grad = None
             decision = layer.route(x)
             out, _ = mixture(x, decision.probs, decision.indices, layer.experts)
-            loss = (out * weights).sum()
+            loss = tsum(out * weights)
             loss.backward()
             results.append((loss.item(), [p.grad for p in params]))
         (loss_k, grads_k), (loss_r, grads_r) = results
         assert abs(loss_k - loss_r) <= 1e-10 * abs(loss_r)
-        for got, want in zip(grads_k, grads_r):
+        for param, got, want in zip(params, grads_k, grads_r):
             if want is None:
                 assert got is None
+            elif param is layer.router and top_k == 1:
+                # One choice per token: every renormalised weight is exactly 1, so the
+                # router's exact gradient is 0, and on each path it is rounding only.
+                for x_grad, router_grad in ((grads_k[0], got), (grads_r[0], want)):
+                    assert np.abs(router_grad).max() <= 1e-15 * np.abs(x_grad).max()
             else:
                 assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -266,7 +271,7 @@ class TestExpertMixture:
         indices = np.array([[0, 1], [2, 0], [1, 2], [0, 2], [1, 0]])
         weights = Tensor(rng.normal(size=(5, 3)))
         check_grad(
-            lambda: (expert_mixture(x, probs, indices, layer.experts)[0] * weights).sum(),
+            lambda: tsum(expert_mixture(x, probs, indices, layer.experts)[0] * weights),
             [x, probs] + layer.parameters()[1:],
         )
 
@@ -289,7 +294,7 @@ class TestExpertMixture:
                 p.grad = None
             decision = layer.route(x)
             out = mixture(decision.probs, decision.indices)
-            (out * weights).sum().backward()
+            tsum(out * weights).backward()
             results.append((out.data, [p.grad for p in params]))
         (out_k, grads_k), (out_r, grads_r) = results
         np.testing.assert_array_equal(out_k, out_r)
@@ -328,7 +333,7 @@ class TestExpertMixture:
                 monkeypatch.setattr(FeedForward, "backward", backward_from_pre)
             for p in params:
                 p.grad = None
-            (layer(x)[0] * weights).sum().backward()
+            tsum(layer(x)[0] * weights).backward()
             grads.append([p.grad for p in params])
         for got, want in zip(*grads):
             np.testing.assert_array_equal(got, want)
@@ -358,7 +363,7 @@ class TestExpertMixture:
                 monkeypatch.setattr(FeedForward, "backward", backward_from_kept_rows)
             for p in params:
                 p.grad = None
-            (layer(x)[0] * weights).sum().backward()
+            tsum(layer(x)[0] * weights).backward()
             grads.append([p.grad for p in params])
         for got, want in zip(*grads):
             np.testing.assert_array_equal(got, want)
@@ -388,7 +393,7 @@ class TestExpertMixture:
         x = Tensor(rng.uniform(0.5, 1.5, size=(6, 4)))
         out, stats = layer(x)
         assert stats.dispatched == 2 * 6
-        (out * Tensor(rng.normal(size=out.shape))).sum().backward()
+        tsum(out * Tensor(rng.normal(size=out.shape))).backward()
         used = set(np.unique(layer.route(x).indices).tolist())
         assert 3 not in used
         for e, expert in enumerate(layer.experts):
@@ -435,7 +440,7 @@ class TestBalanceLoss:
         probs = Tensor(np.array([[0.7, 0.3], [0.4, 0.6]]), requires_grad=True)
         stats = LoadStats(
             hard_counts=np.array([1.0, 1.0]),
-            prob_sum=probs.sum(axis=0),
+            prob_sum=tsum(probs, axis=0),
             tokens=2,
             dispatched=0,
         )

@@ -17,7 +17,9 @@ from avmoe.nn import (
 )
 from avmoe.tensor import Tensor, _record, affine, concat, matmul, softmax_rows, tsum
 
-from helpers import NODE_OBJECTS, check_grad, narrow, reference_ffn, retained_bytes, silu
+from helpers import (
+    NODE_OBJECTS, check_grad, narrow, reference_ffn, reshape, retained_bytes, silu,
+)
 
 TOL = 1e-10
 
@@ -33,7 +35,7 @@ def reference_attend(q, k, v, heads, scale, mask=None):
     outs = []
     for h in range(heads):
         qh, kh, vh = (narrow(t, 1, h * d, d) for t in (q, k, v))
-        pairs = qh.reshape(q.shape[0], 1, d) * kh.reshape(1, k.shape[0], d)
+        pairs = reshape(qh, (q.shape[0], 1, d)) * reshape(kh, (1, k.shape[0], d))
         scores = tsum(pairs, axis=2) * scale
         if mask is not None:
             scores = scores + Tensor(mask)
@@ -51,7 +53,7 @@ def reference_depthwise3(x, kernel, bias):
     length, dim = x.shape
     pad = Tensor(np.zeros((1, dim)))
     padded = concat([pad, x, pad], axis=0)
-    taps = [narrow(kernel, 0, t, 1).reshape(dim) for t in range(3)]
+    taps = [reshape(narrow(kernel, 0, t, 1), (dim,)) for t in range(3)]
     y = narrow(padded, 0, 0, length) * taps[0]
     y = y + narrow(padded, 0, 1, length) * taps[1]
     y = y + narrow(padded, 0, 2, length) * taps[2]
@@ -161,7 +163,7 @@ def assert_same_loss_and_grads(kernel, reference, params, out_shape, seed):
     for build in (kernel, reference):
         for p in params:
             p.grad = None
-        loss = (build() * weights).sum()
+        loss = tsum(build() * weights)
         loss.backward()
         results.append((loss.item(), [p.grad.copy() for p in params]))
     (loss_k, grads_k), (loss_r, grads_r) = results
@@ -209,7 +211,7 @@ class TestAttend:
         weights = Tensor(rng.normal(size=(t_q, dim)))
         mask = causal_mask(t_q) if causal else None
         check_grad(
-            lambda: (attend(q, k, v, heads, 0.5, mask, *whole(q, k)) * weights).sum(), [q, k, v]
+            lambda: tsum(attend(q, k, v, heads, 0.5, mask, *whole(q, k)) * weights), [q, k, v]
         )
 
     def test_causal_mask_hides_the_future(self):
@@ -252,7 +254,7 @@ class TestDepthwise3:
     def test_gradient_matches_finite_differences(self):
         mlp, x = cgmlp_and_input(4, PADDED.total, dim=3)
         weights = Tensor(np.random.default_rng(5).normal(size=(PADDED.total, 3)))
-        check_grad(lambda: (mlp(x, PADDED) * weights).sum(), [x] + mlp.parameters())
+        check_grad(lambda: tsum(mlp(x, PADDED) * weights), [x] + mlp.parameters())
 
 
 class TestConvGatedMLP:
@@ -270,7 +272,7 @@ class TestConvGatedMLP:
             for p in params:
                 p.grad = None
             out = build()
-            (out * weights).sum().backward()
+            tsum(out * weights).backward()
             results.append((out.data, [p.grad for p in params]))
         (out_k, grads_k), (out_r, grads_r) = results
         np.testing.assert_array_equal(out_k, out_r)
@@ -297,7 +299,7 @@ class TestFeedForward:
             for p in params:
                 p.grad = None
             out = build(x)
-            (out * weights).sum().backward()
+            tsum(out * weights).backward()
             results.append((out.data, [p.grad for p in params]))
         (out_k, grads_k), (out_r, grads_r) = results
         np.testing.assert_array_equal(out_k, out_r)
@@ -307,7 +309,7 @@ class TestFeedForward:
     def test_gradient_matches_finite_differences(self):
         ffn, x = ffn_and_input(9)
         weights = Tensor(np.random.default_rng(10).normal(size=(7, 4)))
-        check_grad(lambda: (ffn(x) * weights).sum(), [x] + ffn.parameters())
+        check_grad(lambda: tsum(ffn(x) * weights), [x] + ffn.parameters())
 
 
 def split_rows(a: np.ndarray, seg: Segments) -> list[np.ndarray]:
@@ -362,7 +364,7 @@ class TestSegmentedAttend:
         q, k, v = (leaf(a) for a in arrays)
         mask = causal_mask(qs.longest) if causal else None
         out = attend(q, k, v, heads, scale, mask, qs, ks)
-        (out * Tensor(weights)).sum().backward()
+        tsum(out * Tensor(weights)).backward()
 
         outs, grads = [], [[], [], []]
         for qb, kb, vb, wb in zip(
@@ -372,7 +374,7 @@ class TestSegmentedAttend:
             parts = [leaf(a) for a in (qb, kb, vb)]
             mask_b = causal_mask(qb.shape[0]) if causal else None
             out_b = attend(*parts, heads, scale, mask_b, *whole(*parts[:2]))
-            (out_b * Tensor(wb)).sum().backward()
+            tsum(out_b * Tensor(wb)).backward()
             outs.append(out_b.data)
             for acc, t in zip(grads, parts):
                 acc.append(t.grad)
@@ -407,7 +409,7 @@ class TestSegmentedAttend:
         for node in (attend, attend_keeping_pads):
             q, k, v = (leaf(a) for a in arrays)
             out = node(q, k, v, 2, 0.5, mask, qs, ks)
-            (out * weights).sum().backward()
+            tsum(out * weights).backward()
             results.append((out.data, q.grad, k.grad, v.grad))
         for got, want in zip(*results):
             np.testing.assert_array_equal(got, want)
@@ -444,7 +446,7 @@ class TestSegmentedDepthwise3:
             for p in mlp.parameters():
                 p.grad = None
             out = build(xt)
-            (out * weights).sum().backward()
+            tsum(out * weights).backward()
             results.append((out.data, xt.grad, [p.grad for p in mlp.parameters()]))
         (out, dx, grads), (out_r, dx_r, grads_r) = results
         # The conv's output and input gradient are the same sums in the same
@@ -464,7 +466,7 @@ class TestSegmentedDepthwise3:
         seg = Segments(lengths)
         mlp, x = cgmlp_and_input(10 + len(lengths), seg.total)
         g = np.random.default_rng(len(lengths)).normal(size=(seg.total, 5))
-        (mlp(x, seg) * Tensor(g)).sum().backward()
+        tsum(mlp(x, seg) * Tensor(g)).backward()
         _pre, _s, u, _conv, _gated = mlp.forward(x.data, seg)[1]
         gate, conv_in = u[:, : mlp.dim], u[:, mlp.dim :]
         dconv = (g @ mlp.down.weight.data.T) * gate  # the gradient at the conv's output

@@ -1,8 +1,12 @@
-"""Tensor engine: op semantics, gradients vs finite differences, graph rules."""
+"""Tensor engine: op semantics, gradients vs finite differences, graph rules, and its op set."""
+
+import ast
+import inspect
 
 import numpy as np
 import pytest
 
+from avmoe import tensor
 from avmoe.errors import ConfigError, DataError, DimensionError, GraphError
 from avmoe.tensor import (
     Tensor,
@@ -11,15 +15,17 @@ from avmoe.tensor import (
     concat,
     gather_rows,
     layer_norm,
-    log_softmax_rows,
     matmul,
     mul,
     no_grad,
     softmax_rows,
-    take_along_cols,
+    tsum,
 )
 
-from helpers import NODE_OBJECTS, check_grad, div, numeric_grad, rel_error, retained_bytes, silu
+from helpers import (
+    NODE_OBJECTS, check_grad, div, log_softmax_rows, numeric_grad, rel_error, retained_bytes,
+    silu,
+)
 
 
 
@@ -41,7 +47,7 @@ class TestMatmul:
         rng = np.random.default_rng(0)
         a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
-        worst = check_grad(lambda: (matmul(a, b) * matmul(a, b)).sum(), [a, b], tol=1e-6)
+        worst = check_grad(lambda: tsum(matmul(a, b) * matmul(a, b)), [a, b], tol=1e-6)
         assert worst < 1e-6
 
 
@@ -92,7 +98,7 @@ class TestLayerNorm:
         g = Tensor(rng.uniform(0.5, 1.5, 5), requires_grad=True)
         b = Tensor(rng.uniform(-0.5, 0.5, 5), requires_grad=True)
         weights = Tensor(rng.normal(size=(3, 5)))
-        check_grad(lambda: (layer_norm(x, g, b) * weights).sum(), [x, g, b], tol=1e-5)
+        check_grad(lambda: tsum(layer_norm(x, g, b) * weights), [x, g, b], tol=1e-5)
 
     def test_node_keeps_only_its_row_statistics(self):
         rows, dim = 512, 64
@@ -163,7 +169,7 @@ def test_layer_norm_is_bit_identical_to_mean_and_var(shape):
     x, gain, bias, g = layer_norm_case(shape)
     a, tg, tb = (Tensor(v, requires_grad=True) for v in (x, gain, bias))
     out = layer_norm(a, tg, tb)
-    (out * Tensor(g)).sum().backward()
+    tsum(out * Tensor(g)).backward()
     expected = old_layer_norm(x, gain, bias, g)
     for got, want in zip((out.data, a.grad, tg.grad, tb.grad), expected):
         assert np.array_equal(got, want)
@@ -175,7 +181,7 @@ def test_layer_norm_backward_is_bit_identical_to_keeping_xhat(shape):
     grads = []
     for node in (layer_norm, layer_norm_keeping_xhat):
         params = [Tensor(v, requires_grad=True) for v in (x, gain, bias)]
-        (node(*params) * Tensor(g)).sum().backward()
+        tsum(node(*params) * Tensor(g)).backward()
         grads.append([p.grad for p in params])
     for got, want in zip(*grads):
         np.testing.assert_array_equal(got, want)
@@ -184,12 +190,12 @@ def test_layer_norm_backward_is_bit_identical_to_keeping_xhat(shape):
 class TestBackwardRules:
     def test_sum_gives_ones(self):
         w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        w.sum().backward()
+        tsum(w).backward()
         np.testing.assert_array_equal(w.grad, np.ones((2, 3)))
 
     def test_quadratic_gives_w(self):
         w = Tensor(np.array([1.5, -2.0, 0.25]), requires_grad=True)
-        ((w * w).sum() * 0.5).backward()
+        (tsum(w * w) * 0.5).backward()
         np.testing.assert_allclose(w.grad, w.data, atol=1e-15)
 
     def test_non_scalar_loss_rejected(self):
@@ -199,11 +205,11 @@ class TestBackwardRules:
 
     def test_detached_loss_rejected(self):
         with pytest.raises(GraphError, match="detached"):
-            Tensor(np.ones(()) * 2.0).sum().backward()
+            tsum(Tensor(np.ones(()) * 2.0)).backward()
 
     def test_repeated_backward_rejected(self):
         w = Tensor(np.ones(3), requires_grad=True)
-        loss = w.sum()
+        loss = tsum(w)
         loss.backward()
         with pytest.raises(GraphError, match="already"):
             loss.backward()
@@ -211,7 +217,7 @@ class TestBackwardRules:
     def test_second_loss_through_a_walked_subgraph_rejected(self):
         w = Tensor(np.ones(3), requires_grad=True)
         shared = w * 2.0
-        first, second = shared.sum(), (shared * w).sum()
+        first, second = tsum(shared), tsum(shared * w)
         first.backward()
         with pytest.raises(GraphError, match="already ran through this node"):
             second.backward()
@@ -229,10 +235,10 @@ class TestBackwardRules:
 
         stopper = _record(h.data.copy(), (h,), fail)
         with pytest.raises(FloatingPointError):
-            ((h * 3.0).sum() + stopper.sum()).backward()
+            (tsum(h * 3.0) + tsum(stopper)).backward()
         assert h.grad is not None
         w.grad = None
-        (h * h).sum().backward()
+        tsum(h * h).backward()
         np.testing.assert_array_equal(w.grad, 8.0 * w.data)
 
     def test_fanout_accumulates(self):
@@ -251,13 +257,13 @@ class TestBackwardRules:
     def test_no_grad_suppresses_recording(self):
         w = Tensor(np.ones(3), requires_grad=True)
         with no_grad():
-            out = (w * 2.0).sum()
+            out = tsum(w * 2.0)
         assert not out.requires_grad
 
 
 class TestPointwiseGradients:
-    """Analytic gradients match central differences across 20 seeds; ``div`` and
-    ``silu`` are the graph nodes of ``helpers`` that reference compositions use."""
+    """Analytic gradients match central differences across 20 seeds; ``div``, ``silu``
+    and ``log_softmax`` are the graph nodes of ``helpers`` that reference compositions use."""
 
     @pytest.mark.parametrize(
         "op",
@@ -271,18 +277,18 @@ class TestPointwiseGradients:
             weights = Tensor(rng.normal(size=(3, 4)))
 
             if op == "add":
-                build = lambda: ((x + y) * weights).sum()
+                build = lambda: tsum((x + y) * weights)
             elif op == "mul":
-                build = lambda: (x * y * weights).sum()
+                build = lambda: tsum(x * y * weights)
             elif op == "div":
                 y.data = np.abs(y.data) + 0.5  # bounded away from zero
-                build = lambda: (div(x, y) * weights).sum()
+                build = lambda: tsum(div(x, y) * weights)
             elif op == "silu":
-                build = lambda: (silu(x) * weights).sum()
+                build = lambda: tsum(silu(x) * weights)
             elif op == "softmax":
-                build = lambda: (softmax_rows(x) * weights).sum()
+                build = lambda: tsum(softmax_rows(x) * weights)
             else:
-                build = lambda: (log_softmax_rows(x) * weights).sum()
+                build = lambda: tsum(log_softmax_rows(x) * weights)
 
             check_grad(build, [x, y] if op in ("add", "mul", "div") else [x])
 
@@ -303,7 +309,7 @@ class TestPointwiseGradients:
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=3), requires_grad=True)
         weights = Tensor(rng.normal(size=(4, 3)))
-        check_grad(lambda: ((x + b) * weights).sum(), [x, b])
+        check_grad(lambda: tsum((x + b) * weights), [x, b])
 
     def test_affine_gradient(self):
         rng = np.random.default_rng(8)
@@ -311,7 +317,7 @@ class TestPointwiseGradients:
         w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=4), requires_grad=True)
         scale = Tensor(rng.normal(size=(5, 4)))
-        check_grad(lambda: (affine(x, w, b) * scale).sum(), [x, w, b], tol=1e-5)
+        check_grad(lambda: tsum(affine(x, w, b) * scale), [x, w, b], tol=1e-5)
 
 
 class TestShapeOps:
@@ -323,34 +329,18 @@ class TestShapeOps:
         np.testing.assert_array_equal(joined.data[:2], a.data)
         np.testing.assert_array_equal(joined.data[2:], b.data)
         weights = Tensor(rng.normal(size=(5, 4)))
-        check_grad(lambda: (concat([a, b], axis=0) * weights).sum(), [a, b])
+        check_grad(lambda: tsum(concat([a, b], axis=0) * weights), [a, b])
 
     def test_gather_rows_with_repeats(self):
         table = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
         out = gather_rows(table, [1, 1, 3])
         np.testing.assert_array_equal(out.data, [[2.0, 3.0], [2.0, 3.0], [6.0, 7.0]])
-        out.sum().backward()
+        tsum(out).backward()
         np.testing.assert_array_equal(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
 
     def test_gather_rows_bounds(self):
         with pytest.raises(DataError):
             gather_rows(Tensor(np.zeros((3, 2))), [0, 3])
-
-    def test_take_along_cols(self):
-        rng = np.random.default_rng(4)
-        a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        idx = np.array([[0, 4], [2, 2], [1, 3]])
-        out = take_along_cols(a, idx)
-        expected = np.take_along_axis(a.data, idx, axis=1)
-        np.testing.assert_array_equal(out.data, expected)
-        weights = Tensor(rng.normal(size=(3, 2)))
-        check_grad(lambda: (take_along_cols(a, idx) * weights).sum(), [a])
-
-    def test_reshape_gradients(self):
-        rng = np.random.default_rng(6)
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        weights = Tensor(rng.normal(size=12))
-        check_grad(lambda: (a.reshape(12) * weights).sum(), [a])
 
 
 class TestNumericGuards:
@@ -359,5 +349,18 @@ class TestNumericGuards:
         x = Tensor(np.array([-1000.0, 1000.0]), requires_grad=True)
         out = silu(x)
         np.testing.assert_array_equal(out.data, [-0.0, 1000.0])
-        out.sum().backward()
+        tsum(out).backward()
         np.testing.assert_array_equal(x.grad, [0.0, 1.0])
+
+
+def test_engine_op_set_is_pinned():
+    # The module-level functions of the engine that record a graph node. A change
+    # that adds or removes an engine op updates this set.
+    tree = ast.parse(inspect.getsource(tensor))
+    ops = {
+        node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+        and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "_record" for call in ast.walk(node))
+    }
+    assert ops == {"add", "mul", "matmul", "affine", "tsum", "softmax_rows", "layer_norm",
+                   "concat", "gather_rows"}
