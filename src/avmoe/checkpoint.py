@@ -97,8 +97,6 @@ class Checkpoint:
         fewer page faults than ``read_bytes`` does.
         """
         starts = {section: self.section_start(section) for section in sections or self.sections}
-        if not starts:
-            return {}
         # Offsets are multiples of 8: each is a sum of tensor sizes of 8 bytes a value.
         low = min(starts.values())
         size = (max(starts.values()) + self.section_nbytes - low) // 8

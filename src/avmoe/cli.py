@@ -46,7 +46,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .errors import AvmoeError, ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .fields import parse_json
 from .frontend import log_mel_from_waveform, read_waveform
 from .fusion import load_visual_embeddings
@@ -198,9 +198,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except AvmoeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
 from .f64file import read_f64_file, write_f64_file
 
 
@@ -29,6 +28,4 @@ def load_visual_embeddings(path) -> np.ndarray:
 
 def save_visual_embeddings(path, z: np.ndarray) -> None:
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2:
-        raise DimensionError(f"visual embeddings must be 2-d, got shape {z.shape}")
     write_f64_file(path, "VEMB", z.shape, z)

@@ -8,6 +8,11 @@ Per-batch load statistics feed the balancing loss
 fractions are treated as constants, so its gradient reaches the router only
 through the mean probabilities.
 
+At ``top_k = 1`` every renormalized weight is exactly 1, so the task losses
+give the router no gradient and it learns from the balance loss alone. Switch
+(Fedus et al., arXiv 2101.03961) scales its one expert's output by the
+unnormalized probability instead, which the task losses do reach.
+
 Dispatch is one graph node, ``expert_mixture``, in the grouped (sort by
 expert) form of MegaBlocks (Gale et al., arXiv 2211.15841). It takes the
 probability rows P and renormalises each token's chosen k of them,
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .fields import check_fields
 from .nn import FeedForward, Module
 from .tensor import Tensor, _record, matmul, softmax_rows, softmax_rows_forward, tsum
@@ -124,10 +129,6 @@ class MoELayer(Module):
 
     def route(self, x: Tensor) -> RoutingDecision:
         """Pick the top-k experts per token with lowest-index tie-breaking."""
-        if x.ndim != 2 or x.shape[1] != self.cfg.hidden:
-            raise DimensionError(
-                f"router expects (tokens, {self.cfg.hidden}), got {x.shape}"
-            )
         probs = softmax_rows(matmul(x, self.router))
         return RoutingDecision(self.top_k(probs.data), probs)
 
@@ -169,11 +170,6 @@ def expert_mixture(
     summed segment lengths. Experts with an empty segment are not run and
     get ``None`` gradients.
     """
-    ranks_fit = x.ndim == probs.ndim == indices.ndim == 2
-    if not (ranks_fit and x.shape[0] == probs.shape[0] == indices.shape[0]):
-        raise DimensionError(
-            f"expert_mixture got x={x.shape}, probs={probs.shape}, indices={indices.shape}"
-        )
     out, kept, dispatched = expert_mixture_forward(x.data, probs.data, indices, experts)
     picked, total, flat_w, saved = kept
 
@@ -232,9 +228,5 @@ def expert_mixture_forward(
 
 def load_balance_loss(stats: LoadStats, num_experts: int) -> Tensor:
     """num_experts * sum_i assign_fraction_i * mean_prob_i (scalar tensor)."""
-    if stats.hard_counts.shape != (num_experts,):
-        raise DimensionError(
-            f"stats cover {stats.hard_counts.shape[0]} experts, expected {num_experts}"
-        )
     fractions = Tensor(stats.assign_fraction)  # constant: no gradient through counts
     return tsum(stats.mean_prob * fractions) * float(num_experts)

@@ -61,7 +61,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 from .tensor import (
     MASK_VALUE,
     Tensor,
@@ -244,8 +244,6 @@ class Segments:
 
 class MultiHeadAttention(Module):
     def __init__(self, rng: np.random.Generator | None, dim: int, heads: int):
-        if dim % heads != 0:
-            raise ConfigError(f"hidden width {dim} not divisible by {heads} heads")
         self.heads = heads
         self.scale = 1.0 / math.sqrt(dim // heads)
         self.q_proj = Linear(rng, dim, dim)

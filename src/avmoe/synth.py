@@ -233,21 +233,21 @@ def generate_corpus(
 
     Fully deterministic for a given (spec, seed): the same call produces
     byte-identical trees. Utterances are distinct across splits by
-    construction.
+    construction. The transcripts are drawn before anything is written, so a
+    spec that cannot give them leaves ``out_dir`` untouched.
     """
     if min(n_train, n_dev, n_test) < 1:
         raise ConfigError("all split sizes must be >= 1")
     if seed < 0:
         raise ConfigError(f"corpus seed must be >= 0, got {seed}")
     spec.validate()
+    rng = np.random.default_rng(seed)
+    total = n_train + n_dev + n_test
+    transcripts = _sample_distinct_transcripts(rng, spec, total)
     out = Path(out_dir)
     (out / "audio").mkdir(parents=True, exist_ok=True)
     (out / "vemb").mkdir(parents=True, exist_ok=True)
     (out / "task_spec.json").write_text(spec.to_json())
-
-    rng = np.random.default_rng(seed)
-    total = n_train + n_dev + n_test
-    transcripts = _sample_distinct_transcripts(rng, spec, total)
     splits = {
         "train": transcripts[:n_train],
         "dev": transcripts[n_train : n_train + n_dev],

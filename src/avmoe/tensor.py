@@ -84,10 +84,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
-
     # -- graph ----------------------------------------------------------
 
     def backward(self) -> None:
@@ -212,8 +208,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two rank-2 tensors; like ``mul``, an operand that needs
     no gradient, such as a constant feature matrix, gets ``None``."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     data = a.data @ b.data
@@ -228,10 +222,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def affine(a: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Fused a @ weight + bias for rank-2 a and rank-1 bias; like ``matmul``, no
     gradient for an operand that needs none."""
-    if a.ndim != 2 or weight.ndim != 2 or a.shape[1] != weight.shape[0]:
-        raise DimensionError(f"affine inner dimensions disagree: {a.shape} x {weight.shape}")
-    if bias.shape != (weight.shape[1],):
-        raise DimensionError(f"affine bias {bias.shape} does not match output {weight.shape[1]}")
     data = a.data @ weight.data + bias.data
     need_a, need_w, need_b = a.requires_grad, weight.requires_grad, bias.requires_grad
 
@@ -342,10 +332,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     dim = a.shape[-1]
     if dim < 2:
         raise ConfigError(f"layer_norm needs a normalized width >= 2, got {dim}")
-    if gain.shape != (dim,) or bias.shape != (dim,):
-        raise DimensionError(
-            f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width ({dim},)"
-        )
     data, mean, inv = layer_norm_forward(a.data, gain.data, bias.data)
 
     def backward(g):
@@ -369,8 +355,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ConfigError("concat needs at least one tensor")
     data = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.data.shape[axis] for p in parts]
     bounds = np.cumsum(sizes)[:-1]

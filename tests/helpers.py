@@ -99,26 +99,24 @@ def check_grad(build_loss, params: list[Tensor], tol: float = 1e-4, h: float = 1
     return worst
 
 
-# What a graph node's Python objects (tensor, closure, cells, array headers) may
-# add to the arrays it keeps, as a slack for bounds on ``retained_bytes``.
-NODE_OBJECTS = 8 * 1024
-
-
 def retained_bytes(fn) -> int:
-    """Bytes that a call of ``fn`` leaves allocated, less its output Tensor's data.
+    """Bytes of numpy data that a call of ``fn`` leaves allocated, less its output
+    Tensor's data.
 
-    For a graph op that is what its node keeps for the backward, plus the
-    node's small Python objects. ``fn`` runs once untraced first, so caches
+    For a graph op that is the arrays its node keeps for the backward. Only numpy's
+    tracemalloc domain counts: the node's Python objects, and whatever a tracer
+    running the tests allocates, do not. ``fn`` runs once untraced first, so caches
     that it fills (such as ``Segments``' lazily built index arrays) do not count.
     """
     fn()
     tracemalloc.start()
     try:
         out = fn()
-        retained = tracemalloc.get_traced_memory()[0]
+        snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    return retained - out.data.nbytes
+    arrays = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return sum(stat.size for stat in arrays.statistics("filename")) - out.data.nbytes
 
 
 def silu(a: Tensor) -> Tensor:

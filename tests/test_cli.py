@@ -3,8 +3,10 @@ and the settings that ``avmoe train`` accepts."""
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import shutil
+import wave
 import zlib
 
 import numpy as np
@@ -50,6 +52,10 @@ def tree(root) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
     """A tiny corpus and a model trained on it for two epochs."""
@@ -84,6 +90,7 @@ GOLDEN_EPOCHS = [
      "l_aux": [1.0073253945449185], "dev_wer": None},
 ]
 LOOPING_HYP = "sea sea sea sea read" + " teal" * 27
+GOLDEN_CKPT_SHA256 = "74235a931c0675a78c5f790f89d3bc65367b2c3997f6cf3c2a6c36b8d6fe4761"
 GOLDEN_EVAL = {
     "audiovisual": [
         {"hom_correct": 0, "hom_slots": 1, "hyp": LOOPING_HYP, "hyp_ctc": "green sea sea",
@@ -153,6 +160,12 @@ def test_golden_run_reproduces_the_recorded_losses_and_outputs(run, capsys):
                      "--audio", str(run / "corpus" / entry["audio"]),
                      "--visual", str(run / "corpus" / entry["visual"])]) == 0
         assert capsys.readouterr().out == record["hyp"] + "\n"
+    # The same bits, not only the same values to rel 1e-9: a last-bit change in the
+    # training arithmetic passes the comparisons above and fails this. Measured with
+    # numpy 2.4.6 and OpenBLAS 0.3.31 at 1 and 2 BLAS threads; another numpy or BLAS
+    # may round differently, and then the comparisons above tell a real change
+    # from a rounding one.
+    assert sha256(ckpt.read_bytes()) == GOLDEN_CKPT_SHA256
 
 
 def test_config_that_is_not_json_exits_2(run):
@@ -161,18 +174,21 @@ def test_config_that_is_not_json_exits_2(run):
     assert train(run, "not_json", str(bad)) == 2
 
 
-def run_reader(run, tmp_path, reader: str, text: str) -> int:
-    """Exit code of the command that parses ``text`` as the ``reader`` file."""
+def run_reader(run, tmp_path, reader: str, text: str | None) -> int:
+    """Exit code of the command that parses ``text`` as the ``reader`` file, which is
+    not there if ``text`` is None."""
     path = tmp_path / f"{reader}.json"
-    path.write_text(text + "\n")
+    if reader == "checkpoint" and text is not None:  # the header, under a valid checksum
+        header = text.encode()
+        path.write_bytes(b"%s %d %d\n" % (MAGIC, len(header), zlib.crc32(header)) + header)
+    elif text is not None:
+        path.write_text(text + "\n")
     if reader == "config":
         return train(run, tmp_path / "ckpt", str(path))
     if reader == "spec":
         return generate(tmp_path / "out", spec=path)
     manifest = run / "corpus" / "test.jsonl"
-    if reader == "checkpoint":  # ``text`` is the header, under a valid checksum
-        header = text.encode()
-        path.write_bytes(b"%s %d %d\n" % (MAGIC, len(header), zlib.crc32(header)) + header)
+    if reader == "checkpoint":
         return main(["eval", "--manifest", str(manifest), "--ckpt", str(path)])
     return main(["eval", "--manifest", str(path), "--ckpt", str(run / "full" / "final.ckpt")])
 
@@ -204,6 +220,16 @@ def test_json_nested_too_deep_is_refused(run, tmp_path, capsys, reader, code):
     assert run_reader(run, tmp_path, reader, "[" * 200_000 + "]" * 200_000) == code
     assert "nesting too deep to parse" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"{reader}.json"]
+
+
+@pytest.mark.parametrize("reader", [r for r, _ in READERS])
+def test_file_that_is_not_there_exits_3(run, tmp_path, capsys, reader):
+    capsys.readouterr()
+    assert run_reader(run, tmp_path, reader, None) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"not found: {tmp_path / f'{reader}.json'}" in captured.err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
@@ -364,13 +390,19 @@ def test_checkpoint_whose_vocabulary_contradicts_its_vocab_size_exits_3(run, com
            f"vocab_size {saved.config['model']['vocab_size']}" in captured.err
 
 
+REFERENCE_VOCAB = reference_task_spec().vocab
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("train", "batch_size", 0), ("train", "lr", "fast"), ("model", "heads", 3),
+    ("model", "moe", {"num_experts": 2, "top_k": 1, "hidden": 16, "ffn_hidden": 16}),
     (None, "step", -5), (None, "epochs_done", 1.0), (None, "vocab", "ab"),
+    (None, "vocab", REFERENCE_VOCAB[:-1] + REFERENCE_VOCAB[:1]),
     (None, "rng", {"bit_generator": "PCG64", "state": {"state": -1, "inc": 1},
                    "has_uint32": 0, "uinteger": 0}),
-], ids=["train.batch_size-0", "train.lr-string", "model.heads-3", "step-negative",
-        "epochs_done-float", "vocab-string", "rng-negative-state"])
+], ids=["train.batch_size-0", "train.lr-string", "model.heads-3", "model.moe-other-width",
+        "step-negative", "epochs_done-float", "vocab-string", "vocab-repeated-word",
+        "rng-negative-state"])
 def test_checkpoint_with_a_bad_config_value_exits_3(run, section, key, value, capsys):
     # The header checksum is valid, so only the checks of the restored values can
     # refuse these, and they must do so before the first step.
@@ -422,7 +454,7 @@ def test_inline_audio_of_the_wrong_type_exits_3(run, audio, capsys):
 
 
 @pytest.mark.parametrize("flag, kind", [
-    ("--ckpt", "directory"), ("--audio", "missing"), ("--audio", "directory"),
+    ("--ckpt", "missing"), ("--ckpt", "directory"), ("--audio", "missing"), ("--audio", "directory"),
     ("--visual", "missing"), ("--visual", "directory"),
 ])
 def test_decode_of_a_path_it_cannot_read_exits_3(run, flag, kind, capsys):
@@ -433,7 +465,31 @@ def test_decode_of_a_path_it_cannot_read_exits_3(run, flag, kind, capsys):
     argv = ["decode"] + [str(a) for pair in paths.items() for a in pair]
     capsys.readouterr()
     assert main(argv) == 3
-    assert str(paths[flag]) in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(paths[flag]) in captured.err
+
+
+@pytest.mark.parametrize("channels, width, reason", [
+    (2, 2, "expected mono 16-bit PCM, got 2 channel(s) at 2 byte(s)"),
+    (1, 1, "expected mono 16-bit PCM, got 1 channel(s) at 1 byte(s)"),
+    (None, None, "not a readable WAV file (not a WAVE file)"),
+], ids=["stereo", "8-bit", "riff-not-wave"])
+def test_wav_it_cannot_decode_exits_3(run, tmp_path, channels, width, reason, capsys):
+    audio = tmp_path / "speech.wav"
+    if channels is None:  # a RIFF file of another kind: the sniffer sends it to the WAV reader
+        audio.write_bytes(b"RIFF\x04\x00\x00\x00AVI ")
+    else:
+        with wave.open(str(audio), "wb") as wf:
+            wf.setnchannels(channels)
+            wf.setsampwidth(width)
+            wf.setframerate(16000)
+            wf.writeframes(bytes(channels * width * 4000))
+    entry = json.loads((run / "corpus" / "test.jsonl").read_text().splitlines()[0])
+    capsys.readouterr()
+    assert main(["decode", "--ckpt", str(run / "full" / "final.ckpt"), "--audio", str(audio),
+                 "--visual", str(run / "corpus" / entry["visual"])]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"data error: {audio}: {reason}" in captured.err
 
 
 @pytest.mark.parametrize("command", ["decode", "eval"])
@@ -466,6 +522,35 @@ def test_decode_of_a_checkpoint_with_a_flipped_model_byte_exits_3(run, capsys):
     assert f"checksum failure for tensor '{name}' in section 'model'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["missing-visual", "empty", "blank-lines"])
+def test_manifest_naming_a_missing_file_or_no_record_exits_3(run, tmp_path, case, capsys):
+    entry = json.loads((run / "corpus" / "test.jsonl").read_text().splitlines()[0])
+    record = {**entry, "audio": str(run / "corpus" / entry["audio"]),
+              "visual": str(tmp_path / "gone.vemb")}
+    text = {"missing-visual": json.dumps(record) + "\n", "empty": "", "blank-lines": "\n \n"}
+    manifest = tmp_path / "test.jsonl"
+    manifest.write_text(text[case])
+    capsys.readouterr()
+    ckpt = run / "full" / "final.ckpt"
+    assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt)]) == 3
+    captured = capsys.readouterr()
+    reason = f"1: missing visual file {record['visual']}" if case == "missing-visual" else \
+        " manifest is empty"
+    assert captured.out == "" and f"data error: {manifest}:{reason}" in captured.err
+
+
+def test_fresh_run_without_a_task_spec_exits_2(run, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(run / "corpus", corpus)
+    (corpus / "task_spec.json").unlink()
+    capsys.readouterr()
+    assert train(tmp_path, "ckpt", write_config(tmp_path / "config.json")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: task_spec.json not found next to the manifest" in captured.err
+    assert not (tmp_path / "ckpt").exists()
+
+
 def test_spec_that_is_not_utf8_exits_3(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_bytes(b"\xff\xfe")
@@ -485,13 +570,50 @@ def test_spec_naming_the_removed_seed_field_exits_3(run, tmp_path, capsys):
     assert not (tmp_path / "out").exists() and not (tmp_path / "ckpt").exists()
 
 
-def test_spec_group_word_without_a_tone_exits_2(tmp_path):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({
-        "vocab": ["a", "b"], "homophone_groups": [["a", "b"]], "tone_map": {"a": 300.0},
-        "visual_codes": {"a": [1.0], "b": [0.0]}, "visual_dim": 1,
-    }))
-    assert generate(tmp_path / "out", spec=spec) == 2
+def reference_spec(**fields) -> dict:
+    return {**json.loads(reference_task_spec().to_json()), **fields}
+
+
+TONES, CODES = reference_spec()["tone_map"], reference_spec()["visual_codes"]
+
+# A spec or a flag that ``avmoe generate`` refuses (argparse keeps the last of a
+# repeated flag), and what the error says.
+GENERATE_REFUSALS = {
+    "empty-vocab": (reference_spec(vocab=[]), [], "vocabulary is empty"),
+    "repeated-word": (reference_spec(vocab=REFERENCE_VOCAB + ["red"]), [],
+                      "vocabulary contains duplicate words"),
+    "group-word-without-a-tone": (
+        reference_spec(tone_map={w: t for w, t in TONES.items() if w != "read"}), [],
+        "no tone or visual code for ['read']"),
+    "groups-sharing-a-word": (reference_spec(homophone_groups=[["red", "read"], ["read", "sea"]]),
+                              [], "homophone groups must be disjoint"),
+    "group-of-two-tones": (reference_spec(tone_map={**TONES, "read": TONES["sea"]}), [],
+                           "group ['red', 'read'] must share one tone"),
+    "group-sharing-a-code": (reference_spec(visual_codes={**CODES, "read": CODES["red"]}), [],
+                             "group ['red', 'read'] members need distinct visual codes"),
+    "tone-of-another-word": (reference_spec(tone_map={**TONES, "blue": TONES["red"]}), [],
+                             "of 'blue' collides with group:red"),
+    # 12 one-word transcripts for 13 utterances.
+    "too-few-transcripts": (reference_spec(min_words=1, max_words=1), [],
+                            "could not draw 13 distinct transcripts"),
+    "no-homophones": (reference_spec(homophone_groups=[], vocab=REFERENCE_VOCAB[4:]), [],
+                      "cannot reach 30% homophone coverage"),
+    "empty-split": (reference_spec(), ["--n-dev", "0"], "all split sizes must be >= 1"),
+    "negative-seed": (reference_spec(), ["--seed", "-1"], "corpus seed must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATE_REFUSALS))
+def test_generate_refusal_exits_2(tmp_path, case, capsys):
+    spec, flags, reason = GENERATE_REFUSALS[case]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    capsys.readouterr()
+    assert main(["generate", "--spec", str(path), "--out", str(tmp_path / "out"), "--seed", "3",
+                 "--n-train", "8", "--n-dev", "2", "--n-test", "3", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and reason in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -631,6 +753,22 @@ def test_resume_into_another_runs_directory_exits_2(run, capsys):
         assert "holds another run" in capsys.readouterr().err
         assert tree(run / ckpt_dir) == before
     assert sorted(tree(run / "full")) == ["final.ckpt", "metrics.jsonl"]
+
+
+# The sha256 of that corpus's files, each path and a zero byte ahead of its bytes, in path order.
+CORPUS_SHA256 = "49cb4088aa652a29b60da5f818dcd89c873f71606c503ee40452f2c1e1a13e2d"
+
+
+def test_generate_pins_the_corpus_of_a_spec_short_of_homophones(tmp_path):
+    # Ten one-word transcripts drawn at seed 4 hold fewer than three homophone
+    # words, so generate redraws until they do: this pins that loop's output.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(reference_spec(min_words=1, max_words=1)))
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "out"), "--seed", "4",
+                 "--n-train", "8", "--n-dev", "1", "--n-test", "1"]) == 0
+    files = tree(tmp_path / "out")
+    digest = sha256(b"".join(name.encode() + b"\0" + files[name] for name in sorted(files)))
+    assert digest == CORPUS_SHA256
 
 
 def test_generate_is_byte_identical_on_repeat(run):

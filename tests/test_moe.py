@@ -16,7 +16,7 @@ from avmoe.optim import Adam
 from avmoe.tensor import Tensor, _record, _sigmoid_stable, gather_rows, matmul, tsum
 
 from helpers import (
-    ADAM_CONSTANTS, NODE_OBJECTS, check_grad, copy_ffn_weights, div, reference_ffn,
+    ADAM_CONSTANTS, check_grad, copy_ffn_weights, div, reference_ffn,
     reshape, retained_bytes, row_sum, take_along_cols,
 )
 
@@ -383,7 +383,7 @@ class TestExpertMixture:
         retained = retained_bytes(
             lambda: expert_mixture(x, decision.probs, decision.indices, layer.experts)[0]
         )
-        assert retained <= kept + NODE_OBJECTS
+        assert retained <= kept
 
     def test_silent_expert_gets_no_gradient_and_no_adam_update(self):
         layer = make_layer(num_experts=4, top_k=2, hidden=4, ffn_hidden=6)

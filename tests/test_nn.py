@@ -18,7 +18,7 @@ from avmoe.nn import (
 from avmoe.tensor import Tensor, _record, affine, concat, matmul, softmax_rows, tsum
 
 from helpers import (
-    NODE_OBJECTS, check_grad, narrow, reference_ffn, reshape, retained_bytes, silu,
+    check_grad, narrow, reference_ffn, reshape, retained_bytes, silu,
 )
 
 TOL = 1e-10
@@ -421,7 +421,7 @@ class TestSegmentedAttend:
         key_mask = qs.count * qs.longest * 8
         # The padded copies of Q, K and V would add 112.5 KiB.
         retained = retained_bytes(lambda: attend(q, k, v, heads, 0.5, None, qs, qs))
-        assert retained <= probs + key_mask + NODE_OBJECTS
+        assert retained <= probs + key_mask
 
     def test_segments_must_fit_the_rows(self):
         q, k, v = qkv(np.random.default_rng(5), 5, 5, 4)
@@ -482,7 +482,7 @@ class TestSegmentedDepthwise3:
         # The node keeps pre, s and u (2 widths each), conv and gated: 8 widths a
         # row. Shifted copies of the conv's input would add 2 x 256 KiB.
         kept = 8 * seg.total * 64 * 8
-        assert retained_bytes(lambda: mlp(x, seg)) <= kept + NODE_OBJECTS
+        assert retained_bytes(lambda: mlp(x, seg)) <= kept
 
     def test_segments_must_cover_the_rows(self):
         mlp = ConvGatedMLP(np.random.default_rng(0), 3)
