@@ -525,17 +525,17 @@ def test_decode_of_a_checkpoint_with_a_flipped_model_byte_exits_3(run, capsys):
 @pytest.mark.parametrize("case", ["missing-visual", "empty", "blank-lines"])
 def test_manifest_naming_a_missing_file_or_no_record_exits_3(run, tmp_path, case, capsys):
     entry = json.loads((run / "corpus" / "test.jsonl").read_text().splitlines()[0])
-    record = {**entry, "audio": str(run / "corpus" / entry["audio"]),
-              "visual": str(tmp_path / "gone.vemb")}
-    text = {"missing-visual": json.dumps(record) + "\n", "empty": "", "blank-lines": "\n \n"}
+    gone = tmp_path / "gone.vemb"
+    record = {**entry, "audio": str(run / "corpus" / entry["audio"]), "visual": str(gone)}
+    text, reason = {"missing-visual": (json.dumps(record) + "\n", f"1: missing visual file {gone}"),
+                    "empty": ("", " manifest is empty"),
+                    "blank-lines": ("\n \n", " manifest is empty")}[case]
     manifest = tmp_path / "test.jsonl"
-    manifest.write_text(text[case])
+    manifest.write_text(text)
     capsys.readouterr()
     ckpt = run / "full" / "final.ckpt"
     assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt)]) == 3
     captured = capsys.readouterr()
-    reason = f"1: missing visual file {record['visual']}" if case == "missing-visual" else \
-        " manifest is empty"
     assert captured.out == "" and f"data error: {manifest}:{reason}" in captured.err
 
 
