@@ -30,12 +30,7 @@ import numpy as np
 
 from .errors import CtcInfeasibleError, DataError
 from .moe import LoadStats, load_balance_loss
-from .tensor import Tensor, _record, log_softmax_rows_forward
-
-# Finite stand-in for log(0) in the CTC lattice. Adding ordinary
-# log-probabilities to it keeps values far below any reachable score while
-# exp() underflows to exactly 0.0, so no -inf is ever materialized.
-LOG_ZERO = -1.0e30
+from .tensor import LOG_ZERO, Tensor, _record, log_softmax_rows_forward
 
 
 @dataclass

@@ -53,7 +53,8 @@ class ModelConfig:
     blank_id: ClassVar[int] = 0
     sos_id: ClassVar[int] = 1
     eos_id: ClassVar[int] = 2
-    pad_id: ClassVar[int] = 3
+    # Packed batches have no padding token, but id 3 stays reserved so that word
+    # ids, and so checkpoint layouts, do not move.
     num_specials: ClassVar[int] = 4
     # The residual weight of both FFN slots of an encoder block.
     macaron_scale: ClassVar[float] = 0.5

@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .tensor import (
-    MASK_VALUE,
+    LOG_ZERO,
     Tensor,
     _record,
     affine,
@@ -236,8 +236,8 @@ class Segments:
         return before, after
 
     def key_mask(self) -> np.ndarray:
-        """(count, longest) additive mask: 0 on each sequence's rows, MASK_VALUE on padding."""
-        mask = np.full((self.count, self.longest), MASK_VALUE)
+        """(count, longest) additive mask: 0 on each sequence's rows, LOG_ZERO on padding."""
+        mask = np.full((self.count, self.longest), LOG_ZERO)
         mask.reshape(-1)[self._slots] = 0.0
         return mask
 
@@ -287,7 +287,7 @@ def attend_forward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The forward of ``attend`` on packed arrays: the (T_q, D) output and P."""
     if k_segments.padded:
-        # A masked score stays masked under a second MASK_VALUE: exp of either is 0.
+        # A masked score stays masked under a second LOG_ZERO: exp of either is 0.
         key_mask = k_segments.key_mask()[:, None, None, :]
         mask = key_mask if mask is None else mask + key_mask
     qh, kh = _split_heads(q_segments.pad(q), heads), _split_heads(k_segments.pad(k), heads)
@@ -321,7 +321,7 @@ def attend(
 
     and the heads' outputs sit side by side in a (T_q, D) result. ``mask``
     is an additive (T_q_max, T_k_max) array shared by all sequences and
-    heads; padding keys are masked with ``MASK_VALUE``, so they get
+    heads; padding keys are masked with ``LOG_ZERO``, so they get
     probability 0. Backward, with G the output gradient in the same view:
 
         dV = P^T G,  dP = G V^T,  dS = P * (dP - rowsum(dP * P)) * scale,
@@ -439,4 +439,4 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
 
 def causal_mask(length: int) -> np.ndarray:
     """Additive mask blocking attention to strictly-future positions."""
-    return np.triu(np.full((length, length), MASK_VALUE), k=1)
+    return np.triu(np.full((length, length), LOG_ZERO), k=1)

@@ -27,8 +27,10 @@ from .fusion import save_visual_embeddings
 
 @dataclass
 class ManifestEntry:
+    """One manifest record; relative paths are read from the manifest's directory."""
+
     utt_id: str
-    audio: str | dict  # file path, or inline {"words": [...], "noise_seed": int}
+    audio: str  # F64LE or WAV file path
     visual: str  # VEMB file path or "none"
     transcript: str
 
@@ -147,10 +149,8 @@ def reference_task_spec() -> SyntheticTaskSpec:
 def synth_waveform(
     words: list[str], spec: SyntheticTaskSpec, noise_rng: np.random.Generator
 ) -> Waveform:
-    """Concatenated tone segments, one per word, plus white noise if ``spec.noise_std`` > 0."""
-    unknown = [w for w in words if w not in spec.tone_map]
-    if unknown:
-        raise DataError(f"unknown word(s) {unknown}; vocabulary is {spec.vocab}")
+    """Concatenated tone segments, one per word of the spec's vocabulary, plus white
+    noise if ``spec.noise_std`` > 0."""
     samples_per_word = int(round(spec.symbol_duration_ms / 1000.0 * spec.sample_rate))
     segments = []
     for word in words:
@@ -260,8 +260,9 @@ def generate_corpus(
         for words in items:
             utt_id = f"utt{index:05d}"
             index += 1
-            noise_seed = int(rng.integers(0, 2**63 - 1))
-            wave = synth_waveform(list(words), spec, np.random.default_rng(noise_seed))
+            wave = synth_waveform(
+                list(words), spec, np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
+            )
             audio_rel = f"audio/{utt_id}.f64"
             write_f64(out / audio_rel, wave)
             visual_rel = f"vemb/{utt_id}.vemb"
@@ -301,7 +302,7 @@ def load_manifest(path) -> list[ManifestEntry]:
             raise DataError(f"{path}:{lineno}: bad manifest record ({exc})") from exc
         if not entry.transcript.strip():
             raise DataError(f"{path}:{lineno}: empty transcript for {entry.utt_id}")
-        if isinstance(entry.audio, str) and not (base / entry.audio).exists():
+        if not (base / entry.audio).exists():
             raise DataError(f"{path}:{lineno}: missing audio file {entry.audio}")
         if entry.visual != "none" and not (base / entry.visual).exists():
             raise DataError(f"{path}:{lineno}: missing visual file {entry.visual}")

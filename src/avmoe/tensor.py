@@ -33,8 +33,10 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, GraphError
 
-# Additive attention-mask value; exp(MASK_VALUE - rowmax) is exactly 0.0.
-MASK_VALUE = -1.0e30
+# Finite stand-in for log(0) in the additive attention masks and the CTC lattice:
+# sums with ordinary log-probabilities stay far below any reachable score, and
+# their exp (less a row max) underflows to exactly 0.0, so no -inf is ever formed.
+LOG_ZERO = -1.0e30
 LAYER_NORM_EPS = 1e-5  # the variance floor of every layer norm
 
 _grad_enabled = True

@@ -43,13 +43,7 @@ from .model import Model, ModelConfig
 from .moe import LoadStats, MoEConfig, load_balance_loss
 from .nn import Segments
 from .optim import Adam
-from .synth import (
-    ManifestEntry,
-    SyntheticTaskSpec,
-    load_manifest,
-    load_task_spec_near,
-    synth_waveform,
-)
+from .synth import SyntheticTaskSpec, load_manifest, load_task_spec_near
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -117,27 +111,6 @@ class Utterance:
     target_ids: list[int]
 
 
-def _resolve_audio(entry: ManifestEntry, base: Path, spec: SyntheticTaskSpec | None):
-    if isinstance(entry.audio, str):
-        return read_waveform(base / entry.audio)
-    if isinstance(entry.audio, dict):
-        if spec is None:
-            raise DataError(
-                f"{entry.utt_id}: inline audio needs a task_spec.json next to the manifest"
-            )
-        words = entry.audio.get("words")
-        noise_seed = entry.audio.get("noise_seed")
-        if not (isinstance(words, list) and words and all(isinstance(w, str) for w in words)):
-            raise DataError(f"{entry.utt_id}: inline audio 'words' must be a non-empty list of "
-                            f"words, got {words!r}")
-        if not (isinstance(noise_seed, int) and not isinstance(noise_seed, bool)
-                and noise_seed >= 0):
-            raise DataError(f"{entry.utt_id}: inline audio 'noise_seed' must be a non-negative "
-                            f"integer, got {noise_seed!r}")
-        return synth_waveform(words, spec, np.random.default_rng(noise_seed))
-    raise DataError(f"{entry.utt_id}: audio must be a path or an inline synthesis record")
-
-
 def load_dataset(
     manifest_path,
     vocab: Vocab,
@@ -145,14 +118,15 @@ def load_dataset(
     audio_only: bool = False,
     spec: SyntheticTaskSpec | None = None,
 ) -> list[Utterance]:
-    """Load a manifest and precompute features for every utterance."""
-    manifest_path = Path(manifest_path)
-    if spec is None:
-        spec = load_task_spec_near(manifest_path)
-    base = manifest_path.parent
+    """Load a manifest and precompute features for every utterance.
+
+    ``spec`` is read by nothing: every record's audio is a file. The parameter
+    stays only while ``bench/run.py`` passes it.
+    """
+    base = Path(manifest_path).parent
     utterances = []
     for entry in load_manifest(manifest_path):
-        wave = _resolve_audio(entry, base, spec)
+        wave = read_waveform(base / entry.audio)
         mel = log_mel_from_waveform(wave, n_mels=n_mels)
         visual = None
         if not audio_only and entry.visual != "none":
@@ -404,7 +378,6 @@ def train(
     resumed file, or a ``metrics.jsonl`` without a ``final.ckpt``.
     """
     train_cfg.validate()
-    spec = load_task_spec_near(manifest_path)
     ckpt_dir = Path(ckpt_dir)
     final = ckpt_dir / "final.ckpt"
 
@@ -435,7 +408,9 @@ def train(
             )
         train_cfg = replace(saved_cfg, epochs=train_cfg.epochs)
     else:
+        spec = load_task_spec_near(manifest_path)
         if spec is None:
+            load_manifest(manifest_path)  # refuses a missing or bad manifest as what it is
             raise ConfigError("task_spec.json not found next to the manifest")
         vocab = Vocab(spec.vocab)
         model_cfg = replace(model_cfg, vocab_size=vocab.size, visual_dim=spec.visual_dim)
@@ -443,14 +418,13 @@ def train(
         state = new_train_state(model, train_cfg, np.random.default_rng(train_cfg.seed))
 
     data = load_dataset(
-        manifest_path, vocab, n_mels=state.model.cfg.n_mels,
-        audio_only=train_cfg.audio_only, spec=spec,
+        manifest_path, vocab, n_mels=state.model.cfg.n_mels, audio_only=train_cfg.audio_only
     )
     dev_data = None
     if dev_manifest_path is not None:
         dev_data = load_dataset(
             dev_manifest_path, vocab, n_mels=state.model.cfg.n_mels,
-            audio_only=train_cfg.audio_only, spec=spec,
+            audio_only=train_cfg.audio_only,
         )
 
     ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -534,9 +508,7 @@ def evaluate(manifest_path, ckpt_path, audio_only: bool = False) -> tuple[dict, 
     spec = load_task_spec_near(manifest_path)
     homophones = spec.homophone_words() if spec is not None else None
     model, vocab = restore_model(load_checkpoint(ckpt_path))
-    data = load_dataset(
-        manifest_path, vocab, n_mels=model.cfg.n_mels, audio_only=audio_only, spec=spec
-    )
+    data = load_dataset(manifest_path, vocab, n_mels=model.cfg.n_mels, audio_only=audio_only)
     summary, records = score_dataset(model, data, vocab, homophones=homophones)
     summary["mode"] = "audio_only" if audio_only else "audiovisual"
     return summary, records

@@ -187,6 +187,9 @@ def run_reader(run, tmp_path, reader: str, text: str | None) -> int:
         return train(run, tmp_path / "ckpt", str(path))
     if reader == "spec":
         return generate(tmp_path / "out", spec=path)
+    if reader == "train-manifest":  # a fresh run: no task spec is there either
+        return main(["train", "--manifest", str(path), "--config", str(run / "config.json"),
+                     "--ckpt-dir", str(tmp_path / "ckpt"), "--seed", "1"])
     manifest = run / "corpus" / "test.jsonl"
     if reader == "checkpoint":
         return main(["eval", "--manifest", str(manifest), "--ckpt", str(path)])
@@ -222,7 +225,7 @@ def test_json_nested_too_deep_is_refused(run, tmp_path, capsys, reader, code):
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"{reader}.json"]
 
 
-@pytest.mark.parametrize("reader", [r for r, _ in READERS])
+@pytest.mark.parametrize("reader", [r for r, _ in READERS] + ["train-manifest"])
 def test_file_that_is_not_there_exits_3(run, tmp_path, capsys, reader):
     capsys.readouterr()
     assert run_reader(run, tmp_path, reader, None) == 3
@@ -437,20 +440,22 @@ def test_manifest_field_of_the_wrong_type_exits_3(run, field, value, capsys):
 
 
 @pytest.mark.parametrize("audio", [
+    {"words": ["red"], "noise_seed": 1},
     {"words": 5, "noise_seed": 1}, {"words": ["red"], "noise_seed": "x"},
     {"words": ["red"], "noise_seed": -1}, {"words": ["red"], "noise_seed": True},
-], ids=["words-int", "seed-str", "seed-negative", "seed-bool"])
-def test_inline_audio_of_the_wrong_type_exits_3(run, audio, capsys):
-    corpus = run / "inline"
-    corpus.mkdir(exist_ok=True)
-    (corpus / "task_spec.json").write_bytes((run / "corpus" / "task_spec.json").read_bytes())
-    manifest = corpus / "test.jsonl"
+], ids=["words-and-seed", "words-int", "seed-str", "seed-negative", "seed-bool"])
+def test_inline_audio_of_the_wrong_type_exits_3(run, tmp_path, audio, capsys):
+    # An inline synthesis record, well-formed or not, is refused: audio is a file path.
+    manifest = tmp_path / "test.jsonl"
     record = {"utt_id": "u0", "audio": audio, "visual": "none", "transcript": "red"}
     manifest.write_text(json.dumps(record) + "\n")
     capsys.readouterr()
     ckpt = run / "full" / "final.ckpt"
     assert main(["eval", "--manifest", str(manifest), "--ckpt", str(ckpt)]) == 3
-    assert "u0: inline audio" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{manifest}:1: bad manifest record (ManifestEntry.audio must be of type str" \
+        in captured.err
 
 
 @pytest.mark.parametrize("flag, kind", [

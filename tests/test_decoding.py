@@ -58,11 +58,11 @@ def test_hand_case():
 
 
 def tiny_decoder(seed: int) -> Model:
-    """A random tiny model that never prefers blank, sos or pad."""
+    """A random tiny model that never prefers blank, sos or the unused reserved id 3."""
     cfg = ModelConfig(vocab_size=9, hidden=8, heads=2, d_ff=16, encoder_blocks=1,
                       decoder_blocks=1, visual_dim=4, n_mels=6, stack_factor=2)
     model = Model(cfg, np.random.default_rng(seed))
-    model.out_proj.bias.data[[cfg.blank_id, cfg.sos_id, cfg.pad_id]] = -1e3
+    model.out_proj.bias.data[[cfg.blank_id, cfg.sos_id, 3]] = -1e3
     return model
 
 

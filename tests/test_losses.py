@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from avmoe.errors import CtcInfeasibleError, DataError
-from avmoe.losses import (
-    LOG_ZERO, _ctc_alpha, attention_loss, ctc_loss, extended_labels, min_frames_for,
-)
-from avmoe.tensor import Tensor, _record, tsum
+from avmoe.losses import _ctc_alpha, attention_loss, ctc_loss, extended_labels, min_frames_for
+from avmoe.tensor import LOG_ZERO, Tensor, _record, tsum
 
 from helpers import check_grad, log_softmax_rows, neg, reshape, take_along_cols
 
