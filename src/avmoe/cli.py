@@ -118,7 +118,11 @@ def _build_train_configs(args) -> tuple[ModelConfig, TrainConfig, list[str]]:
         if not path.exists():
             raise DataError(f"config file not found: {path}")
         try:
-            sections = parse_json(path.read_bytes())
+            blob = path.read_bytes()
+        except OSError as exc:  # a directory, or no permission
+            raise DataError(f"{path}: cannot read the config file: {exc.strerror}") from exc
+        try:
+            sections = parse_json(blob)
         except ValueError as exc:
             raise ConfigError(f"bad config JSON: {exc}") from exc
         if not isinstance(sections, dict):

@@ -33,7 +33,10 @@ parameter gradients, and
     dp = dw / rowsum(p) + rowsum(-dw * p / (rowsum(p) * rowsum(p)))
 
 added into zeros at ``P[i, indices[i]]``: the backward of a gather, a row
-sum and a quotient, in that order.
+sum and a quotient, in that order. The backward takes the experts in
+ascending order, and each expert's arrays (its pair ids, rows, output and
+FFN record) go as soon as that expert is done: the backward holds the
+records of the experts still to come and the temporaries of one.
 
 The FFN kernel and its formulas are in ``nn``: ``FeedForward.forward`` and
 ``FeedForward.backward``.
@@ -170,28 +173,30 @@ def expert_mixture(
     summed segment lengths. Experts with an empty segment are not run and
     get ``None`` gradients.
     """
-    out, kept, dispatched = expert_mixture_forward(x.data, probs.data, indices, experts)
+    x_data, probs_shape = x.data, probs.shape
+    out, kept, dispatched = expert_mixture_forward(x_data, probs.data, indices, experts)
     picked, total, flat_w, saved = kept
 
     def backward(g):
-        dx = np.zeros(x.shape)
+        dx = np.zeros(x_data.shape)
         dw = np.zeros(flat_w.shape)
         grads = []
-        for expert, rec in zip(experts, saved):
-            if rec is None:
+        for e, expert in enumerate(experts):
+            if saved[e] is None:
                 grads.extend([None] * 4)
                 continue
-            pairs, rows, y, ffn_saved = rec
+            pairs, rows, y, ffn_saved = saved[e]
+            saved[e] = None  # this expert's arrays go once it is done
             gr = g[rows]
             dw[pairs] = (gr * y).sum(axis=1)
             dxr, *expert_grads = expert.backward(
-                gr * flat_w[pairs][:, None], x.data[rows], ffn_saved
+                gr * flat_w[pairs][:, None], x_data[rows], ffn_saved
             )
             dx[rows] += dxr
             grads.extend(expert_grads)
         dw = dw.reshape(indices.shape)
         dpicked = dw / total + (-dw * picked / (total * total)).sum(axis=1, keepdims=True)
-        dprobs = np.zeros(probs.shape)
+        dprobs = np.zeros(probs_shape)
         np.add.at(dprobs, (np.arange(indices.shape[0])[:, None], indices), dpicked)
         return (dx, dprobs, *grads)
 

@@ -22,16 +22,23 @@ single graph nodes with hand-written backward passes:
   ``dpre = [(G W^T) * conv, dv] * (s + pre * s * (1 - s))``, and the two
   affines' gradients as in the FFN below.
 
-A node keeps only what its backward cannot rebuild, at no real cost, from
-its parents' data, which the graph holds anyway:
+A node keeps the arrays its backward reads, captured when it is recorded,
+and never a parent ``Tensor`` (see ``tensor``). Of those, it keeps only what
+the backward cannot rebuild at no real cost:
 
-- ``attend`` keeps ``P``; the backward pads Q, K and V again.
-- ``ConvGatedMLP`` keeps no shifted copies of v: the shifted ``dconv`` built
-  for ``dv`` gives ``dk_0`` and ``dk_2``, in the row order of the copies' sums.
-- ``tensor.layer_norm`` keeps the row statistics, not the normalized rows.
-- The FFN kernel keeps ``act`` and ``s``, not its input rows: its
-  backward takes ``x`` from the caller, and ``moe.expert_mixture``
-  gathers an expert's rows again rather than keep the gather.
+- ``attend`` keeps its inputs q, k and v, and ``P``; the backward pads
+  Q, K and V again.
+- ``ConvGatedMLP`` keeps its input, ``pre``, ``s`` and ``conv``; the backward
+  rebuilds ``u = pre * s`` and the gated product ``u[:, :D] * conv`` with the
+  forward's ufuncs. It keeps no shifted copies of v: the shifted ``dconv``
+  built for ``dv`` gives ``dk_0`` and ``dk_2``, in the row order of the
+  copies' sums.
+- ``tensor.layer_norm`` keeps its input and the row statistics, not the
+  normalized rows.
+- The FFN kernel keeps ``act`` and ``s``, not its input rows: its backward
+  takes ``x`` from the caller. ``FeedForward.__call__`` keeps ``x``, and
+  ``moe.expert_mixture`` keeps the layer's input once and gathers an
+  expert's rows again rather than keep the gather.
 
 The position-wise FFN, which is also one MoE expert, runs as one numpy
 kernel pair, ``FeedForward.forward`` and ``FeedForward.backward``.
@@ -161,16 +168,22 @@ class FeedForward(Module):
         every caller holds it anyway. ``s`` is the sigmoid of
         ``pre = x W1 + b1``. ``s + act * (1 - s)`` with ``act = pre * s`` is
         bit-identical to ``s + pre * s * (1 - s)``, which evaluates
-        ``pre * s`` first.
+        ``pre * s`` first. It and ``da`` are formed in one buffer: a product or
+        a sum of two floats does not depend on their order, so ``(1 - s) * act
+        + s``, times ``G W2^T``, is the same bits.
         """
         act, s = saved
-        da = (g @ self.lin2.weight.data.T) * (s + act * (1.0 - s))
+        da = 1.0 - s
+        da *= act
+        da += s
+        da *= g @ self.lin2.weight.data.T
         return da @ self.lin1.weight.data.T, x.T @ da, da.sum(axis=0), act.T @ g, g.sum(axis=0)
 
     def __call__(self, x: Tensor) -> Tensor:
         """The FFN as one graph node with parents ``(x, W1, b1, W2, b2)``."""
-        y, saved = self.forward(x.data)
-        return _record(y, (x, *self.weights), lambda g: self.backward(g, x.data, saved))
+        x_data = x.data
+        y, saved = self.forward(x_data)
+        return _record(y, (x, *self.weights), lambda g: self.backward(g, x_data, saved))
 
 
 class Segments:
@@ -339,12 +352,13 @@ def attend(
             f"attend: {qs.count} query segments over {qs.total} rows and {ks.count} key "
             f"segments over {ks.total} rows do not fit q={q.shape}, k={k.shape}"
         )
-    out, probs = attend_forward(q.data, k.data, v.data, heads, scale, mask, qs, ks)
+    q_data, k_data, v_data = q.data, k.data, v.data
+    out, probs = attend_forward(q_data, k_data, v_data, heads, scale, mask, qs, ks)
 
     def backward(g):
-        qh = _split_heads(qs.pad(q.data), heads)
-        kh = _split_heads(ks.pad(k.data), heads)
-        vh = _split_heads(ks.pad(v.data), heads)
+        qh = _split_heads(qs.pad(q_data), heads)
+        kh = _split_heads(ks.pad(k_data), heads)
+        vh = _split_heads(ks.pad(v_data), heads)
         gh = _split_heads(qs.pad(g), heads)
         dprobs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
         dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * scale
@@ -387,21 +401,26 @@ class ConvGatedMLP(Module):
 
     def forward(self, x: np.ndarray, segments: Segments) -> tuple[np.ndarray, tuple]:
         """The (rows, dim) output for packed (rows, dim) ``x``, and what ``backward``
-        needs besides ``x``: ``(pre, s, u, conv, gated)``."""
+        needs besides ``x``: ``(pre, s, conv)``."""
         pre = self.up.forward(x)
         u, s = silu_forward(pre)
         conv = depthwise3_forward(u[:, self.dim :], self.kernel.data, self.kernel_bias.data,
                                   segments)
-        gated = u[:, : self.dim] * conv
-        return self.down.forward(gated), (pre, s, u, conv, gated)
+        return self.down.forward(u[:, : self.dim] * conv), (pre, s, conv)
 
     def backward(
         self, g: np.ndarray, x: np.ndarray, saved: tuple, segments: Segments
     ) -> tuple[np.ndarray, ...]:
         """``dx`` and the gradients of ``weights`` for output gradient ``g``, by the ufuncs
-        of the affine, silu, narrow, conv, product and affine nodes, in their order."""
-        pre, s, u, conv, gated = saved
+        of the affine, silu, narrow, conv, product and affine nodes, in their order.
+
+        ``u = pre * s`` and ``gated = u[:, :D] * conv`` are rebuilt by the forward's
+        own ufuncs (``silu_forward`` forms ``pre * s``), so they are its bits.
+        """
+        pre, s, conv = saved
         d, taps = self.dim, self.kernel.data
+        u = pre * s
+        gated = u[:, :d] * conv
         dgated = g @ self.down.weight.data.T
         dconv = dgated * u[:, :d]
         gprev, gnext = segments.shift(dconv)
@@ -416,8 +435,9 @@ class ConvGatedMLP(Module):
         """The branch as one graph node with parents ``(x, *weights)``."""
         if segments.total != x.shape[0]:
             raise DimensionError(f"cgMLP: segments cover {segments.total} rows of {x.shape[0]}")
-        y, saved = self.forward(x.data, segments)
-        return _record(y, (x, *self.weights), lambda g: self.backward(g, x.data, saved, segments))
+        x_data = x.data
+        y, saved = self.forward(x_data, segments)
+        return _record(y, (x, *self.weights), lambda g: self.backward(g, x_data, saved, segments))
 
 
 @functools.lru_cache(maxsize=64)

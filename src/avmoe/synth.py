@@ -317,7 +317,11 @@ def read_task_spec(path) -> SyntheticTaskSpec:
     path = Path(path)
     if not path.exists():
         raise DataError(f"task spec not found: {path}")
-    return SyntheticTaskSpec.from_json(path.read_bytes())
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:  # a directory, or no permission
+        raise DataError(f"{path}: cannot read the task spec: {exc.strerror}") from exc
+    return SyntheticTaskSpec.from_json(blob)
 
 
 def load_task_spec_near(manifest_path) -> SyntheticTaskSpec | None:

@@ -1,19 +1,27 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation stores the parents it was computed from and a closure that
-maps the output gradient to parent gradients. ``Tensor.backward()`` on a
-scalar walks the recorded graph once in reverse topological order;
-gradients accumulate additively wherever a tensor fans out into several
-consumers. Everything is 64-bit: the test suite leans on tight
-finite-difference tolerances that float32 cannot meet.
+Every operation records a graph ``Node`` for its output: the nodes of the
+parents it was computed from and a closure that maps the output gradient to
+parent gradients. ``Tensor.backward()`` on a scalar walks the recorded graph
+once in reverse topological order; gradients accumulate additively wherever
+a tensor fans out into several consumers. Everything is 64-bit: the test
+suite leans on tight finite-difference tolerances that float32 cannot meet.
+
+A node holds its parents' vertices, not their data: a leaf ``Tensor``, such
+as a parameter, is its own vertex, and an op's output is its data-free
+``Node``. Its closure holds only what it reads, the arrays and shapes it
+captured at record time. So an output's ``data`` lives while the caller, or
+a backward that reads it, holds it: an ``add``'s operands go as soon as the
+forward code drops them, and an ``affine``'s input stays until the walk has
+formed the weight's gradient from it.
 
 The walk frees the graph as it goes. Once a node's closure has handed its
 gradients to the node's parents, the node drops the closure (and with it
 the arrays the forward saved for the backward), its parents and its own
 gradient. So after ``backward`` only the loss and the leaves hold a
-``grad``; every forward ``data`` stays. A walked node keeps a sentinel in
-place of its closure, and a later ``backward`` that reaches it raises
-``GraphError``: rebuild the graph for another pass.
+``grad``. A walked node keeps a sentinel in place of its closure, and a
+later ``backward`` that reaches it raises ``GraphError``: rebuild the graph
+for another pass.
 
 The engine keeps nine generic ops: ``add``, ``mul``, ``matmul``, ``affine``,
 ``tsum``, ``softmax_rows``, ``layer_norm``, ``concat`` and ``gather_rows``.
@@ -59,17 +67,60 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
-class Tensor:
-    """A dense float64 array plus an optional gradient buffer."""
+class Node:
+    """The graph vertex of an op's output, which holds none of the output's data.
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    ``_parents`` are the vertices of the op's operands: a leaf ``Tensor`` for a
+    parameter, another ``Node`` for an op's output, and ``_CONSTANT`` for an
+    operand that needs no gradient. ``_backward`` maps this vertex's gradient
+    to theirs, and ``_grad`` sums that gradient while a walk passes.
+    """
+
+    __slots__ = ("_grad", "_parents", "_backward")
+    requires_grad = True  # an op is recorded only when it needs a gradient
+
+    def __init__(self, parents: tuple, backward) -> None:
+        self._grad: np.ndarray | None = None
+        self._parents = parents
+        self._backward = backward
+
+
+class Tensor:
+    """A dense float64 array plus an optional gradient buffer.
+
+    A leaf, such as a parameter, is its own graph vertex. An op's output points
+    at the ``Node`` that ``_record`` made for it, and its ``grad``, ``_parents``
+    and ``_backward`` are that node's.
+    """
+
+    __slots__ = ("data", "requires_grad", "_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
+        self._grad: np.ndarray | None = None
+        self._node: Node | None = None
+
+    @property
+    def node(self) -> "Tensor | Node":
+        """This tensor's graph vertex: the leaf itself, or its op's ``Node``."""
+        return self if self._node is None else self._node
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.node._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self.node._grad = value
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], Sequence[np.ndarray | None]] | None:
+        return None if self._node is None else self._node._backward
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -104,9 +155,10 @@ class Tensor:
         if not self.requires_grad:
             raise GraphError("loss is detached: no gradient-tracked tensor feeds it")
 
-        order: list[Tensor] = []
+        root = self.node
+        order: list[Tensor | Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Tensor | Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -127,22 +179,22 @@ class Tensor:
         # those partial sums must not leak into this pass.
         for node in order:
             if node._backward is not None:
-                node.grad = None
-        self.grad = np.ones((), dtype=np.float64)
+                node._grad = None
+        root._grad = np.ones((), dtype=np.float64)
 
         for node in reversed(order):
             fn = node._backward
             if fn is None:
                 continue
-            if node.grad is not None:
-                for parent, g in zip(node._parents, fn(node.grad)):
+            if node._grad is not None:
+                for parent, g in zip(node._parents, fn(node._grad)):
                     if g is None or not parent.requires_grad:
                         continue
-                    parent.grad = g if parent.grad is None else parent.grad + g
+                    parent._grad = g if parent._grad is None else parent._grad + g
             node._backward = _spent
             node._parents = ()
-            if node is not self:
-                node.grad = None
+            if node is not root:
+                node._grad = None
 
     # -- operators ------------------------------------------------------
 
@@ -162,12 +214,20 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# The vertex in place of an operand that needs no gradient: the walk skips it, and
+# the operand's data is not kept for it.
+_CONSTANT = Tensor(0.0)
+
+
 def _record(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """``data`` as an op's output, with a ``Node`` over ``parents`` when one needs a
+    gradient. ``backward`` must capture the arrays and shapes it reads, not the
+    parent Tensors, so that an operand's data goes when no backward reads it."""
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+        out._node = Node(tuple(p.node if p.requires_grad else _CONSTANT for p in parents),
+                         backward)
     return out
 
 
@@ -186,19 +246,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
-    return _record(data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    a_shape, b_shape = a.shape, b.shape
+    return _record(data, (a, b), lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; an operand that needs no gradient, such as a
-    constant scale, gets ``None`` and costs the backward nothing."""
+    constant scale, gets ``None`` and costs the backward nothing. Each operand's
+    data is kept only for the other operand's gradient."""
     data = a.data * b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    a_shape, b_shape = a.shape, b.shape
+    a_data, b_data = a.data if need_b else None, b.data if need_a else None
 
     def backward(g):
         return (
-            _unbroadcast(g * b.data, a.shape) if need_a else None,
-            _unbroadcast(g * a.data, b.shape) if need_b else None,
+            _unbroadcast(g * b_data, a_shape) if need_a else None,
+            _unbroadcast(g * a_data, b_shape) if need_b else None,
         )
 
     return _record(data, (a, b), backward)
@@ -209,28 +273,32 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two rank-2 tensors; like ``mul``, an operand that needs
-    no gradient, such as a constant feature matrix, gets ``None``."""
+    no gradient, such as a constant feature matrix, gets ``None``. Each operand's
+    data is kept only for the other operand's gradient."""
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     data = a.data @ b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    a_data, b_data = a.data if need_b else None, b.data if need_a else None
 
     def backward(g):
-        return g @ b.data.T if need_a else None, a.data.T @ g if need_b else None
+        return g @ b_data.T if need_a else None, a_data.T @ g if need_b else None
 
     return _record(data, (a, b), backward)
 
 
 def affine(a: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Fused a @ weight + bias for rank-2 a and rank-1 bias; like ``matmul``, no
-    gradient for an operand that needs none."""
+    gradient for an operand that needs none. ``a``'s data is kept only for the
+    weight's gradient, and the weight's only for ``a``'s."""
     data = a.data @ weight.data + bias.data
     need_a, need_w, need_b = a.requires_grad, weight.requires_grad, bias.requires_grad
+    a_data, w_data = a.data if need_w else None, weight.data if need_a else None
 
     def backward(g):
         return (
-            g @ weight.data.T if need_a else None,
-            a.data.T @ g if need_w else None,
+            g @ w_data.T if need_a else None,
+            a_data.T @ g if need_w else None,
             g.sum(axis=0) if need_b else None,
         )
 
@@ -242,11 +310,12 @@ def affine(a: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 def tsum(a: Tensor, axis=None) -> Tensor:
     data = a.data.sum(axis=axis)
+    shape = a.shape
 
     def backward(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape),)
+            return (np.broadcast_to(g, shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape),)
 
     return _record(data, (a,), backward)
 
@@ -328,18 +397,19 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     The forward is ``layer_norm_forward``, and the node keeps only its two
     (rows, 1) statistics ``mean`` and ``inv = 1 / sqrt(var + LAYER_NORM_EPS)``
-    besides its parents. The backward rebuilds ``xhat = (x - mean) * inv`` from the
+    besides its input and gain. The backward rebuilds ``xhat = (x - mean) * inv`` from the
     input with the forward's two ufuncs, so it is the forward's ``xhat`` bit for bit.
     """
     dim = a.shape[-1]
     if dim < 2:
         raise ConfigError(f"layer_norm needs a normalized width >= 2, got {dim}")
-    data, mean, inv = layer_norm_forward(a.data, gain.data, bias.data)
+    x, gain_data = a.data, gain.data
+    data, mean, inv = layer_norm_forward(x, gain_data, bias.data)
 
     def backward(g):
-        xhat = a.data - mean
+        xhat = x - mean
         xhat *= inv
-        dxhat = g * gain.data
+        dxhat = g * gain_data
         dgain = (g * xhat).reshape(-1, dim).sum(axis=0)
         dbias = g.reshape(-1, dim).sum(axis=0)
         da = inv * (
@@ -373,9 +443,10 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise DataError(f"gather index out of range for {a.shape[0]} rows")
     data = a.data[idx]
+    shape = a.shape
 
     def backward(g):
-        full_grad = np.zeros_like(a.data)
+        full_grad = np.zeros(shape)
         np.add.at(full_grad, idx, g)
         return (full_grad,)
 

@@ -249,6 +249,32 @@ def test_manifest_it_cannot_read_exits_3(run, tmp_path, capsys, kind):
     assert str(manifest) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reader", ["spec", "config", "task-spec-near-manifest"])
+def test_file_that_is_a_directory_exits_3(run, tmp_path, capsys, reader):
+    # Each escaped as an IsADirectoryError traceback, exit 1.
+    if reader == "task-spec-near-manifest":  # a fresh run reads it before the manifest
+        manifest = tmp_path / "train.jsonl"
+        manifest.write_bytes((run / "corpus" / "train.jsonl").read_bytes())
+        directory = tmp_path / "task_spec.json"
+    else:
+        directory = tmp_path / f"{reader}.json"
+    directory.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    if reader == "spec":
+        code = generate(tmp_path / "out", spec=directory)
+    elif reader == "config":
+        code = train(run, tmp_path / "ckpt", str(directory))
+    else:
+        code = main(["train", "--manifest", str(manifest), "--config", str(run / "config.json"),
+                     "--ckpt-dir", str(tmp_path / "ckpt"), "--seed", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{directory}: cannot read the" in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # Each is refused before training starts. The error message quotes the
 # offending name, or says what a config file must hold.
 REJECTED_CONFIGS = {

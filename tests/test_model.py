@@ -130,7 +130,7 @@ def test_backward_frees_interior_grads_and_keeps_leaf_grads_bit_identical():
     total = routed_total_loss(model, utt)
     interior = [node for node in graph_nodes(total).values() if node is not total]
     total.backward()
-    assert interior and all(node.grad is None for node in interior)
+    assert interior and all(node._grad is None for node in interior)
     np.testing.assert_array_equal(total.grad, 1.0)
     assert all(w is not None for w in want)
     for p, w in zip(params, want):

@@ -1,5 +1,7 @@
 """Routing, sparse dispatch, and the balance loss."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -384,6 +386,31 @@ class TestExpertMixture:
             lambda: expert_mixture(x, decision.probs, decision.indices, layer.experts)[0]
         )
         assert retained <= kept
+
+    def test_backward_holds_one_expert_at_a_time(self):
+        tokens, experts, dim, hidden = 512, 8, 64, 256  # the default MoE layer's shape
+        layer = make_layer(num_experts=experts, top_k=4, hidden=dim, ffn_hidden=hidden)
+        rng = np.random.default_rng(29)
+        layer.router.data = rng.normal(size=(dim, experts))
+        x = Tensor(rng.normal(size=(tokens, dim)), requires_grad=True)
+        decision = layer.route(x)
+        g = rng.normal(size=(tokens, dim))
+        tracemalloc.start()
+        try:
+            out = expert_mixture(x, decision.probs, decision.indices, layer.experts)[0]
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grads = out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Each expert's output, act and s go once its backward is done, which more
+        # than pays for its four gradients. Kept to the end, they make the peak
+        # every gradient plus the last expert's temporaries, which are larger than
+        # one expert's act and s.
+        rows = np.bincount(decision.indices.reshape(-1)).max()
+        bound = rows * 2 * hidden * 8 + sum(a.nbytes for a in grads if a is not None)
+        assert peak - start <= bound
 
     def test_silent_expert_gets_no_gradient_and_no_adam_update(self):
         layer = make_layer(num_experts=4, top_k=2, hidden=4, ffn_hidden=6)

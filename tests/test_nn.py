@@ -466,7 +466,8 @@ class TestSegmentedDepthwise3:
         mlp, x = cgmlp_and_input(10 + len(lengths), seg.total)
         g = np.random.default_rng(len(lengths)).normal(size=(seg.total, 5))
         tsum(mlp(x, seg) * Tensor(g)).backward()
-        _pre, _s, u, _conv, _gated = mlp.forward(x.data, seg)[1]
+        pre, s, _conv = mlp.forward(x.data, seg)[1]
+        u = pre * s
         gate, conv_in = u[:, : mlp.dim], u[:, mlp.dim :]
         dconv = (g @ mlp.down.weight.data.T) * gate  # the gradient at the conv's output
         prev, nxt = shifted_copies(conv_in, seg)
@@ -478,9 +479,10 @@ class TestSegmentedDepthwise3:
         seg = Segments([200, 1, 311])
         mlp, x = cgmlp_and_input(11, seg.total, dim=64)
         # The conv keeps only its output, which the gate's product needs anyway.
-        # The node keeps pre, s and u (2 widths each), conv and gated: 8 widths a
-        # row. Shifted copies of the conv's input would add 2 x 256 KiB.
-        kept = 8 * seg.total * 64 * 8
+        # The node keeps pre and s (2 widths each) and conv: 5 widths a row. The
+        # backward rebuilds u (2 widths) and gated (1) from them. Shifted copies
+        # of the conv's input would add 2 x 256 KiB.
+        kept = 5 * seg.total * 64 * 8
         assert retained_bytes(lambda: mlp(x, seg)) <= kept
 
     def test_segments_must_cover_the_rows(self):

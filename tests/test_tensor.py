@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -259,6 +260,37 @@ class TestBackwardRules:
         with no_grad():
             out = tsum(w * 2.0)
         assert not out.requires_grad
+
+
+class TestWhatTheGraphKeeps:
+    """A node keeps the arrays its backward reads and no operand Tensor, so an op's
+    output lives only while the forward code, or a backward that reads it, holds it."""
+
+    def test_an_output_that_only_add_reads_goes_when_the_forward_drops_it(self):
+        w = Tensor(np.ones((4, 3)), requires_grad=True)
+        h = w * 2.0
+        output = weakref.ref(h.data)
+        loss = tsum(h + w)
+        del h
+        assert output() is None  # add's backward reads only the shapes
+        loss.backward()
+        np.testing.assert_array_equal(w.grad, 3.0)
+
+    @pytest.mark.parametrize("weight_needs_grad", [True, False])
+    def test_an_output_that_affine_reads_lives_until_backward(self, weight_needs_grad):
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        h = x * 2.0
+        output = weakref.ref(h.data)
+        weight = Tensor(np.ones((3, 2)), requires_grad=weight_needs_grad)
+        loss = tsum(affine(h, weight, Tensor(np.zeros(2))))
+        del h
+        # Only the weight's gradient reads the affine's input.
+        assert (output() is not None) == weight_needs_grad
+        loss.backward()
+        assert output() is None  # the walked node let it go
+        np.testing.assert_array_equal(x.grad, 4.0)
+        if weight_needs_grad:
+            np.testing.assert_array_equal(weight.grad, 8.0)
 
 
 class TestPointwiseGradients:
