@@ -2,9 +2,9 @@
 
 Each of the two objectives is one graph node whose parent is the logits. Its
 forward takes ``tensor.log_softmax_rows_forward`` of the logit rows; its
-backward forms the gradient ``G`` on those log-probabilities and replays the
-log-softmax backward on it, ``G - exp(log_probs) * G.sum(axis=-1,
-keepdims=True)``, as the separate log-softmax node did:
+backward forms the gradient ``G`` on those log-probabilities and maps it to
+the logits by ``tensor.log_softmax_rows_backward``, ``G - exp(log_probs) *
+rowsum(G)``, as the separate log-softmax node did:
 
 - attention: ``G`` is ``-g`` at each row's target id and 0 elsewhere;
 - CTC: a numpy alpha-beta pass (recursion in ``ctc_loss``) gives the loss
@@ -30,7 +30,14 @@ import numpy as np
 
 from .errors import CtcInfeasibleError, DataError
 from .moe import LoadStats, load_balance_loss
-from .tensor import LOG_ZERO, Tensor, _record, log_softmax_rows_forward
+from .tensor import (
+    LOG_ZERO,
+    Tensor,
+    _record,
+    log_softmax_rows_backward,
+    log_softmax_rows_forward,
+    scatter_add,
+)
 
 
 @dataclass
@@ -56,9 +63,8 @@ def attention_loss(logits: Tensor, targets: list[int]) -> Tensor:
     at_target = (np.arange(ids.shape[0]), ids)
 
     def backward(g):
-        full = np.zeros_like(log_probs)
-        np.add.at(full, at_target, -g)
-        return (full - np.exp(log_probs) * full.sum(axis=-1, keepdims=True),)
+        dlog_probs = scatter_add(log_probs.shape, at_target, -g)
+        return (log_softmax_rows_backward(dlog_probs, log_probs),)
 
     return _record(-np.asarray(log_probs[at_target].sum()), (logits,), backward)
 
@@ -170,8 +176,7 @@ def ctc_loss(
         # lattice would take.
         cell = frame_row[:, :, None] * vocab + ext[:, None, :]
         occupancy = np.bincount(cell[valid], weights=posterior, minlength=rows * vocab)
-        go = -g * occupancy.reshape(rows, vocab)
-        return (go - np.exp(log_probs) * go.sum(axis=-1, keepdims=True),)
+        return (log_softmax_rows_backward(-g * occupancy.reshape(rows, vocab), log_probs),)
 
     return _record(np.asarray(-log_like.sum()), (frame_logits,), backward)
 
@@ -202,15 +207,12 @@ def total_loss(
     alpha: float,
     beta: float,
 ) -> LossBundle:
-    """Compose the weighted objective: att + alpha*ctc + beta*mean(aux)."""
+    """Compose the weighted objective: att + alpha*ctc + beta*mean(aux). A model
+    without MoE layers passes no aux terms, and its objective is att + alpha*ctc."""
+    l_total = l_att + l_ctc * alpha
     if aux_per_layer:
-        l_aux = aux_per_layer[0]
-        for extra in aux_per_layer[1:]:
-            l_aux = l_aux + extra
-        l_aux = l_aux * (1.0 / len(aux_per_layer))
-    else:
-        l_aux = Tensor(0.0)
-    l_total = l_att + l_ctc * alpha + l_aux * beta
+        l_aux = sum(aux_per_layer[1:], aux_per_layer[0]) * (1.0 / len(aux_per_layer))
+        l_total = l_total + l_aux * beta
     return LossBundle(l_att=l_att, l_ctc=l_ctc, l_total=l_total)
 
 

@@ -54,7 +54,7 @@ import numpy as np
 from .errors import ConfigError
 from .fields import check_fields
 from .nn import FeedForward, Module
-from .tensor import Tensor, _record, matmul, softmax_rows, softmax_rows_forward, tsum
+from .tensor import Tensor, _record, matmul, scatter_add, softmax_rows, softmax_rows_forward, tsum
 
 
 @dataclass
@@ -104,8 +104,7 @@ class LoadStats:
 
     @staticmethod
     def merge(parts: list["LoadStats"]) -> "LoadStats":
-        if not parts:
-            raise ConfigError("cannot merge an empty list of load stats")
+        """The stats of the union of ``parts``, of which there is at least one."""
         counts = parts[0].hard_counts.copy()
         prob_sum = parts[0].prob_sum
         tokens = parts[0].tokens
@@ -196,9 +195,8 @@ def expert_mixture(
             grads.extend(expert_grads)
         dw = dw.reshape(indices.shape)
         dpicked = dw / total + (-dw * picked / (total * total)).sum(axis=1, keepdims=True)
-        dprobs = np.zeros(probs_shape)
-        np.add.at(dprobs, (np.arange(indices.shape[0])[:, None], indices), dpicked)
-        return (dx, dprobs, *grads)
+        at_picked = (np.arange(indices.shape[0])[:, None], indices)
+        return (dx, scatter_add(probs_shape, at_picked, dpicked), *grads)
 
     params = tuple(p for expert in experts for p in expert.weights)
     return _record(out, (x, probs) + params, backward), dispatched

@@ -19,8 +19,8 @@ single graph nodes with hand-written backward passes:
   ``y = (u[:, :D] * conv) W + e``. Backward, with s the sigmoid of ``pre``
   and ``dconv = (G W^T) * u[:, :D]``: ``dv[t] = dconv[t+1] k0 + dconv[t] k1
   + dconv[t-1] k2``, ``dk_j = sum_t v[t] dconv[t+1-j]``, ``db = colsum(dconv)``,
-  ``dpre = [(G W^T) * conv, dv] * (s + pre * s * (1 - s))``, and the two
-  affines' gradients as in the FFN below.
+  ``dpre = [(G W^T) * conv, dv] * silu'(pre)``, and the two affines'
+  gradients as in the FFN below.
 
 A node keeps the arrays its backward reads, captured when it is recorded,
 and never a parent ``Tensor`` (see ``tensor``). Of those, it keeps only what
@@ -28,11 +28,10 @@ the backward cannot rebuild at no real cost:
 
 - ``attend`` keeps its inputs q, k and v, and ``P``; the backward pads
   Q, K and V again.
-- ``ConvGatedMLP`` keeps its input, ``pre``, ``s`` and ``conv``; the backward
-  rebuilds ``u = pre * s`` and the gated product ``u[:, :D] * conv`` with the
-  forward's ufuncs. It keeps no shifted copies of v: the shifted ``dconv``
-  built for ``dv`` gives ``dk_0`` and ``dk_2``, in the row order of the
-  copies' sums.
+- ``ConvGatedMLP`` keeps its input, ``u``, ``s`` and ``conv``; the backward
+  rebuilds the gated product ``u[:, :D] * conv`` with the forward's ufunc. It
+  keeps no shifted copies of v: the shifted ``dconv`` built for ``dv`` gives
+  ``dk_0`` and ``dk_2``, in the row order of the copies' sums.
 - ``tensor.layer_norm`` keeps its input and the row statistics, not the
   normalized rows.
 - The FFN kernel keeps ``act`` and ``s``, not its input rows: its backward
@@ -56,6 +55,10 @@ Backward, with G the output gradient:
 ``silu'`` comes from what the forward saved besides ``a``: with s the
 sigmoid of ``x W1 + b1``, it is ``s + a * (1 - s)``.
 
+Both kernels' backwards, and ``attend``'s, call the array backwards of
+``tensor`` (``affine_backward``, ``silu_backward``, ``softmax_rows_backward``)
+rather than write those derivatives out again.
+
 ``Linear``, ``LayerNorm``, ``MultiHeadAttention`` and ``ConvGatedMLP`` have a
 ``forward`` on arrays through their graph ops' kernels, such as ``attend_forward``:
 inference (``EncoderBlock.forward``, ``Model._decode_step``) runs on them.
@@ -74,9 +77,12 @@ from .tensor import (
     Tensor,
     _record,
     affine,
+    affine_backward,
     layer_norm,
     layer_norm_forward,
+    silu_backward,
     silu_forward,
+    softmax_rows_backward,
     softmax_rows_forward,
 )
 
@@ -165,19 +171,14 @@ class FeedForward(Module):
         """``dx, dW1, db1, dW2, db2`` for output gradient ``g`` of ``forward(x)``.
 
         The caller passes ``x`` again rather than the forward saving it, since
-        every caller holds it anyway. ``s`` is the sigmoid of
-        ``pre = x W1 + b1``. ``s + act * (1 - s)`` with ``act = pre * s`` is
-        bit-identical to ``s + pre * s * (1 - s)``, which evaluates
-        ``pre * s`` first. It and ``da`` are formed in one buffer: a product or
-        a sum of two floats does not depend on their order, so ``(1 - s) * act
-        + s``, times ``G W2^T``, is the same bits.
+        every caller holds it anyway. ``s`` is the sigmoid of ``pre = x W1 + b1``.
         """
         act, s = saved
-        da = 1.0 - s
-        da *= act
-        da += s
-        da *= g @ self.lin2.weight.data.T
-        return da @ self.lin1.weight.data.T, x.T @ da, da.sum(axis=0), act.T @ g, g.sum(axis=0)
+        dact, dw2 = affine_backward(g, act, self.lin2.weight.data)
+        da = silu_backward(dact, act, s)
+        del dact  # goes before the first layer's two GEMMs, as its temporary did
+        return (*affine_backward(da, x, self.lin1.weight.data), da.sum(axis=0), dw2,
+                g.sum(axis=0))
 
     def __call__(self, x: Tensor) -> Tensor:
         """The FFN as one graph node with parents ``(x, W1, b1, W2, b2)``."""
@@ -360,8 +361,7 @@ def attend(
         kh = _split_heads(ks.pad(k_data), heads)
         vh = _split_heads(ks.pad(v_data), heads)
         gh = _split_heads(qs.pad(g), heads)
-        dprobs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
-        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * scale
+        dscores = softmax_rows_backward(np.matmul(gh, vh.transpose(0, 1, 3, 2)), probs) * scale
         dq = np.matmul(dscores, kh)
         dk = np.matmul(dscores.transpose(0, 1, 3, 2), qh)
         dv = np.matmul(probs.transpose(0, 1, 3, 2), gh)
@@ -401,12 +401,11 @@ class ConvGatedMLP(Module):
 
     def forward(self, x: np.ndarray, segments: Segments) -> tuple[np.ndarray, tuple]:
         """The (rows, dim) output for packed (rows, dim) ``x``, and what ``backward``
-        needs besides ``x``: ``(pre, s, conv)``."""
-        pre = self.up.forward(x)
-        u, s = silu_forward(pre)
+        needs besides ``x``: ``(u, s, conv)``."""
+        u, s = silu_forward(self.up.forward(x))
         conv = depthwise3_forward(u[:, self.dim :], self.kernel.data, self.kernel_bias.data,
                                   segments)
-        return self.down.forward(u[:, : self.dim] * conv), (pre, s, conv)
+        return self.down.forward(u[:, : self.dim] * conv), (u, s, conv)
 
     def backward(
         self, g: np.ndarray, x: np.ndarray, saved: tuple, segments: Segments
@@ -414,22 +413,19 @@ class ConvGatedMLP(Module):
         """``dx`` and the gradients of ``weights`` for output gradient ``g``, by the ufuncs
         of the affine, silu, narrow, conv, product and affine nodes, in their order.
 
-        ``u = pre * s`` and ``gated = u[:, :D] * conv`` are rebuilt by the forward's
-        own ufuncs (``silu_forward`` forms ``pre * s``), so they are its bits.
+        ``gated = u[:, :D] * conv`` is rebuilt by the forward's own ufunc, so it is
+        its bits.
         """
-        pre, s, conv = saved
+        u, s, conv = saved
         d, taps = self.dim, self.kernel.data
-        u = pre * s
-        gated = u[:, :d] * conv
-        dgated = g @ self.down.weight.data.T
+        dgated, dw_down = affine_backward(g, u[:, :d] * conv, self.down.weight.data)
         dconv = dgated * u[:, :d]
         gprev, gnext = segments.shift(dconv)
         dconv_in = gnext * taps[0] + dconv * taps[1] + gprev * taps[2]
         dk = np.stack([(u[:, d:] * gs).sum(axis=0) for gs in (gnext, dconv, gprev)])
-        du = np.concatenate([dgated * conv, dconv_in], axis=1)
-        dpre = du * (s + pre * s * (1.0 - s))
-        return (dpre @ self.up.weight.data.T, x.T @ dpre, dpre.sum(axis=0), dk,
-                dconv.sum(axis=0), gated.T @ g, g.sum(axis=0))
+        dpre = silu_backward(np.concatenate([dgated * conv, dconv_in], axis=1), u, s)
+        return (*affine_backward(dpre, x, self.up.weight.data), dpre.sum(axis=0), dk,
+                dconv.sum(axis=0), dw_down, g.sum(axis=0))
 
     def __call__(self, x: Tensor, segments: Segments) -> Tensor:
         """The branch as one graph node with parents ``(x, *weights)``."""

@@ -50,7 +50,7 @@ class Adam:
                         f"Adam moments of {name} do not fit: param {p.data.shape}, "
                         f"m {self.m[name].shape}, v {self.v[name].shape}"
                     )
-        size = max((p.data.size for _, p in self.params), default=0)
+        size = max(p.data.size for _, p in self.params)
         self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, t: int, warm: float) -> None:

@@ -30,6 +30,10 @@ through ``_record`` instead: attention (``nn.attend``), the FFN and cgMLP
 branches, MoE dispatch and both training objectives (``losses``). Their
 array forwards, such as ``softmax_rows_forward`` and
 ``log_softmax_rows_forward`` here, also serve inference under ``no_grad``.
+Each derivative that a generic op and a fused node share is written once here
+as an array backward, which both call: ``affine_backward``, ``silu_backward``,
+``softmax_rows_backward``, ``log_softmax_rows_backward`` and ``scatter_add``,
+the backward of a gather.
 """
 
 from __future__ import annotations
@@ -278,13 +282,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     data = a.data @ b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
-    a_data, b_data = a.data if need_b else None, b.data if need_a else None
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
+    return _record(data, (a, b), lambda g: affine_backward(g, a_data, b_data))
 
-    def backward(g):
-        return g @ b_data.T if need_a else None, a_data.T @ g if need_b else None
 
-    return _record(data, (a, b), backward)
+def affine_backward(
+    g: np.ndarray, a: np.ndarray | None, w: np.ndarray | None
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The gradients ``g @ w.T`` and ``a.T @ g`` of ``a`` and ``w`` in ``a @ w (+ b)``
+    for output gradient ``g``. Each needs the other operand, so passing ``w`` or
+    ``a`` as ``None`` gives ``None`` for the gradient that reads it. A caller with a
+    bias sums ``g``'s columns for it."""
+    return None if w is None else g @ w.T, None if a is None else a.T @ g
 
 
 def affine(a: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -292,15 +302,12 @@ def affine(a: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     gradient for an operand that needs none. ``a``'s data is kept only for the
     weight's gradient, and the weight's only for ``a``'s."""
     data = a.data @ weight.data + bias.data
-    need_a, need_w, need_b = a.requires_grad, weight.requires_grad, bias.requires_grad
-    a_data, w_data = a.data if need_w else None, weight.data if need_a else None
+    need_b = bias.requires_grad
+    a_data = a.data if weight.requires_grad else None
+    w_data = weight.data if a.requires_grad else None
 
     def backward(g):
-        return (
-            g @ w_data.T if need_a else None,
-            a_data.T @ g if need_w else None,
-            g.sum(axis=0) if need_b else None,
-        )
+        return (*affine_backward(g, a_data, w_data), g.sum(axis=0) if need_b else None)
 
     return _record(data, (a, weight, bias), backward)
 
@@ -334,6 +341,22 @@ def silu_forward(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a * s, s
 
 
+def silu_backward(g: np.ndarray, act: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The gradient of ``silu``'s input for output gradient ``g``, from what
+    ``silu_forward`` returned: ``act = a * s`` and the sigmoid ``s``.
+
+    ``silu'(a) = s + a * s * (1 - s)``, and ``(1 - s) * act + s`` is the same
+    bits, since it forms ``a * s`` as ``act`` first and a product or a sum of two
+    floats does not depend on their order. It and the product with ``g`` are
+    formed in one buffer.
+    """
+    da = 1.0 - s
+    da *= act
+    da += s
+    da *= g
+    return da
+
+
 # -- row-wise softmax family ---------------------------------------------------
 
 
@@ -346,21 +369,27 @@ def softmax_rows_forward(a: np.ndarray) -> np.ndarray:
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax along the last axis, stabilized by per-row max subtraction."""
     y = softmax_rows_forward(a.data)
+    return _record(y, (a,), lambda g: (softmax_rows_backward(g, y),))
 
-    def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
 
-    return _record(y, (a,), backward)
+def softmax_rows_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The gradient of the rows whose softmax is ``y``, for output gradient ``g``:
+    ``y * (g - rowsum(g * y))``."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
 def log_softmax_rows_forward(a: np.ndarray) -> np.ndarray:
     """Log-softmax along the last axis of an array, stabilized by per-row max
-    subtraction. Its backward, which both loss nodes of ``losses`` replay, is
-    ``g - exp(out) * g.sum(axis=-1, keepdims=True)``."""
+    subtraction. Its backward is ``log_softmax_rows_backward``."""
     shifted = a - a.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted - lse
+
+
+def log_softmax_rows_backward(g: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
+    """The gradient of the rows whose log-softmax is ``log_probs``, for output
+    gradient ``g``: ``g - exp(log_probs) * rowsum(g)``."""
+    return g - np.exp(log_probs) * g.sum(axis=-1, keepdims=True)
 
 
 # -- normalization --------------------------------------------------------------
@@ -442,13 +471,14 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise DataError(f"gather index out of range for {a.shape[0]} rows")
-    data = a.data[idx]
     shape = a.shape
+    return _record(a.data[idx], (a,), lambda g: (scatter_add(shape, idx, g),))
 
-    def backward(g):
-        full_grad = np.zeros(shape)
-        np.add.at(full_grad, idx, g)
-        return (full_grad,)
 
-    return _record(data, (a,), backward)
+def scatter_add(shape: tuple[int, ...], index, g: np.ndarray) -> np.ndarray:
+    """The backward of the gather ``a[index]`` from an array of ``shape``: ``g``
+    added into zeros at ``index``, so a repeated index sums its gradients."""
+    full = np.zeros(shape)
+    np.add.at(full, index, g)
+    return full
 

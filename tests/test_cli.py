@@ -352,6 +352,20 @@ def test_settable_surface_is_pinned(tmp_path):
     }
 
 
+def test_default_config_builds_the_default_recipe():
+    args = argparse.Namespace(config="default", seed=5, audio_only=False)
+    model_cfg, train_cfg, chosen = _build_train_configs(args)
+    # vocab_size and visual_dim come from the task spec when training starts.
+    assert model_cfg == ModelConfig(vocab_size=0, visual_dim=0, hidden=64, heads=4, d_ff=256,
+                                    encoder_blocks=4, decoder_blocks=2, n_mels=80,
+                                    stack_factor=4,
+                                    moe=MoEConfig(num_experts=8, top_k=4, hidden=64,
+                                                  ffn_hidden=256))
+    assert train_cfg == TrainConfig(epochs=20, batch_size=16, lr=3e-4, warmup_steps=100,
+                                    seed=5, audio_only=False)
+    assert chosen == ["train.seed"]
+
+
 def test_checkpoint_with_bad_magic_exits_3(run):
     ckpt = run / "bad_magic.ckpt"
     ckpt.write_bytes(b"EVACKPT0\n" + (run / "full" / "final.ckpt").read_bytes()[9:])

@@ -1,6 +1,6 @@
 """Both training objectives: the attention loss against a per-row numpy NLL and CTC
-against brute-force path enumeration, their gradients and input checks, and each
-loss node against the graph nodes it replaced."""
+against brute-force path enumeration, their gradients and input checks, each
+loss node against the graph nodes it replaced, and the weighted total."""
 
 import itertools
 
@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from avmoe.errors import CtcInfeasibleError, DataError
-from avmoe.losses import _ctc_alpha, attention_loss, ctc_loss, extended_labels, min_frames_for
+from avmoe.losses import (
+    _ctc_alpha, attention_loss, ctc_loss, extended_labels, min_frames_for, total_loss,
+)
 from avmoe.tensor import LOG_ZERO, Tensor, _record, tsum
 
 from helpers import check_grad, log_softmax_rows, neg, reshape, take_along_cols
@@ -283,3 +285,35 @@ class TestLossNodesAreBitIdenticalToTheNodesTheyReplaced:
         )
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+
+
+class TestTotalLoss:
+    """``total_loss`` against ``att + alpha * ctc + beta * mean(aux)``, formed here
+    from plain floats."""
+
+    ALPHA, BETA = 0.3, 0.01
+
+    @pytest.mark.parametrize("layers", [2, 3])
+    def test_moe_layers_are_averaged(self, layers):
+        rng = np.random.default_rng(90 + layers)
+        att, ctc, *aux = (Tensor(v, requires_grad=True) for v in rng.uniform(0.5, 3.0, layers + 2))
+        bundle = total_loss(att, ctc, aux, self.ALPHA, self.BETA)
+        want = (att.item() + self.ALPHA * ctc.item()
+                + self.BETA * sum(a.item() for a in aux) / layers)
+        assert bundle.l_att is att and bundle.l_ctc is ctc
+        assert abs(bundle.l_total.item() - want) <= 1e-15 * want
+        bundle.l_total.backward()
+        assert att.grad == 1.0 and ctc.grad == self.ALPHA
+        # Each layer's balance loss weighs beta / L: no layer is dropped or counted twice.
+        for a in aux:
+            assert abs(a.grad - self.BETA / layers) <= 1e-15 * self.BETA
+
+    def test_dense_model_adds_no_aux_term(self):
+        att, ctc = Tensor(1.7, requires_grad=True), Tensor(2.9, requires_grad=True)
+        bundle = total_loss(att, ctc, [], self.ALPHA, self.BETA)
+        want = att + ctc * self.ALPHA
+        np.testing.assert_array_equal(bundle.l_total.data, want.data)
+        # Its graph is that sum: an add node over att and the product node of ctc,
+        # with no add node above them for a zero aux term.
+        att_vertex, product = bundle.l_total.node._parents
+        assert att_vertex is att and product._parents[0] is ctc

@@ -496,3 +496,16 @@ class TestBalanceLoss:
             MoEConfig(num_experts=4, top_k=5).validate()
         with pytest.raises(ConfigError):
             MoEConfig(top_k=0).validate()
+
+
+def test_default_recipe_is_pinned():
+    # The paper-scale layer: 8 SiLU experts, each token to its top 4, widths 64 and 256.
+    assert MoEConfig() == MoEConfig(num_experts=8, top_k=4, hidden=64, ffn_hidden=256)
+
+
+def test_config_at_its_lower_bounds_is_valid():
+    MoEConfig(num_experts=1, top_k=1, hidden=1, ffn_hidden=1).validate()
+    for field in ("num_experts", "hidden", "ffn_hidden"):
+        bounds = {"num_experts": 1, "top_k": 1, "hidden": 1, "ffn_hidden": 1, field: 0}
+        with pytest.raises(ConfigError):
+            MoEConfig(**bounds).validate()

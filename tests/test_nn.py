@@ -466,8 +466,7 @@ class TestSegmentedDepthwise3:
         mlp, x = cgmlp_and_input(10 + len(lengths), seg.total)
         g = np.random.default_rng(len(lengths)).normal(size=(seg.total, 5))
         tsum(mlp(x, seg) * Tensor(g)).backward()
-        pre, s, _conv = mlp.forward(x.data, seg)[1]
-        u = pre * s
+        u, _s, _conv = mlp.forward(x.data, seg)[1]
         gate, conv_in = u[:, : mlp.dim], u[:, mlp.dim :]
         dconv = (g @ mlp.down.weight.data.T) * gate  # the gradient at the conv's output
         prev, nxt = shifted_copies(conv_in, seg)
@@ -479,9 +478,9 @@ class TestSegmentedDepthwise3:
         seg = Segments([200, 1, 311])
         mlp, x = cgmlp_and_input(11, seg.total, dim=64)
         # The conv keeps only its output, which the gate's product needs anyway.
-        # The node keeps pre and s (2 widths each) and conv: 5 widths a row. The
-        # backward rebuilds u (2 widths) and gated (1) from them. Shifted copies
-        # of the conv's input would add 2 x 256 KiB.
+        # The node keeps u and s (2 widths each) and conv: 5 widths a row. The
+        # backward rebuilds gated (1 width) from them. Shifted copies of the
+        # conv's input would add 2 x 256 KiB.
         kept = 5 * seg.total * 64 * 8
         assert retained_bytes(lambda: mlp(x, seg)) <= kept
 

@@ -1,5 +1,7 @@
 """One packed training step against the per-utterance losses it replaces."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from avmoe.moe import MoEConfig
 from avmoe.optim import Adam
 from avmoe.tensor import Tensor
 from avmoe.train import (
-    TrainConfig, TrainState, Utterance, _train_batch, batch_losses, utterance_losses,
+    TrainConfig, TrainState, Utterance, _train_batch, batch_losses, model_config_from_json,
+    model_config_json, utterance_losses,
 )
 
 from helpers import ADAM_CONSTANTS, expression_adam_step
@@ -169,3 +172,13 @@ def test_infeasible_ctc_target_names_its_utterance():
     batch[2].target_ids = [5] * 40  # far more labels than the 12 speech rows
     with pytest.raises(DataError, match="utterance u2:"):
         batch_losses(model, batch)
+
+
+@pytest.mark.parametrize("moe", [True, False])
+def test_model_config_json_round_trips(moe):
+    cfg = moe_model(0).cfg
+    if not moe:
+        cfg = ModelConfig(vocab_size=9, hidden=8, heads=2, d_ff=16, n_mels=6)
+    text = model_config_json(cfg)
+    assert model_config_from_json(json.loads(text)) == cfg
+    assert text == json.dumps(json.loads(text), sort_keys=True)  # one text per config
