@@ -499,7 +499,7 @@ class TestBalanceLoss:
 
 
 def test_default_recipe_is_pinned():
-    # The paper-scale layer: 8 SiLU experts, each token to its top 4, widths 64 and 256.
+    # The layer that `--config default` trains: 8 experts, top 4, widths 64 and 256.
     assert MoEConfig() == MoEConfig(num_experts=8, top_k=4, hidden=64, ffn_hidden=256)
 
 
