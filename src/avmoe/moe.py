@@ -34,9 +34,12 @@ parameter gradients, and
 
 added into zeros at ``P[i, indices[i]]``: the backward of a gather, a row
 sum and a quotient, in that order. The backward takes the experts in
-ascending order, and each expert's arrays (its pair ids, rows, output and
-FFN record) go as soon as that expert is done: the backward holds the
-records of the experts still to come and the temporaries of one.
+ascending order. An expert's record is ``(pairs, rows, y, s)``: its pair
+ids, rows, unweighted output and the sigmoid its FFN keeps. The FFN's
+backward rebuilds its activation from ``x[R_e]`` and ``s``, at one
+``(rows, D) x (D, hidden)`` GEMM. Each record goes as soon as that expert
+is done: the backward holds the records of the experts still to come and
+the temporaries of one.
 
 The FFN kernel and its formulas are in ``nn``: ``FeedForward.forward`` and
 ``FeedForward.backward``.
@@ -184,13 +187,11 @@ def expert_mixture(
             if saved[e] is None:
                 grads.extend([None] * 4)
                 continue
-            pairs, rows, y, ffn_saved = saved[e]
+            pairs, rows, y, s = saved[e]
             saved[e] = None  # this expert's arrays go once it is done
             gr = g[rows]
             dw[pairs] = (gr * y).sum(axis=1)
-            dxr, *expert_grads = expert.backward(
-                gr * flat_w[pairs][:, None], x_data[rows], ffn_saved
-            )
+            dxr, *expert_grads = expert.backward(gr * flat_w[pairs][:, None], x_data[rows], s)
             dx[rows] += dxr
             grads.extend(expert_grads)
         dw = dw.reshape(indices.shape)
@@ -213,8 +214,8 @@ def expert_mixture_forward(
     order = np.argsort(indices.reshape(-1), kind="stable")  # flat (token, slot) ids
     bounds = np.searchsorted(indices.reshape(-1)[order], np.arange(len(experts) + 1))
     out = np.zeros(x.shape)
-    # Per expert: (pair ids, rows, unweighted output, what its FFN backward needs
-    # besides its input rows). The backward gathers x[rows] again.
+    # Per expert: (pair ids, rows, unweighted output, the sigmoid its FFN backward
+    # needs besides its input rows). The backward gathers x[rows] again.
     saved, dispatched = [], 0
     for e, expert in enumerate(experts):
         pairs = order[bounds[e] : bounds[e + 1]]
@@ -223,9 +224,9 @@ def expert_mixture_forward(
             continue
         dispatched += pairs.size
         rows = pairs // indices.shape[1]
-        y, ffn_saved = expert.forward(x[rows])
+        y, s = expert.forward(x[rows])
         out[rows] += y * flat_w[pairs][:, None]
-        saved.append((pairs, rows, y, ffn_saved))
+        saved.append((pairs, rows, y, s))
     return out, (picked, total, flat_w, saved), dispatched
 
 

@@ -28,16 +28,25 @@ the backward cannot rebuild at no real cost:
 
 - ``attend`` keeps its inputs q, k and v, and ``P``; the backward pads
   Q, K and V again.
-- ``ConvGatedMLP`` keeps its input, ``u``, ``s`` and ``conv``; the backward
-  rebuilds the gated product ``u[:, :D] * conv`` with the forward's ufunc. It
-  keeps no shifted copies of v: the shifted ``dconv`` built for ``dv`` gives
-  ``dk_0`` and ``dk_2``, in the row order of the copies' sums.
+- ``ConvGatedMLP`` keeps its input, ``s`` and ``conv``; the backward
+  rebuilds ``u`` (see below) and the gated product ``u[:, :D] * conv`` with
+  the forward's ufunc. It keeps no shifted copies of v: the shifted
+  ``dconv`` built for ``dv`` gives ``dk_0`` and ``dk_2``, in the row order
+  of the copies' sums.
 - ``tensor.layer_norm`` keeps its input and the row statistics, not the
   normalized rows.
-- The FFN kernel keeps ``act`` and ``s``, not its input rows: its backward
-  takes ``x`` from the caller. ``FeedForward.__call__`` keeps ``x``, and
+- The FFN kernel keeps only ``s``, not its input rows: its backward takes
+  ``x`` from the caller. ``FeedForward.__call__`` keeps ``x``, and
   ``moe.expert_mixture`` keeps the layer's input once and gathers an
   expert's rows again rather than keep the gather.
+
+A SiLU in either kernel keeps only its sigmoid ``s``, not its output
+``pre * s``. The backward rebuilds that output from the input the node keeps,
+with the forward's own first affine and product (``self.lin1.forward(x) * s``,
+``self.up.forward(x) * s``), so it is the forward's bits. This is activation
+recomputation (Chen et al., arXiv 1604.06174). It halves what each SiLU keeps
+and costs one GEMM of the first affine per node in the backward, about 2-5% of
+a training epoch on the default model.
 
 The position-wise FFN, which is also one MoE expert, runs as one numpy
 kernel pair, ``FeedForward.forward`` and ``FeedForward.backward``.
@@ -52,8 +61,9 @@ Backward, with G the output gradient:
     da  = (G W2^T) * silu'(x W1 + b1)
     dW1 = x^T da,   db1 = colsum(da),   dx = da W1^T
 
-``silu'`` comes from what the forward saved besides ``a``: with s the
-sigmoid of ``x W1 + b1``, it is ``s + a * (1 - s)``.
+The forward keeps only s, the sigmoid of ``x W1 + b1``. The backward
+rebuilds ``a = (x W1 + b1) * s`` from it and the caller's ``x``, and
+``silu'`` is ``s + a * (1 - s)``.
 
 Both kernels' backwards, and ``attend``'s, call the array backwards of
 ``tensor`` (``affine_backward``, ``silu_backward``, ``softmax_rows_backward``)
@@ -161,30 +171,33 @@ class FeedForward(Module):
         """``W1, b1, W2, b2``, in the order ``backward`` returns their gradients."""
         return self.lin1.weight, self.lin1.bias, self.lin2.weight, self.lin2.bias
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """The (rows, dim) output for (rows, dim) ``x``, and what ``backward``
-        needs besides ``x``: ``(act, s)``."""
-        act, s = silu_forward(x @ self.lin1.weight.data + self.lin1.bias.data)
-        return act @ self.lin2.weight.data + self.lin2.bias.data, (act, s)
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (rows, dim) output for (rows, dim) ``x``, and all that ``backward``
+        needs besides ``x``: the sigmoid ``s`` of ``pre = x W1 + b1``."""
+        act, s = silu_forward(self.lin1.forward(x))
+        return self.lin2.forward(act), s
 
-    def backward(self, g: np.ndarray, x: np.ndarray, saved: tuple) -> tuple[np.ndarray, ...]:
-        """``dx, dW1, db1, dW2, db2`` for output gradient ``g`` of ``forward(x)``.
+    def backward(self, g: np.ndarray, x: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``dx, dW1, db1, dW2, db2`` for output gradient ``g`` of ``forward(x)``,
+        whose second output is ``s``.
 
         The caller passes ``x`` again rather than the forward saving it, since
-        every caller holds it anyway. ``s`` is the sigmoid of ``pre = x W1 + b1``.
+        every caller holds it anyway. ``act = pre * s`` is rebuilt from ``x`` by the
+        forward's own first affine and product, so it is the forward's bits; this
+        costs one (rows, dim) x (dim, hidden) GEMM.
         """
-        act, s = saved
+        act = self.lin1.forward(x) * s
         dact, dw2 = affine_backward(g, act, self.lin2.weight.data)
         da = silu_backward(dact, act, s)
-        del dact  # goes before the first layer's two GEMMs, as its temporary did
+        del dact, act  # go before the first layer's two GEMMs
         return (*affine_backward(da, x, self.lin1.weight.data), da.sum(axis=0), dw2,
                 g.sum(axis=0))
 
     def __call__(self, x: Tensor) -> Tensor:
         """The FFN as one graph node with parents ``(x, W1, b1, W2, b2)``."""
         x_data = x.data
-        y, saved = self.forward(x_data)
-        return _record(y, (x, *self.weights), lambda g: self.backward(g, x_data, saved))
+        y, s = self.forward(x_data)
+        return _record(y, (x, *self.weights), lambda g: self.backward(g, x_data, s))
 
 
 class Segments:
@@ -401,11 +414,11 @@ class ConvGatedMLP(Module):
 
     def forward(self, x: np.ndarray, segments: Segments) -> tuple[np.ndarray, tuple]:
         """The (rows, dim) output for packed (rows, dim) ``x``, and what ``backward``
-        needs besides ``x``: ``(u, s, conv)``."""
+        needs besides ``x``: ``(s, conv)``, with s the sigmoid of ``pre = x U + c``."""
         u, s = silu_forward(self.up.forward(x))
         conv = depthwise3_forward(u[:, self.dim :], self.kernel.data, self.kernel_bias.data,
                                   segments)
-        return self.down.forward(u[:, : self.dim] * conv), (u, s, conv)
+        return self.down.forward(u[:, : self.dim] * conv), (s, conv)
 
     def backward(
         self, g: np.ndarray, x: np.ndarray, saved: tuple, segments: Segments
@@ -413,10 +426,12 @@ class ConvGatedMLP(Module):
         """``dx`` and the gradients of ``weights`` for output gradient ``g``, by the ufuncs
         of the affine, silu, narrow, conv, product and affine nodes, in their order.
 
-        ``gated = u[:, :D] * conv`` is rebuilt by the forward's own ufunc, so it is
-        its bits.
+        ``u = pre * s`` is rebuilt from ``x`` by the forward's own up affine and
+        product, at the cost of one (rows, D) x (D, 2D) GEMM, and ``gated = u[:, :D]
+        * conv`` by the forward's own ufunc, so both are the forward's bits.
         """
-        u, s, conv = saved
+        s, conv = saved
+        u = self.up.forward(x) * s
         d, taps = self.dim, self.kernel.data
         dgated, dw_down = affine_backward(g, u[:, :d] * conv, self.down.weight.data)
         dconv = dgated * u[:, :d]

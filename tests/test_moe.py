@@ -378,10 +378,11 @@ class TestExpertMixture:
         x = Tensor(rng.normal(size=(tokens, dim)), requires_grad=True)
         decision = layer.route(x)
         pairs = tokens * top_k
-        # Per (token, expert) pair: the expert's output row, its act and s rows,
-        # the pair id, the row index, and the chosen probability and its weight;
-        # per token, the chosen probabilities' sum. x[rows] would add pairs * dim floats.
-        kept = pairs * (dim + 2 * hidden) * 8 + 4 * pairs * 8 + tokens * 8
+        # Per (token, expert) pair: the expert's output row, its s row, the pair
+        # id, the row index, and the chosen probability and its weight; per token,
+        # the chosen probabilities' sum. x[rows] would add pairs * dim floats, and
+        # the act rows that the backward rebuilds pairs * hidden.
+        kept = pairs * (dim + hidden) * 8 + 4 * pairs * 8 + tokens * 8
         retained = retained_bytes(
             lambda: expert_mixture(x, decision.probs, decision.indices, layer.experts)[0]
         )
@@ -404,10 +405,10 @@ class TestExpertMixture:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Each expert's output, act and s go once its backward is done, which more
-        # than pays for its four gradients. Kept to the end, they make the peak
-        # every gradient plus the last expert's temporaries, which are larger than
-        # one expert's act and s.
+        # Each expert's output and s go once its backward is done, which more than
+        # pays for its four gradients. Kept to the end, they make the peak every
+        # gradient plus the last expert's temporaries (its rebuilt act among them),
+        # which are larger than two hidden widths of its rows.
         rows = np.bincount(decision.indices.reshape(-1)).max()
         bound = rows * 2 * hidden * 8 + sum(a.nbytes for a in grads if a is not None)
         assert peak - start <= bound

@@ -306,6 +306,15 @@ class TestFeedForward:
         for got, want in zip(grads_k, grads_r):
             np.testing.assert_array_equal(got, want)
 
+    def test_node_keeps_only_the_sigmoid(self):
+        rows, dim, hidden = 300, 16, 64
+        rng = np.random.default_rng(11)
+        ffn = FeedForward(rng, dim, hidden)
+        x = Tensor(rng.normal(size=(rows, dim)), requires_grad=True)
+        # The backward rebuilds act = (x W1 + b1) * s from the input it is passed.
+        # Keeping act too would double this.
+        assert retained_bytes(lambda: ffn(x)) <= rows * hidden * 8
+
     def test_gradient_matches_finite_differences(self):
         ffn, x = ffn_and_input(9)
         weights = Tensor(np.random.default_rng(10).normal(size=(7, 4)))
@@ -466,7 +475,8 @@ class TestSegmentedDepthwise3:
         mlp, x = cgmlp_and_input(10 + len(lengths), seg.total)
         g = np.random.default_rng(len(lengths)).normal(size=(seg.total, 5))
         tsum(mlp(x, seg) * Tensor(g)).backward()
-        u, _s, _conv = mlp.forward(x.data, seg)[1]
+        s, _conv = mlp.forward(x.data, seg)[1]
+        u = mlp.up.forward(x.data) * s
         gate, conv_in = u[:, : mlp.dim], u[:, mlp.dim :]
         dconv = (g @ mlp.down.weight.data.T) * gate  # the gradient at the conv's output
         prev, nxt = shifted_copies(conv_in, seg)
@@ -478,10 +488,10 @@ class TestSegmentedDepthwise3:
         seg = Segments([200, 1, 311])
         mlp, x = cgmlp_and_input(11, seg.total, dim=64)
         # The conv keeps only its output, which the gate's product needs anyway.
-        # The node keeps u and s (2 widths each) and conv: 5 widths a row. The
-        # backward rebuilds gated (1 width) from them. Shifted copies of the
-        # conv's input would add 2 x 256 KiB.
-        kept = 5 * seg.total * 64 * 8
+        # The node keeps s (2 widths) and conv: 3 widths a row. The backward
+        # rebuilds u (2 widths) from its input and s, and gated (1 width) from
+        # u and conv. Shifted copies of the conv's input would add 2 x 256 KiB.
+        kept = 3 * seg.total * 64 * 8
         assert retained_bytes(lambda: mlp(x, seg)) <= kept
 
     def test_segments_must_cover_the_rows(self):
