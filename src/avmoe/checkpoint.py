@@ -19,7 +19,9 @@ times the size of one. The save streams the header and then each array's own
 buffer to a sibling temp file and moves it onto ``path`` with ``os.replace``,
 so a save that fails part way leaves the previous file at ``path`` intact.
 
-The load has two steps, so that a caller reads only the sections it uses:
+The load has two steps, so that a caller reads only the sections it uses.
+Each opens the file with ``errors.open_input``, which refuses a missing or
+unreadable file as a ``CheckpointError``:
 
 - ``load_checkpoint`` reads the header and no payload. It checks the magic,
   refuses a header length that does not fit in the file (from ``fstat``)
@@ -58,7 +60,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, open_input
 from .fields import parse_json
 
 MAGIC = b"EVACKPT4"
@@ -103,15 +105,10 @@ class Checkpoint:
         raw = np.empty(size + 7, "<f8")
         skip = -raw.ctypes.data % 64 // 8  # decode ran 2-4% slower on 16-byte-aligned weights
         buf = raw[skip : skip + size]
-        try:
-            with self.path.open("rb", buffering=0) as f:
-                stamp = _stamp(os.fstat(f.fileno()))
-                f.seek(low)
-                count = f.readinto(buf)
-        except OSError as exc:
-            raise CheckpointError(
-                f"{self.path}: cannot read the checkpoint: {exc.strerror}"
-            ) from exc
+        with open_input(self.path, "checkpoint", CheckpointError) as f:
+            stamp = _stamp(os.fstat(f.fileno()))
+            f.seek(low)
+            count = f.readinto(buf)
         if stamp != self.stamp or count != buf.nbytes:
             raise CheckpointError(f"{self.path}: the file changed after its header was read")
         out = {}
@@ -178,33 +175,28 @@ def save_checkpoint(
 def load_checkpoint(path) -> Checkpoint:
     """Read and verify a checkpoint's header. No tensor is read: ``Checkpoint.read`` does that."""
     path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"checkpoint not found: {path}")
-    try:
-        with path.open("rb", buffering=0) as f:
-            stat = os.fstat(f.fileno())
-            line, newline, _ = f.read(FIRST_LINE_MAX).partition(b"\n")
-            fields = line.split(b" ")
-            if fields[0] != MAGIC:
-                raise CheckpointError(
-                    f"{path}: bad magic {line[:8]!r}; this reader understands {MAGIC.decode()} only"
-                )
-            # bytes.isdigit is true for ASCII digits only.
-            if not (newline and len(fields) == 3 and fields[1].isdigit() and fields[2].isdigit()):
-                raise CheckpointError(
-                    f"{path}: bad first line {line!r}, not '{MAGIC.decode()} <length> <crc32>'"
-                )
-            header_start, length = len(line) + 1, int(fields[1])
-            data_start = header_start + length
-            if data_start > stat.st_size:
-                raise CheckpointError(
-                    f"{path}: a header of {length} bytes does not fit in a file of "
-                    f"{stat.st_size} bytes"
-                )
-            f.seek(header_start)
-            header = f.read(length)
-    except OSError as exc:
-        raise CheckpointError(f"{path}: cannot read the checkpoint: {exc.strerror}") from exc
+    with open_input(path, "checkpoint", CheckpointError) as f:
+        stat = os.fstat(f.fileno())
+        line, newline, _ = f.read(FIRST_LINE_MAX).partition(b"\n")
+        fields = line.split(b" ")
+        if fields[0] != MAGIC:
+            raise CheckpointError(
+                f"{path}: bad magic {line[:8]!r}; this reader understands {MAGIC.decode()} only"
+            )
+        # bytes.isdigit is true for ASCII digits only.
+        if not (newline and len(fields) == 3 and fields[1].isdigit() and fields[2].isdigit()):
+            raise CheckpointError(
+                f"{path}: bad first line {line!r}, not '{MAGIC.decode()} <length> <crc32>'"
+            )
+        header_start, length = len(line) + 1, int(fields[1])
+        data_start = header_start + length
+        if data_start > stat.st_size:
+            raise CheckpointError(
+                f"{path}: a header of {length} bytes does not fit in a file of "
+                f"{stat.st_size} bytes"
+            )
+        f.seek(header_start)
+        header = f.read(length)
     if len(header) != length or zlib.crc32(header) != int(fields[2]):
         raise CheckpointError(f"{path}: checksum failure for the header")
     try:

@@ -44,9 +44,8 @@ import argparse
 import json
 import logging
 import sys
-from pathlib import Path
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, open_input
 from .fields import parse_json
 from .frontend import log_mel_from_waveform, read_waveform
 from .fusion import load_visual_embeddings
@@ -114,13 +113,8 @@ def _build_train_configs(args) -> tuple[ModelConfig, TrainConfig, list[str]]:
     """The run's configs, and the settings that its config file and flags name."""
     sections: dict = {}
     if args.config != "default":
-        path = Path(args.config)
-        if not path.exists():
-            raise DataError(f"config file not found: {path}")
-        try:
-            blob = path.read_bytes()
-        except OSError as exc:  # a directory, or no permission
-            raise DataError(f"{path}: cannot read the config file: {exc.strerror}") from exc
+        with open_input(args.config, "config file") as f:
+            blob = f.read()
         try:
             sections = parse_json(blob)
         except ValueError as exc:

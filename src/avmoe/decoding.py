@@ -30,10 +30,9 @@ def collapse_ctc_path(path: list[int], blank_id: int) -> list[int]:
     return [t for t in out if t != blank_id]
 
 
-def ctc_greedy_decode(frame_logits: Tensor | np.ndarray, blank_id: int) -> Hypothesis:
+def ctc_greedy_decode(frame_logits: Tensor, blank_id: int) -> Hypothesis:
     """Best per-frame path, collapsed. Score is that single path's log-prob."""
-    logits = frame_logits.data if isinstance(frame_logits, Tensor) else frame_logits
-    log_probs = log_softmax_rows_forward(logits)
+    log_probs = log_softmax_rows_forward(frame_logits.data)
     path = log_probs.argmax(axis=1)
     score = float(log_probs[np.arange(path.size), path].sum())
     return Hypothesis(token_ids=collapse_ctc_path(path.tolist(), blank_id), score=score)

@@ -1,8 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and ``open_input``, which opens every input.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-NumericError -> 4.
+NumericError -> 4. ``open_input`` maps file-system errors onto DataError, so
+a missing or unreadable input file exits 3.
 """
+
+from contextlib import contextmanager
+from pathlib import Path
+from typing import BinaryIO, Iterator
 
 
 class AvmoeError(Exception):
@@ -43,3 +48,19 @@ class GraphError(AvmoeError):
 
 class NumericError(AvmoeError):
     """Numeric domain violation or non-finite value where one is forbidden."""
+
+
+@contextmanager
+def open_input(path, what: str, error: type[DataError] = DataError) -> Iterator[BinaryIO]:
+    """Open ``path`` for unbuffered binary reading; the block does the reads.
+
+    An OSError at the open or in the block becomes ``error``: ``"<what> not found:
+    <path>"`` for a missing file, else ``"<path>: cannot read the <what>: <reason>"``.
+    """
+    try:
+        with Path(path).open("rb", buffering=0) as f:
+            yield f
+    except FileNotFoundError as exc:
+        raise error(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise error(f"{path}: cannot read the {what}: {exc.strerror}") from exc

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, IngestError
+from .errors import DataError, IngestError, open_input
 from .f64file import read_f64_file, write_f64_file
 
 MEL_FLOOR = 1e-10
@@ -102,8 +102,9 @@ def log_mel_from_waveform(waveform: Waveform, n_mels: int = 80) -> np.ndarray:
 
 
 def read_wav(path) -> Waveform:
+    """Read mono 16-bit PCM WAV, opened by ``errors.open_input``."""
     try:
-        with wave.open(str(path), "rb") as wf:
+        with open_input(path, "audio file") as f, wave.open(f) as wf:
             if wf.getnchannels() != 1 or wf.getsampwidth() != 2:
                 raise IngestError(
                     f"{path}: expected mono 16-bit PCM, got "
@@ -140,12 +141,9 @@ def write_f64(path, waveform: Waveform) -> None:
 
 
 def read_waveform(path) -> Waveform:
-    """Read WAV or raw-float audio, sniffing the format from leading bytes."""
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(6)
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read the audio file: {exc.strerror}") from exc
+    """Read WAV or raw-float audio, opened by ``errors.open_input``, sniffing its leading bytes."""
+    with open_input(path, "audio file") as f:
+        head = f.read(6)
     if head.startswith(b"RIFF"):
         return read_wav(path)
     if head.startswith(b"F64LE "):

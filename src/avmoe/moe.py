@@ -122,7 +122,7 @@ class LoadStats:
 
 class MoELayer(Module):
     def __init__(self, cfg: MoEConfig, rng: np.random.Generator | None):
-        cfg.validate()
+        # ``cfg`` is checked once per model, by ``ModelConfig.validate``.
         self.cfg = cfg
         # Zero router, no bias: routing is uniform at step 0.
         self.router = Tensor(

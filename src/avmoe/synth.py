@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, open_input
 from .fields import check_fields, parse_json
 from .frontend import Waveform, write_f64
 from .fusion import save_visual_embeddings
@@ -281,14 +281,11 @@ def generate_corpus(
 
 
 def load_manifest(path) -> list[ManifestEntry]:
-    """Parse a JSONL manifest, check each record's field types and that its files exist."""
+    """Parse a JSONL manifest (opened by ``errors.open_input``), check each record's
+    field types and that its files exist."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
-    try:
-        lines = path.read_bytes().splitlines()
-    except OSError as exc:  # a directory, or no permission
-        raise DataError(f"{path}: cannot read the manifest: {exc.strerror}") from exc
+    with open_input(path, "manifest") as f:
+        lines = f.read().splitlines()
     entries: list[ManifestEntry] = []
     base = path.parent
     for lineno, line in enumerate(lines, start=1):
@@ -313,14 +310,9 @@ def load_manifest(path) -> list[ManifestEntry]:
 
 
 def read_task_spec(path) -> SyntheticTaskSpec:
-    """Read and validate a task spec JSON file."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"task spec not found: {path}")
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:  # a directory, or no permission
-        raise DataError(f"{path}: cannot read the task spec: {exc.strerror}") from exc
+    """Read and validate a task spec JSON file, opened by ``errors.open_input``."""
+    with open_input(path, "task spec") as f:
+        blob = f.read()
     return SyntheticTaskSpec.from_json(blob)
 
 

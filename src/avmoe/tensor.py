@@ -455,7 +455,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
     data = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.data.shape[axis] for p in parts]
     bounds = np.cumsum(sizes)[:-1]

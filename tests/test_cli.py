@@ -312,6 +312,16 @@ def test_config_that_sets_what_it_cannot_exits_2(run, name, capsys):
     assert not (run / ckpt_dir / "metrics.jsonl").exists()
 
 
+def test_moe_config_of_a_model_without_encoder_blocks_exits_2(run, capsys):
+    # No block builds a MoE layer, so only ModelConfig.validate sees the MoE section.
+    path = run / "no_blocks.json"
+    path.write_text(json.dumps({"model": {"encoder_blocks": 0}, "moe": {"top_k": 99}}))
+    capsys.readouterr()
+    assert train(run, "no_blocks", str(path)) == 2
+    assert "top_k=99 out of range for 8 experts" in capsys.readouterr().err
+    assert not (run / "no_blocks").exists()
+
+
 def test_settable_surface_is_pinned(tmp_path):
     # A new flag, config key or task-spec field must update these lists.
     commands = _build_parser()._subparsers._group_actions[0].choices
@@ -433,6 +443,48 @@ def test_checkpoint_whose_vocabulary_contradicts_its_vocab_size_exits_3(run, com
            f"vocab_size {saved.config['model']['vocab_size']}" in captured.err
 
 
+@pytest.mark.parametrize("command", ["eval", "decode"])
+def test_checkpoint_whose_vocabulary_is_not_a_list_of_words_exits_3(run, command, capsys):
+    # Numbers, as many as the words: the vocabulary size matches, so only the
+    # type check refuses them. Without it, decode died on a TypeError and eval
+    # blamed the first manifest word.
+    saved = load_checkpoint(run / "full" / "final.ckpt")
+    ckpt = run / "numbered_vocab.ckpt"
+    numbers = list(range(len(saved.config["vocab"])))
+    save_checkpoint(ckpt, {**saved.config, "vocab": numbers}, saved.read())
+    entry = json.loads((run / "corpus" / "test.jsonl").read_text().splitlines()[0])
+    capsys.readouterr()
+    if command == "eval":
+        code = main(["eval", "--manifest", str(run / "corpus" / "test.jsonl"), "--ckpt", str(ckpt)])
+    else:
+        code = main(["decode", "--ckpt", str(ckpt), "--audio", str(run / "corpus" / entry["audio"]),
+                     "--visual", str(run / "corpus" / entry["visual"])])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{ckpt}: the vocabulary must be a list of words, got {numbers!r}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_manifest_word_not_in_the_vocabulary_exits_3(run, tmp_path, command, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(run / "corpus", corpus)
+    manifest = corpus / ("train.jsonl" if command == "train" else "test.jsonl")
+    records = [json.loads(line) for line in manifest.read_text().splitlines()]
+    records[-1]["transcript"] += " purple"
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    if command == "train":
+        code = train(tmp_path, "ckpt", write_config(tmp_path / "config.json"))
+    else:
+        code = main(["eval", "--manifest", str(manifest), "--ckpt", str(run / "full" / "final.ckpt")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "data error: word 'purple' not in vocabulary" in captured.err
+    assert not (tmp_path / "ckpt").exists()
+
+
 REFERENCE_VOCAB = reference_task_spec().vocab
 
 
@@ -512,6 +564,44 @@ def test_decode_of_a_path_it_cannot_read_exits_3(run, flag, kind, capsys):
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and str(paths[flag]) in captured.err
+
+
+# Each input file that a command reads: the flag that names it and what the refusal calls it.
+INPUTS = [
+    ("decode", "--ckpt", "checkpoint"), ("decode", "--audio", "audio file"),
+    ("decode", "--visual", "VEMB file"), ("eval", "--ckpt", "checkpoint"),
+    ("eval", "--manifest", "manifest"), ("train", "--config", "config file"),
+    ("generate", "--spec", "task spec"),
+]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command, flag, what", INPUTS,
+                         ids=[f"{command}{flag}" for command, flag, _ in INPUTS])
+def test_input_it_cannot_open_is_refused_in_one_of_two_forms(run, tmp_path, capsys, command,
+                                                             flag, what, kind):
+    entry = json.loads((run / "corpus" / "test.jsonl").read_text().splitlines()[0])
+    args = {
+        "decode": {"--ckpt": run / "full" / "final.ckpt",
+                   "--audio": run / "corpus" / entry["audio"],
+                   "--visual": run / "corpus" / entry["visual"]},
+        "eval": {"--manifest": run / "corpus" / "test.jsonl", "--ckpt": run / "full" / "final.ckpt"},
+        "train": {"--manifest": run / "corpus" / "train.jsonl", "--config": None,
+                  "--ckpt-dir": tmp_path / "ckpt", "--seed": 1},
+        "generate": {"--spec": None, "--out": tmp_path / "out", "--seed": 3},
+    }[command]
+    path = args[flag] = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    capsys.readouterr()
+    assert main([command] + [str(a) for pair in args.items() for a in pair]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if kind == "missing":
+        assert f"data error: {what} not found: {path}\n" in captured.err
+    else:
+        assert f"data error: {path}: cannot read the {what}: Is a directory\n" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if kind == "missing" else ["input"])
 
 
 @pytest.mark.parametrize("channels, width, reason", [

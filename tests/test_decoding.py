@@ -51,7 +51,7 @@ def test_hand_case():
     logits = np.full((7, 3), -5.0)
     for t, v in enumerate([1, 1, 0, 1, 2, 2, 0]):
         logits[t, v] = 5.0
-    hyp = ctc_greedy_decode(logits, blank_id=0)
+    hyp = ctc_greedy_decode(Tensor(logits), blank_id=0)
     assert hyp.token_ids == [1, 1, 2]
     # Each frame picks a logit 10 above the other two.
     assert math.isclose(hyp.score, -7.0 * np.log1p(2.0 * np.exp(-10.0)), rel_tol=1e-12)

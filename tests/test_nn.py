@@ -14,6 +14,7 @@ from avmoe.nn import (
     attend,
     causal_mask,
     depthwise3_forward,
+    sinusoidal_positions,
 )
 from avmoe.tensor import Tensor, _record, affine, concat, matmul, softmax_rows, tsum
 
@@ -498,3 +499,11 @@ class TestSegmentedDepthwise3:
         mlp = ConvGatedMLP(np.random.default_rng(0), 3)
         with pytest.raises(DimensionError):
             mlp(Tensor(np.zeros((4, 3))), Segments([2, 3]))
+
+
+def test_position_table_is_shared_and_read_only():
+    # Every encode and decode step of one length gets the same table, so none may write it.
+    table = sinusoidal_positions(6, 8)
+    assert sinusoidal_positions(6, 8) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0

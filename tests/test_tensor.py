@@ -242,6 +242,13 @@ class TestBackwardRules:
         tsum(h * h).backward()
         np.testing.assert_array_equal(w.grad, 8.0 * w.data)
 
+    def test_op_output_has_no_grad_before_backward(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        h = w * 2.0
+        assert h.grad is None and w.grad is None
+        tsum(h).backward()
+        np.testing.assert_array_equal(w.grad, 2.0)
+
     def test_fanout_accumulates(self):
         x = Tensor(np.array(2.0), requires_grad=True)
         (x * 3.0 + x * 2.0).backward()

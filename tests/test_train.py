@@ -57,6 +57,7 @@ class GradRecorder:
 
     def step(self, t: int, warm: float) -> None:
         self.grads = {n: None if p.grad is None else p.grad.copy() for n, p in self.params}
+        self.warm = warm
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -132,6 +133,14 @@ def test_silent_expert_gets_no_gradient_and_no_adam_update():
     moments = [optimizer.m[f"enc_blocks.0.ffn2.experts.{e}.lin1.weight"] for e in range(4)]
     trained = [e for e, m in enumerate(moments) if m.any()]
     assert len(trained) == TOP_K and 3 not in trained
+
+
+def test_no_warmup_trains_at_the_full_rate_from_the_first_step():
+    model = moe_model(86)
+    recorder = GradRecorder(model)
+    state = TrainState(model, recorder, np.random.default_rng(0))
+    _train_batch(state, ragged_batch(87), TrainConfig(warmup_steps=0))
+    assert (state.step, recorder.warm) == (1, 1.0)
 
 
 def test_update_after_a_restore_takes_its_bias_correction_from_the_state_step():
